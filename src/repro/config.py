@@ -39,21 +39,15 @@ class TreeConfig:
         Barnes' modified algorithm (the paper finds ~100 optimal on K).
     use_quadrupole:
         Whether node moments include the quadrupole term.
-    use_plan:
-        Evaluate short-range forces through the flat interaction-plan
-        engine (traverse all groups first, then execute one batched
-        sweep).  ``False`` selects the legacy interleaved per-group
-        path; in double precision both give bitwise-identical forces.
     plan_float32:
         Run the plan executor's pair arithmetic in single precision
-        (the paper's float32 Phantom-GRAPE kernel).  Plan mode only.
+        (the paper's float32 Phantom-GRAPE kernel).
     """
 
     opening_angle: float = 0.5
     leaf_size: int = 8
     group_size: int = 64
     use_quadrupole: bool = False
-    use_plan: bool = True
     plan_float32: bool = False
 
     def __post_init__(self) -> None:

@@ -45,7 +45,6 @@ and no hard-timeout SIGKILL.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -53,6 +52,7 @@ import numpy as np
 
 from repro.config import HealthConfig
 from repro.mpi.faults import RankDeath
+from repro.native.build import recheck_gates
 
 __all__ = [
     "HealthEvent",
@@ -62,11 +62,6 @@ __all__ = [
     "StragglerEvicted",
     "recheck_native_kernels",
 ]
-
-#: native kernel stages whose self-test gate the degradation engine can
-#: re-run mid-flight (module names under ``repro.native``)
-NATIVE_STAGES = ("treebuild", "traverse", "meshops", "update", "certify")
-
 
 class StragglerEvicted(RankDeath):
     """Voluntary exit of a confirmed straggler (cooperative eviction).
@@ -292,34 +287,17 @@ def recheck_native_kernels() -> Dict[str, bool]:
     The compile-time gate runs each self-test once and caches the
     verdict; a kernel that starts mis-computing mid-run (bad memory,
     clock instability) would keep its stale pass.  This re-runs the
-    test and **writes the fresh verdict back into the gate**, so a
-    failing kernel flips its ``get_lib()`` to ``None`` and every later
-    call takes the bitwise-identical numpy path.
+    test and **writes the fresh verdict back into the gate**
+    (:func:`repro.native.build.recheck_gates`), so a failing kernel
+    flips its ``get_lib()`` to ``None`` and every later call takes the
+    bitwise-identical numpy path.
 
-    Returns ``{stage: verdict}`` for the stages that had a loaded
-    library to test; stages never loaded (or disabled by environment)
-    are omitted.
+    Returns ``{stage: verdict}`` keyed by the ``REPRO_NO_NATIVE_<STAGE>``
+    stage names (``tree``, ``traverse``, ``certify``, ``mesh``,
+    ``update``, ``pp``) for the stages that had a loaded library to
+    test; stages never loaded are omitted.
     """
-    results: Dict[str, bool] = {}
-    for stage in NATIVE_STAGES:
-        try:
-            mod = importlib.import_module(f"repro.native.{stage}")
-        except Exception:
-            continue
-        verified = getattr(mod, "_verified", None)
-        if not verified:
-            continue  # gate never evaluated: nothing is using this kernel
-        lib = mod.get_lib()
-        if lib is None:
-            results[stage] = False
-            continue
-        try:
-            ok = bool(mod._self_test(lib))
-        except Exception:
-            ok = False
-        verified[id(lib)] = ok
-        results[stage] = ok
-    return results
+    return recheck_gates()
 
 
 class DegradationPolicy:

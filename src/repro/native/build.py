@@ -13,6 +13,11 @@ The loader degrades gracefully: no compiler, a failed build, or an
 unloadable artifact all yield ``None``, and callers fall back to their
 numpy reference pipelines.  Nothing outside this module needs to know
 whether a kernel is in use.
+
+:func:`verified_library` is the gate every stage module's ``get_lib``
+goes through: stage opt-out, load, declare the ctypes signatures, run
+the stage's bitwise self-test once, memoize the verdict.
+:func:`recheck_gates` re-runs those self-tests mid-run.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "BASE_FLAGS",
@@ -30,8 +36,10 @@ __all__ = [
     "load_library",
     "native_threads",
     "openmp_available",
+    "recheck_gates",
     "source_key",
     "stage_enabled",
+    "verified_library",
 ]
 
 #: Baseline flags shared by every kernel: no FMA contraction and no
@@ -43,6 +51,21 @@ BASE_FLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _loaded: dict = {}
 
 _openmp: Optional[bool] = None
+
+
+@dataclass
+class _Gate:
+    """Self-test verdict of one stage's loaded library."""
+
+    lib: ctypes.CDLL
+    self_test: Callable[[ctypes.CDLL], bool]
+    ok: bool
+
+
+#: stage -> gate, for every stage whose library has been loaded and
+#: self-tested in this process (a stage re-verifies if its cache key —
+#: and thus its library — changes)
+_gates: Dict[str, _Gate] = {}
 
 
 def stage_enabled(stage: str) -> bool:
@@ -182,3 +205,53 @@ def load_library(
                 lib = None
     _loaded[memo_key] = lib
     return lib
+
+
+def _passes(self_test: Callable[[ctypes.CDLL], bool], lib: ctypes.CDLL) -> bool:
+    try:
+        return bool(self_test(lib))
+    except Exception:
+        return False
+
+
+def verified_library(
+    stage: str,
+    src_path: str,
+    declare: Callable[[ctypes.CDLL], None],
+    self_test: Callable[[ctypes.CDLL], bool],
+    extra_flags: Sequence[str] = (),
+) -> Optional[ctypes.CDLL]:
+    """The stage's loaded *and verified* kernel library, or ``None``.
+
+    The stage opt-out (``REPRO_NO_NATIVE`` / ``REPRO_NO_NATIVE_<STAGE>``)
+    is checked on every call so it can be toggled within a process.  The
+    first call that loads a library declares its signatures and runs
+    ``self_test(lib)`` — a bitwise comparison against the stage's numpy
+    reference; a mismatch (or a raising self-test) disables the kernel
+    for the process and every caller takes its numpy path.
+    """
+    if not stage_enabled(stage):
+        return None
+    lib = load_library(src_path, extra_flags=extra_flags)
+    if lib is None:
+        return None
+    gate = _gates.get(stage)
+    if gate is None or gate.lib is not lib:
+        declare(lib)
+        gate = _gates[stage] = _Gate(lib, self_test, _passes(self_test, lib))
+    return lib if gate.ok else None
+
+
+def recheck_gates() -> Dict[str, bool]:
+    """Re-run the self-test of every stage that has a verified library
+    and write the fresh verdict back into its gate.
+
+    Returns ``{stage: verdict}``; stages never loaded are omitted, and a
+    stage that already failed stays failed without being re-tested.
+    """
+    results: Dict[str, bool] = {}
+    # a self-test may load another stage's library, growing the registry
+    for stage, gate in list(_gates.items()):
+        gate.ok = gate.ok and _passes(gate.self_test, gate.lib)
+        results[stage] = gate.ok
+    return results

@@ -24,16 +24,12 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 
-_verified: dict = {}
-
 
 def _ptr(arr, ctype):
     return arr.ctypes.data_as(ctype)
 
 
 def _declare(lib: ctypes.CDLL) -> None:
-    if getattr(lib, "_certify_declared", False):
-        return
     lib.certify_no_wrap.restype = None
     lib.certify_no_wrap.argtypes = [
         ctypes.c_int64,
@@ -44,24 +40,11 @@ def _declare(lib: ctypes.CDLL) -> None:
         ctypes.c_double,
         _U8P,
     ]
-    lib._certify_declared = True
 
 
 def get_lib() -> Optional[ctypes.CDLL]:
     """The verified certification library, or ``None`` (checked per call)."""
-    if not _build.stage_enabled("certify"):
-        return None
-    lib = _build.load_library(_SRC)
-    if lib is None:
-        return None
-    _declare(lib)
-    key = id(lib)
-    if key not in _verified:
-        try:
-            _verified[key] = _self_test(lib)
-        except Exception:
-            _verified[key] = False
-    return lib if _verified[key] else None
+    return _build.verified_library("certify", _SRC, _declare, _self_test)
 
 
 def available() -> bool:

@@ -23,16 +23,12 @@ _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_meshops.c")
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 
-_verified: dict = {}
-
 
 def _ptr(arr, ctype):
     return arr.ctypes.data_as(ctype)
 
 
 def _declare(lib: ctypes.CDLL) -> None:
-    if getattr(lib, "_meshops_declared", False):
-        return
     lib.mesh_scatter.restype = None
     lib.mesh_scatter.argtypes = [
         ctypes.c_int64, ctypes.c_int64,
@@ -46,24 +42,11 @@ def _declare(lib: ctypes.CDLL) -> None:
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         _F64P, _F64P,
     ]
-    lib._meshops_declared = True
 
 
 def get_lib() -> Optional[ctypes.CDLL]:
     """The verified mesh-ops library, or ``None`` (checked per call)."""
-    if not _build.stage_enabled("mesh"):
-        return None
-    lib = _build.load_library(_SRC)
-    if lib is None:
-        return None
-    _declare(lib)
-    key = id(lib)
-    if key not in _verified:
-        try:
-            _verified[key] = _self_test(lib)
-        except Exception:
-            _verified[key] = False
-    return lib if _verified[key] else None
+    return _build.verified_library("mesh", _SRC, _declare, _self_test)
 
 
 def available() -> bool:

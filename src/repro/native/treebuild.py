@@ -30,18 +30,12 @@ _U64P = ctypes.POINTER(ctypes.c_uint64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 
-#: self-test verdict per loaded library id (kernels re-verify if the
-#: cache key — and thus the library — changes within a process)
-_verified: dict = {}
-
 
 def _ptr(arr, ctype):
     return arr.ctypes.data_as(ctype)
 
 
 def _declare(lib: ctypes.CDLL) -> None:
-    if getattr(lib, "_treebuild_declared", False):
-        return
     lib.morton_keys.restype = ctypes.c_int64
     lib.morton_keys.argtypes = [
         _F64P, ctypes.c_int64, _F64P, ctypes.c_double, ctypes.c_int64, _U64P,
@@ -59,7 +53,6 @@ def _declare(lib: ctypes.CDLL) -> None:
         _I64P, _I64P, _I64P, _U8P,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P,
     ]
-    lib._treebuild_declared = True
 
 
 def get_lib() -> Optional[ctypes.CDLL]:
@@ -68,19 +61,7 @@ def get_lib() -> Optional[ctypes.CDLL]:
     Stage gating (``REPRO_NO_NATIVE`` / ``REPRO_NO_NATIVE_TREE``) is
     checked on every call so it can be toggled within a process.
     """
-    if not _build.stage_enabled("tree"):
-        return None
-    lib = _build.load_library(_SRC)
-    if lib is None:
-        return None
-    _declare(lib)
-    key = id(lib)
-    if key not in _verified:
-        try:
-            _verified[key] = _self_test(lib)
-        except Exception:
-            _verified[key] = False
-    return lib if _verified[key] else None
+    return _build.verified_library("tree", _SRC, _declare, _self_test)
 
 
 def available() -> bool:

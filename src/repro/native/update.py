@@ -20,16 +20,12 @@ _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_update.c")
 
 _F64P = ctypes.POINTER(ctypes.c_double)
 
-_verified: dict = {}
-
 
 def _ptr(arr):
     return arr.ctypes.data_as(_F64P)
 
 
 def _declare(lib: ctypes.CDLL) -> None:
-    if getattr(lib, "_update_declared", False):
-        return
     lib.kick.restype = None
     lib.kick.argtypes = [ctypes.c_int64, _F64P, _F64P, ctypes.c_double]
     lib.kick_drift_wrap.restype = None
@@ -41,24 +37,11 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.drift_wrap.argtypes = [
         ctypes.c_int64, _F64P, _F64P, ctypes.c_double, ctypes.c_double,
     ]
-    lib._update_declared = True
 
 
 def get_lib() -> Optional[ctypes.CDLL]:
     """The verified update library, or ``None`` (checked per call)."""
-    if not _build.stage_enabled("update"):
-        return None
-    lib = _build.load_library(_SRC)
-    if lib is None:
-        return None
-    _declare(lib)
-    key = id(lib)
-    if key not in _verified:
-        try:
-            _verified[key] = _self_test(lib)
-        except Exception:
-            _verified[key] = False
-    return lib if _verified[key] else None
+    return _build.verified_library("update", _SRC, _declare, _self_test)
 
 
 def available() -> bool:

@@ -100,7 +100,7 @@ static void sweep_group(
     if (S == 0)
         return;
     /* gather the interaction list once per group (particles first,
-     * then nodes: the legacy list order) */
+     * then nodes: the plan's list order) */
     double *sx = scratch;
     double *sm = scratch + 3 * S;
     int64_t k = 0;

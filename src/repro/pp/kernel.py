@@ -146,8 +146,6 @@ class PPKernel:
         targets: np.ndarray,
         sources: np.ndarray,
         masses: np.ndarray,
-        *,
-        dx_offsets: np.ndarray | None = None,
     ) -> np.ndarray:
         """Accelerations on ``targets`` from the list ``sources``.
 
@@ -159,10 +157,6 @@ class PPKernel:
             ``(S, 3)`` positions of interaction-list members.
         masses:
             ``(S,)`` masses of list members.
-        dx_offsets:
-            Optional ``(S, 3)`` periodic image offsets already applied
-            to the sources by the caller (tree traversal handles
-            periodicity; this kernel is purely geometric).
 
         Returns ``(T, 3)`` accelerations.  Zero-separation pairs (a
         particle interacting with itself inside its own group) are
@@ -171,8 +165,6 @@ class PPKernel:
         targets = np.asarray(targets, dtype=np.float64)
         sources = np.asarray(sources, dtype=np.float64)
         masses = np.asarray(masses, dtype=np.float64)
-        if dx_offsets is not None:
-            sources = sources + dx_offsets
         self.counter.record(len(targets), len(sources))
 
         dx = sources[None, :, :] - targets[:, None, :]  # (T, S, 3)

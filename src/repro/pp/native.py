@@ -17,6 +17,7 @@ thread.  Plan groups own disjoint output rows, so the threaded sweep is
 bitwise identical to the serial one for any thread count.
 
 The loader degrades gracefully: if no compiler is present (or the build
+fails, or the first load's bitwise self-test against the numpy executor
 fails, or ``REPRO_NO_NATIVE`` / ``REPRO_NO_NATIVE_PP`` is set — checked
 on every call) the executor silently falls back to the numpy pipeline.
 Nothing outside this module needs to know whether the native kernel is
@@ -28,6 +29,8 @@ from __future__ import annotations
 import ctypes
 import os
 from typing import Optional
+
+import numpy as np
 
 from repro.native import build as _build
 
@@ -62,8 +65,6 @@ _ARGTYPES = [
 
 
 def _declare(lib: ctypes.CDLL) -> None:
-    if getattr(lib, "_plansweep_declared", False):
-        return
     lib.plan_sweep.restype = None
     lib.plan_sweep.argtypes = _ARGTYPES
     lib.plan_sweep_threads.restype = None
@@ -71,28 +72,20 @@ def _declare(lib: ctypes.CDLL) -> None:
         ctypes.c_int64,  # scratch_stride
         ctypes.c_int,  # nthreads
     ]
-    lib._plansweep_declared = True
 
 
 def get_lib() -> Optional[ctypes.CDLL]:
-    """The loaded kernel library, or ``None`` when unavailable.
-
-    The stage gate (``REPRO_NO_NATIVE`` / ``REPRO_NO_NATIVE_PP``) is
-    checked on every call; the build itself happens at most once per
-    source/flag combination (see :func:`repro.native.build.load_library`).
-    """
+    """The verified plan-sweep library, or ``None`` (checked per call)."""
     if not _build.stage_enabled("pp"):
-        return None
+        return None  # before the OpenMP probe: it compiles a test program
     extra = ("-fopenmp",) if _build.openmp_available() else ()
-    lib = _build.load_library(_SRC, extra_flags=extra)
-    if lib is None:
-        return None
-    _declare(lib)
-    return lib
+    return _build.verified_library(
+        "pp", _SRC, _declare, _self_test, extra_flags=extra
+    )
 
 
 def available() -> bool:
-    """Whether the native plan-sweep kernel can be used."""
+    """Whether the native plan-sweep kernel can be used right now."""
     return get_lib() is not None
 
 
@@ -163,6 +156,58 @@ def sweep(
         )
     else:
         lib.plan_sweep(*args)
+
+
+# -- self-test ----------------------------------------------------------------
+
+
+def _self_test(lib) -> bool:
+    """Bitwise comparison of the compiled sweep vs the numpy executor.
+
+    The native sweep replays numpy's float64 arithmetic operation by
+    operation, including numpy's SIMD reduction order for the component
+    sum — an order that is an implementation detail of the running
+    numpy build.  Rather than trust it across platforms, the sweep is
+    checked on a small synthetic plan exercising wrap and no-wrap
+    groups, self pairs, softened and unsoftened kernels, and both split
+    modes.
+    """
+    from repro.forces.cutoff import S2ForceSplit
+    from repro.pp.kernel import PPKernel
+    from repro.pp.plan import InteractionPlan, PlanExecutor
+
+    rng = np.random.default_rng(20120416)
+    N, M = 48, 6
+    pos = rng.random((N, 3))
+    mass = rng.random(N) + 0.5
+    ncom = rng.random((M, 3))
+    nmass = rng.random(M) + 1.0
+    pidx = rng.integers(0, N, 60).astype(np.int64)
+    pidx[:12] = np.arange(12)  # include self pairs
+    plan = InteractionPlan(
+        group_nodes=np.zeros(4, dtype=np.int64),
+        group_lo=np.array([0, 12, 24, 36], dtype=np.int64),
+        group_hi=np.array([12, 24, 36, 48], dtype=np.int64),
+        part_ptr=np.array([0, 20, 30, 50, 60], dtype=np.int64),
+        part_idx=pidx,
+        node_ptr=np.array([0, 3, 6, 6, 10], dtype=np.int64),
+        node_idx=rng.integers(0, M, 10).astype(np.int64),
+        no_wrap=np.array([True, False, True, False]),
+    )
+    kernels = [
+        PPKernel(split=S2ForceSplit(0.4), eps=0.0, G=2.0, box=1.0),
+        PPKernel(split=S2ForceSplit(0.4), eps=1e-3, box=1.0),
+        PPKernel(split=None, eps=1e-3, box=None),
+        PPKernel(split=None, eps=0.0, box=1.0),
+    ]
+    executor = PlanExecutor(use_native=False)
+    for kern in kernels:
+        want = executor.execute(plan, kern, pos, mass, ncom, nmass)
+        got = np.zeros_like(pos)
+        executor._execute_native(lib, plan, kern, pos, mass, ncom, nmass, got)
+        if not np.array_equal(want, got):
+            return False
+    return True
 
 
 __all__ = ["available", "get_lib", "sweep", "threaded_available"]

@@ -1,23 +1,23 @@
 """Flat interaction-plan representation and batched executor.
 
-The legacy short-range path interleaves traversal and kernel work one
-group at a time: every group pays a ``vstack``/``concatenate``, a fresh
-``(T, S, 3)`` temporary and a redundant per-pair minimum-image
-``np.round`` even when the whole list provably needs no wrap.  The plan
-engine splits a force evaluation into two phases instead:
+A short-range force evaluation has two phases, as in the paper: Barnes'
+modified traversal builds every group's interaction list, then the PP
+kernel consumes the lists in bulk.
 
 1. **Plan construction** (:meth:`repro.tree.traversal.TreeSolver.build_plan`)
-   runs Barnes' modified traversal for *all* groups and emits one flat
-   CSR-style :class:`InteractionPlan`: per-group target slices, the
-   concatenated source-particle indices, accepted-node indices,
-   precomputed periodic image shifts per list entry, and a per-group
-   ``no_wrap`` certificate (every pair displacement provably within
-   ``box/2``, so the per-pair ``np.round`` is exactly a no-op).
-2. **Plan execution** (:class:`PlanExecutor`) sweeps the plan in large
-   batches of groups bucketed by list length, with reused scratch
-   buffers and zero-mass column padding.  In float64 mode the batched
-   arithmetic is elementwise identical to the legacy per-group kernel,
-   so forces match bitwise; an optional float32 mode mirrors the paper's
+   runs the traversal for *all* groups and emits one flat CSR-style
+   :class:`InteractionPlan`: per-group target slices, the concatenated
+   source-particle indices, accepted-node indices, precomputed periodic
+   image shifts per list entry, and a per-group ``no_wrap`` certificate
+   (every pair displacement provably within ``box/2``, so the per-pair
+   ``np.round`` is exactly a no-op).
+2. **Plan execution** (:class:`PlanExecutor`) sweeps the plan — in the
+   compiled kernel when it is available and covers the configuration,
+   else in large numpy batches of groups bucketed by list length, with
+   reused scratch buffers and zero-mass column padding.  In float64
+   mode the arithmetic is elementwise identical to feeding each group's
+   list to :meth:`repro.pp.kernel.PPKernel.accumulate`, so forces match
+   it bitwise; an optional float32 mode mirrors the paper's
    single-precision Phantom-GRAPE kernel.
 
 The executor deliberately knows nothing about trees: it consumes the
@@ -39,64 +39,11 @@ from repro.utils.periodic import minimum_image
 
 __all__ = ["InteractionPlan", "PlanExecutor", "multi_arange", "slice_plan"]
 
-#: Lazily computed result of the native-kernel cross-check (None until
-#: first use; the check runs once per process).
-_NATIVE_VERIFIED = None
+#: Default cap on target-rows x padded-list-columns per numpy batch.
+DEFAULT_PAIR_BUDGET = 1 << 17
 
-
-def _native_verified(lib) -> bool:
-    """Cross-check the compiled kernel against the numpy pipeline.
-
-    The native sweep replays numpy's float64 arithmetic operation by
-    operation, including numpy's SIMD reduction order for the component
-    sum — an order that is an implementation detail of the running
-    numpy build.  Rather than trust it across platforms, the first
-    native execution verifies bitwise agreement on a small synthetic
-    plan exercising wrap and no-wrap groups, self pairs, softened and
-    unsoftened kernels, and both split modes; any mismatch silently
-    disables the native path for the process.
-    """
-    global _NATIVE_VERIFIED
-    if _NATIVE_VERIFIED is not None:
-        return _NATIVE_VERIFIED
-    from repro.pp.kernel import PPKernel
-
-    rng = np.random.default_rng(20120416)
-    N, M = 48, 6
-    pos = rng.random((N, 3))
-    mass = rng.random(N) + 0.5
-    ncom = rng.random((M, 3))
-    nmass = rng.random(M) + 1.0
-    pidx = rng.integers(0, N, 60).astype(np.int64)
-    pidx[:12] = np.arange(12)  # include self pairs
-    plan = InteractionPlan(
-        group_nodes=np.zeros(4, dtype=np.int64),
-        group_lo=np.array([0, 12, 24, 36], dtype=np.int64),
-        group_hi=np.array([12, 24, 36, 48], dtype=np.int64),
-        part_ptr=np.array([0, 20, 30, 50, 60], dtype=np.int64),
-        part_idx=pidx,
-        node_ptr=np.array([0, 3, 6, 6, 10], dtype=np.int64),
-        node_idx=rng.integers(0, M, 10).astype(np.int64),
-        no_wrap=np.array([True, False, True, False]),
-    )
-    kernels = [
-        PPKernel(split=S2ForceSplit(0.4), eps=0.0, G=2.0, box=1.0),
-        PPKernel(split=S2ForceSplit(0.4), eps=1e-3, box=1.0),
-        PPKernel(split=None, eps=1e-3, box=None),
-        PPKernel(split=None, eps=0.0, box=1.0),
-    ]
-    numpy_exec = PlanExecutor(use_native=False)
-    native_exec = PlanExecutor()
-    ok = True
-    for kern in kernels:
-        want = numpy_exec.execute(plan, kern, pos, mass, ncom, nmass)
-        got = np.zeros_like(pos)
-        native_exec._execute_native(lib, plan, kern, pos, mass, ncom, nmass, got)
-        if not np.array_equal(want, got):
-            ok = False
-            break
-    _NATIVE_VERIFIED = ok
-    return ok
+#: Target rows per chunk of the cutoff-culling refinement.
+_REFINE_ROWS = 64
 
 
 def multi_arange(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -158,7 +105,7 @@ class InteractionPlan:
     Group ``i`` owns targets ``[group_lo[i], group_hi[i])``, particle
     sources ``part_idx[part_ptr[i]:part_ptr[i+1]]`` and accepted nodes
     ``node_idx[node_ptr[i]:node_ptr[i+1]]``.  Each source slot of a
-    group's list keeps the legacy order: particles first, then nodes.
+    group's list is ordered particles first, then nodes.
 
     ``part_shift``/``node_shift`` hold the periodic image shift of each
     list entry relative to the group center (``box`` times an integer
@@ -207,8 +154,9 @@ class PlanExecutor:
     Parameters
     ----------
     dtype:
-        ``np.float64`` (default) computes bitwise-identically to the
-        legacy per-group kernel path.  ``np.float32`` mirrors the
+        ``np.float64`` (default) computes bitwise-identically to
+        :meth:`PPKernel.accumulate` applied group by group to the
+        plan's lists.  ``np.float32`` mirrors the
         paper's single-precision kernel: sources are re-centered on the
         group via the plan's baked image shifts (keeping float32
         coordinates well-conditioned), the wrap is dropped entirely, and
@@ -219,9 +167,6 @@ class PlanExecutor:
         float64.  Small budgets keep every scratch board resident in
         cache, which matters far more than batching overhead on the
         memory-bound sweep.
-    refine_rows:
-        Row-chunk size for the cutoff-culling refinement (see
-        :meth:`_refine`); ``0`` disables refinement.
     use_native:
         Sweep through the compiled plan-sweep kernel when one can be
         built (see :mod:`repro.pp.native`); float64 only, bitwise
@@ -237,8 +182,7 @@ class PlanExecutor:
     def __init__(
         self,
         dtype=np.float64,
-        pair_budget: int = 1 << 16,
-        refine_rows: int = 64,
+        pair_budget: int = DEFAULT_PAIR_BUDGET,
         use_native: bool = True,
     ) -> None:
         self.dtype = np.dtype(dtype)
@@ -247,7 +191,6 @@ class PlanExecutor:
         if pair_budget < 1:
             raise ValueError("pair_budget must be >= 1")
         self.pair_budget = int(pair_budget)
-        self.refine_rows = int(refine_rows)
         self.use_native = bool(use_native)
         self._scratch: dict = {}
         #: batches executed since construction (diagnostic)
@@ -304,24 +247,17 @@ class PlanExecutor:
             and out.dtype == np.dtype(np.float64)
         ):
             lib = _native.get_lib()
-            if lib is not None and _native_verified(lib):
+            if lib is not None:
                 self._execute_native(
                     lib, plan, kernel, pos_sorted, mass_sorted,
                     node_com, node_mass, out,
                 )
                 return out
 
-        refined = False
-        if (
-            self.refine_rows > 0
-            and kernel.split is not None
-            and getattr(kernel.split, "exact_cutoff", False)
-            and plan.n_pairs
-        ):
+        if getattr(kernel.split, "exact_cutoff", False) and plan.n_pairs:
             plan = self._refine(plan, kernel, pos_sorted, node_com)
             T = plan.target_counts
             S = plan.list_lengths
-            refined = True
 
         # gather the concatenated source streams once
         spos = pos_sorted[plan.part_idx]
@@ -366,7 +302,6 @@ class PlanExecutor:
                 self._run_batch(
                     plan, sel[i:j], smax, ttot, need_wrap, kernel,
                     pos_sorted, spos, smass, npos, nmass, pcnt, out,
-                    refined,
                 )
                 i = j
         return out
@@ -466,10 +401,10 @@ class PlanExecutor:
         source and the bbox, taken the short way around the circle for
         periodic boxes, so it is sound regardless of which image the
         per-pair wrap would pick.  Stats are recorded from the original
-        plan before refinement, keeping ``<Ni>``/``<Nj>`` identical to
-        the legacy path.
+        plan before refinement, so ``<Ni>``/``<Nj>`` describe the
+        traversal's lists.
         """
-        chunk = self.refine_rows
+        chunk = _REFINE_ROWS
         rcut = kernel.split.cutoff_radius * (1.0 + 1e-9)
         rc2 = rcut * rcut
         box = kernel.box
@@ -557,15 +492,6 @@ class PlanExecutor:
         sb[row, col] = vals_pos[idx]
         mb[row, col] = vals_mass[idx]
 
-    def _inv_r3(self, r2s: np.ndarray, dt: np.dtype) -> np.ndarray:
-        """``(r^2+eps^2)^(-3/2)`` on a flat compressed vector, with the
-        exact operation sequence of the legacy kernel."""
-        y = np.sqrt(r2s)
-        np.divide(dt.type(1.0), y, out=y)
-        f = y * y
-        f *= y
-        return f
-
     def _run_batch(
         self,
         plan,
@@ -581,7 +507,6 @@ class PlanExecutor:
         nmass,
         pcnt,
         out,
-        refined=False,
     ) -> None:
         self.batches_run += 1
         dt = self.dtype
@@ -616,7 +541,7 @@ class PlanExecutor:
             tgt = tgt.astype(dt)
         rend = np.cumsum(tcnt)
 
-        # dx = source - target, exactly the legacy kernel's orientation;
+        # dx = source - target, PPKernel.accumulate's orientation;
         # one broadcast subtraction per group row-block avoids a full
         # gathered copy of the source board
         dx = self._buf("dx", (ttot, smax, 3), dt)
@@ -633,90 +558,48 @@ class PlanExecutor:
 
         split = kernel.split
         f = self._buf("f", (ttot, smax), dt)
-        if (
-            split is not None
-            and getattr(split, "exact_cutoff", False)
-            and not refined
-        ):
-            # compressed pipeline: past the cutoff the factor is exactly
-            # 0.0, so f is exactly +0.0 there (positive inv_r3 times
-            # +0.0) — write the zeros directly and run the expensive
-            # rsqrt/cutoff chain only on the in-range pairs.  The margin
-            # keeps the exclusion sound against the rounding of the
-            # factor's internal 2r/rcut scaling.
-            rc2 = dt.type((split.cutoff_radius * (1.0 + 1e-9)) ** 2)
-            inr = self._buf("inr", (ttot, smax), bool)
-            np.less_equal(r2, rc2, out=inr)
-            idx = np.flatnonzero(inr.reshape(-1))
-            r2c = r2.reshape(-1)[idx]
-            zc = r2c == 0.0
-            r2sc = r2c + eps2
-            if kernel.eps == 0.0:
-                np.copyto(r2sc, dt.type(1.0), where=zc)
-            if kernel.use_fast_rsqrt:
-                y = fast_rsqrt(r2sc)
-                fc = y * y
-                fc *= y
-                fc *= split.short_range_factor(np.sqrt(r2c))
-            elif kernel.eps == 0.0:
-                # r2sc is bitwise r2c away from the guarded self-pairs
-                # (x + 0.0 == x for x > 0), so one sqrt serves both the
-                # inverse cube and the cutoff argument; the self-pairs
-                # are zeroed below either way
-                r = np.sqrt(r2sc)
-                y = dt.type(1.0) / r
-                fc = y * y
-                fc *= y
-                fc *= split.short_range_factor(r)
-            else:
-                fc = self._inv_r3(r2sc, dt)
-                fc *= split.short_range_factor(np.sqrt(r2c))
-            np.copyto(fc, dt.type(0.0), where=zc)
-            f[...] = 0.0
-            f.reshape(-1)[idx] = fc
+        zero = self._buf("zero", (ttot, smax), bool)
+        np.equal(r2, 0.0, out=zero)
+        r2s = self._buf("r2s", (ttot, smax), dt)
+        np.add(r2, eps2, out=r2s)
+        if kernel.eps == 0.0:
+            # guard exact zeros so the rsqrt path stays finite
+            np.copyto(r2s, dt.type(1.0), where=zero)
+        if kernel.use_fast_rsqrt:
+            y = fast_rsqrt(r2s)
+            np.multiply(y, y, out=f)
+            f *= y
+            if split is not None:
+                r = self._buf("r", (ttot, smax), dt)
+                np.sqrt(r2, out=r)
+                f *= split.short_range_factor(r)
+        elif split is not None and kernel.eps == 0.0:
+            # sqrt(r2s) is bitwise sqrt(r2) away from the guarded
+            # zeros (x + 0.0 == x), so one sqrt serves both the
+            # inverse cube and the cutoff argument; the guarded
+            # entries are overwritten by the zero mask below
+            y = self._buf("y", (ttot, smax), dt)
+            np.sqrt(r2s, out=y)
+            inv = self._buf("r", (ttot, smax), dt)
+            np.divide(dt.type(1.0), y, out=inv)
+            np.multiply(inv, inv, out=f)
+            f *= inv
+            f *= split.short_range_factor(y)
         else:
-            zero = self._buf("zero", (ttot, smax), bool)
-            np.equal(r2, 0.0, out=zero)
-            r2s = self._buf("r2s", (ttot, smax), dt)
-            np.add(r2, eps2, out=r2s)
-            if kernel.eps == 0.0:
-                # guard exact zeros so the rsqrt path stays finite
-                np.copyto(r2s, dt.type(1.0), where=zero)
-            if kernel.use_fast_rsqrt:
-                y = fast_rsqrt(r2s)
-                np.multiply(y, y, out=f)
-                f *= y
-                if split is not None:
-                    r = self._buf("r", (ttot, smax), dt)
-                    np.sqrt(r2, out=r)
-                    f *= split.short_range_factor(r)
-            elif split is not None and kernel.eps == 0.0:
-                # sqrt(r2s) is bitwise sqrt(r2) away from the guarded
-                # zeros (x + 0.0 == x), so one sqrt serves both the
-                # inverse cube and the cutoff argument; the guarded
-                # entries are overwritten by the zero mask below
-                y = self._buf("y", (ttot, smax), dt)
-                np.sqrt(r2s, out=y)
-                inv = self._buf("r", (ttot, smax), dt)
-                np.divide(dt.type(1.0), y, out=inv)
-                np.multiply(inv, inv, out=f)
-                f *= inv
-                f *= split.short_range_factor(y)
-            else:
-                y = self._buf("y", (ttot, smax), dt)
-                np.sqrt(r2s, out=y)
-                np.divide(dt.type(1.0), y, out=y)
-                np.multiply(y, y, out=f)
-                f *= y
-                if split is not None:
-                    r = self._buf("r", (ttot, smax), dt)
-                    np.sqrt(r2, out=r)
-                    f *= split.short_range_factor(r)
-            np.copyto(f, dt.type(0.0), where=zero)
+            y = self._buf("y", (ttot, smax), dt)
+            np.sqrt(r2s, out=y)
+            np.divide(dt.type(1.0), y, out=y)
+            np.multiply(y, y, out=f)
+            f *= y
+            if split is not None:
+                r = self._buf("r", (ttot, smax), dt)
+                np.sqrt(r2, out=r)
+                f *= split.short_range_factor(r)
+        np.copyto(f, dt.type(0.0), where=zero)
 
         # fold the source masses into f one group row-block at a time
         # ((m*f)*dx is einsum's own product order, so this is bitwise
-        # equal to the legacy three-operand contraction)
+        # equal to PPKernel.accumulate's three-operand contraction)
         for i in range(B):
             r1 = rend[i]
             r0 = r1 - tcnt[i]
@@ -730,6 +613,6 @@ class PlanExecutor:
             np.take(mb, gid, axis=0, out=m2)
             corr = -kernel.ewald_table.correction(dx)
             acc += dt.type(kernel.G) * np.einsum("ts,tsk->tk", m2, corr)
-        # += onto the zeroed rows matches the legacy `0.0 + acc` exactly
-        # (it normalizes any -0.0 component the same way)
+        # += onto the zeroed rows normalizes any -0.0 component, exactly
+        # like adding a PPKernel.accumulate result to a zeroed array
         out[trows] += acc

@@ -19,7 +19,6 @@ are exactly Table I's.
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -57,31 +56,6 @@ __all__ = [
     "run_parallel_simulation",
     "resume_parallel_simulation",
 ]
-
-
-@dataclass
-class StepStatistics:
-    """Per-rank accumulated statistics over the run.
-
-    Streams the per-evaluation :class:`InteractionCounter` sums instead
-    of keeping per-step lists, so memory stays constant over a long run;
-    the resulting ``<Ni>``/``<Nj>`` are the per-kernel-call means over
-    all evaluations (each call weighted equally).
-    """
-
-    counter: InteractionCounter = field(default_factory=InteractionCounter)
-
-    @property
-    def interactions(self) -> int:
-        return self.counter.interactions
-
-    @property
-    def mean_group_size(self) -> float:
-        return self.counter.mean_group_size
-
-    @property
-    def mean_list_length(self) -> float:
-        return self.counter.mean_list_length
 
 
 class ParallelSimulation:
@@ -140,7 +114,6 @@ class ParallelSimulation:
             G=1.0,
             periodic=True,
             use_quadrupole=tp.tree.use_quadrupole,
-            use_plan=tp.tree.use_plan,
             plan_float32=tp.tree.plan_float32,
         )
         if tp.pm.fft_backend == "pencil":
@@ -177,7 +150,9 @@ class ParallelSimulation:
             config.domain.divisions
         )
         self.timing = TimingLedger()
-        self.stats = StepStatistics()
+        #: run-long streaming sums of every force evaluation's counter
+        #: (``interactions``, per-call ``<Ni>``/``<Nj>``; constant memory)
+        self.stats = InteractionCounter()
         self.steps_taken = 0
         self._pp_cost = 1.0e-6  # last measured PP seconds (for sampling)
         self._pm_acc: Optional[np.ndarray] = None
@@ -311,7 +286,7 @@ class ParallelSimulation:
             acc, stats = self.tree.forces(
                 all_pos, all_mass, tree=tree, targets_mask=mask, ledger=self.timing
             )
-            self.stats.counter.merge(stats.counter)
+            self.stats.merge(stats.counter)
             self._pp_cost = max(_time.perf_counter() - t_start, 1.0e-9)
             acc_local = acc[: len(self.pos)]
         # collective verdicts even when this rank is empty — every rank

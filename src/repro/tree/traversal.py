@@ -34,9 +34,6 @@ __all__ = [
     "tree_forces",
 ]
 
-_multi_arange = multi_arange
-
-
 @dataclass
 class TraversalStats:
     """Counters describing one force evaluation."""
@@ -91,25 +88,16 @@ class TreeSolver:
         Add the tabulated Ewald image-lattice correction to every pair
         interaction — the exact-periodic pure-tree configuration
         (GADGET-style).  Requires ``periodic=True`` and no force split.
-    use_plan:
-        Evaluate forces through the flat interaction-plan engine
-        (default): one traversal pass emits a CSR plan for all groups,
-        then a batched executor sweeps it.  ``False`` selects the legacy
-        interleaved per-group path (kept for A/B comparison); in float64
-        mode both produce bitwise-identical forces.
     plan_float32:
         Run the plan executor's pair arithmetic in single precision,
-        mirroring the paper's float32 Phantom-GRAPE kernel (plan mode
-        only; forces are then approximate at the 1e-7 level).
-    plan_pair_budget:
-        Target pair count per executor batch.  The default keeps every
-        scratch board cache-resident, which dominates throughput on the
-        memory-bound sweep.
-    plan_native:
-        Allow the plan executor to sweep through the compiled
-        plan-sweep kernel when one is available (bitwise identical to
-        the numpy pipeline; see :mod:`repro.pp.native`).  ``False``
-        pins the pure-numpy executor, e.g. for A/B timing.
+        mirroring the paper's float32 Phantom-GRAPE kernel (forces are
+        then approximate at the 1e-7 level).
+
+    Every evaluation is two phases: :meth:`build_plan` traverses all
+    groups once into a flat :class:`~repro.pp.plan.InteractionPlan`,
+    then a :class:`~repro.pp.plan.PlanExecutor` sweeps it — through the
+    compiled kernel when available (``REPRO_NO_NATIVE_PP=1`` pins the
+    bitwise-identical numpy executor).
     """
 
     def __init__(
@@ -125,10 +113,7 @@ class TreeSolver:
         use_quadrupole: bool = False,
         use_fast_rsqrt: bool = False,
         ewald_correction: bool = False,
-        use_plan: bool = True,
         plan_float32: bool = False,
-        plan_pair_budget: int = 1 << 17,
-        plan_native: bool = True,
     ) -> None:
         if theta <= 0:
             raise ValueError("theta must be positive")
@@ -142,14 +127,11 @@ class TreeSolver:
         self.periodic = bool(periodic)
         self.use_quadrupole = bool(use_quadrupole)
         self.use_fast_rsqrt = bool(use_fast_rsqrt)
-        self.use_plan = bool(use_plan)
         self.plan_float32 = bool(plan_float32)
         self._executor = PlanExecutor(
-            dtype=np.float32 if plan_float32 else np.float64,
-            pair_budget=plan_pair_budget,
-            use_native=plan_native,
+            dtype=np.float32 if plan_float32 else np.float64
         )
-        #: when True, every plan-path ``forces`` call keeps the inputs
+        #: when True, every ``forces`` call keeps the inputs
         #: and monopole output of its sweep in ``last_sweep`` so the SDC
         #: auditor can re-execute a sampled sub-plan through the
         #: reference pipeline and compare bitwise (ABFT spot-check)
@@ -229,56 +211,45 @@ class TreeSolver:
                 raise ValueError("targets_mask length mismatch")
             mask_sorted = targets_mask[tree.perm]
         acc_sorted = np.zeros_like(tree.pos_sorted)
-        if self.use_plan:
-            if ledger is not None:
-                t0 = time.perf_counter()
-            plan = self.build_plan(tree, mask_sorted=mask_sorted, stats=stats)
-            if ledger is not None:
-                t1 = time.perf_counter()
-                ledger.add("PP/tree traversal", t1 - t0)
-            native_before = self._executor.native_runs
-            self._executor.execute(
-                plan,
-                kernel,
-                tree.pos_sorted,
-                tree.mass_sorted,
-                tree.node_com,
-                tree.node_mass,
-                out=acc_sorted,
-            )
-            if self.retain_last_sweep:
-                # monopole output *before* quadrupole terms and mask
-                # zeroing: exactly what re-executing the plan reproduces
-                self.last_sweep = {
-                    "plan": plan,
-                    "pos_sorted": tree.pos_sorted,
-                    "mass_sorted": tree.mass_sorted,
-                    "node_com": tree.node_com,
-                    "node_mass": tree.node_mass,
-                    "acc_sorted": acc_sorted.copy(),
-                    "mask_sorted": mask_sorted,
-                    "native_used": self._executor.native_runs > native_before,
-                    "kernel_config": {
-                        "split": self.split,
-                        "eps": self.eps,
-                        "G": self.G,
-                        "use_fast_rsqrt": self.use_fast_rsqrt,
-                        "box": self.box if self.periodic else None,
-                        "ewald_table": self._ewald_table,
-                    },
-                }
-            if self.use_quadrupole:
-                self._plan_quadrupole(tree, plan, acc_sorted)
-            if ledger is not None:
-                ledger.add("PP/force calculation", time.perf_counter() - t1)
-        else:
-            for g in tree.group_nodes(self.group_size):
-                if mask_sorted is not None:
-                    glo, ghi = tree.node_lo[g], tree.node_hi[g]
-                    if not mask_sorted[glo:ghi].any():
-                        continue
-                self._group_force(tree, g, kernel, acc_sorted, stats, ledger)
-                stats.n_groups += 1
+        t0 = time.perf_counter()
+        plan = self.build_plan(tree, mask_sorted=mask_sorted, stats=stats)
+        t1 = time.perf_counter()
+        native_before = self._executor.native_runs
+        self._executor.execute(
+            plan,
+            kernel,
+            tree.pos_sorted,
+            tree.mass_sorted,
+            tree.node_com,
+            tree.node_mass,
+            out=acc_sorted,
+        )
+        if self.retain_last_sweep:
+            # monopole output *before* quadrupole terms and mask
+            # zeroing: exactly what re-executing the plan reproduces
+            self.last_sweep = {
+                "plan": plan,
+                "pos_sorted": tree.pos_sorted,
+                "mass_sorted": tree.mass_sorted,
+                "node_com": tree.node_com,
+                "node_mass": tree.node_mass,
+                "acc_sorted": acc_sorted.copy(),
+                "mask_sorted": mask_sorted,
+                "native_used": self._executor.native_runs > native_before,
+                "kernel_config": {
+                    "split": self.split,
+                    "eps": self.eps,
+                    "G": self.G,
+                    "use_fast_rsqrt": self.use_fast_rsqrt,
+                    "box": self.box if self.periodic else None,
+                    "ewald_table": self._ewald_table,
+                },
+            }
+        if self.use_quadrupole:
+            self._plan_quadrupole(tree, plan, acc_sorted)
+        if ledger is not None:
+            ledger.add("PP/tree traversal", t1 - t0)
+            ledger.add("PP/force calculation", time.perf_counter() - t1)
         if mask_sorted is not None:
             acc_sorted[~mask_sorted] = 0.0
         acc = np.empty_like(acc_sorted)
@@ -365,8 +336,8 @@ class TreeSolver:
     def _plan_quadrupole(
         self, tree: Octree, plan: InteractionPlan, acc_sorted: np.ndarray
     ) -> None:
-        """Per-group quadrupole corrections for the plan path (optional
-        mode; identical arithmetic to the legacy loop)."""
+        """Per-group quadrupole corrections from the plan's accepted
+        nodes (optional mode)."""
         for i in range(plan.n_groups):
             nlo, nhi = plan.node_ptr[i], plan.node_ptr[i + 1]
             if nhi == nlo:
@@ -380,128 +351,6 @@ class TreeSolver:
             )
 
     # -- internals --------------------------------------------------------------
-
-    def _group_force(
-        self,
-        tree: Octree,
-        g: int,
-        kernel: PPKernel,
-        acc_sorted: np.ndarray,
-        stats: TraversalStats,
-        ledger=None,
-    ) -> None:
-        glo, ghi = tree.node_lo[g], tree.node_hi[g]
-        gc = tree.node_center[g]
-        gr = tree.node_half[g] * np.sqrt(3.0)
-        rcut = self.split.cutoff_radius if self.split is not None else None
-
-        if ledger is not None:
-            t0 = time.perf_counter()
-        part_idx, node_idx, _, _ = self._traverse(tree, gc, gr, rcut, stats)
-        if ledger is not None:
-            ledger.add("PP/tree traversal", time.perf_counter() - t0)
-
-        targets = tree.pos_sorted[glo:ghi]
-        src_pos = tree.pos_sorted[part_idx]
-        src_mass = tree.mass_sorted[part_idx]
-        node_pos = tree.node_com[node_idx]
-        node_mass = tree.node_mass[node_idx]
-        stats.pp_from_particles += len(part_idx) * (ghi - glo)
-        stats.pp_from_nodes += len(node_idx) * (ghi - glo)
-
-        all_pos = np.vstack([src_pos, node_pos])
-        all_mass = np.concatenate([src_mass, node_mass])
-        # periodicity is handled per pair inside the kernel (box set on
-        # the kernel when self.periodic)
-        if ledger is not None:
-            t2 = time.perf_counter()
-        acc_sorted[glo:ghi] += kernel.accumulate(targets, all_pos, all_mass)
-        if self.use_quadrupole and len(node_idx):
-            acc_sorted[glo:ghi] += self._quadrupole_acc(
-                targets, node_pos, tree.node_quad[node_idx]
-            )
-        if ledger is not None:
-            ledger.add("PP/force calculation", time.perf_counter() - t2)
-
-    def _traverse(self, tree, gc, gr, rcut, stats, want_shift=False):
-        """Breadth-first vectorized traversal: the whole frontier is
-        classified (cull / accept / dump leaf / open) with array ops.
-
-        With ``want_shift`` (plan construction in a periodic box) the
-        periodic image shift applied to each accepted node / dumped leaf
-        is also returned, per resulting list entry.
-        """
-        node_parts: list = []
-        node_shifts: list = []
-        leaf_lo: list = []
-        leaf_hi: list = []
-        leaf_shifts: list = []
-        frontier = np.array([0], dtype=np.int64)
-        sqrt3 = np.sqrt(3.0)
-        want_shift = want_shift and self.periodic
-        while frontier.size:
-            stats.nodes_visited += frontier.size
-            dx = tree.node_com[frontier] - gc
-            shift = None
-            if self.periodic:
-                if want_shift:
-                    shift = np.round(dx / self.box)
-                    shift *= self.box
-                    dx -= shift
-                else:
-                    minimum_image(dx, self.box, out=dx)
-            dist = np.sqrt(np.einsum("ij,ij->i", dx, dx))
-            half = tree.node_half[frontier]
-            keep = np.ones(frontier.size, dtype=bool)
-            if rcut is not None:
-                keep = dist - gr - half * sqrt3 <= rcut
-            gap = dist - gr
-            accept = keep & (gap > 0) & (2.0 * half < self.theta * gap)
-            rest = keep & ~accept
-            is_leaf = rest & tree.node_is_leaf[frontier]
-            to_open = rest & ~tree.node_is_leaf[frontier]
-
-            if accept.any():
-                node_parts.append(frontier[accept])
-                if want_shift:
-                    node_shifts.append(shift[accept])
-            if is_leaf.any():
-                leaf_lo.append(tree.node_lo[frontier[is_leaf]])
-                leaf_hi.append(tree.node_hi[frontier[is_leaf]])
-                if want_shift:
-                    leaf_shifts.append(shift[is_leaf])
-            if to_open.any():
-                kids = tree.node_children[frontier[to_open]].ravel()
-                frontier = kids[kids >= 0]
-            else:
-                frontier = np.empty(0, dtype=np.int64)
-
-        node_idx = (
-            np.concatenate(node_parts)
-            if node_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        if leaf_lo:
-            lo = np.concatenate(leaf_lo)
-            hi = np.concatenate(leaf_hi)
-            part_idx = _multi_arange(lo, hi)
-        else:
-            part_idx = np.empty(0, dtype=np.int64)
-        part_shift = node_shift = None
-        if want_shift:
-            node_shift = (
-                np.concatenate(node_shifts)
-                if node_shifts
-                else np.empty((0, 3))
-            )
-            if leaf_lo:
-                # a dumped leaf's particles all use the leaf's image
-                part_shift = np.repeat(
-                    np.concatenate(leaf_shifts), hi - lo, axis=0
-                )
-            else:
-                part_shift = np.empty((0, 3))
-        return part_idx, node_idx, part_shift, node_shift
 
     def _quadrupole_acc(
         self, targets: np.ndarray, node_pos: np.ndarray, quads: np.ndarray
@@ -534,19 +383,17 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
     """One batched breadth-first sweep over ``(group, node)`` pairs
     for every group at once.
 
-    Each pair's cull / accept / dump-leaf / open decision is the
-    same elementwise arithmetic as :meth:`TreeSolver._traverse`, and
-    the final stable regrouping by group index restores each group's
-    exact BFS emission order, so the resulting plan is bit-identical
-    to running the per-group traversal in a Python loop — at a small
-    fraction of the interpreter overhead.  The native kernel
+    Each pair is culled, accepted, dumped as a leaf or opened with
+    elementwise array arithmetic, and the final stable regrouping by
+    group index restores each group's own breadth-first emission
+    order (nodes shallow to deep, leaves in frontier order).  The
+    native kernel
     (:mod:`repro.native.traverse`) emits the same plan group by group;
     this function is its fallback and self-test reference.
     """
     Gn = len(groups)
-    want_shift = periodic
     empty_idx = np.empty(0, dtype=np.int64)
-    empty_shift = np.empty((0, 3)) if want_shift else None
+    empty_shift = np.empty((0, 3)) if periodic else None
     if Gn == 0:
         zp = np.zeros(1, dtype=np.int64)
         return zp, empty_idx, zp.copy(), empty_idx.copy(), empty_shift, empty_shift
@@ -562,14 +409,11 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
     while nodes.size:
         stats.nodes_visited += nodes.size
         dx = tree.node_com[nodes] - gcenters[gidx]
-        shift = None
         if periodic:
-            if want_shift:
-                shift = np.round(dx / box)
-                shift *= box
-                dx -= shift
-            else:
-                minimum_image(dx, box, out=dx)
+            # image shift relative to the group center, kept per entry
+            shift = np.round(dx / box)
+            shift *= box
+            dx -= shift
         dist = np.sqrt(np.einsum("ij,ij->i", dx, dx))
         half = tree.node_half[nodes]
         gr = gradii[gidx]
@@ -585,14 +429,14 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
         if accept.any():
             acc_g.append(gidx[accept])
             acc_n.append(nodes[accept])
-            if want_shift:
+            if periodic:
                 acc_s.append(shift[accept])
         if is_leaf.any():
             nl = nodes[is_leaf]
             leaf_g.append(gidx[is_leaf])
             leaf_lo.append(tree.node_lo[nl])
             leaf_hi.append(tree.node_hi[nl])
-            if want_shift:
+            if periodic:
                 leaf_s.append(shift[is_leaf])
         if to_open.any():
             kids = tree.node_children[nodes[to_open]]
@@ -611,7 +455,7 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
         ncounts = np.bincount(ag, minlength=Gn)
         order = np.argsort(ag, kind="stable")
         node_idx = an[order]
-        node_shift = np.concatenate(acc_s)[order] if want_shift else None
+        node_shift = np.concatenate(acc_s)[order] if periodic else None
     else:
         node_idx = empty_idx
         ncounts = np.zeros(Gn, dtype=np.int64)
@@ -626,8 +470,8 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
         order = np.argsort(lg, kind="stable")
         llo = llo[order]
         lhi = lhi[order]
-        part_idx = _multi_arange(llo, lhi)
-        if want_shift:
+        part_idx = multi_arange(llo, lhi)
+        if periodic:
             # a dumped leaf's particles all use the leaf's image
             ls = np.concatenate(leaf_s)[order]
             part_shift = np.repeat(ls, lhi - llo, axis=0)
@@ -694,7 +538,6 @@ def tree_forces(
     leaf_size: int = 8,
     use_quadrupole: bool = False,
     ewald_correction: bool = False,
-    use_plan: bool = True,
     plan_float32: bool = False,
 ) -> Tuple[np.ndarray, TraversalStats]:
     """One-shot convenience wrapper around :class:`TreeSolver`."""
@@ -709,7 +552,6 @@ def tree_forces(
         periodic=periodic,
         use_quadrupole=use_quadrupole,
         ewald_correction=ewald_correction,
-        use_plan=use_plan,
         plan_float32=plan_float32,
     )
     return solver.forces(pos, mass)

@@ -103,7 +103,6 @@ class TreePMSolver:
             periodic=True,
             use_quadrupole=cfg.tree.use_quadrupole,
             use_fast_rsqrt=use_fast_rsqrt,
-            use_plan=cfg.tree.use_plan,
             plan_float32=cfg.tree.plan_float32,
         )
         if (

@@ -262,7 +262,6 @@ class SdcAuditor:
         ref = PlanExecutor(
             dtype=main.dtype,
             pair_budget=main.pair_budget,
-            refine_rows=main.refine_rows,
             use_native=False,
         )
         out = np.zeros_like(sweep["acc_sorted"])

@@ -10,6 +10,7 @@ monitors (detection must be collective without an agreement round).
 from __future__ import annotations
 
 import errno
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,12 +184,21 @@ class TestDegradationPolicy:
         row = pol.events[0].as_dict()
         assert row["kind"] == "degrade_enter" and row["data"]["level"] == 1.0
 
+    @staticmethod
+    def _break_self_test(monkeypatch, stage):
+        """Swap the stage's gate for a copy whose self-test now fails
+        (the session's verified gate comes back on teardown)."""
+        from repro.native import build
+
+        broken = replace(build._gates[stage], self_test=lambda lib: False)
+        monkeypatch.setitem(build._gates, stage, broken)
+
     def test_failing_kernel_emits_native_fallback(self, monkeypatch):
         from repro.native import update
 
         if not update.available():
             pytest.skip("native update kernel unavailable")
-        monkeypatch.setattr(update, "_self_test", lambda lib: False)
+        self._break_self_test(monkeypatch, "update")
         pol = DegradationPolicy(_cfg(), world_rank=0)
         results = pol.recheck_kernels(7)
         assert results.get("update") is False
@@ -199,10 +209,39 @@ class TestDegradationPolicy:
         assert len(
             [ev for ev in pol.events if ev.kind == "native_fallback"]
         ) == 1
-        # restore the gate for the rest of the session
         monkeypatch.undo()
-        update._verified.clear()
         assert update.available()
+
+    def test_failing_sweep_falls_back_to_numpy(self, monkeypatch):
+        """The PP sweep is re-verified like every other stage: a sweep
+        that starts failing its self-test mid-run is reported once and
+        the next force evaluation runs — bitwise — on the numpy
+        executor."""
+        from repro.forces.cutoff import S2ForceSplit
+        from repro.pp import native as pp_native
+        from repro.tree.traversal import TreeSolver
+
+        if not pp_native.available():
+            pytest.skip("native plan-sweep kernel unavailable")
+        rng = np.random.default_rng(17)
+        pos, mass = rng.random((600, 3)), np.full(600, 1.0 / 600)
+        kw = dict(periodic=True, split=S2ForceSplit(3.0 / 32), eps=1e-3)
+        with monkeypatch.context() as pinned:
+            pinned.setenv("REPRO_NO_NATIVE_PP", "1")
+            want, _ = TreeSolver(**kw).forces(pos, mass)
+
+        self._break_self_test(monkeypatch, "pp")
+        pol = DegradationPolicy(_cfg(), world_rank=0)
+        results = pol.recheck_kernels(7)
+        assert results["pp"] is False
+        falls = [ev for ev in pol.events if ev.kind == "native_fallback"]
+        assert len(falls) == 1 and "pp" in falls[0].detail
+        solver = TreeSolver(**kw)
+        got, _ = solver.forces(pos, mass)
+        assert solver._executor.native_runs == 0
+        assert np.array_equal(got, want)
+        monkeypatch.undo()
+        assert pp_native.available()
 
 
 class TestStragglerEvicted:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.mesh.assignment import assign_mass, interpolate_mesh
-from repro.native import certify, meshops, traverse, treebuild, update
+from repro.native import build, certify, meshops, traverse, treebuild, update
 from repro.tree.morton import MORTON_BITS, morton_keys
 from repro.tree.octree import Octree, build_nodes_numpy
 from repro.tree.traversal import TraversalStats, TreeSolver, traverse_all_numpy
@@ -229,7 +229,7 @@ def test_certified_plans_identical_under_opt_out(particles, monkeypatch):
 def test_certify_failed_self_test_falls_back(particles, monkeypatch):
     if not certify.available():
         pytest.skip("native certify kernel unavailable")
-    monkeypatch.setattr(certify, "_verified", {})
+    monkeypatch.delitem(build._gates, "certify")
     monkeypatch.setattr(certify, "_self_test", lambda lib: False)
     assert certify.get_lib() is None
     pos, mass = particles
@@ -243,10 +243,23 @@ def test_certify_failed_self_test_falls_back(particles, monkeypatch):
 def test_failed_self_test_disables_kernel(monkeypatch):
     if not update.available():
         pytest.skip("native update kernel unavailable")
-    monkeypatch.setattr(update, "_verified", {})
+    monkeypatch.delitem(build._gates, "update")
     monkeypatch.setattr(update, "_self_test", lambda lib: False)
     assert update.get_lib() is None
     assert not update.kick(np.zeros((2, 3)), np.ones((2, 3)), 1.0)
+
+
+def test_failed_sweep_self_test_makes_pp_unavailable(monkeypatch):
+    """``pp.native.available()`` means loaded *and* verified, like every
+    other stage's."""
+    from repro.pp import native as pp_native
+
+    if not pp_native.available():
+        pytest.skip("native plan-sweep kernel unavailable")
+    monkeypatch.delitem(build._gates, "pp")
+    monkeypatch.setattr(pp_native, "_self_test", lambda lib: False)
+    assert not pp_native.available()
+    assert pp_native.get_lib() is None
 
 
 def test_erroring_self_test_disables_kernel(monkeypatch):
@@ -256,7 +269,7 @@ def test_erroring_self_test_disables_kernel(monkeypatch):
     def boom(lib):
         raise RuntimeError("synthetic self-test crash")
 
-    monkeypatch.setattr(meshops, "_verified", {})
+    monkeypatch.delitem(build._gates, "mesh")
     monkeypatch.setattr(meshops, "_self_test", boom)
     assert meshops.get_lib() is None
 

@@ -63,18 +63,15 @@ class TestPPKernelCutoff:
         acc = kern.accumulate(tgt, src, np.ones(2))
         np.testing.assert_array_equal(acc, 0.0)
 
-    def test_dx_offsets_apply_periodic_images(self):
+    def test_box_applies_periodic_images(self):
         split = S2ForceSplit(rcut=0.1)
-        kern = PPKernel(split=split)
         tgt = np.array([[0.02, 0.5, 0.5]])
         src = np.array([[0.98, 0.5, 0.5]])
-        # without offsets: separation 0.96 > rcut -> zero
-        a0 = kern.accumulate(tgt, src, np.ones(1))
+        # open geometry: separation 0.96 > rcut -> zero
+        a0 = PPKernel(split=split).accumulate(tgt, src, np.ones(1))
         np.testing.assert_array_equal(a0, 0.0)
-        # shift source by -1 box: separation 0.04 < rcut -> attractive -x
-        a1 = kern.accumulate(
-            tgt, src, np.ones(1), dx_offsets=np.array([[-1.0, 0.0, 0.0]])
-        )
+        # periodic box: nearest image at separation 0.04 -> attractive -x
+        a1 = PPKernel(split=split, box=1.0).accumulate(tgt, src, np.ones(1))
         assert a1[0, 0] < 0
 
 

@@ -19,7 +19,7 @@ from repro.mesh.assignment import assign_mass, interpolate_mesh
 from repro.mpi.runtime import run_spmd
 from repro.pp.kernel import PPKernel
 from repro.tree.octree import Octree
-from repro.tree.traversal import _multi_arange
+from repro.pp.plan import multi_arange
 
 
 def _positions(n, seed):
@@ -31,7 +31,7 @@ class TestMultiArange:
     def test_matches_naive(self, spans):
         lo = np.array([a for a, _ in spans], dtype=np.int64)
         hi = lo + np.array([b for _, b in spans], dtype=np.int64)
-        got = _multi_arange(lo, hi)
+        got = multi_arange(lo, hi)
         ref = np.concatenate(
             [np.arange(a, b) for a, b in zip(lo, hi)] or [np.empty(0, dtype=np.int64)]
         )

@@ -1,8 +1,10 @@
 """Tests of the interaction-plan engine and its satellites.
 
-The plan path (traverse all groups, then execute one batched sweep) must
-be bitwise-identical to the legacy interleaved per-group path in float64
-mode — not merely close.  These tests pin that contract across every
+The plan executor (compiled sweep or batched numpy pipeline) must be
+bitwise-identical in float64 mode — not merely close — to the plainest
+possible evaluation of the same plan: walk its CSR lists group by group
+and feed each list (particles first, then nodes) to
+``PPKernel.accumulate``.  These tests pin that contract across every
 kernel configuration, plus the masked-target semantics the distributed
 driver relies on, the no-wrap certificate, and the single-precision
 mode.
@@ -15,6 +17,7 @@ import pytest
 
 from repro.forces.cutoff import S2ForceSplit
 from repro.forces.direct import direct_forces_cutoff
+from repro.pp.kernel import PPKernel
 from repro.pp.plan import InteractionPlan, PlanExecutor, multi_arange
 from repro.tree.traversal import TreeSolver
 
@@ -30,15 +33,54 @@ def medium_particles():
     return pos, mass
 
 
-def _both(pos, mass, targets_mask=None, **kw):
-    """Force the same configuration through the plan and legacy paths."""
-    a_plan, s_plan = TreeSolver(use_plan=True, **kw).forces(
-        pos, mass, targets_mask=targets_mask
+def _kernel(solver):
+    """The PP kernel ``solver.forces`` evaluates with (fresh counter)."""
+    return PPKernel(
+        split=solver.split,
+        eps=solver.eps,
+        G=solver.G,
+        use_fast_rsqrt=solver.use_fast_rsqrt,
+        box=solver.box if solver.periodic else None,
+        ewald_table=solver._ewald_table,
     )
-    a_leg, s_leg = TreeSolver(use_plan=False, **kw).forces(
-        pos, mass, targets_mask=targets_mask
-    )
-    return a_plan, s_plan, a_leg, s_leg
+
+
+def _reference_sorted(solver, tree, plan, kernel):
+    """Group-by-group evaluation of ``plan`` through
+    ``PPKernel.accumulate`` (Morton-sorted rows): each group's list is
+    its particle sources followed by its accepted nodes."""
+    acc = np.zeros_like(tree.pos_sorted)
+    for i in range(plan.n_groups):
+        lo, hi = plan.group_lo[i], plan.group_hi[i]
+        pidx = plan.part_idx[plan.part_ptr[i]:plan.part_ptr[i + 1]]
+        nidx = plan.node_idx[plan.node_ptr[i]:plan.node_ptr[i + 1]]
+        targets = tree.pos_sorted[lo:hi]
+        acc[lo:hi] += kernel.accumulate(
+            targets,
+            np.vstack([tree.pos_sorted[pidx], tree.node_com[nidx]]),
+            np.concatenate([tree.mass_sorted[pidx], tree.node_mass[nidx]]),
+        )
+        if solver.use_quadrupole and len(nidx):
+            acc[lo:hi] += solver._quadrupole_acc(
+                targets, tree.node_com[nidx], tree.node_quad[nidx]
+            )
+    return acc
+
+
+def _reference(pos, mass, targets_mask=None, **kw):
+    """``TreeSolver(**kw).forces`` recomputed by the group-by-group
+    reference; returns ``(acc, n_groups, counter)``."""
+    solver = TreeSolver(**kw)
+    tree = solver.build(pos, mass)
+    mask_sorted = None if targets_mask is None else targets_mask[tree.perm]
+    plan = solver.build_plan(tree, mask_sorted=mask_sorted)
+    kernel = _kernel(solver)
+    acc_sorted = _reference_sorted(solver, tree, plan, kernel)
+    if mask_sorted is not None:
+        acc_sorted[~mask_sorted] = 0.0
+    acc = np.empty_like(acc_sorted)
+    acc[tree.perm] = acc_sorted
+    return acc, plan.n_groups, kernel.counter
 
 
 SPLIT = S2ForceSplit(3.0 / 32)
@@ -64,42 +106,46 @@ CONFIGS = [
 
 class TestBitwiseEquivalence:
     @pytest.mark.parametrize("kw", CONFIGS)
-    def test_plan_matches_legacy_bitwise(self, medium_particles, kw):
+    def test_forces_match_reference_bitwise(self, medium_particles, kw):
         pos, mass = medium_particles
-        a_plan, s_plan, a_leg, s_leg = _both(pos, mass, **kw)
-        assert np.array_equal(a_plan, a_leg)
-        # statistics must agree too: the plan is the same traversal
-        assert s_plan.n_groups == s_leg.n_groups
-        assert s_plan.interactions == s_leg.interactions
-        assert s_plan.mean_group_size == s_leg.mean_group_size
-        assert s_plan.mean_list_length == s_leg.mean_list_length
+        acc, stats = TreeSolver(**kw).forces(pos, mass)
+        ref, n_groups, counter = _reference(pos, mass, **kw)
+        assert np.array_equal(acc, ref)
+        # statistics describe the traversal's lists, one call per group
+        assert stats.n_groups == n_groups
+        assert stats.interactions == counter.interactions
+        assert stats.mean_group_size == counter.mean_group_size
+        assert stats.mean_list_length == counter.mean_list_length
 
     def test_ewald_configuration(self, uniform_particles):
         pos, mass = uniform_particles
-        a_plan, _, a_leg, _ = _both(
-            pos, mass, periodic=True, eps=1e-3, ewald_correction=True
-        )
-        assert np.array_equal(a_plan, a_leg)
+        kw = dict(periodic=True, eps=1e-3, ewald_correction=True)
+        acc, _ = TreeSolver(**kw).forces(pos, mass)
+        assert np.array_equal(acc, _reference(pos, mass, **kw)[0])
 
     def test_tiny_pair_budget_still_bitwise(self, medium_particles):
         """Many small batches must give the same bits as few large ones."""
         pos, mass = medium_particles
-        kw = dict(periodic=True, split=SPLIT, eps=1e-3, plan_native=False)
-        a_small = TreeSolver(use_plan=True, plan_pair_budget=4096, **kw).forces(
-            pos, mass
-        )[0]
-        a_large = TreeSolver(use_plan=True, plan_pair_budget=1 << 22, **kw).forces(
-            pos, mass
-        )[0]
-        a_leg = TreeSolver(use_plan=False, **kw).forces(pos, mass)[0]
-        assert np.array_equal(a_small, a_leg)
-        assert np.array_equal(a_large, a_leg)
+        solver = TreeSolver(periodic=True, split=SPLIT, eps=1e-3)
+        tree = solver.build(pos, mass)
+        plan = solver.build_plan(tree)
+        ref = _reference_sorted(solver, tree, plan, _kernel(solver))
+        batches = []
+        for budget in (4096, 1 << 22):
+            executor = PlanExecutor(pair_budget=budget, use_native=False)
+            got = executor.execute(
+                plan, _kernel(solver), tree.pos_sorted, tree.mass_sorted,
+                tree.node_com, tree.node_mass,
+            )
+            assert np.array_equal(got, ref)
+            batches.append(executor.batches_run)
+        assert batches[0] > batches[1]
 
     def test_accuracy_against_direct_cutoff(self, medium_particles):
         """The plan path stays an accurate short-range solver."""
         pos, mass = medium_particles
         acc, _ = TreeSolver(
-            use_plan=True, periodic=True, split=SPLIT, eps=1e-3, theta=0.3
+            periodic=True, split=SPLIT, eps=1e-3, theta=0.3
         ).forces(pos, mass)
         ref = direct_forces_cutoff(pos, mass, SPLIT, eps=1e-3)
         err = np.linalg.norm(acc - ref, axis=1)
@@ -110,21 +156,21 @@ class TestBitwiseEquivalence:
 class TestTargetsMask:
     """The distributed driver's ghost-as-source-only semantics."""
 
-    def test_masked_matches_legacy_bitwise(self, medium_particles):
+    def test_masked_matches_reference_bitwise(self, medium_particles):
         pos, mass = medium_particles
         rng = np.random.default_rng(7)
         mask = rng.random(len(pos)) < 0.35
-        a_plan, _, a_leg, _ = _both(
-            pos, mass, targets_mask=mask, periodic=True, split=SPLIT, eps=1e-3
-        )
-        assert np.array_equal(a_plan, a_leg)
+        kw = dict(periodic=True, split=SPLIT, eps=1e-3)
+        acc, _ = TreeSolver(**kw).forces(pos, mass, targets_mask=mask)
+        ref, _, _ = _reference(pos, mass, targets_mask=mask, **kw)
+        assert np.array_equal(acc, ref)
 
     def test_unmasked_rows_exactly_zero(self, medium_particles):
         pos, mass = medium_particles
         rng = np.random.default_rng(8)
         mask = rng.random(len(pos)) < 0.35
         acc, _ = TreeSolver(
-            use_plan=True, periodic=True, split=SPLIT, eps=1e-3
+            periodic=True, split=SPLIT, eps=1e-3
         ).forces(pos, mass, targets_mask=mask)
         assert not acc[~mask].any()
 
@@ -155,7 +201,7 @@ class TestTargetsMask:
         pos, mass = medium_particles
         rng = np.random.default_rng(10)
         mask = rng.random(len(pos)) < 0.5
-        kw = dict(use_plan=True, periodic=True, split=SPLIT, eps=1e-3)
+        kw = dict(periodic=True, split=SPLIT, eps=1e-3)
         a_masked, _ = TreeSolver(**kw).forces(pos, mass, targets_mask=mask)
         a_full, _ = TreeSolver(**kw).forces(pos, mass)
         assert np.array_equal(a_masked[mask], a_full[mask])
@@ -224,10 +270,8 @@ class TestFloat32Mode:
     def test_close_to_double(self, medium_particles):
         pos, mass = medium_particles
         kw = dict(periodic=True, split=SPLIT, eps=1e-3)
-        a32, _ = TreeSolver(use_plan=True, plan_float32=True, **kw).forces(
-            pos, mass
-        )
-        a64, _ = TreeSolver(use_plan=True, **kw).forces(pos, mass)
+        a32, _ = TreeSolver(plan_float32=True, **kw).forces(pos, mass)
+        a64, _ = TreeSolver(**kw).forces(pos, mass)
         err = np.linalg.norm(a32 - a64, axis=1)
         scale = np.linalg.norm(a64, axis=1)
         med = np.median(err / np.maximum(scale, 1e-30))
@@ -236,11 +280,9 @@ class TestFloat32Mode:
     def test_open_boundary_float32(self, medium_particles):
         pos, mass = medium_particles
         a32, _ = TreeSolver(
-            use_plan=True, plan_float32=True, periodic=False, eps=1e-3
+            plan_float32=True, periodic=False, eps=1e-3
         ).forces(pos, mass)
-        a64, _ = TreeSolver(use_plan=True, periodic=False, eps=1e-3).forces(
-            pos, mass
-        )
+        a64, _ = TreeSolver(periodic=False, eps=1e-3).forces(pos, mass)
         # rtol covers the large components, atol the strongly cancelled
         # near-zero ones (accelerations here are O(10)-O(100))
         np.testing.assert_allclose(a32, a64, rtol=1e-3, atol=1e-3)
@@ -249,26 +291,22 @@ class TestFloat32Mode:
 class TestExecutor:
     def test_scratch_is_reused_across_calls(self, medium_particles):
         pos, mass = medium_particles
-        solver = TreeSolver(use_plan=True, periodic=True, split=SPLIT, eps=1e-3)
+        solver = TreeSolver(periodic=True, split=SPLIT, eps=1e-3)
         solver.forces(pos, mass)
         after_first = solver._executor.scratch_bytes()
         assert after_first > 0
         solver.forces(pos, mass)
         assert solver._executor.scratch_bytes() == after_first
 
-    def test_pair_budget_bounds_batches(self, medium_particles):
-        pos, mass = medium_particles
-        small = TreeSolver(
-            use_plan=True, periodic=True, split=SPLIT, eps=1e-3,
-            plan_pair_budget=4096, plan_native=False,
-        )
-        large = TreeSolver(
-            use_plan=True, periodic=True, split=SPLIT, eps=1e-3,
-            plan_pair_budget=1 << 22, plan_native=False,
-        )
-        small.forces(pos, mass)
-        large.forces(pos, mass)
-        assert small._executor.batches_run > large._executor.batches_run
+    def test_one_pair_budget_default(self):
+        """Every caller that does not choose a budget gets the same one."""
+        from repro.pp.grape import PhantomGrape
+        from repro.pp.plan import DEFAULT_PAIR_BUDGET
+
+        assert PlanExecutor().pair_budget == DEFAULT_PAIR_BUDGET
+        assert TreeSolver()._executor.pair_budget == DEFAULT_PAIR_BUDGET
+        single = PhantomGrape(precision="single")
+        assert single._executor.pair_budget == DEFAULT_PAIR_BUDGET
 
     def test_rejects_bad_dtype(self):
         with pytest.raises(ValueError):
@@ -287,8 +325,6 @@ class TestExecutor:
             node_idx=np.empty(0, dtype=np.int64),
         )
         assert plan.n_pairs == 0
-        from repro.pp.kernel import PPKernel
-
         out = PlanExecutor().execute(
             plan, PPKernel(), np.zeros((4, 3)), np.zeros(4),
             np.empty((0, 3)), np.empty(0),
@@ -358,15 +394,13 @@ class TestQuadrupoleRegression:
         )
         assert rms_q < rms_m
 
-    def test_quadrupole_periodic_plan_matches_legacy(self):
+    def test_quadrupole_periodic_matches_reference(self):
         rng = np.random.default_rng(22)
         pos = rng.random((800, 3))
         mass = np.full(800, 1.0 / 800)
-        a_plan, _, a_leg, _ = _both(
-            pos, mass, periodic=True, split=SPLIT, eps=1e-3,
-            use_quadrupole=True,
-        )
-        assert np.array_equal(a_plan, a_leg)
+        kw = dict(periodic=True, split=SPLIT, eps=1e-3, use_quadrupole=True)
+        acc, _ = TreeSolver(**kw).forces(pos, mass)
+        assert np.array_equal(acc, _reference(pos, mass, **kw)[0])
 
 
 class TestMultiArange:
@@ -395,18 +429,21 @@ class TestNativeKernel:
             pytest.param(dict(periodic=False, eps=1e-3), id="open"),
         ],
     )
-    def test_native_matches_numpy_bitwise(self, medium_particles, kw):
+    def test_native_matches_numpy_bitwise(
+        self, medium_particles, kw, monkeypatch
+    ):
         from repro.pp import native
 
         if not native.available():
             pytest.skip("no C compiler available")
         pos, mass = medium_particles
-        a_nat, _ = TreeSolver(use_plan=True, plan_native=True, **kw).forces(
-            pos, mass
-        )
-        a_np, _ = TreeSolver(use_plan=True, plan_native=False, **kw).forces(
-            pos, mass
-        )
+        nat = TreeSolver(**kw)
+        a_nat, _ = nat.forces(pos, mass)
+        monkeypatch.setenv("REPRO_NO_NATIVE_PP", "1")
+        pinned = TreeSolver(**kw)
+        a_np, _ = pinned.forces(pos, mass)
+        assert nat._executor.native_runs == 1
+        assert pinned._executor.native_runs == 0
         assert np.array_equal(a_nat, a_np)
 
     def test_native_actually_runs_when_available(self, medium_particles):
@@ -415,7 +452,7 @@ class TestNativeKernel:
         if not native.available():
             pytest.skip("no C compiler available")
         pos, mass = medium_particles
-        s = TreeSolver(use_plan=True, periodic=True, split=SPLIT, eps=1e-3)
+        s = TreeSolver(periodic=True, split=SPLIT, eps=1e-3)
         s.forces(pos, mass)
         assert s._executor.native_runs > 0
         assert s._executor.batches_run == 0
@@ -424,16 +461,14 @@ class TestNativeKernel:
         pos, mass = medium_particles
         # fast rsqrt is a numpy-only path
         s = TreeSolver(
-            use_plan=True, periodic=True, split=SPLIT, eps=1e-3,
-            use_fast_rsqrt=True,
+            periodic=True, split=SPLIT, eps=1e-3, use_fast_rsqrt=True
         )
         s.forces(pos, mass)
         assert s._executor.native_runs == 0
         assert s._executor.batches_run > 0
         # float32 mode is a numpy-only path
         s32 = TreeSolver(
-            use_plan=True, periodic=True, split=SPLIT, eps=1e-3,
-            plan_float32=True,
+            periodic=True, split=SPLIT, eps=1e-3, plan_float32=True
         )
         s32.forces(pos, mass)
         assert s32._executor.native_runs == 0
@@ -441,19 +476,25 @@ class TestNativeKernel:
     def test_failed_verification_disables_native(
         self, medium_particles, monkeypatch
     ):
-        """If the cross-check ever fails, the executor must silently use
-        the numpy pipeline (and still produce legacy-identical bits)."""
-        import repro.pp.plan as plan_mod
+        """If the sweep's self-test ever fails, the executor must
+        silently use the numpy pipeline (and still produce
+        reference-identical bits)."""
+        from dataclasses import replace
 
-        monkeypatch.setattr(plan_mod, "_NATIVE_VERIFIED", False)
+        from repro.native import build
+        from repro.pp import native
+
+        if native.available():
+            failed = replace(build._gates["pp"], ok=False)
+            monkeypatch.setitem(build._gates, "pp", failed)
+        assert not native.available()
         pos, mass = medium_particles
-        s = TreeSolver(use_plan=True, periodic=True, split=SPLIT, eps=1e-3)
+        kw = dict(periodic=True, split=SPLIT, eps=1e-3)
+        s = TreeSolver(**kw)
         a, _ = s.forces(pos, mass)
         assert s._executor.native_runs == 0
-        a_leg, _ = TreeSolver(
-            use_plan=False, periodic=True, split=SPLIT, eps=1e-3
-        ).forces(pos, mass)
-        assert np.array_equal(a, a_leg)
+        assert s._executor.batches_run > 0
+        assert np.array_equal(a, _reference(pos, mass, **kw)[0])
 
 
 class TestSlicePlan:
@@ -462,8 +503,6 @@ class TestSlicePlan:
     target rows the full sweep produced for those groups."""
 
     def _sweep(self, medium_particles, **kw):
-        from repro.pp.kernel import PPKernel
-
         pos, mass = medium_particles
         solver = TreeSolver(periodic=True, split=SPLIT, eps=1e-3, **kw)
         solver.retain_last_sweep = True
