@@ -100,6 +100,14 @@ class ParallelPencilPM:
             self.greens_pencil = None
             self.pencil_region = None
 
+    @property
+    def split_comms(self) -> tuple:
+        """The communicators this rank holds besides the world's (each
+        ``Comm`` keeps its own traffic and wait counters)."""
+        if self.fft is None:
+            return ()
+        return (self.comm_fft, self.fft.comm_row, self.fft.comm_col)
+
     # -- regions ---------------------------------------------------------------
 
     def density_region(self, dom_lo, dom_hi) -> LocalMeshRegion:

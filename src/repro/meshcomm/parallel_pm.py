@@ -132,6 +132,13 @@ class ParallelPM:
             self.fft = None
             self.greens_slab = None
 
+    @property
+    def split_comms(self) -> tuple:
+        """The communicators this rank holds besides the world's (each
+        ``Comm`` keeps its own traffic and wait counters)."""
+        comms = (self.comm_small, self.comm_reduce, self.comm_fft)
+        return tuple(c for c in comms if c is not None)
+
     # -- region helpers -----------------------------------------------------------
 
     def density_region(self, dom_lo, dom_hi) -> LocalMeshRegion:

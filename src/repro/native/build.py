@@ -105,16 +105,7 @@ def cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
 
 
-def source_key(src_path: str, flags: Sequence[str]) -> Optional[str]:
-    """Cache key: hash of the source bytes and the compile command.
-
-    Returns ``None`` when the source cannot be read (missing file).
-    """
-    try:
-        with open(src_path, "rb") as fh:
-            blob = fh.read()
-    except OSError:
-        return None
+def _key(blob: bytes, flags: Sequence[str]) -> str:
     h = hashlib.sha256()
     h.update(blob)
     h.update(b"\0")
@@ -123,6 +114,18 @@ def source_key(src_path: str, flags: Sequence[str]) -> Optional[str]:
         h.update(b"\0")
         h.update(f.encode())
     return h.hexdigest()[:20]
+
+
+def source_key(src_path: str, flags: Sequence[str]) -> Optional[str]:
+    """Cache key: hash of the source bytes and the compile command.
+
+    Returns ``None`` when the source cannot be read (missing file).
+    """
+    try:
+        with open(src_path, "rb") as fh:
+            return _key(fh.read(), flags)
+    except OSError:
+        return None
 
 
 def _compile(src_path: str, so_path: str, flags: Sequence[str]) -> bool:
@@ -145,30 +148,61 @@ def _compile(src_path: str, so_path: str, flags: Sequence[str]) -> bool:
         return False
 
 
+_OPENMP_PROBE = (
+    "#include <omp.h>\n"
+    "int probe(void) { return omp_get_max_threads(); }\n"
+)
+
+
+def _probe_openmp(flags: Sequence[str]) -> bool:
+    """Build and load a minimal OpenMP shared object."""
+    with tempfile.TemporaryDirectory(prefix="repro-omp-probe-") as workdir:
+        src = os.path.join(workdir, "probe.c")
+        with open(src, "w") as fh:
+            fh.write(_OPENMP_PROBE)
+        so = os.path.join(workdir, "probe.so")
+        if not _compile(src, so, flags):
+            return False
+        try:
+            ctypes.CDLL(so)
+            return True
+        except OSError:
+            return False
+
+
 def openmp_available() -> bool:
     """Whether the toolchain can build OpenMP shared objects.
 
-    Probed once per process with a minimal program; the verdict gates
-    adding ``-fopenmp`` to kernels that have threaded entry points.
+    The verdict gates adding ``-fopenmp`` to kernels that have threaded
+    entry points.  It is probed with a minimal program once per
+    toolchain: the answer is kept in :func:`cache_dir` under a key of the
+    probe text, compiler and flags (like a kernel's ``.so``), so only the
+    first process compiles anything.  A missing or unreadable verdict
+    file means "probe again".
     """
     global _openmp
     if _openmp is not None:
         return _openmp
-    workdir = tempfile.mkdtemp(prefix="repro-omp-probe-")
-    src = os.path.join(workdir, "probe.c")
-    with open(src, "w") as fh:
-        fh.write(
-            "#include <omp.h>\n"
-            "int probe(void) { return omp_get_max_threads(); }\n"
-        )
-    so = os.path.join(workdir, "probe.so")
-    cmd = [_compiler(), *BASE_FLAGS, "-fopenmp", "-o", so, src, "-lm"]
+    flags = (*BASE_FLAGS, "-fopenmp")
+    path = os.path.join(
+        cache_dir(), f"openmp-{_key(_OPENMP_PROBE.encode(), flags)}.txt"
+    )
     try:
-        subprocess.run(cmd, check=True, capture_output=True, timeout=60)
-        ctypes.CDLL(so)
-        _openmp = True
-    except (OSError, subprocess.SubprocessError):
-        _openmp = False
+        with open(path, "rb") as fh:
+            verdict = {b"yes": True, b"no": False}.get(fh.read().strip())
+    except OSError:
+        verdict = None
+    if verdict is None:
+        verdict = _probe_openmp(flags)
+        try:
+            os.makedirs(cache_dir(), exist_ok=True)
+            tmp = f"{path}.{os.getpid()}"
+            with open(tmp, "w") as fh:
+                fh.write("yes\n" if verdict else "no\n")
+            os.replace(tmp, path)
+        except OSError:
+            pass  # an unwritable cache only costs the next process a probe
+    _openmp = verdict
     return _openmp
 
 

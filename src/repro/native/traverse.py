@@ -52,76 +52,116 @@ def available() -> bool:
     return get_lib() is not None
 
 
-def _traverse_with(
-    lib, tree, groups: np.ndarray, rcut, theta: float, periodic: bool, box: float
-) -> Optional[Tuple]:
-    Gn = len(groups)
-    n_nodes = tree.n_nodes
-    groups = np.ascontiguousarray(groups, dtype=np.int64)
-    node_com = np.ascontiguousarray(tree.node_com, dtype=np.float64)
-    node_center = np.ascontiguousarray(tree.node_center, dtype=np.float64)
-    node_half = np.ascontiguousarray(tree.node_half, dtype=np.float64)
-    node_lo = np.ascontiguousarray(tree.node_lo, dtype=np.int64)
-    node_hi = np.ascontiguousarray(tree.node_hi, dtype=np.int64)
-    is_leaf = np.ascontiguousarray(tree.node_is_leaf.view(np.uint8))
-    children = np.ascontiguousarray(tree.node_children, dtype=np.int64)
-    queue = np.empty(n_nodes + 8, dtype=np.int64)
-    counts = np.zeros(3, dtype=np.int64)
-    n = tree.n_particles
-    part_cap = max(1024, 8 * n)
-    node_cap = max(1024, 8 * n)
-    for _ in range(2):
-        part_ptr = np.empty(Gn + 1, dtype=np.int64)
-        node_ptr = np.empty(Gn + 1, dtype=np.int64)
-        part_idx = np.empty(part_cap, dtype=np.int64)
-        node_idx = np.empty(node_cap, dtype=np.int64)
-        part_shift = np.empty((part_cap, 3)) if periodic else np.empty((0, 3))
-        node_shift = np.empty((node_cap, 3)) if periodic else np.empty((0, 3))
-        rc = lib.plan_traverse(
-            _ptr(groups, _I64P), ctypes.c_int64(Gn),
-            _ptr(node_com, _F64P), _ptr(node_center, _F64P),
-            _ptr(node_half, _F64P), _ptr(node_lo, _I64P), _ptr(node_hi, _I64P),
-            _ptr(is_leaf, _U8P), _ptr(children, _I64P),
-            ctypes.c_double(theta), ctypes.c_int(1 if periodic else 0),
-            ctypes.c_double(box),
-            ctypes.c_int(0 if rcut is None else 1),
-            ctypes.c_double(0.0 if rcut is None else float(rcut)),
-            ctypes.c_int64(part_cap), ctypes.c_int64(node_cap),
-            _ptr(part_ptr, _I64P), _ptr(part_idx, _I64P), _ptr(part_shift, _F64P),
-            _ptr(node_ptr, _I64P), _ptr(node_idx, _I64P), _ptr(node_shift, _F64P),
-            _ptr(queue, _I64P), _ptr(counts, _I64P),
-        )
-        if rc == 0:
+#: Capacity allocated per remembered entry count.
+_SLACK = 1.25
+#: A buffer more than this many times its filled length is copied down
+#: to size instead of being handed out as a view.
+_LOOSE = 2.0
+
+
+def _fit(arr: np.ndarray, n: int) -> np.ndarray:
+    """``arr[:n]``: a view while the unused tail of ``arr`` is modest
+    (untouched pages cost no memory), a copy that lets the oversized
+    buffer go when it is not."""
+    head = arr[:n]
+    return head if len(arr) <= _LOOSE * n + 1 else head.copy()
+
+
+class PlanWalker:
+    """The native traversal plus a memory of how large its plans get.
+
+    The C walk writes into caller-allocated arrays and, when they are too
+    small, counts on without writing and asks for a second walk.  A
+    long-lived walker (one per :class:`~repro.tree.traversal.TreeSolver`)
+    sizes its arrays from the largest plan it has produced so far, so in
+    steady state every plan is built in one walk and never copied.
+    """
+
+    def __init__(self) -> None:
+        #: largest (particle, node) entry counts of any plan so far
+        self.high_water: Optional[Tuple[int, int]] = None
+
+    def _walk(
+        self, lib, tree, groups: np.ndarray, rcut, theta: float,
+        periodic: bool, box: float,
+    ) -> Optional[Tuple]:
+        Gn = len(groups)
+        n_nodes = tree.n_nodes
+        groups = np.ascontiguousarray(groups, dtype=np.int64)
+        node_com = np.ascontiguousarray(tree.node_com, dtype=np.float64)
+        node_center = np.ascontiguousarray(tree.node_center, dtype=np.float64)
+        node_half = np.ascontiguousarray(tree.node_half, dtype=np.float64)
+        node_lo = np.ascontiguousarray(tree.node_lo, dtype=np.int64)
+        node_hi = np.ascontiguousarray(tree.node_hi, dtype=np.int64)
+        is_leaf = np.ascontiguousarray(tree.node_is_leaf.view(np.uint8))
+        children = np.ascontiguousarray(tree.node_children, dtype=np.int64)
+        queue = np.empty(n_nodes + 8, dtype=np.int64)
+        counts = np.zeros(3, dtype=np.int64)
+        if self.high_water is None:
+            part_cap = node_cap = max(1024, 8 * tree.n_particles)
+        else:
+            part_cap, node_cap = (int(_SLACK * c) + 1 for c in self.high_water)
+        for _ in range(2):
+            part_ptr = np.empty(Gn + 1, dtype=np.int64)
+            node_ptr = np.empty(Gn + 1, dtype=np.int64)
+            part_idx = np.empty(part_cap, dtype=np.int64)
+            node_idx = np.empty(node_cap, dtype=np.int64)
+            part_shift = np.empty((part_cap, 3)) if periodic else np.empty((0, 3))
+            node_shift = np.empty((node_cap, 3)) if periodic else np.empty((0, 3))
+            rc = lib.plan_traverse(
+                _ptr(groups, _I64P), ctypes.c_int64(Gn),
+                _ptr(node_com, _F64P), _ptr(node_center, _F64P),
+                _ptr(node_half, _F64P), _ptr(node_lo, _I64P), _ptr(node_hi, _I64P),
+                _ptr(is_leaf, _U8P), _ptr(children, _I64P),
+                ctypes.c_double(theta), ctypes.c_int(1 if periodic else 0),
+                ctypes.c_double(box),
+                ctypes.c_int(0 if rcut is None else 1),
+                ctypes.c_double(0.0 if rcut is None else float(rcut)),
+                ctypes.c_int64(part_cap), ctypes.c_int64(node_cap),
+                _ptr(part_ptr, _I64P), _ptr(part_idx, _I64P), _ptr(part_shift, _F64P),
+                _ptr(node_ptr, _I64P), _ptr(node_idx, _I64P), _ptr(node_shift, _F64P),
+                _ptr(queue, _I64P), _ptr(counts, _I64P),
+            )
             np_count = int(counts[1])
             nn_count = int(counts[2])
-            return (
-                part_ptr,
-                part_idx[:np_count].copy(),
-                node_ptr,
-                node_idx[:nn_count].copy(),
-                part_shift[:np_count].copy() if periodic else None,
-                node_shift[:nn_count].copy() if periodic else None,
-                int(counts[0]),
-            )
-        part_cap = max(part_cap, int(counts[1]))
-        node_cap = max(node_cap, int(counts[2]))
-    return None
+            if rc == 0:
+                hw = self.high_water or (0, 0)
+                self.high_water = (max(hw[0], np_count), max(hw[1], nn_count))
+                return (
+                    part_ptr,
+                    _fit(part_idx, np_count),
+                    node_ptr,
+                    _fit(node_idx, nn_count),
+                    _fit(part_shift, np_count) if periodic else None,
+                    _fit(node_shift, nn_count) if periodic else None,
+                    int(counts[0]),
+                )
+            # the plan outgrew the arrays: walk again into exact ones
+            part_cap, node_cap = np_count, nn_count
+        return None
+
+    def traverse_all(
+        self, tree, groups, rcut, theta, periodic, box, stats
+    ) -> Optional[Tuple]:
+        """Native drop-in for ``traverse_all_numpy``; ``None`` = fall back."""
+        Gn = len(groups)
+        if Gn == 0:
+            return None  # the numpy path handles the empty plan shape
+        lib = get_lib()
+        if lib is None:
+            return None
+        got = self._walk(lib, tree, np.asarray(groups), rcut, theta, periodic, box)
+        if got is None:
+            return None
+        part_ptr, part_idx, node_ptr, node_idx, part_shift, node_shift, visited = got
+        stats.nodes_visited += visited
+        return part_ptr, part_idx, node_ptr, node_idx, part_shift, node_shift
 
 
 def traverse_all(tree, groups, rcut, theta, periodic, box, stats) -> Optional[Tuple]:
-    """Native drop-in for ``traverse_all_numpy``; ``None`` = fall back."""
-    Gn = len(groups)
-    if Gn == 0:
-        return None  # the numpy path handles the empty plan shape
-    lib = get_lib()
-    if lib is None:
-        return None
-    got = _traverse_with(lib, tree, np.asarray(groups), rcut, theta, periodic, box)
-    if got is None:
-        return None
-    part_ptr, part_idx, node_ptr, node_idx, part_shift, node_shift, visited = got
-    stats.nodes_visited += visited
-    return part_ptr, part_idx, node_ptr, node_idx, part_shift, node_shift
+    """One-off :meth:`PlanWalker.traverse_all` with no memory of earlier
+    plans (the first walk then usually only counts)."""
+    return PlanWalker().traverse_all(tree, groups, rcut, theta, periodic, box, stats)
 
 
 # -- self-test ----------------------------------------------------------------
@@ -144,6 +184,9 @@ def _self_test(lib) -> bool:
     groups = np.array(tree.group_nodes(24), dtype=np.int64)
     groups = groups[np.argsort(tree.node_lo[groups], kind="stable")]
 
+    # one walker throughout: the eight plans differ in size, so both the
+    # remembered-capacity walk and the count-then-retry walk are checked
+    walker = PlanWalker()
     for periodic in (True, False):
         for rcut in (None, 3.0 / 16):
             for theta in (0.4, 0.8):
@@ -151,7 +194,7 @@ def _self_test(lib) -> bool:
                 ref = traverse_all_numpy(
                     tree, groups, rcut, theta, periodic, 1.0, ref_stats
                 )
-                got = _traverse_with(lib, tree, groups, rcut, theta, periodic, 1.0)
+                got = walker._walk(lib, tree, groups, rcut, theta, periodic, 1.0)
                 if got is None:
                     return False
                 visited = got[6]
@@ -170,4 +213,4 @@ def _self_test(lib) -> bool:
     return True
 
 
-__all__ = ["available", "get_lib", "traverse_all"]
+__all__ = ["PlanWalker", "available", "get_lib", "traverse_all"]

@@ -1,26 +1,47 @@
-/* Native sweep over a CSR interaction plan.
+/* Native sweep over a CSR interaction plan: Phantom-GRAPE lanes.
  *
- * This is the compiled analogue of the numpy PlanExecutor pipeline (and
- * of the paper's hand-tuned Phantom-GRAPE kernel): one pass over the
- * plan, one fused scalar loop per pair.  Every floating-point operation
- * below reproduces, in the same order, one individually rounded IEEE
- * double operation of the numpy float64 pipeline, so the results are
- * bitwise identical:
+ * This is the compiled analogue of the numpy PlanExecutor pipeline and
+ * is laid out like the paper's hand-tuned Phantom-GRAPE kernel: a
+ * group's interaction list is gathered once into structure-of-arrays
+ * scratch (sx | sy | sz | sm, S doubles each) and the group's targets
+ * are swept LANES at a time, one target per SIMD lane, over that shared
+ * list.  A source is broadcast to every lane; each lane then performs,
+ * in the same order, exactly the individually rounded IEEE double
+ * operations the numpy float64 pipeline performs for its (target,
+ * source) pair, so the results are bitwise identical whatever the lane
+ * width:
  *
  *   - dx = source - target, then (wrap groups only) the minimum-image
  *     round dx -= box * rint(dx / box);
- *   - r2 accumulated over components left-to-right;
+ *   - r2 accumulated over components in numpy's einsum order;
  *   - f = (y*y)*y with y = 1.0/sqrt(r2 + eps2);
  *   - the S2 cutoff polynomial with powers expanded into the exact
- *     multiply chains used by repro.forces.cutoff.gp3m_cutoff;
+ *     multiply chains used by repro.forces.cutoff.gp3m_cutoff, its two
+ *     branches (zeta = max(0, xi-1), g = 0 for xi >= 2) as lane masks;
  *   - per-target accumulation strictly sequential over the source list
  *     (numpy's einsum order), scaled by G at the end.
  *
- * Pairs whose force factor is exactly +/-0.0 (self pairs, pairs past the
- * exact cutoff) are skipped: a sequential IEEE sum is unchanged by
- * adding signed zeros (mid-sum cancellation yields +0.0, and the final
- * `out += acc` onto zeroed rows normalizes any leading -0.0), which is
- * the same argument that licenses the numpy path's compression.
+ * Lanes are targets, never sources: no sum is reassociated.  Pairs
+ * whose force factor is exactly +/-0.0 (self pairs, pairs past the
+ * exact cutoff) are inactive: their lane adds +0.0, which leaves an
+ * IEEE sum that started at +0.0 unchanged (such a sum is never -0.0:
+ * round-to-nearest yields -0.0 only from -0.0 + -0.0), and whatever the
+ * inactive lane computed on the way (inf*0 for an unsoftened self pair)
+ * is discarded by the mask, not summed.  A source with no active lane
+ * is skipped before its sqrt and divides.  The last block of a group
+ * replicates its last valid target into the spare lanes and does not
+ * store them.
+ *
+ * The kernel body below is written once, over the V_* lane macros, and
+ * this file includes itself to instantiate it at LANES = 1 (plain C,
+ * every host) and, on x86-64, at LANES = 4 (256-bit AVX2 vectors,
+ * target attribute on those functions only).  The width is picked once
+ * when the library is loaded, from the CPU; the translation unit is
+ * still compiled for the baseline architecture with -ffp-contract=off,
+ * so there is no FMA contraction and no reassociation anywhere, and
+ * sqrt, divide and rint are the hardware-rounded instructions in both
+ * instantiations (_mm256_round_pd in the current rounding mode is
+ * rint).
  *
  * plan_sweep_threads parallelizes over groups with OpenMP (compiled in
  * only when the loader probes -fopenmp successfully; without it the
@@ -28,10 +49,161 @@
  * target rows and each group's arithmetic depends only on its own
  * interaction list, so the result is bitwise independent of the
  * schedule and thread count.
- *
- * Compile with the default x86-64 target and -ffp-contract=off: no FMA
- * contraction, no reassociation, hardware-rounded sqrt/divide.
  */
+
+#ifdef LANES
+/* ---- the kernel body, instantiated once per lane width ------------------ */
+
+#if LANES == 1
+typedef double FN(vd_w);
+typedef int64_t FN(vm_w); /* lane mask: all ones or zero */
+#define V_ATTR
+#define V_SET1(x) (x)
+#define V_LOAD(p) ((p)[0])
+#define V_LANE(v, l) (v)
+#define V_SQRT(x) sqrt(x)
+#define V_RINT(x) rint(x)
+#define V_NE(a, b) (-(int64_t)((a) != (b)))
+#define V_GT(a, b) (-(int64_t)((a) > (b)))
+#define V_GE(a, b) (-(int64_t)((a) >= (b)))
+#define V_LT(a, b) (-(int64_t)((a) < (b)))
+#define V_ANY(m) ((m) != 0)
+#define V_KEEP(m, x) ((m) ? (x) : 0.0)
+#else
+typedef double FN(vd_w) __attribute__((vector_size(8 * LANES)));
+typedef int64_t FN(vm_w) __attribute__((vector_size(8 * LANES)));
+#define V_ATTR __attribute__((target("avx2")))
+#define V_SET1(x) ((vd)_mm256_set1_pd(x))
+#define V_LOAD(p) ((vd)_mm256_loadu_pd(p))
+#define V_LANE(v, l) ((v)[l])
+#define V_SQRT(x) ((vd)_mm256_sqrt_pd((__m256d)(x)))
+#define V_RINT(x) ((vd)_mm256_round_pd((__m256d)(x), _MM_FROUND_CUR_DIRECTION))
+#define V_NE(a, b) ((a) != (b))
+#define V_GT(a, b) ((a) > (b))
+#define V_GE(a, b) ((a) >= (b))
+#define V_LT(a, b) ((a) < (b))
+#define V_ANY(m) (_mm256_movemask_pd((__m256d)(m)) != 0)
+#define V_KEEP(m, x) ((vd)((vm)(x) & (m)))
+#endif
+#define vd FN(vd_w)
+#define vm FN(vm_w)
+
+/* exact operation sequence of gp3m_cutoff's array branch */
+V_ATTR static inline vd FN(gp3m_w)(vd xi)
+{
+    vd g = xi * V_SET1(3.0 / 20.0);
+    g += V_SET1(-12.0 / 35.0);
+    g *= xi;
+    g += V_SET1(-0.5);
+    g *= xi;
+    g += V_SET1(8.0 / 5.0);
+    vd xi2 = xi * xi;
+    g *= xi2;
+    g += V_SET1(-8.0 / 5.0);
+    vd xi3 = xi2 * xi;
+    g *= xi3;
+    g += V_SET1(1.0);
+    vd q = xi * V_SET1(1.0 / 5.0);
+    q += V_SET1(18.0 / 35.0);
+    q *= xi;
+    q += V_SET1(3.0 / 35.0);
+    vd zeta = xi - V_SET1(1.0);
+    zeta = V_KEEP(~V_LT(zeta, V_SET1(0.0)), zeta);
+    vd z2 = zeta * zeta;
+    vd z6 = z2 * z2;
+    z6 *= z2;
+    q *= z6;
+    g -= q;
+    return V_KEEP(~V_GE(xi, V_SET1(2.0)), g);
+}
+
+/* Targets [lo, hi) against the gathered list of S sources. */
+V_ATTR static void FN(sweep_targets_w)(
+    int64_t lo,
+    int64_t hi,
+    int64_t S,
+    const double *soa, /* sx | sy | sz | sm */
+    const double *pos,
+    int w,
+    double box,
+    double eps2,
+    int use_split,
+    double rcut,
+    double rc2,
+    double G,
+    double *out)
+{
+    const double *sx = soa, *sy = soa + S, *sz = soa + 2 * S, *sm = soa + 3 * S;
+    const vd vbox = V_SET1(box), veps2 = V_SET1(eps2), vrcut = V_SET1(rcut);
+    const vd vrc2 = V_SET1(rc2), zero = V_SET1(0.0);
+    const vd one = V_SET1(1.0), two = V_SET1(2.0);
+    for (int64_t t = lo; t < hi; t += LANES) {
+        double txyz[3][LANES];
+        for (int l = 0; l < LANES; ++l) {
+            /* spare lanes of the tail block repeat the last target */
+            int64_t i = t + l < hi ? t + l : hi - 1;
+            txyz[0][l] = pos[3 * i];
+            txyz[1][l] = pos[3 * i + 1];
+            txyz[2][l] = pos[3 * i + 2];
+        }
+        const vd tx = V_LOAD(txyz[0]), ty = V_LOAD(txyz[1]), tz = V_LOAD(txyz[2]);
+        vd ax = zero, ay = zero, az = zero;
+        for (int64_t s = 0; s < S; ++s) {
+            vd dx = V_SET1(sx[s]) - tx;
+            vd dy = V_SET1(sy[s]) - ty;
+            vd dz = V_SET1(sz[s]) - tz;
+            if (w) {
+                dx -= V_RINT(dx / vbox) * vbox;
+                dy -= V_RINT(dy / vbox) * vbox;
+                dz -= V_RINT(dz / vbox) * vbox;
+            }
+            /* numpy's einsum reduces the length-3 component axis in
+             * SIMD-pair order: lane x plus remainder z, then lane y */
+            vd r2 = (dx * dx + dz * dz) + dy * dy;
+            /* inactive: self pair (factor is zeroed), or past the exact
+             * cutoff (factor is exactly 0.0) */
+            vm active = V_NE(r2, zero);
+            if (use_split)
+                active &= ~V_GT(r2, vrc2);
+            if (!V_ANY(active))
+                continue;
+            vd r2s = r2 + veps2;
+            vd y = one / V_SQRT(r2s);
+            vd f = (y * y) * y;
+            if (use_split) {
+                vd xi = (two * V_SQRT(r2)) / vrcut;
+                f *= FN(gp3m_w)(xi);
+            }
+            vd fm = f * V_SET1(sm[s]);
+            ax += V_KEEP(active, fm * dx);
+            ay += V_KEEP(active, fm * dy);
+            az += V_KEEP(active, fm * dz);
+        }
+        for (int l = 0; l < LANES && t + l < hi; ++l) {
+            out[3 * (t + l)] += V_LANE(ax, l) * G;
+            out[3 * (t + l) + 1] += V_LANE(ay, l) * G;
+            out[3 * (t + l) + 2] += V_LANE(az, l) * G;
+        }
+    }
+}
+
+#undef vd
+#undef vm
+#undef V_ATTR
+#undef V_SET1
+#undef V_LOAD
+#undef V_LANE
+#undef V_SQRT
+#undef V_RINT
+#undef V_NE
+#undef V_GT
+#undef V_GE
+#undef V_LT
+#undef V_ANY
+#undef V_KEEP
+
+#else
+/* ---- the translation unit ------------------------------------------------ */
 
 #include <math.h>
 #include <stdint.h>
@@ -40,60 +212,77 @@
 #include <omp.h>
 #endif
 
-static double gp3m(double xi)
+/* FN(name_w) is name_w1 or name_w4 */
+#define CAT_(a, b) a##b
+#define CAT(a, b) CAT_(a, b)
+#define FN(name) CAT(name, LANES)
+
+#define LANES 1
+#include "_plansweep.c"
+#undef LANES
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define LANES 4
+#include "_plansweep.c"
+#undef LANES
+#define HAVE_W4 1
+#endif
+
+typedef void (*sweep_targets_fn)(
+    int64_t, int64_t, int64_t, const double *, const double *, int, double,
+    double, int, double, double, double, double *);
+
+/* the instantiation plan_sweep and plan_sweep_threads run */
+static sweep_targets_fn dispatched = sweep_targets_w1;
+static int dispatched_lanes = 1;
+
+#ifdef HAVE_W4
+__attribute__((constructor)) static void pick_lanes(void)
 {
-    /* exact operation sequence of gp3m_cutoff's array branch */
-    double g = xi * (3.0 / 20.0);
-    g += -12.0 / 35.0;
-    g *= xi;
-    g += -0.5;
-    g *= xi;
-    g += 8.0 / 5.0;
-    double xi2 = xi * xi;
-    g *= xi2;
-    g += -8.0 / 5.0;
-    double xi3 = xi2 * xi;
-    g *= xi3;
-    g += 1.0;
-    double q = xi * (1.0 / 5.0);
-    q += 18.0 / 35.0;
-    q *= xi;
-    q += 3.0 / 35.0;
-    double zeta = xi - 1.0;
-    if (zeta < 0.0)
-        zeta = 0.0;
-    double z2 = zeta * zeta;
-    double z6 = z2 * z2;
-    z6 *= z2;
-    q *= z6;
-    g -= q;
-    if (xi >= 2.0)
-        g = 0.0;
-    return g;
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+        dispatched = sweep_targets_w4;
+        dispatched_lanes = 4;
+    }
+}
+#endif
+
+/* Lane width of the dispatched instantiation (for logs and telemetry). */
+int plan_sweep_lanes(void)
+{
+    return dispatched_lanes;
 }
 
-static void sweep_group(
-    int64_t g,
-    const int64_t *group_lo,
-    const int64_t *group_hi,
-    const int64_t *part_ptr,
-    const int64_t *part_idx,
-    const int64_t *node_ptr,
-    const int64_t *node_idx,
-    const double *pos,
-    const double *mass,
-    const double *node_com,
-    const double *node_mass,
-    const uint8_t *wrap,
-    double box,
-    double eps2,
-    int use_split,
-    double rcut,
-    double rc2,
-    double G,
-    double *scratch,
-    double *out)
+#define PLAN_PARAMS                                                          \
+    int64_t n_groups,                                                        \
+    const int64_t *group_lo,                                                 \
+    const int64_t *group_hi,                                                 \
+    const int64_t *part_ptr,                                                 \
+    const int64_t *part_idx,                                                 \
+    const int64_t *node_ptr,                                                 \
+    const int64_t *node_idx,                                                 \
+    const double *pos,       /* (N, 3) Morton-sorted positions */            \
+    const double *mass,      /* (N,) */                                      \
+    const double *node_com,  /* (M, 3) */                                    \
+    const double *node_mass, /* (M,) */                                      \
+    const uint8_t *wrap,     /* per-group: apply per-pair minimum image */   \
+    double box,                                                              \
+    double eps2,                                                             \
+    int use_split,           /* 1: apply the S2 gp3m cutoff */               \
+    double rcut,                                                             \
+    double rc2,              /* skip threshold, >= rcut^2 */                 \
+    double G,                                                                \
+    double *scratch,         /* >= 4 * max list length doubles (per thread) */ \
+    double *out              /* (N, 3); rows group_lo..group_hi get += */
+#define PLAN_ARGS                                                            \
+    n_groups, group_lo, group_hi, part_ptr, part_idx, node_ptr, node_idx,    \
+    pos, mass, node_com, node_mass, wrap, box, eps2, use_split, rcut, rc2,   \
+    G, scratch, out
+
+static void sweep_group(sweep_targets_fn sweep_targets, int64_t g, PLAN_PARAMS)
 {
+    (void)n_groups;
     int64_t p0 = part_ptr[g], p1 = part_ptr[g + 1];
     int64_t n0 = node_ptr[g], n1 = node_ptr[g + 1];
     int64_t S = (p1 - p0) + (n1 - n0);
@@ -101,119 +290,48 @@ static void sweep_group(
         return;
     /* gather the interaction list once per group (particles first,
      * then nodes: the plan's list order) */
-    double *sx = scratch;
-    double *sm = scratch + 3 * S;
+    double *sx = scratch, *sy = sx + S, *sz = sy + S, *sm = sz + S;
     int64_t k = 0;
     for (int64_t i = p0; i < p1; ++i, ++k) {
         int64_t j = part_idx[i];
-        sx[3 * k] = pos[3 * j];
-        sx[3 * k + 1] = pos[3 * j + 1];
-        sx[3 * k + 2] = pos[3 * j + 2];
+        sx[k] = pos[3 * j];
+        sy[k] = pos[3 * j + 1];
+        sz[k] = pos[3 * j + 2];
         sm[k] = mass[j];
     }
     for (int64_t i = n0; i < n1; ++i, ++k) {
         int64_t j = node_idx[i];
-        sx[3 * k] = node_com[3 * j];
-        sx[3 * k + 1] = node_com[3 * j + 1];
-        sx[3 * k + 2] = node_com[3 * j + 2];
+        sx[k] = node_com[3 * j];
+        sy[k] = node_com[3 * j + 1];
+        sz[k] = node_com[3 * j + 2];
         sm[k] = node_mass[j];
     }
-    int w = wrap != 0 && wrap[g];
-    for (int64_t t = group_lo[g]; t < group_hi[g]; ++t) {
-        double tx = pos[3 * t];
-        double ty = pos[3 * t + 1];
-        double tz = pos[3 * t + 2];
-        double ax = 0.0, ay = 0.0, az = 0.0;
-        for (int64_t s = 0; s < S; ++s) {
-            double dx = sx[3 * s] - tx;
-            double dy = sx[3 * s + 1] - ty;
-            double dz = sx[3 * s + 2] - tz;
-            if (w) {
-                dx -= rint(dx / box) * box;
-                dy -= rint(dy / box) * box;
-                dz -= rint(dz / box) * box;
-            }
-            /* numpy's einsum reduces the length-3 component axis in
-             * SIMD-pair order: lane x plus remainder z, then lane y */
-            double r2 = (dx * dx + dz * dz) + dy * dy;
-            if (r2 == 0.0)
-                continue; /* self pair: factor is zeroed */
-            if (use_split && r2 > rc2)
-                continue; /* exact cutoff: factor is exactly 0.0 */
-            double r2s = r2 + eps2;
-            double y = 1.0 / sqrt(r2s);
-            double f = (y * y) * y;
-            if (use_split) {
-                double xi = (2.0 * sqrt(r2)) / rcut;
-                f *= gp3m(xi);
-            }
-            double fm = f * sm[s];
-            ax += fm * dx;
-            ay += fm * dy;
-            az += fm * dz;
-        }
-        out[3 * t] += ax * G;
-        out[3 * t + 1] += ay * G;
-        out[3 * t + 2] += az * G;
-    }
+    sweep_targets(group_lo[g], group_hi[g], S, scratch, pos,
+                  wrap != 0 && wrap[g], box, eps2, use_split, rcut, rc2, G,
+                  out);
 }
 
-void plan_sweep(
-    int64_t n_groups,
-    const int64_t *group_lo,
-    const int64_t *group_hi,
-    const int64_t *part_ptr,
-    const int64_t *part_idx,
-    const int64_t *node_ptr,
-    const int64_t *node_idx,
-    const double *pos,       /* (N, 3) Morton-sorted positions */
-    const double *mass,      /* (N,) */
-    const double *node_com,  /* (M, 3) */
-    const double *node_mass, /* (M,) */
-    const uint8_t *wrap,     /* per-group: apply per-pair minimum image */
-    double box,
-    double eps2,
-    int use_split,           /* 1: apply the S2 gp3m cutoff */
-    double rcut,
-    double rc2,              /* skip threshold, >= rcut^2 */
-    double G,
-    double *scratch,         /* >= 4 * max list length doubles */
-    double *out)             /* (N, 3); rows group_lo..group_hi get += */
+void plan_sweep(PLAN_PARAMS)
 {
     for (int64_t g = 0; g < n_groups; ++g)
-        sweep_group(g, group_lo, group_hi, part_ptr, part_idx, node_ptr,
-                    node_idx, pos, mass, node_com, node_mass, wrap, box,
-                    eps2, use_split, rcut, rc2, G, scratch, out);
+        sweep_group(dispatched, g, PLAN_ARGS);
+}
+
+/* Always the 1-lane instantiation, so the two can be compared on any
+ * host. */
+void plan_sweep_w1(PLAN_PARAMS)
+{
+    for (int64_t g = 0; g < n_groups; ++g)
+        sweep_group(sweep_targets_w1, g, PLAN_ARGS);
 }
 
 /* Threaded variant: parallel over groups, one scratch board of
  * `scratch_stride` doubles per thread.  Bitwise identical to plan_sweep
  * for any nthreads (disjoint output rows, per-group arithmetic). */
-void plan_sweep_threads(
-    int64_t n_groups,
-    const int64_t *group_lo,
-    const int64_t *group_hi,
-    const int64_t *part_ptr,
-    const int64_t *part_idx,
-    const int64_t *node_ptr,
-    const int64_t *node_idx,
-    const double *pos,
-    const double *mass,
-    const double *node_com,
-    const double *node_mass,
-    const uint8_t *wrap,
-    double box,
-    double eps2,
-    int use_split,
-    double rcut,
-    double rc2,
-    double G,
-    double *scratch,         /* >= nthreads * scratch_stride doubles */
-    double *out,
-    int64_t scratch_stride,
-    int nthreads)
+void plan_sweep_threads(PLAN_PARAMS, int64_t scratch_stride, int nthreads)
 {
     (void)nthreads;
+    double *boards = scratch;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic, 8) num_threads(nthreads)
 #endif
@@ -222,9 +340,10 @@ void plan_sweep_threads(
 #ifdef _OPENMP
         tid = omp_get_thread_num();
 #endif
-        sweep_group(g, group_lo, group_hi, part_ptr, part_idx, node_ptr,
-                    node_idx, pos, mass, node_com, node_mass, wrap, box,
-                    eps2, use_split, rcut, rc2, G,
-                    scratch + (int64_t)tid * scratch_stride, out);
+        /* this thread's board, under the name PLAN_ARGS passes on */
+        double *scratch = boards + (int64_t)tid * scratch_stride;
+        sweep_group(dispatched, g, PLAN_ARGS);
     }
 }
+
+#endif /* LANES */

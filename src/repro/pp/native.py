@@ -4,11 +4,23 @@ The C source (:file:`_plansweep.c`) ships with the package and is built
 through the shared compile-on-demand loader
 (:mod:`repro.native.build`): compiled once per source/toolchain/flag
 combination into a hash-keyed on-disk cache, bound through
-:mod:`ctypes`.  The build deliberately targets the baseline
-architecture with ``-ffp-contract=off`` so the kernel performs exactly
-the individually rounded IEEE double operations of the numpy executor
-pipeline — no FMA contraction, no reassociation — keeping its forces
-bitwise identical to the pure-numpy path.
+:mod:`ctypes`.
+
+The kernel is laid out like the paper's Phantom-GRAPE: a group's
+interaction list is gathered once into structure-of-arrays scratch and
+the group's targets are swept one per SIMD lane over that shared list.
+One kernel body is instantiated at four lanes (256-bit vectors, picked
+when the library is loaded on an x86-64 CPU with AVX2) and at one lane
+(plain C, every other host); ``plan_sweep`` runs the dispatched width,
+``plan_sweep_w1`` always the one-lane instantiation, and
+``plan_sweep_lanes()`` reports which width was dispatched.  Lanes are
+targets, so each lane performs exactly the individually rounded IEEE
+double operations of the numpy executor pipeline for its own target, in
+the same order: the translation unit is built for the baseline
+architecture with ``-ffp-contract=off`` — only the four-lane functions
+carry an AVX2 target attribute, and nothing enables FMA contraction or
+reassociation — so the forces are bitwise identical to the pure-numpy
+path at either width.
 
 When the toolchain supports OpenMP the library is built with
 ``-fopenmp`` and exposes ``plan_sweep_threads``, a parallel-over-groups
@@ -65,8 +77,11 @@ _ARGTYPES = [
 
 
 def _declare(lib: ctypes.CDLL) -> None:
-    lib.plan_sweep.restype = None
-    lib.plan_sweep.argtypes = _ARGTYPES
+    lib.plan_sweep_lanes.restype = ctypes.c_int
+    lib.plan_sweep_lanes.argtypes = []
+    for entry in (lib.plan_sweep, lib.plan_sweep_w1):
+        entry.restype = None
+        entry.argtypes = _ARGTYPES
     lib.plan_sweep_threads.restype = None
     lib.plan_sweep_threads.argtypes = _ARGTYPES + [
         ctypes.c_int64,  # scratch_stride
@@ -169,30 +184,33 @@ def _self_test(lib) -> bool:
     sum — an order that is an implementation detail of the running
     numpy build.  Rather than trust it across platforms, the sweep is
     checked on a small synthetic plan exercising wrap and no-wrap
-    groups, self pairs, softened and unsoftened kernels, and both split
-    modes.
+    groups, whole and partial lane blocks, self pairs, softened and
+    unsoftened kernels, and both split modes.
     """
     from repro.forces.cutoff import S2ForceSplit
     from repro.pp.kernel import PPKernel
     from repro.pp.plan import InteractionPlan, PlanExecutor
 
     rng = np.random.default_rng(20120416)
-    N, M = 48, 6
+    N, M = 54, 6
     pos = rng.random((N, 3))
     mass = rng.random(N) + 0.5
     ncom = rng.random((M, 3))
     nmass = rng.random(M) + 1.0
-    pidx = rng.integers(0, N, 60).astype(np.int64)
+    pidx = rng.integers(0, N, 80).astype(np.int64)
     pidx[:12] = np.arange(12)  # include self pairs
+    pidx[60:65] = np.arange(48, 53)
+    # four groups of 12 targets (whole lane blocks), then one of 5 and
+    # one of 1 so the gate covers a tail block at every lane width
     plan = InteractionPlan(
-        group_nodes=np.zeros(4, dtype=np.int64),
-        group_lo=np.array([0, 12, 24, 36], dtype=np.int64),
-        group_hi=np.array([12, 24, 36, 48], dtype=np.int64),
-        part_ptr=np.array([0, 20, 30, 50, 60], dtype=np.int64),
+        group_nodes=np.zeros(6, dtype=np.int64),
+        group_lo=np.array([0, 12, 24, 36, 48, 53], dtype=np.int64),
+        group_hi=np.array([12, 24, 36, 48, 53, 54], dtype=np.int64),
+        part_ptr=np.array([0, 20, 30, 50, 60, 73, 80], dtype=np.int64),
         part_idx=pidx,
-        node_ptr=np.array([0, 3, 6, 6, 10], dtype=np.int64),
-        node_idx=rng.integers(0, M, 10).astype(np.int64),
-        no_wrap=np.array([True, False, True, False]),
+        node_ptr=np.array([0, 3, 6, 6, 10, 12, 14], dtype=np.int64),
+        node_idx=rng.integers(0, M, 14).astype(np.int64),
+        no_wrap=np.array([True, False, True, False, False, True]),
     )
     kernels = [
         PPKernel(split=S2ForceSplit(0.4), eps=0.0, G=2.0, box=1.0),

@@ -557,14 +557,14 @@ class ElasticRunner:
                 if i >= n_steps:
                     return
                 t_step = time.perf_counter()
-                wait0 = getattr(self.comm, "wait_seconds", 0.0)
+                wait0 = self.sim.wait_seconds()
                 self.comm.fault_point(i)
                 self.sim.step(float(edges[i]), float(edges[i + 1]))
                 wall_seconds = time.perf_counter() - t_step
                 # in lock-step collectives every rank's wall time equals
                 # the straggler's; only work = wall - blocked-in-comm
                 # identifies *which* rank is slow
-                wait_seconds = getattr(self.comm, "wait_seconds", 0.0) - wait0
+                wait_seconds = self.sim.wait_seconds() - wait0
                 work_seconds = max(wall_seconds - wait_seconds, 1e-9)
                 i += 1
                 self._inject_state_faults(i)

@@ -655,6 +655,16 @@ class ParallelSimulation:
         sim.steps_taken = int(manifest["steps_taken"])
         return sim
 
+    def wait_seconds(self) -> float:
+        """Seconds this rank has been blocked in communication so far.
+
+        Each communicator counts only its own waits, so the PM solver's
+        split communicators are added to the world's: a rank blocked in
+        the mesh conversion or the slab FFT is waiting, not working.
+        """
+        comms = (self.comm, *self.pm.split_comms)
+        return sum(getattr(c, "wait_seconds", 0.0) for c in comms)
+
     # -- output ------------------------------------------------------------------------
 
     def gather_state(self):

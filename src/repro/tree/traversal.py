@@ -131,6 +131,8 @@ class TreeSolver:
         self._executor = PlanExecutor(
             dtype=np.float32 if plan_float32 else np.float64
         )
+        # sizes each plan's arrays from the plans before it
+        self._walker = _native_traverse.PlanWalker()
         #: when True, every ``forces`` call keeps the inputs
         #: and monopole output of its sweep in ``last_sweep`` so the SDC
         #: auditor can re-execute a sampled sub-plan through the
@@ -312,7 +314,7 @@ class TreeSolver:
         against :func:`traverse_all_numpy`), else in the vectorized
         numpy sweep.  Both return identical plans bit for bit.
         """
-        native = _native_traverse.traverse_all(
+        native = self._walker.traverse_all(
             tree, groups, rcut, self.theta, self.periodic, self.box, stats
         )
         if native is not None:

@@ -133,3 +133,53 @@ def test_native_threads_parsing(monkeypatch):
     assert nb.native_threads() == 1
     monkeypatch.setenv("REPRO_NATIVE_THREADS", "bogus")
     assert nb.native_threads() == 1
+
+
+class TestOpenMPVerdictCache:
+    """The OpenMP probe compiles once per toolchain, not once per
+    process: its verdict is a file in the kernel cache."""
+
+    @pytest.fixture(autouse=True)
+    def forget_verdict(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(nb, "_openmp", None)
+
+    def _count_probes(self, monkeypatch):
+        calls = []
+        probe = nb._probe_openmp
+
+        def counted(flags):
+            calls.append(tuple(flags))
+            return probe(flags)
+
+        monkeypatch.setattr(nb, "_probe_openmp", counted)
+        return calls
+
+    def test_second_process_reads_the_verdict(self, fresh_cache, monkeypatch):
+        calls = self._count_probes(monkeypatch)
+        first = nb.openmp_available()
+        assert len(calls) == 1
+        (path,) = fresh_cache.glob("openmp-*.txt")
+        assert path.read_text().strip() == ("yes" if first else "no")
+        monkeypatch.setattr(nb, "_openmp", None)  # what a new process sees
+        assert nb.openmp_available() is first
+        assert len(calls) == 1
+
+    def test_verdict_is_keyed_by_the_toolchain(self, fresh_cache, monkeypatch):
+        calls = self._count_probes(monkeypatch)
+        nb.openmp_available()
+        monkeypatch.setattr(nb, "_openmp", None)
+        monkeypatch.setenv("CC", "repro-definitely-missing-cc")
+        assert nb.openmp_available() is False
+        assert len(calls) == 2
+        assert len(list(fresh_cache.glob("openmp-*.txt"))) == 2
+
+    @pytest.mark.parametrize("rot", [b"", b"maybe\n", b"\xff\xfe\x00"])
+    def test_corrupt_verdict_probes_again(self, fresh_cache, monkeypatch, rot):
+        calls = self._count_probes(monkeypatch)
+        first = nb.openmp_available()
+        (path,) = fresh_cache.glob("openmp-*.txt")
+        path.write_bytes(rot)
+        monkeypatch.setattr(nb, "_openmp", None)
+        assert nb.openmp_available() is first
+        assert len(calls) == 2
+        assert path.read_text().strip() == ("yes" if first else "no")

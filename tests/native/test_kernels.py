@@ -9,6 +9,8 @@ is then the only path, and it is covered by the rest of the suite.
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,52 @@ def test_traversal_plan_matches_numpy(particles):
                 assert g is None
             else:
                 assert np.array_equal(g, r)
+
+
+def test_walker_remembers_plan_sizes(particles):
+    """A long-lived walker builds a plan in one C walk and hands out
+    views; a plan that outgrows its memory still comes out identical."""
+    lib = traverse.get_lib()
+    if lib is None:
+        pytest.skip("native traversal kernel unavailable")
+    walks = []
+
+    def counted(*args):
+        walks.append(lib.plan_traverse(*args))
+        return walks[-1]
+
+    counting = types.SimpleNamespace(plan_traverse=counted)
+    pos, mass = particles
+    tree = Octree(pos, mass, leaf_size=4)
+    groups = np.asarray(sorted(tree.group_nodes(24), key=lambda g: tree.node_lo[g]))
+
+    def check(walker, rcut):
+        got = walker._walk(counting, tree, groups, rcut, 0.6, True, 1.0)
+        ref = traverse_all_numpy(tree, groups, rcut, 0.6, True, 1.0, TraversalStats())
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+        return got
+
+    walker = traverse.PlanWalker()
+    check(walker, 0.1)  # no memory yet: sized from the particle count
+    del walks[:]
+    small = check(walker, 0.1)
+    assert walks == [0]  # one walk, no count-only pass
+    assert all(small[k].base is not None for k in (1, 3, 4, 5))  # views
+    del walks[:]
+    check(walker, None)  # a much larger plan: count, then walk again
+    assert walks == [-1, 0]
+    del walks[:]
+    check(walker, None)
+    assert walks == [0]
+    del walks[:]
+    shrunk = check(walker, 0.1)
+    assert walks == [0]
+    # the node list is now under half its buffer and is copied down to
+    # size; the particle list still fills most of its own
+    assert 2 * len(shrunk[3]) < walker.high_water[1]
+    assert shrunk[3].base is None and shrunk[5].base is None
+    assert shrunk[1].base is not None and shrunk[4].base is not None
 
 
 def test_forces_identical_under_traverse_opt_out(particles, monkeypatch):

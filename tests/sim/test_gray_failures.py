@@ -13,6 +13,8 @@ keep the run alive.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,13 +22,15 @@ from repro.config import (
     DomainConfig,
     HealthConfig,
     PMConfig,
+    RelayMeshConfig,
     SimulationConfig,
     TreePMConfig,
 )
+from repro.meshcomm.parallel_pm import ParallelPM
 from repro.mpi.faults import FaultPlan
 from repro.sim import checkpoint as _ckpt
 from repro.sim.checkpoint import CheckpointSpaceError
-from repro.sim.elastic import run_elastic_simulation
+from repro.sim.elastic import ElasticRunner, run_elastic_simulation
 from repro.sim.parallel import run_parallel_simulation
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(300)]
@@ -221,6 +225,83 @@ class TestGracefulDegradation:
             ev["kind"] == "deadline_widen"
             for r in live for ev in r.health_events()
         )  # healthy fleet: at most deadline adjustments, no verdicts
+
+
+class _DegradeInsidePM(FaultPlan):
+    """``degrade_collective`` rules that bite only while rank 0 is inside
+    ``ParallelPM.forces``.  Every collective the PM cycle issues is also
+    issued earlier in a step on the world communicator, and a rule fires
+    once per step, so an ungated rule never reaches the PM cycle."""
+
+    inside = False
+
+    def collective_delay(self, rank, op, step):
+        return super().collective_delay(rank, op, step) if self.inside else 0.0
+
+
+class TestWaitInsideThePMSolver:
+    """Time blocked in the PM solver's split communicators is waiting,
+    not work: each ``Comm`` counts only its own waits, and the health
+    layer must read all of them."""
+
+    DELAY = 0.5
+
+    def _run(self, monkeypatch):
+        # two relay groups on two ranks: rank 0 alone holds the slabs and
+        # collects rank 1's partial density over ``comm_reduce``; a
+        # congested link delays it there while rank 1 waits at the world
+        # barrier that ends the FFT phase
+        cfg = dataclasses.replace(
+            _cfg(2, policy="monitor", straggler_factor=1.8),
+            relay=RelayMeshConfig(n_groups=2),
+        )
+        plan = _DegradeInsidePM().degrade_collective("reduce", self.DELAY, rank=0)
+        forces = ParallelPM.forces
+
+        def forces_on_a_congested_link(pm, *args, **kwargs):
+            if pm.comm.world_rank != 0:
+                return forces(pm, *args, **kwargs)
+            plan.inside = True
+            try:
+                return forces(pm, *args, **kwargs)
+            finally:
+                plan.inside = False
+
+        monkeypatch.setattr(ParallelPM, "forces", forces_on_a_congested_link)
+        seen = []
+        tick = ElasticRunner._health_tick
+
+        def spy(runner, step, work_seconds, wall_seconds, n_steps):
+            seen.append((runner.comm.world_rank, work_seconds, wall_seconds))
+            return tick(runner, step, work_seconds, wall_seconds, n_steps)
+
+        monkeypatch.setattr(ElasticRunner, "_health_tick", spy)
+        pos, mom, mass = _system()
+        _, _, _, runners, runtime = run_elastic_simulation(
+            cfg, pos, mom, mass, 0.0, T_END, N_STEPS,
+            fault_plan=plan, recv_timeout=10.0, buddy_every=1,
+        )
+        assert runtime.dead_ranks == []
+        return seen, runners
+
+    def test_delay_inside_the_pm_cycle_is_wait_not_work(self, monkeypatch):
+        seen, runners = self._run(monkeypatch)
+        assert len(seen) == 2 * N_STEPS
+        for rank, work_seconds, wall_seconds in seen:
+            assert wall_seconds >= self.DELAY  # both ranks sat through it
+            assert work_seconds <= wall_seconds - 0.9 * self.DELAY, rank
+        sim = runners[0].sim
+        assert sim.pm.comm_reduce.wait_seconds >= 0.9 * self.DELAY * N_STEPS
+        assert sim.wait_seconds() >= (
+            sim.comm.wait_seconds + sim.pm.comm_reduce.wait_seconds
+        )
+
+    def test_no_straggler_verdict_against_the_delayed_rank(self, monkeypatch):
+        _, runners = self._run(monkeypatch)
+        # on two ranks a factor of 1.8 over the median means nine times
+        # the other rank's work: the delay is that, jitter is not
+        kinds = [ev["kind"] for ev in runners[0].health_events()]
+        assert "straggler_confirmed" not in kinds, runners[0].health_events()
 
 
 class TestDiskPressure:
