@@ -18,6 +18,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
+from repro.mesh.differentiate import gradient_block
 from repro.native import meshops as _native_mesh
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "assign_mass_local",
     "interpolate_mesh",
     "interpolate_local",
+    "differences_at_gather",
     "window_ft",
 ]
 
@@ -126,6 +128,28 @@ def _gather(mesh, ix, iy, iz, wx, wy, wz) -> np.ndarray:
     if out is not None:
         return out
     return _gather_numpy(mesh, ix, iy, iz, wx, wy, wz)
+
+
+def _gather_gradient(phi, h, scheme, trim, ix, iy, iz, wx, wy, wz) -> np.ndarray:
+    """Interpolated finite-difference gradient of a potential block:
+    differenced cell by cell inside the native gather when available,
+    else by storing ``gradient_block`` and gathering from it."""
+    out = _native_mesh.gather_gradient(phi, h, scheme, trim, ix, iy, iz, wx, wy, wz)
+    if out is not None:
+        return out
+    return _gather(gradient_block(phi, h, scheme, trim), ix, iy, iz, wx, wy, wz)
+
+
+def differences_at_gather(phi: np.ndarray, difference: str, trim: int) -> bool:
+    """Whether ``interpolate_local(phi, ..., trim=trim,
+    difference=difference)`` differences inside the native gather, i.e.
+    without ever storing the ``phi.shape + (3,)`` gradient block.
+
+    A solver that charges differencing and interpolation to separate
+    ledger rows asks this first and, on ``False``, takes
+    ``gradient_block`` itself under the differencing row.
+    """
+    return _native_mesh.can_gather_gradient(phi, difference, trim)
 
 
 def _reimage_local(li, axis_len, n) -> np.ndarray:
@@ -255,32 +279,45 @@ def interpolate_local(
     box: float = 1.0,
     scheme: str = "tsc",
     trim: int = 0,
+    difference: str | None = None,
 ) -> np.ndarray:
     """Interpolate a process-local mesh field at local particle positions.
 
     ``mesh`` has the region's array shape minus ``trim`` cells on every
     face (e.g. a force mesh computed from a ghosted potential).
+
+    With ``difference`` (``"two_point"`` / ``"four_point"``) ``mesh`` is
+    instead the ghosted *potential*, untrimmed, and the result is its
+    interpolated finite-difference gradient, bit for bit
+    ``interpolate_local(gradient_block(mesh, box / region.n, difference,
+    trim), pos, region, box, scheme, trim)``.
     """
     pos = np.asarray(pos, dtype=np.float64)
-    out_shape = (len(pos),) + mesh.shape[3:]
-    out = np.zeros(out_shape)
+    if difference is None:
+        shape, tail = mesh.shape[:3], mesh.shape[3:]
+    else:
+        if mesh.ndim != 3:
+            raise ValueError("the potential to difference must be a 3-D block")
+        shape, tail = tuple(s - 2 * trim for s in mesh.shape), (3,)
     if len(pos) == 0:
-        return out
+        return np.zeros((0,) + tail)
     h = box / region.n
     u = pos / h
     origin = np.asarray(region.lo) - region.ghost + trim
     idx_w = [_weights_1d(scheme, u[:, d]) for d in range(3)]
     locals_ = []
     for d, (idx, _) in enumerate(idx_w):
-        li = _reimage_local(idx - origin[d], mesh.shape[d], region.n)
-        if li.min() < 0 or li.max() >= mesh.shape[d]:
+        li = _reimage_local(idx - origin[d], shape[d], region.n)
+        if li.min() < 0 or li.max() >= shape[d]:
             raise ValueError(
                 f"interpolation stencil leaves the local mesh along dim {d}"
             )
         locals_.append(li)
     (_, wx), (_, wy), (_, wz) = idx_w
     lx, ly, lz = locals_
-    return _gather(mesh, lx, ly, lz, wx, wy, wz)
+    if difference is None:
+        return _gather(mesh, lx, ly, lz, wx, wy, wz)
+    return _gather_gradient(mesh, h, difference, trim, lx, ly, lz, wx, wy, wz)
 
 
 def window_ft(scheme: str, k: np.ndarray, h: float) -> np.ndarray:

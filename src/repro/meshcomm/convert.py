@@ -20,8 +20,41 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.meshcomm.slab import LocalMeshRegion, SlabDecomposition
+from repro.native import meshops as _native_mesh
 
 __all__ = ["local_to_slab", "slab_to_local"]
+
+
+def _block_add_numpy(slab, x0, y_idx, z_idx, block) -> None:
+    """Reference receive-side sum (also the native kernel's self-test
+    oracle): ``np.add.at`` visits the block in C order, so cells named
+    more than once by the wrapped indices get their addends in turn."""
+    ix = x0 + np.arange(block.shape[0])
+    np.add.at(
+        slab,
+        (ix[:, None, None], y_idx[None, :, None], z_idx[None, None, :]),
+        block,
+    )
+
+
+def _block_take_numpy(slab, x0, nx, y_idx, z_idx) -> np.ndarray:
+    """Reference send-side cut (native self-test oracle)."""
+    ix = x0 + np.arange(nx)
+    return slab[ix[:, None, None], y_idx[None, :, None], z_idx[None, None, :]]
+
+
+def _block_add(slab, x0, y_idx, z_idx, block) -> None:
+    """Sum through the native kernel when available, else numpy."""
+    if not _native_mesh.block_add(slab, x0, y_idx, z_idx, block):
+        _block_add_numpy(slab, x0, y_idx, z_idx, block)
+
+
+def _block_take(slab, x0, nx, y_idx, z_idx) -> np.ndarray:
+    """Cut through the native kernel when available, else numpy."""
+    block = _native_mesh.block_take(slab, x0, nx, y_idx, z_idx)
+    if block is not None:
+        return block
+    return _block_take_numpy(slab, x0, nx, y_idx, z_idx)
 
 
 def _x_overlaps(
@@ -78,12 +111,7 @@ def local_to_slab(
     slab = slabs.allocate(comm.rank)
     for messages in received:
         for (x0, y_idx, z_idx), block in messages:
-            ix = x0 + np.arange(block.shape[0])
-            np.add.at(
-                slab,
-                (ix[:, None, None], y_idx[None, :, None], z_idx[None, None, :]),
-                block,
-            )
+            _block_add(slab, x0, y_idx, z_idx, block)
     return slab
 
 
@@ -116,8 +144,7 @@ def slab_to_local(
             y_idx = reg.wrapped_indices(1)
             z_idx = reg.wrapped_indices(2)
             for s, e, t in _x_overlaps(xlo, xhi, a, b, n):
-                ix = np.arange(s - t - a, e - t - a)
-                block = slab[ix[:, None, None], y_idx[None, :, None], z_idx[None, None, :]]
+                block = _block_take(slab, s - t - a, e - s, y_idx, z_idx)
                 sends[dst].append((s - xlo, block))
 
     received = comm.alltoall(sends, reliable=True)

@@ -22,6 +22,9 @@ from repro.meshcomm.slab import SlabDecomposition
 
 __all__ = ["SlabFFT"]
 
+#: what a rank "sends" to itself in the transposes
+_NO_BLOCK = np.empty((0, 0, 0), dtype=np.complex128)
+
 
 class SlabFFT:
     """Distributed FFT over the first ``n_slabs`` ranks of ``comm_fft``.
@@ -87,32 +90,43 @@ class SlabFFT:
 
     # -- transposes ------------------------------------------------------------------
 
+    # The block a rank keeps for itself never enters the exchange (an
+    # empty placeholder holds its slot): it is assigned straight from
+    # ``work`` instead of being staged, copied by alltoall and copied
+    # again into ``out``.
+
     def _transpose_x_to_y(self, work: np.ndarray) -> np.ndarray:
         """(nx_local, n, nz_r) -> (n, ny_local, nz_r) via alltoallv."""
+        me = self.comm.rank
         sends = []
         for j in range(self.comm.size):
             ya, yb = self.slabs.range_of(j)
-            sends.append(np.ascontiguousarray(work[:, ya:yb, :]))
+            sends.append(
+                _NO_BLOCK if j == me else np.ascontiguousarray(work[:, ya:yb, :])
+            )
         received = self.comm.alltoallv(sends)
         ya, yb = self.y_range
         out = np.empty((self.n, yb - ya, self.nz_r), dtype=np.complex128)
         for i, block in enumerate(received):
             xa, xb = self.slabs.range_of(i)
-            out[xa:xb] = block
+            out[xa:xb] = work[:, ya:yb, :] if i == me else block
         return out
 
     def _transpose_y_to_x(self, work: np.ndarray) -> np.ndarray:
         """(n, ny_local, nz_r) -> (nx_local, n, nz_r) via alltoallv."""
+        me = self.comm.rank
         sends = []
         for j in range(self.comm.size):
             xa, xb = self.slabs.range_of(j)
-            sends.append(np.ascontiguousarray(work[xa:xb, :, :]))
+            sends.append(
+                _NO_BLOCK if j == me else np.ascontiguousarray(work[xa:xb, :, :])
+            )
         received = self.comm.alltoallv(sends)
         xa, xb = self.x_range
         out = np.empty((xb - xa, self.n, self.nz_r), dtype=np.complex128)
         for i, block in enumerate(received):
             ya, yb = self.slabs.range_of(i)
-            out[:, ya:yb, :] = block
+            out[:, ya:yb, :] = work[xa:xb] if i == me else block
         return out
 
     # -- convolution -------------------------------------------------------------------

@@ -13,10 +13,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.mesh.assignment import assign_mass_local, interpolate_local
-from repro.mesh.differentiate import gradient_block
+from repro.mesh.assignment import assign_mass_local
 from repro.mesh.greens import build_greens_function
-from repro.meshcomm.parallel_pm import DENSITY_GHOST, POTENTIAL_GHOST
+from repro.meshcomm.parallel_pm import (
+    DENSITY_GHOST,
+    POTENTIAL_GHOST,
+    mesh_accelerations,
+)
 from repro.meshcomm.pencil_fft import PencilFFT
 from repro.meshcomm.regions import redistribute
 from repro.meshcomm.slab import LocalMeshRegion
@@ -146,10 +149,10 @@ class ParallelPencilPM:
         pos = pos - self.box * np.round((pos - center) / self.box)
 
         with timing.phase("PM/density assignment"):
-            local_rho = (
-                assign_mass_local(pos, mass, rho_region, self.box, self.assignment)
-                / cell_vol
+            local_rho = assign_mass_local(
+                pos, mass, rho_region, self.box, self.assignment
             )
+            local_rho /= cell_vol
 
         check_mass = validator is not None and validator.check_enabled(
             "mass_conservation"
@@ -212,15 +215,10 @@ class ParallelPencilPM:
             )
         self.comm.traffic_phase("pm:done")
 
-        with timing.phase("PM/acceleration on mesh"):
-            grad = gradient_block(
-                local_phi, self.box / self.n, scheme=self.differencing, trim=2
-            )
-
-        with timing.phase("PM/force interpolation"):
-            acc = -interpolate_local(
-                grad, pos, pot_region, self.box, self.assignment, trim=2
-            )
+        acc = mesh_accelerations(
+            local_phi, pos, pot_region, self.box,
+            self.assignment, self.differencing, timing,
+        )
         if validator is not None and validator.check_enabled("finite_fields"):
             from repro.validate.checks import check_finite
 

@@ -24,7 +24,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.mesh.assignment import assign_mass_local, interpolate_local
+from repro.mesh.assignment import (
+    assign_mass_local,
+    differences_at_gather,
+    interpolate_local,
+)
 from repro.mesh.differentiate import gradient_block
 from repro.mesh.greens import build_greens_function
 from repro.meshcomm.convert import local_to_slab, slab_to_local
@@ -32,13 +36,51 @@ from repro.meshcomm.parallel_fft import SlabFFT
 from repro.meshcomm.slab import LocalMeshRegion, SlabDecomposition
 from repro.utils.timer import TimingLedger
 
-__all__ = ["ParallelPM"]
+__all__ = ["ParallelPM", "mesh_accelerations"]
 
 #: ghost width of the density mesh (TSC stencil reach = 1, +1 safety)
 DENSITY_GHOST = 2
 #: ghost width of the potential mesh (4-point differencing needs 2,
 #: plus 1 for the interpolation stencil of the force mesh)
 POTENTIAL_GHOST = 3
+
+
+def mesh_accelerations(
+    local_phi: np.ndarray,
+    pos: np.ndarray,
+    region: LocalMeshRegion,
+    box: float,
+    assignment: str,
+    differencing: str,
+    timing: TimingLedger,
+) -> np.ndarray:
+    """Step 5 of the PM cycle, shared by the slab and the pencil solver:
+    finite differences of the ghosted potential, interpolated at the
+    particles and negated into accelerations.
+
+    The native gather differences the potential at each particle's
+    stencil cells, so the ``(nx, ny, nz, 3)`` force block is stored only
+    on the numpy fallback; Table I's two rows are charged what each
+    phase actually took either way.
+
+    ``gradient_block`` and ``interpolate_local`` are looked up in this
+    module's namespace on purpose: ``benchmarks/spine/trace.py`` times
+    them by replacing exactly these two names here (``mesh.accel`` /
+    ``mesh.interp``), until the telemetry of ROADMAP item 6 emits the
+    spans from inside.
+    """
+    with timing.phase("PM/acceleration on mesh"):
+        fused = differences_at_gather(local_phi, differencing, trim=2)
+        field = local_phi
+        if not fused:
+            field = gradient_block(
+                local_phi, box / region.n, scheme=differencing, trim=2
+            )
+    with timing.phase("PM/force interpolation"):
+        return -interpolate_local(
+            field, pos, region, box, assignment, trim=2,
+            difference=differencing if fused else None,
+        )
 
 
 class ParallelPM:
@@ -205,10 +247,10 @@ class ParallelPM:
         pos = pos - self.box * np.round((pos - center) / self.box)
 
         with timing.phase("PM/density assignment"):
-            local_rho = (
-                assign_mass_local(pos, mass, rho_region, self.box, self.assignment)
-                / cell_vol
+            local_rho = assign_mass_local(
+                pos, mass, rho_region, self.box, self.assignment
             )
+            local_rho /= cell_vol
 
         check_mass = validator is not None and validator.check_enabled(
             "mass_conservation"
@@ -271,18 +313,10 @@ class ParallelPM:
             )
         self.comm.traffic_phase("pm:done")
 
-        with timing.phase("PM/acceleration on mesh"):
-            grad = gradient_block(
-                local_phi,
-                self.box / self.n,
-                scheme=self.differencing,
-                trim=2,
-            )
-
-        with timing.phase("PM/force interpolation"):
-            acc = -interpolate_local(
-                grad, pos, pot_region, self.box, self.assignment, trim=2
-            )
+        acc = mesh_accelerations(
+            local_phi, pos, pot_region, self.box,
+            self.assignment, self.differencing, timing,
+        )
         if validator is not None and validator.check_enabled("finite_fields"):
             from repro.validate.checks import check_finite
 

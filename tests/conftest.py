@@ -78,3 +78,20 @@ def clustered_particles(rng):
     pos = np.mod(np.vstack([blob, bg]), 1.0)
     mass = np.full(len(pos), 1.0 / len(pos))
     return pos, mass
+
+
+@pytest.fixture(params=["native", "numpy"])
+def mesh_kernels(request, monkeypatch) -> str:
+    """Run a test twice: with the native mesh kernels, and with the mesh
+    stage pinned to its numpy reference (``REPRO_NO_NATIVE_MESH=1``).
+    The native half skips, with the reason, when the kernels cannot be
+    used (no compiler, or the whole run is pinned to numpy)."""
+    from repro.native import meshops
+
+    if request.param == "numpy":
+        monkeypatch.setenv("REPRO_NO_NATIVE_MESH", "1")
+    elif not meshops.available():
+        pytest.skip(
+            "native mesh kernels unavailable (no C compiler, or REPRO_NO_NATIVE[_MESH] set)"
+        )
+    return request.param

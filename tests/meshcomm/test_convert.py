@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.meshcomm import convert
 from repro.meshcomm.convert import local_to_slab, slab_to_local
 from repro.meshcomm.slab import LocalMeshRegion, SlabDecomposition
 from repro.mpi.runtime import run_spmd
+from repro.native import meshops
 
 N = 8  # global mesh
 
@@ -195,3 +197,125 @@ class TestSlabToLocal:
 
         with pytest.raises(RuntimeError, match="slab"):
             run_spmd(1, fn)
+
+
+# -- the block loops behind both conversions ----------------------------------
+#
+# Receivers sum with ``_block_add`` and senders cut with ``_block_take``;
+# each is a native kernel with the numpy expression it replaced as the
+# reference and the fallback.  Every case runs in both modes.
+
+
+def _wrapped(lo, hi):
+    """Wrapped global indices of the unwrapped planes [lo, hi)."""
+    return np.arange(lo, hi) % N
+
+
+class TestBlockLoops:
+    def test_add_matches_add_at_with_duplicated_wrapped_indices(self, mesh_kernels):
+        """A region wider than the mesh names cells twice (y) and three
+        times (z); a second message then lands on the same cells.  The
+        sums must come out in ``np.add.at``'s order, bit for bit."""
+        rng = np.random.default_rng(7)
+        y_idx, z_idx = _wrapped(-3, N + 3), _wrapped(-N, 2 * N)
+        ref = np.zeros((4, N, N))
+        got = np.zeros_like(ref)
+        for x0, nx in ((1, 3), (0, 4), (2, 1)):
+            # values of very different magnitude make the order matter
+            block = rng.standard_normal((nx, len(y_idx), len(z_idx)))
+            block *= 10.0 ** rng.integers(-8, 8, block.shape)
+            convert._block_add_numpy(ref, x0, y_idx, z_idx, block)
+            convert._block_add(got, x0, y_idx, z_idx, block)
+            assert np.array_equal(got, ref)
+
+    def test_take_matches_fancy_indexing(self, mesh_kernels):
+        slab = _global_field()[:5]
+        y_idx, z_idx = _wrapped(-3, N + 3), _wrapped(4, 9)
+        got = convert._block_take(slab, 1, 3, y_idx, z_idx)
+        ref = slab[
+            np.arange(1, 4)[:, None, None], y_idx[None, :, None], z_idx[None, None, :]
+        ]
+        assert got.shape == (3, len(y_idx), len(z_idx))
+        assert got.flags["C_CONTIGUOUS"] and got.base is None
+        assert np.array_equal(got, ref)
+
+    def test_empty_block(self, mesh_kernels):
+        slab = np.ones((2, N, N))
+        empty = np.empty(0, dtype=np.int64)
+        assert convert._block_take(slab, 0, 2, empty, _wrapped(0, 3)).shape == (2, 0, 3)
+        convert._block_add(slab, 0, empty, _wrapped(0, 3), np.empty((2, 0, 3)))
+        assert np.array_equal(slab, np.ones((2, N, N)))
+
+    @pytest.mark.parametrize(
+        "make_slab,make_block",
+        [
+            (lambda: np.zeros((3, N, N), dtype=np.float32), lambda: np.ones((2, N, N))),
+            (lambda: np.zeros((N, N, 3)).transpose(2, 0, 1), lambda: np.ones((2, N, N))),
+            (lambda: np.zeros((3, N, N)), lambda: np.ones((2, N, N), dtype=np.float32)),
+            (lambda: np.zeros((3, N, N)), lambda: np.ones((N, N, 2)).transpose(2, 0, 1)),
+            (
+                lambda: np.zeros((3, N, N), dtype=complex),
+                lambda: np.ones((2, N, N), dtype=complex),
+            ),
+        ],
+        ids=["slab-f32", "slab-strided", "block-f32", "block-strided", "complex"],
+    )
+    def test_out_of_contract_arrays_fall_back(self, mesh_kernels, make_slab, make_block):
+        slab, block = make_slab(), make_block()
+        idx = _wrapped(0, N)
+        assert not meshops.block_add(slab, 1, idx, idx, block)
+        assert not slab.any()
+        convert._block_add(slab, 1, idx, idx, block)
+        assert np.array_equal(slab[1:], np.ones((2, N, N)))
+        assert np.array_equal(convert._block_take(slab, 1, 2, idx, idx), slab[1:])
+
+    @pytest.mark.parametrize(
+        "x0,y_idx",
+        [
+            (2, _wrapped(0, N)),  # x0 + nx runs past the slab
+            (-1, _wrapped(0, N)),
+            (0, np.arange(1, N + 1)),  # y index N is out of range
+            (0, np.arange(-1, N - 1)),
+            (0, _wrapped(0, N).astype(np.int32)),
+            (0, list(range(N))),
+        ],
+    )
+    def test_kernels_never_see_unvalidated_indices(self, mesh_kernels, x0, y_idx):
+        """Out-of-range or non-int64 indices are refused in Python; the
+        numpy path then decides (raising where numpy raises)."""
+        slab = np.zeros((3, N, N))
+        block = np.ones((2, N, N))
+        assert not meshops.block_add(slab, x0, y_idx, _wrapped(0, N), block)
+        assert meshops.block_take(slab, x0, 2, y_idx, _wrapped(0, N)) is None
+
+    def test_out_of_range_plane_still_raises(self, mesh_kernels):
+        slab = np.zeros((3, N, N))
+        idx = _wrapped(0, N)
+        with pytest.raises(IndexError):
+            convert._block_add(slab, 2, idx, idx, np.ones((2, N, N)))
+        with pytest.raises(IndexError):
+            convert._block_take(slab, 2, 2, idx, idx)
+
+
+def test_conversions_identical_under_opt_out(monkeypatch):
+    """local -> slab -> local over a region that wraps in every
+    dimension: same bits with the kernels on and off."""
+    rng = np.random.default_rng(11)
+    regions = [
+        LocalMeshRegion(n=N, lo=(-1, -1, -1), shape=(5, N + 3, N + 3), ghost=2),
+        LocalMeshRegion(n=N, lo=(3, 5, 6), shape=(6, 4, 4), ghost=3),
+    ]
+    locals_ = [rng.standard_normal(r.array_shape) for r in regions]
+    slabs = SlabDecomposition(N, 2)
+
+    def fn(comm):
+        reg = regions[comm.rank]
+        slab = local_to_slab(comm, locals_[comm.rank], reg, slabs)
+        return slab, slab_to_local(comm, slab, reg, slabs)
+
+    native = run_spmd(2, fn)
+    monkeypatch.setenv("REPRO_NO_NATIVE_MESH", "1")
+    numpy_ = run_spmd(2, fn)
+    for (slab_a, local_a), (slab_b, local_b) in zip(native, numpy_):
+        assert np.array_equal(slab_a, slab_b)
+        assert np.array_equal(local_a, local_b)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.forces.cutoff import S2ForceSplit
 from repro.mesh.poisson import PMSolver
+from repro.meshcomm.parallel_pencil_pm import ParallelPencilPM
 from repro.meshcomm.parallel_pm import ParallelPM
 from repro.mpi.runtime import MPIRuntime, run_spmd
 
@@ -206,3 +207,67 @@ class TestTimingAndTraffic:
         s2m = rt.traffic.phase("pm:slab_to_mesh")
         assert m2s.total_bytes > 0
         assert s2m.total_bytes > 0
+
+
+PM_ROWS = {
+    "PM/density assignment",
+    "PM/communication",
+    "PM/FFT",
+    "PM/acceleration on mesh",
+    "PM/force interpolation",
+}
+
+
+class TestCrossSolverParity:
+    """Slab solver, pencil solver and serial ``PMSolver`` on the same
+    particles: the two distributed solvers agree with the serial one to
+    rounding of the differently ordered FFTs (the tolerances of the
+    tests above), and neither moves by a single bit when the native
+    mesh kernels (assignment, slab conversion, gradient-gather) are
+    swapped for their numpy references.  ``(2, 2, 1)`` makes the y
+    extents of neighbouring potential blocks overlap and wrap."""
+
+    @staticmethod
+    def _solve(pos, mass, div, split):
+        from repro.utils.timer import TimingLedger
+
+        domains = _grid_domains(div)
+
+        def fn(comm):
+            lo, hi = domains[comm.rank]
+            sel = _owned(pos, lo, hi)
+            out = {"sel": sel}
+            for name, solver in (
+                ("slab", ParallelPM(comm, N_MESH, split=split)),
+                ("pencil", ParallelPencilPM(comm, N_MESH, split=split)),
+            ):
+                timing = TimingLedger()
+                out[name] = solver.forces(pos[sel], mass[sel], lo, hi, timing=timing)
+                out[name + "_rows"] = set(timing.as_dict())
+            return out
+
+        results = run_spmd(len(domains), fn)
+        acc = {}
+        for name in ("slab", "pencil"):
+            acc[name] = np.full_like(pos, np.nan)
+            for r in results:
+                acc[name][r["sel"]] = r[name]
+                assert PM_ROWS <= r[name + "_rows"]
+        return acc
+
+    @pytest.mark.parametrize("div", [(2, 1, 1), (2, 2, 1)])
+    def test_slab_pencil_serial_agree_native_and_numpy(
+        self, particles, serial_ref, div, monkeypatch
+    ):
+        pos, mass = particles
+        split = S2ForceSplit(3.0 / N_MESH)
+        native = self._solve(pos, mass, div, split)
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        numpy_ = self._solve(pos, mass, div, split)
+        serial_numpy = PMSolver(N_MESH, split=split).forces(pos, mass)
+
+        assert np.array_equal(serial_numpy, serial_ref)
+        for name, atol in (("slab", 1e-11), ("pencil", 1e-10)):
+            assert np.array_equal(native[name], numpy_[name]), name
+            np.testing.assert_allclose(native[name], serial_ref, atol=atol)
+        np.testing.assert_allclose(native["slab"], native["pencil"], atol=1e-10)
