@@ -4,11 +4,12 @@ The paper's kernel reaches 11.65 Gflops/core on a simple O(N^2)
 benchmark — 97% of its 12 Gflops theoretical limit (51 flops per
 interaction, 17 FMA + 17 non-FMA per SIMD pair).  This harness:
 
-* runs the same O(N^2) sweep through our numpy kernel and reports
-  throughput in interactions/s and paper-convention flops;
 * reproduces the 12 Gflops limit and the 75% ceiling from the machine
   model;
 * quantifies the fast-rsqrt path's accuracy (the 24-bit trade-off).
+
+Our own kernel's throughput is ``pp.interactions_per_s`` /
+``pp.frac_of_peak`` of ``python3 benchmarks/spine/run.py``.
 """
 
 from __future__ import annotations
@@ -16,65 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.constants import FLOPS_PER_INTERACTION
-from repro.forces.cutoff import S2ForceSplit
-from repro.perf.kcomputer import K_FULL, KComputerModel
-from repro.pp.kernel import InteractionCounter, pp_forces
+from repro.perf.kcomputer import KComputerModel
 from repro.pp.rsqrt import rsqrt_relative_error
-
-N = 2048
-
-
-@pytest.fixture(scope="module")
-def kernel_particles():
-    rng = np.random.default_rng(11)
-    pos = rng.random((N, 3))
-    mass = np.full(N, 1.0 / N)
-    return pos, mass
-
-
-class TestKernelThroughput:
-    def test_o_n2_sweep(self, benchmark, kernel_particles, save_result):
-        """The paper's kernel microbenchmark shape: all-pairs forces."""
-        pos, mass = kernel_particles
-        split = S2ForceSplit(0.6)  # most pairs inside the cutoff
-        counter = InteractionCounter()
-
-        def work():
-            counter.reset()
-            return pp_forces(
-                pos, mass, split=split, eps=1e-4, counter=counter, chunk=256
-            )
-
-        benchmark(work)
-        seconds = benchmark.stats["mean"]
-        inter_per_s = counter.interactions / seconds
-        flops = inter_per_s * FLOPS_PER_INTERACTION
-        model = K_FULL
-        lines = [
-            "PP kernel O(N^2) microbenchmark "
-            f"(N={N}, {counter.interactions:.3g} interactions/sweep)",
-            f"  numpy kernel:     {inter_per_s:.3e} interactions/s "
-            f"= {flops/1e9:.2f} paper-convention Gflops",
-            f"  K computer core:  limit {model.kernel_peak_per_core/1e9:.1f} "
-            f"Gflops (17 FMA + 17 non-FMA per 2 interactions)",
-            f"  K measured:       {model.kernel_sustained_per_core/1e9:.2f} "
-            f"Gflops at 97% of the limit (paper: 11.65)",
-            f"  kernel/LINPACK:   {100*model.kernel_max_efficiency:.0f}% ceiling "
-            "(paper: 75%)",
-        ]
-        save_result("pp_kernel", "\n".join(lines))
-        assert counter.interactions == N * N
-
-    def test_fast_rsqrt_same_speed_class(self, benchmark, kernel_particles):
-        """The emulated fast-rsqrt path must not be catastrophically
-        slower (it is the paper's *fast* path; in numpy both are
-        vectorized)."""
-        pos, mass = kernel_particles
-        benchmark(
-            lambda: pp_forces(pos, mass, eps=1e-4, use_fast_rsqrt=True, chunk=256)
-        )
-
 
 class TestKernelModel:
     def test_limit_derivation(self, benchmark, save_result):

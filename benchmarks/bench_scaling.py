@@ -1,216 +1,19 @@
 """Strong scaling: 1.53 Pflops at 24576 nodes -> 4.45 Pflops at 82944.
 
-Two layers:
-
-* **measured** — the full distributed step on 1/2/4/8 thread ranks;
-  the PP section must scale ~1/p while the FFT does not (the paper's
-  scaling signature);
-* **projected** — our per-interaction work projected through the K
-  computer model reproduces the paper's Pflops pair, and the total-time
-  model reproduces the 2.89x speedup at 3.375x nodes.
+**Projected**: our per-interaction work projected through the K
+computer model reproduces the paper's Pflops pair, and the total-time
+model reproduces the 2.89x speedup at 3.375x nodes.  Measured scaling
+of our own step is ``strong_scaling_eff`` of
+``python3 benchmarks/spine/run.py`` on the 2-rank workloads.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
-import numpy as np
 import pytest
 
-from repro.config import (
-    DomainConfig,
-    PMConfig,
-    SimulationConfig,
-    TreeConfig,
-    TreePMConfig,
-)
 from repro.perf.flops import efficiency, measured_performance
-from repro.perf.kcomputer import K_FULL, K_PARTIAL
+from repro.perf.kcomputer import K_FULL
 from repro.perf.model import PAPER_TOTALS, PAPER_TABLE1, TableOneModel
-from repro.sim.parallel import run_parallel_simulation
-from repro.utils.timer import TimingLedger
-
-DIVISIONS = {1: (1, 1, 1), 2: (2, 1, 1), 4: (2, 2, 1), 8: (2, 2, 2)}
-
-
-def _run(clustered_box, p):
-    pos, mass = clustered_box
-    cfg = SimulationConfig(
-        treepm=TreePMConfig(
-            tree=TreeConfig(opening_angle=0.5, group_size=64),
-            pm=PMConfig(mesh_size=16),
-            rcut_mesh_units=3.0,
-            softening=5e-3,
-        ),
-        domain=DomainConfig(divisions=DIVISIONS[p], sample_rate=0.1),
-        pp_subcycles=2,
-    )
-    _, _, _, sims, _ = run_parallel_simulation(
-        cfg, pos, np.zeros_like(pos), mass, 0.0, 0.004, n_steps=1
-    )
-    merged = TimingLedger()
-    for s in sims:
-        for k, v in s.table1_rows().items():
-            merged.add(k, v)
-    per_rank = merged.scaled(1.0 / len(sims))
-    return {
-        "PP": per_rank.total("PP"),
-        "PM": per_rank.total("PM"),
-        "FFT": per_rank.get("PM/FFT"),
-        "total": per_rank.total(),
-        # deterministic work metrics (immune to GIL time-sharing)
-        "interactions_per_rank": sum(s.stats.interactions for s in sims)
-        / len(sims),
-        "fft_work": 16**3 * np.log2(16**3),  # fixed mesh: constant
-    }
-
-
-class TestMeasuredScaling:
-    def test_strong_scaling_shape(self, benchmark, clustered_box, save_result):
-        results = {}
-        for p in (1, 2, 4):
-            results[p] = _run(clustered_box, p)
-
-        def work():
-            return _run(clustered_box, 8)
-
-        results[8] = benchmark.pedantic(work, rounds=1, iterations=1)
-
-        lines = [
-            "Measured strong scaling (thread runtime; wall clock is "
-            "GIL-time-shared on one CPU, work metrics are exact)",
-            f"{'ranks':>6} {'PP wall':>8} {'PM wall':>8} {'FFT':>8} "
-            f"{'PP interactions/rank':>21}",
-        ]
-        for p, r in results.items():
-            lines.append(
-                f"{p:>6} {r['PP']:>8.3f} {r['PM']:>8.3f} {r['FFT']:>8.3f} "
-                f"{r['interactions_per_rank']:>21.3g}"
-            )
-        work_speedup = (
-            results[1]["interactions_per_rank"]
-            / results[8]["interactions_per_rank"]
-        )
-        lines.append(
-            f"PP work-per-rank reduction 1 -> 8 ranks: {work_speedup:.2f}x "
-            "(ideal 8x; ghost-zone overlap costs the difference)"
-        )
-        save_result("scaling_measured", "\n".join(lines))
-
-        # the paper's signature: PP work scales down with ranks while
-        # the FFT work (fixed mesh, capped FFT processes) does not
-        assert (
-            results[8]["interactions_per_rank"]
-            < 0.35 * results[1]["interactions_per_rank"]
-        )
-        assert results[8]["fft_work"] == results[1]["fft_work"]
-
-
-class TestBackendScaling:
-    """Per-backend steps/sec: the thread backend time-shares one GIL,
-    so only the multiprocess backend can convert ranks into wall-clock
-    speedup — and only where the machine has the cores to run them."""
-
-    N_STEPS = 2
-    RANK_COUNTS = (1, 2, 4)
-
-    def _run_backend(self, clustered_box, backend, p):
-        pos, mass = clustered_box
-        cfg = SimulationConfig(
-            treepm=TreePMConfig(
-                tree=TreeConfig(opening_angle=0.5, group_size=64),
-                pm=PMConfig(mesh_size=16),
-                rcut_mesh_units=3.0,
-                softening=5e-3,
-            ),
-            domain=DomainConfig(divisions=DIVISIONS[p], sample_rate=0.1),
-            pp_subcycles=2,
-        )
-        t0 = time.perf_counter()
-        _, _, _, sims, _ = run_parallel_simulation(
-            cfg, pos, np.zeros_like(pos), mass, 0.0, 0.004,
-            n_steps=self.N_STEPS, backend=backend,
-        )
-        wall = time.perf_counter() - t0
-        merged = TimingLedger()
-        for s in sims:
-            for k, v in s.table1_rows().items():
-                merged.add(k, v)
-        per_rank = merged.scaled(1.0 / len(sims))
-        return {
-            "wall": wall,
-            "steps_per_sec": self.N_STEPS / wall,
-            "PP": per_rank.total("PP"),
-            "interactions_per_rank": sum(s.stats.interactions for s in sims)
-            / len(sims),
-        }
-
-    def test_backend_step_rates(self, benchmark, clustered_box, save_result):
-        cores = len(os.sched_getaffinity(0))
-        results = {}
-        for backend in ("thread", "multiprocess"):
-            for p in self.RANK_COUNTS:
-                results[backend, p] = self._run_backend(
-                    clustered_box, backend, p
-                )
-
-        def work():
-            return self._run_backend(clustered_box, "multiprocess", 4)
-
-        benchmark.pedantic(work, rounds=1, iterations=1)
-
-        lines = [
-            f"Per-backend scaling ({cores} core(s) available; "
-            f"{self.N_STEPS} steps, 8000 particles)",
-            f"{'backend':>12} {'ranks':>6} {'wall s':>8} {'steps/s':>8} "
-            f"{'PP wall/rank':>13}",
-        ]
-        for (backend, p), r in results.items():
-            lines.append(
-                f"{backend:>12} {p:>6} {r['wall']:>8.2f} "
-                f"{r['steps_per_sec']:>8.3f} {r['PP']:>13.3f}"
-            )
-        mp_curve = [results["multiprocess", p]["wall"] for p in self.RANK_COUNTS]
-        if cores >= 2:
-            verdict = (
-                "PASS: multiprocess wall clock decreases 1 -> 4 ranks"
-                if mp_curve == sorted(mp_curve, reverse=True)
-                else "shape only (noisy run)"
-            )
-        else:
-            verdict = (
-                "single-core host: speedup assertion skipped; process "
-                "ranks time-share the CPU like threads do"
-            )
-        lines.append(f"multiprocess PP wall 1/2/4 ranks: "
-                     f"{' '.join(f'{w:.2f}' for w in mp_curve)} ({verdict})")
-        save_result("scaling_backends", "\n".join(lines))
-
-        # the strict speedup claim only holds where parallel hardware
-        # exists; on a single core it is *expected* to fail, so gate it
-        if cores >= 2:
-            assert mp_curve[-1] < mp_curve[0], (
-                f"multiprocess backend showed no wall-clock speedup on "
-                f"{cores} cores: {mp_curve}"
-            )
-        # work metrics must scale regardless of the host: per-rank PP
-        # interaction count shrinks with rank count on every backend
-        # (wall clock only shrinks where real cores exist)
-        for backend in ("thread", "multiprocess"):
-            assert (
-                results[backend, 4]["interactions_per_rank"]
-                < 0.6 * results[backend, 1]["interactions_per_rank"]
-            ), f"{backend}: per-rank PP work did not shrink with ranks"
-        # both backends start from the same decomposition; timing-driven
-        # cost balancing lets boundaries drift slightly after step 1
-        for p in self.RANK_COUNTS:
-            assert results["thread", p]["interactions_per_rank"] == (
-                pytest.approx(
-                    results["multiprocess", p]["interactions_per_rank"],
-                    rel=0.02,
-                )
-            )
 
 
 class TestProjectedScaling:

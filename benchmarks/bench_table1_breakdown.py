@@ -1,69 +1,24 @@
 """Table I: per-step cost breakdown and the headline Pflops numbers.
 
-Three reproductions in one harness:
+Two reproductions in one harness:
 
 1. the analytic cross-validation — calibrate the per-row scaling model
    on the paper's 24576-node column and predict the 82944-node column;
 2. the aggregate metrics (1.53 / 4.45 Pflops, 48.7% / 42.0% efficiency)
-   recomputed from the paper's inputs through our machine model;
-3. a measured breakdown of our own distributed step on the thread
-   runtime, showing the same qualitative shape (PP force dominates,
-   FFT does not shrink with rank count).
+   recomputed from the paper's inputs through our machine model.
+
+The measured breakdown of our own step is the traced pass of
+``python3 benchmarks/spine/run.py`` (per-layer metrics, every workload).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.config import (
-    DomainConfig,
-    PMConfig,
-    SimulationConfig,
-    TreeConfig,
-    TreePMConfig,
-)
 from repro.perf.flops import efficiency, measured_performance
 from repro.perf.kcomputer import K_FULL, K_PARTIAL
 from repro.perf.model import PAPER_TABLE1, PAPER_TOTALS, TableOneModel
 from repro.perf.report import format_table1
-from repro.sim.parallel import run_parallel_simulation
-from repro.utils.timer import TimingLedger
-
-
-def _sim_config(divisions, mesh=16):
-    return SimulationConfig(
-        treepm=TreePMConfig(
-            tree=TreeConfig(opening_angle=0.5, group_size=64),
-            pm=PMConfig(mesh_size=mesh),
-            rcut_mesh_units=3.0,
-            softening=5e-3,
-        ),
-        domain=DomainConfig(divisions=divisions, sample_rate=0.1),
-        pp_subcycles=2,
-    )
-
-
-def _run_measured(clustered_box, divisions):
-    pos, mass = clustered_box
-    mom = np.zeros_like(pos)
-    cfg = _sim_config(divisions)
-    _, _, _, sims, _ = run_parallel_simulation(
-        cfg, pos, mom, mass, 0.0, 0.004, n_steps=1
-    )
-    merged = TimingLedger()
-    for s in sims:
-        for k, v in s.table1_rows().items():
-            merged.add(k, v)
-    per_step = {k: v / len(sims) for k, v in merged.as_dict().items()}
-    stats = {
-        "interactions": sum(s.stats.interactions for s in sims),
-        "interactions_per_rank": sum(s.stats.interactions for s in sims)
-        / len(sims),
-        "ni": float(np.mean([s.stats.mean_group_size for s in sims])),
-        "nj": float(np.mean([s.stats.mean_list_length for s in sims])),
-    }
-    return per_step, stats
 
 
 class TestTable1:
@@ -135,37 +90,3 @@ class TestTable1:
         assert out[82944][0] == pytest.approx(4.45, rel=0.03)
         assert out[24576][1] == pytest.approx(0.487, rel=0.03)
         assert out[82944][1] == pytest.approx(0.420, rel=0.03)
-
-    def test_measured_breakdown_shape(self, benchmark, clustered_box, save_result):
-        """Our own distributed step: the same structural facts as the
-        paper's table — PP dominates the step, and the PP section
-        shrinks when ranks double while FFT does not."""
-        per_step_2, stats2 = _run_measured(clustered_box, (2, 1, 1))
-
-        def work():
-            return _run_measured(clustered_box, (2, 2, 1))
-
-        per_step_4, stats4 = benchmark.pedantic(work, rounds=1, iterations=1)
-
-        model = TableOneModel
-        s2 = model.section_totals(per_step_2)
-        s4 = model.section_totals(per_step_4)
-        txt = format_table1(
-            {"measured p=2": per_step_2, "measured p=4": per_step_4},
-            footer={
-                "measured p=2": {"<Ni>": stats2["ni"], "<Nj>": stats2["nj"]},
-                "measured p=4": {"<Ni>": stats4["ni"], "<Nj>": stats4["nj"]},
-            },
-            title="Measured thread-runtime breakdown (seconds/step/rank)",
-        )
-        save_result("table1_measured", txt)
-
-        # structural assertions (the paper's shape).  Wall clock on the
-        # 1-CPU thread runtime is GIL-shared, so the rank-scaling check
-        # uses the exact work metric.
-        assert s2["PP"] > s2["PM"]  # PP dominates
-        assert (
-            stats4["interactions_per_rank"]
-            < 0.75 * stats2["interactions_per_rank"]
-        )  # PP work shrinks with ranks
-        assert stats4["nj"] > 0 and stats4["ni"] > 0

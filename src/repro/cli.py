@@ -33,7 +33,7 @@ Config schema (JSON object; every key optional unless noted):
   "energy_tol": 0.25,                 // relative energy-drift tolerance
   "energy_every": 0,                  // energy monitor interval (0 = off)
   "validate_dump_dir": null,          // where "dump" writes diagnostics
-  "backend": "serial",                // serial | thread | multiprocess | mpi4py
+  "backend": "serial",                // serial | thread | multiprocess
   "ranks": 1,                         // SPMD ranks (backend != serial)
   "sdc_policy": "off",                // off | warn | heal | abort
   "sdc_audit_every": 1,               // SDC audit interval (steps)
@@ -120,7 +120,7 @@ _DEFAULTS: Dict[str, Any] = {
     "straggler_patience": 3,
 }
 
-_BACKEND_CHOICES = ("serial", "thread", "multiprocess", "mpi4py")
+_BACKEND_CHOICES = ("serial", "thread", "multiprocess")
 
 
 def _divisions_for(n_ranks: int):
@@ -542,8 +542,8 @@ def main(argv=None) -> int:
     run_p.add_argument(
         "--backend", choices=_BACKEND_CHOICES, default=None,
         help="communicator backend: serial (default), thread (in-process "
-        "SPMD ranks), multiprocess (supervised OS processes), or mpi4py "
-        "(under mpiexec; needs mpi4py installed) — see docs/parallelism.md",
+        "SPMD ranks) or multiprocess (supervised OS processes) — see "
+        "docs/parallelism.md",
     )
     run_p.add_argument(
         "--ranks", type=int, default=None, metavar="N",

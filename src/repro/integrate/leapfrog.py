@@ -3,8 +3,9 @@
 :class:`TwoLevelKDK` implements the paper's step: the long-range (PM)
 force is applied in half-kicks bracketing the step, while the
 short-range (PP) force runs ``n_sub`` (= 2 in the paper) inner KDK
-cycles.  Forces are supplied by callables so both the serial TreePM
-solver and the distributed simulation driver can reuse the scheme:
+cycles.  Forces are supplied by callables (the serial driver passes
+``TreePMSolver.long_range`` / ``short_range`` bound to its masses and
+ledger):
 
     K_PM(H/2) [ K_PP(h/2) D(h) K_PP(h/2) ] x n_sub  K_PM(H/2)
 
@@ -120,10 +121,6 @@ class TwoLevelKDK:
         Coefficient provider (:mod:`repro.integrate.stepper`).
     n_sub:
         PP subcycles per PM step (2 in the paper).
-    on_substep:
-        Optional hook called before each PP force evaluation — the
-        simulation driver uses it for the domain-decomposition update
-        ("two cycles of the PP *and the domain decomposition*").
     ledger:
         Optional :class:`repro.utils.timer.TimingLedger` receiving the
         update arithmetic under the ``Update/kick-drift`` phase.
@@ -136,7 +133,6 @@ class TwoLevelKDK:
         stepper,
         n_sub: int = 2,
         box: float = 1.0,
-        on_substep: Optional[Callable[[], None]] = None,
         ledger=None,
     ) -> None:
         if n_sub < 1:
@@ -146,7 +142,6 @@ class TwoLevelKDK:
         self.stepper = stepper
         self.n_sub = int(n_sub)
         self.box = float(box)
-        self.on_substep = on_substep
         self.ledger = ledger
         self._pm_cache: Optional[np.ndarray] = None
         self._pp_cache: Optional[np.ndarray] = None
@@ -173,9 +168,6 @@ class TwoLevelKDK:
         for s in range(self.n_sub):
             s1, s2 = sub_edges[s], sub_edges[s + 1]
             sm = 0.5 * (s1 + s2)
-            if self.on_substep is not None:
-                self.on_substep()
-                self._pp_cache = None  # particle set may have changed
             g_pp = self._pp_cache if self._pp_cache is not None else self.pp_force(pos)
             with self._phase():
                 _kick_drift_wrap_inplace(

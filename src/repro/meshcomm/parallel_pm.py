@@ -35,6 +35,7 @@ from repro.meshcomm.convert import local_to_slab, slab_to_local
 from repro.meshcomm.parallel_fft import SlabFFT
 from repro.meshcomm.slab import LocalMeshRegion, SlabDecomposition
 from repro.utils.timer import TimingLedger
+from repro.validate.checks import check_finite, check_mesh_mass
 
 __all__ = ["ParallelPM", "mesh_accelerations"]
 
@@ -102,6 +103,9 @@ class ParallelPM:
         must contain at least ``n_fft`` ranks.
     """
 
+    #: FFT layout, as it appears in the ``pm:mesh_to_*`` traffic phases
+    layout = "slab"
+
     def __init__(
         self,
         comm,
@@ -115,15 +119,9 @@ class ParallelPM:
         deconvolve: Optional[int] = None,
         differencing: str = "four_point",
     ) -> None:
-        self.comm = comm
-        self.n = int(n)
-        self.box = float(box)
-        self.split = split
-        self.G = float(G)
-        self.assignment = assignment
-        self.differencing = differencing
-        if deconvolve is None:
-            deconvolve = 2 if split is not None else 1
+        self._configure(
+            comm, n, box, split, G, assignment, deconvolve, differencing
+        )
         if n_fft is None:
             n_fft = min(comm.size, self.n)
         if not 1 <= n_fft <= min(comm.size, self.n):
@@ -161,18 +159,37 @@ class ParallelPM:
 
         if self.is_fft_rank:
             self.fft = SlabFFT(self.comm_fft, self.n)
-            greens_full = build_greens_function(
-                self.n,
-                box=self.box,
-                split=split,
-                G=G,
-                assignment=assignment,
-                deconvolve=deconvolve,
-            )
-            self.greens_slab = self.fft.greens_slice(greens_full)
+            self.greens_slab = self.fft.greens_slice(self._greens_function())
         else:
             self.fft = None
             self.greens_slab = None
+
+    def _configure(
+        self, comm, n, box, split, G, assignment, deconvolve, differencing
+    ) -> None:
+        """The layout-independent half of construction."""
+        self.comm = comm
+        self.n = int(n)
+        self.box = float(box)
+        self.split = split
+        self.G = float(G)
+        self.assignment = assignment
+        self.differencing = differencing
+        if deconvolve is None:
+            deconvolve = 2 if split is not None else 1
+        self.deconvolve = deconvolve
+
+    def _greens_function(self, rfft: bool = True) -> np.ndarray:
+        """The full Green's function mesh the FFT ranks slice."""
+        return build_greens_function(
+            self.n,
+            box=self.box,
+            split=self.split,
+            G=self.G,
+            assignment=self.assignment,
+            deconvolve=self.deconvolve,
+            rfft=rfft,
+        )
 
     @property
     def split_comms(self) -> tuple:
@@ -195,6 +212,31 @@ class ParallelPM:
             self.n, dom_lo, dom_hi, self.box, POTENTIAL_GHOST
         )
 
+    # -- steps 2-4 in this layout (the pencil solver supplies its own) --------------
+
+    def density_to_fft_layout(
+        self, local_rho: Optional[np.ndarray], region: Optional[LocalMeshRegion]
+    ) -> Optional[np.ndarray]:
+        """Step 2: the complete density slab on the FFT ranks (relay:
+        all-to-all inside each group, then a reduction onto the root
+        group), ``None`` elsewhere."""
+        partial = local_to_slab(self.comm_small, local_rho, region, self.slabs)
+        if self.is_holder:
+            return self.comm_reduce.reduce(partial, op="sum", root=0)
+        return None
+
+    def convolve(self, rho_slab: np.ndarray) -> np.ndarray:
+        """Step 3, FFT ranks only: the potential slab."""
+        return self.fft.convolve(rho_slab, self.greens_slab)
+
+    def potential_to_local(
+        self, phi_slab: Optional[np.ndarray], region: LocalMeshRegion
+    ) -> np.ndarray:
+        """Step 4: this rank's ghosted potential mesh."""
+        if self.is_holder:
+            phi_slab = self.comm_reduce.bcast(phi_slab, root=0)
+        return slab_to_local(self.comm_small, phi_slab, region, self.slabs)
+
     # -- the PM cycle ---------------------------------------------------------------
 
     def solve_potential_slabs(
@@ -203,13 +245,8 @@ class ParallelPM:
         """Steps 2-3: density conversion + FFT; returns the potential
         slab on FFT ranks, ``None`` elsewhere.  No timing/backwards
         conversion — building block for tests and the relay benchmark."""
-        partial = local_to_slab(self.comm_small, local_rho, region, self.slabs)
-        complete = None
-        if self.is_holder:
-            complete = self.comm_reduce.reduce(partial, op="sum", root=0)
-        if self.is_fft_rank:
-            return self.fft.convolve(complete, self.greens_slab)
-        return None
+        complete = self.density_to_fft_layout(local_rho, region)
+        return self.convolve(complete) if self.is_fft_rank else None
 
     def forces(
         self,
@@ -220,7 +257,10 @@ class ParallelPM:
         timing: Optional[TimingLedger] = None,
         validator=None,
     ) -> np.ndarray:
-        """The full PM cycle for this rank's particles.
+        """The full PM cycle for this rank's particles, in either FFT
+        layout: steps 1 and 5 and all bookkeeping live here, steps 2-4
+        go through :meth:`density_to_fft_layout`, :meth:`convolve` and
+        :meth:`potential_to_local`.
 
         ``pos``/``mass`` are the particles owned by this rank, all
         inside ``[dom_lo, dom_hi)``.  Returns their long-range
@@ -255,62 +295,43 @@ class ParallelPM:
         check_mass = validator is not None and validator.check_enabled(
             "mass_conservation"
         )
-        if check_mass:
-            from repro.validate.checks import check_mesh_mass
 
+        def handle_mass(mesh_sum: float, stage: str) -> None:
+            # the allreduce shares the verdict so every rank agrees
             totals = self.comm.allreduce(
-                np.array([local_rho.sum() * cell_vol, mass.sum()]), op="sum"
+                np.array([mesh_sum * cell_vol, mass.sum()]), op="sum"
             )
             validator.handle(
                 check_mesh_mass(
                     float(totals[0]),
                     float(totals[1]),
-                    stage="mesh/assignment",
+                    stage=stage,
                     step=validator.step,
                     rank=self.comm.rank,
                 )
             )
 
-        self.comm.traffic_phase("pm:mesh_to_slab")
-        with timing.phase("PM/communication"):
-            partial = local_to_slab(self.comm_small, local_rho, rho_region, self.slabs)
-            complete = None
-            if self.is_holder:
-                complete = self.comm_reduce.reduce(partial, op="sum", root=0)
         if check_mass:
-            # the complete density slabs live on the FFT ranks only; the
-            # allreduce shares the verdict so every rank agrees
-            slab_sum = (
-                float(complete.sum()) * cell_vol if self.is_fft_rank else 0.0
-            )
-            totals = self.comm.allreduce(np.array([slab_sum]), op="sum")
-            validator.handle(
-                check_mesh_mass(
-                    float(totals[0]),
-                    float(self.comm.allreduce(mass.sum(), op="sum")),
-                    stage="meshcomm/convert",
-                    step=validator.step,
-                    rank=self.comm.rank,
-                )
+            handle_mass(local_rho.sum(), "mesh/assignment")
+
+        self.comm.traffic_phase(f"pm:mesh_to_{self.layout}")
+        with timing.phase("PM/communication"):
+            fft_rho = self.density_to_fft_layout(local_rho, rho_region)
+        if check_mass:
+            # the complete density lives on the FFT ranks only
+            handle_mass(
+                float(fft_rho.sum()) if self.is_fft_rank else 0.0,
+                "meshcomm/convert",
             )
 
         self.comm.traffic_phase("pm:fft")
         with timing.phase("PM/FFT"):
-            phi_slab = None
-            if self.is_fft_rank:
-                phi_slab = self.fft.convolve(complete, self.greens_slab)
+            fft_phi = self.convolve(fft_rho) if self.is_fft_rank else None
             self.comm.barrier()  # non-FFT processes "wait the end of FFT"
 
-        self.comm.traffic_phase("pm:slab_to_mesh")
+        self.comm.traffic_phase(f"pm:{self.layout}_to_mesh")
         with timing.phase("PM/communication"):
-            if self.is_holder:
-                phi_slab = self.comm_reduce.bcast(phi_slab, root=0)
-            local_phi = slab_to_local(
-                self.comm_small,
-                phi_slab if self.is_holder else None,
-                pot_region,
-                self.slabs,
-            )
+            local_phi = self.potential_to_local(fft_phi, pot_region)
         self.comm.traffic_phase("pm:done")
 
         acc = mesh_accelerations(
@@ -318,8 +339,6 @@ class ParallelPM:
             self.assignment, self.differencing, timing,
         )
         if validator is not None and validator.check_enabled("finite_fields"):
-            from repro.validate.checks import check_finite
-
             validator.handle_collective(
                 self.comm,
                 check_finite(

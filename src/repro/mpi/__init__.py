@@ -11,9 +11,7 @@ interchangeable backends behind one interface:
 * ``"multiprocess"`` (:class:`~repro.mpi.mp_backend.MultiprocessBackend`)
   runs one supervised OS process per rank: true parallelism,
   shared-memory transport for large arrays, heartbeat liveness
-  monitoring, and elastic recovery against *real* process deaths;
-* ``"mpi4py"`` (gated on import) adapts the same SPMD functions to a
-  real MPI under ``mpiexec``.
+  monitoring, and elastic recovery against *real* process deaths.
 
 Every backend hands ranks a communicator implementing the MPI call
 surface GreeM uses — Send/Recv, Sendrecv, Barrier, Bcast, Gather(v),

@@ -13,8 +13,9 @@ interface (chainermn's ``CommunicatorBase``-over-``mpi4py`` shape):
   parallelism, ``SharedMemory`` transport for large arrays, heartbeat
   liveness monitoring, and fault tolerance against *real* process
   deaths (SIGKILL included).
-* ``"mpi4py"`` — a thin adapter over ``mpi4py`` (gated on import) so
-  the same SPMD functions run under a real MPI on clusters.
+
+An adapter over a real MPI comes back through :func:`register_backend`,
+together with a CI job that executes it.
 
 Two layers live here:
 
@@ -117,8 +118,8 @@ class CommBackend(ABC):
     @classmethod
     def is_available(cls) -> bool:
         """Whether the backend can actually be instantiated here —
-        backends with optional dependencies (mpi4py) override this to
-        probe the import without raising."""
+        backends with optional dependencies override this to probe the
+        import without raising."""
         return True
 
     @abstractmethod
@@ -144,7 +145,7 @@ def register_backend(name: str, loader: Callable[[], type]) -> None:
     """Register a backend class under ``name``.
 
     ``loader`` is a zero-argument callable returning the class, so
-    backends with heavy or optional imports (mpi4py) stay lazy.
+    backends with heavy or optional imports stay lazy.
     """
     _REGISTRY[str(name)] = loader
 
@@ -210,14 +211,6 @@ def _ensure_builtins() -> None:
             return MultiprocessBackend
 
         register_backend("multiprocess", _mp)
-    if "mpi4py" not in _REGISTRY:
-
-        def _mpi4py() -> type:
-            from repro.mpi.mpi4py_backend import MPI4PyBackend
-
-            return MPI4PyBackend
-
-        register_backend("mpi4py", _mpi4py)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ function to be picklable):
   parent pid (orphan protection); the parent-side
   :class:`repro.mpi.supervisor.Supervisor` turns exit codes, missing
   heartbeats and announced deaths into the shared ``dead_flags`` array
-  that peers poll from every blocking receive.
+  that peers poll from every blocking receive, and frees the queue
+  write locks a killed worker died holding (:class:`_OwnedLock`).
 * **Fault injection** — the same :class:`repro.mpi.faults.FaultPlan`
   drives message drop/delay/corrupt and collective stalls (per-process
   event counters), and ``kill_rank`` kills *for real*: the victim
@@ -266,6 +267,37 @@ def free_blob(blob: bytes) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _OwnedLock:
+    """A queue's pipe write lock that knows which process holds it.
+
+    Every sender to a rank shares the write lock of that rank's inbound
+    ``multiprocessing.Queue``, and a worker SIGKILLed while its feeder
+    thread is inside ``send_bytes`` dies holding it: nothing would reach
+    that rank in any later epoch.  The supervisor calls
+    :meth:`release_if_held_by` for every process it finds gone.
+    """
+
+    def __init__(self, ctx) -> None:
+        self._lock = ctx.Lock()
+        self._owner = ctx.Value("i", 0, lock=False)
+
+    def acquire(self, block: bool = True, timeout: Optional[float] = None) -> bool:
+        got = self._lock.acquire(block, timeout)
+        if got:
+            self._owner.value = os.getpid()
+        return got
+
+    def release(self) -> None:
+        self._owner.value = 0
+        self._lock.release()
+
+    def release_if_held_by(self, pid: int) -> bool:
+        if self._owner.value != pid:
+            return False
+        self.release()
+        return True
+
+
 class _MPJob:
     """Everything the parent and all workers share for one job."""
 
@@ -281,6 +313,10 @@ class _MPJob:
         heartbeat_interval: float,
     ) -> None:
         self.n_ranks = n_ranks
+        #: the launcher's pid, taken before any worker exists: a worker
+        #: that sampled ``os.getppid()`` itself would record the reaper
+        #: when the launcher died first, and never notice it is orphaned
+        self.parent_pid = os.getpid()
         self.jobid = uuid.uuid4().hex[:8]
         self.shm_prefix = f"rpmp{self.jobid}"
         self.elastic = elastic
@@ -304,6 +340,16 @@ class _MPJob:
         self.hb_board = ctx.Array("d", n_ranks, lock=False)
         #: abort reason, written once by the supervisor
         self.reason_buf = ctx.Array("c", 1024, lock=False)
+        # the queues with more than one writing process; swapped in
+        # before the first put starts a feeder thread
+        for q in (*self.data_queues, self.ctrl_queue, self.result_queue):
+            q._wlock = _OwnedLock(ctx)
+
+    def release_write_locks(self, pid: int) -> int:
+        """Free every queue write lock the (dead) process ``pid`` still
+        holds; returns how many were stuck."""
+        queues = (*self.data_queues, self.ctrl_queue, self.result_queue)
+        return sum(q._wlock.release_if_held_by(pid) for q in queues)
 
     def abort_reason(self, fallback: str) -> str:
         raw = bytes(self.reason_buf[:])
@@ -945,13 +991,12 @@ def _worker_main(job: _MPJob, world_rank: int, fn, args, kwargs) -> None:
         pass
 
     job.hb_board[world_rank] = time.time()
-    parent_pid = os.getppid()
     stop_beat = threading.Event()
 
     def beat() -> None:
         while not stop_beat.wait(job.heartbeat_interval):
             job.hb_board[world_rank] = time.time()
-            if os.getppid() != parent_pid:
+            if os.getppid() != job.parent_pid:
                 # orphaned: the parent died without cleaning up
                 os._exit(3)
 
@@ -1110,6 +1155,10 @@ class MultiprocessBackend(CommBackend):
             or os.environ.get("REPRO_MP_START_METHOD")
             or "fork"
         )
+        if self.start_method not in ("fork", "spawn"):
+            # the workers' orphan watch needs the launcher as their
+            # direct parent, which a fork server is not
+            raise ValueError("start_method must be 'fork' or 'spawn'")
         #: parent-side traffic log (stays empty: workers log their own)
         self.traffic = TrafficLog()
         #: world ranks that died in the last elastic run (diagnostics)

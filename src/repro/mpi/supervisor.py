@@ -329,6 +329,10 @@ class Supervisor:
         now = time.time()
         for rank, proc in enumerate(self.processes):
             st = self.status[rank]
+            if proc.exitcode is not None and st.exitcode is None:
+                # first sight of the reaped process, however it went: a
+                # queue write lock it died holding would cut its peers off
+                self.job.release_write_locks(proc.pid)
             if st.done or st.dead:
                 # already classified; still record the exit code once
                 # the process is reaped (liveness-report completeness)

@@ -50,10 +50,9 @@ from repro.mpi.health import (
     StragglerEvicted,
 )
 from repro.mpi.recovery import BuddyStore, RecoveryError, RecoveryEvent, shrink_after_failure
-from repro.mpi.backend import create_backend
 from repro.sim import checkpoint as _ckpt
 from repro.sim.checkpoint import CheckpointError, CheckpointSpaceError
-from repro.sim.parallel import ParallelSimulation
+from repro.sim.parallel import ParallelSimulation, _launch_spmd
 from repro.validate import check_recovery_totals
 from repro.validate.sdc import SdcAuditor, SdcEvent, SdcViolation
 
@@ -151,6 +150,11 @@ class ElasticRunner:
         #: survivor; per-rank latencies differ)
         self.events: List[RecoveryEvent] = []
         self._recover_attempts = 0
+        #: ranks sealed dead by a recovery attempt that itself failed
+        #: before the state was rebuilt: a consensus round reports only
+        #: the deaths since the previous epoch, so the next attempt must
+        #: still restore these
+        self._unrestored: List[int] = []
         #: the SDC audit engine (detect -> attribute -> heal); cadence
         #: and policy come from ``config.sdc``
         self.sdc = SdcAuditor(config=config.sdc, world_rank=comm.world_rank)
@@ -395,9 +399,10 @@ class ElasticRunner:
                 f"attempt(s) ({len(self.events)} completed; last failure: "
                 f"{type(exc).__name__}: {exc})"
             )
-        new_comm, dead, epoch = shrink_after_failure(
+        new_comm, newly_dead, epoch = shrink_after_failure(
             self.comm, timeout=self.consensus_timeout
         )
+        dead = self._unrestored = sorted({*self._unrestored, *newly_dead})
         # a cooperative drain preceded this shrink: the straggler's exit
         # was planned, its block is current in the buddy store, and the
         # recovery is an eviction rather than a crash response
@@ -482,6 +487,7 @@ class ElasticRunner:
 
         self._arm_sdc()
         self._sweep(reference, boundary)
+        self._unrestored = []
         # re-arm replication on the new communicator at the restored
         # boundary, so a follow-up failure rolls back here, not further
         self.buddy = BuddyStore()
@@ -745,29 +751,14 @@ def run_elastic_simulation(
     """
     if recv_timeout is None or recv_timeout <= 0:
         raise ValueError("elastic runs need a finite recv_timeout")
-    n_ranks = config.domain.n_domains
-    runtime = create_backend(
-        backend,
-        n_ranks,
-        torus_shape=torus_shape,
-        fault_plan=fault_plan,
-        recv_timeout=recv_timeout,
-        watchdog_timeout=watchdog_timeout,
-        elastic=True,
-        retry_budget=retry_budget,
-    )
-    in_process = runtime.name == "thread"
 
-    def spmd(comm):
-        n = len(pos)
-        lo = n * comm.rank // comm.size
-        hi = n * (comm.rank + 1) // comm.size
+    def run_rank(comm, pos, mom, mass):
         runner = ElasticRunner(
             comm,
             config,
-            pos[lo:hi],
-            mom[lo:hi],
-            mass[lo:hi],
+            pos,
+            mom,
+            mass,
             stepper=stepper,
             buddy_every=buddy_every,
             checkpoint_dir=checkpoint_dir,
@@ -776,11 +767,14 @@ def run_elastic_simulation(
             max_recoveries=max_recoveries,
         )
         runner.run(t_start, t_end, n_steps)
-        return (runner if in_process else runner.report()), runner.gather_state()
+        return runner
 
-    results = runtime.run(spmd)
-    runners = [None if r is None else r[0] for r in results]
-    state = next(
-        r[1] for r in results if r is not None and r[1] is not None
+    return _launch_spmd(
+        config, backend, run_rank, arrays=(pos, mom, mass),
+        torus_shape=torus_shape,
+        fault_plan=fault_plan,
+        recv_timeout=recv_timeout,
+        watchdog_timeout=watchdog_timeout,
+        elastic=True,
+        retry_budget=retry_budget,
     )
-    return state[0], state[1], state[2], runners, runtime

@@ -740,6 +740,37 @@ class RankReport:
         )
 
 
+def _launch_spmd(config, backend, run_rank, arrays=None, **backend_options):
+    """The launch every public driver shares: create the backend for
+    ``config.domain.n_domains`` ranks, run ``run_rank(comm, *local)`` on
+    each (``local`` = this rank's contiguous slice of every array in
+    ``arrays``), and unpack.
+
+    ``run_rank`` returns the finished per-rank driver, which must offer
+    ``report()`` and ``gather_state()``.  Returns ``(pos, mom, mass,
+    drivers, runtime)``: the state gathered on the (surviving) root, and
+    per rank the live driver, its picklable report when the rank ran in
+    another process, or ``None`` when the rank died.
+    """
+    runtime = create_backend(backend, config.domain.n_domains, **backend_options)
+    in_process = runtime.name == "thread"
+
+    def spmd(comm):
+        local = ()
+        if arrays is not None:
+            n = len(arrays[0])
+            lo = n * comm.rank // comm.size
+            hi = n * (comm.rank + 1) // comm.size
+            local = tuple(a[lo:hi] for a in arrays)
+        driver = run_rank(comm, *local)
+        return (driver if in_process else driver.report()), driver.gather_state()
+
+    results = runtime.run(spmd)
+    drivers = [None if r is None else r[0] for r in results]
+    state = next(r[1] for r in results if r is not None and r[1] is not None)
+    return state[0], state[1], state[2], drivers, runtime
+
+
 def run_parallel_simulation(
     config: SimulationConfig,
     pos: np.ndarray,
@@ -767,39 +798,27 @@ def run_parallel_simulation(
     are forwarded to the backend.
 
     ``backend`` selects the communicator backend by registry name
-    (``"thread"``, ``"multiprocess"``, ``"mpi4py"``) or accepts a
-    pre-built :class:`repro.mpi.backend.CommBackend`.  Ranks that run
+    (``"thread"``, ``"multiprocess"``) or accepts a pre-built
+    :class:`repro.mpi.backend.CommBackend`.  Ranks that run
     in other processes return a picklable :class:`RankReport` in
     ``sims`` instead of the live simulation object.
     """
-    n_ranks = config.domain.n_domains
-    runtime = create_backend(
-        backend,
-        n_ranks,
+
+    def run_rank(comm, pos, mom, mass):
+        sim = ParallelSimulation(comm, config, pos, mom, mass, stepper=stepper)
+        sim.run(
+            t_start, t_end, n_steps,
+            checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
+        )
+        return sim
+
+    return _launch_spmd(
+        config, backend, run_rank, arrays=(pos, mom, mass),
         torus_shape=torus_shape,
         fault_plan=fault_plan,
         recv_timeout=recv_timeout,
         watchdog_timeout=watchdog_timeout,
     )
-    in_process = runtime.name == "thread"
-
-    def spmd(comm):
-        n = len(pos)
-        lo = n * comm.rank // comm.size
-        hi = n * (comm.rank + 1) // comm.size
-        sim = ParallelSimulation(
-            comm, config, pos[lo:hi], mom[lo:hi], mass[lo:hi], stepper=stepper
-        )
-        sim.run(
-            t_start, t_end, n_steps,
-            checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-        )
-        return (sim if in_process else sim.report()), sim.gather_state()
-
-    results = runtime.run(spmd)
-    sims = [r[0] for r in results]
-    state = results[0][1]
-    return state[0], state[1], state[2], sims, runtime
 
 
 def resume_parallel_simulation(
@@ -831,18 +850,8 @@ def resume_parallel_simulation(
                 f"checkpoint '{step_dir}' stores no resumable schedule "
                 f"(missing '{key}'); pass the schedule to ParallelSimulation.run"
             )
-    n_ranks = config.domain.n_domains
-    runtime = create_backend(
-        backend,
-        n_ranks,
-        torus_shape=torus_shape,
-        fault_plan=fault_plan,
-        recv_timeout=recv_timeout,
-        watchdog_timeout=watchdog_timeout,
-    )
-    in_process = runtime.name == "thread"
 
-    def spmd(comm):
+    def run_rank(comm):
         sim = ParallelSimulation.restore(comm, config, step_dir, stepper=stepper)
         sim.run(
             float(schedule["t_start"]),
@@ -852,9 +861,12 @@ def resume_parallel_simulation(
             checkpoint_dir=checkpoint_dir if checkpoint_every else None,
             first_step=int(schedule["next_step"]),
         )
-        return (sim if in_process else sim.report()), sim.gather_state()
+        return sim
 
-    results = runtime.run(spmd)
-    sims = [r[0] for r in results]
-    state = results[0][1]
-    return state[0], state[1], state[2], sims, runtime
+    return _launch_spmd(
+        config, backend, run_rank,
+        torus_shape=torus_shape,
+        fault_plan=fault_plan,
+        recv_timeout=recv_timeout,
+        watchdog_timeout=watchdog_timeout,
+    )

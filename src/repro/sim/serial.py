@@ -20,11 +20,8 @@ from repro.validate import (
     EnergyDriftMonitor,
     LayzerIrvineMonitor,
     MomentumDriftMonitor,
+    SdcAuditor,
     Validator,
-    check_finite,
-    check_mesh_mass,
-    check_octree,
-    first_violation,
 )
 
 __all__ = ["SerialSimulation"]
@@ -59,12 +56,17 @@ class SerialSimulation:
         if not (len(self.pos) == len(self.mom) == len(self.mass)):
             raise ValueError("pos/mom/mass length mismatch")
         self.stepper = stepper if stepper is not None else StaticStepper()
-        self.solver = TreePMSolver(config.treepm)
+        # ABFT spot-checks of the PP sweeps; events land in solver.sdc.events
+        sdc = SdcAuditor(config.sdc) if config.sdc.enabled else None
+        self.solver = TreePMSolver(config.treepm, sdc=sdc)
         self.timing = TimingLedger()
-        self.last_stats = None
         self._kdk = TwoLevelKDK(
-            pm_force=self._pm_force,
-            pp_force=self._pp_force,
+            pm_force=lambda pos: self.solver.long_range(
+                pos, self.mass, self.timing
+            ),
+            pp_force=lambda pos: self.solver.short_range(
+                pos, self.mass, self.timing
+            ),
             stepper=self.stepper,
             n_sub=config.pp_subcycles,
             ledger=self.timing,
@@ -103,48 +105,10 @@ class SerialSimulation:
         )
         return str(path)
 
-    def _pm_force(self, pos: np.ndarray) -> np.ndarray:
-        v = self.validator
-        rho = None
-        with self.timing.phase("PM/density assignment"):
-            rho = self.solver.pm.density_mesh(pos, self.mass)
-        if v.check_enabled("mass_conservation"):
-            cell_vol = (self.solver.box / self.solver.pm.n) ** 3
-            v.handle(
-                check_mesh_mass(
-                    float(rho.sum() * cell_vol),
-                    float(self.mass.sum()),
-                    stage="mesh/assignment",
-                    step=v.step,
-                )
-            )
-        with self.timing.phase("PM/FFT"):
-            phi = self.solver.pm.potential_mesh(rho)
-        with self.timing.phase("PM/acceleration on mesh"):
-            amesh = self.solver.pm.acceleration_mesh(phi)
-        with self.timing.phase("PM/force interpolation"):
-            acc = self.solver.pm.interpolate(amesh, pos)
-        if v.check_enabled("finite_fields"):
-            v.handle(
-                check_finite("pm_acc", acc, stage="treepm/pm", step=v.step)
-            )
-        return acc
-
-    def _pp_force(self, pos: np.ndarray) -> np.ndarray:
-        v = self.validator
-        with self.timing.phase("PP/tree construction"):
-            tree = self.solver.tree.build(pos, self.mass)
-        if v.check_enabled("octree_moments"):
-            v.handle(check_octree(tree, step=v.step))
-        acc, stats = self.solver.tree.forces(
-            pos, self.mass, tree=tree, ledger=self.timing
-        )
-        self.last_stats = stats
-        if v.check_enabled("finite_fields"):
-            v.handle(
-                check_finite("pp_acc", acc, stage="treepm/pp", step=v.step)
-            )
-        return acc
+    @property
+    def last_stats(self):
+        """Traversal statistics of the latest short-range evaluation."""
+        return self.solver.last_stats
 
     def step(self, t1: float, t2: float) -> None:
         """Advance one full PM step."""

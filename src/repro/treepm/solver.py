@@ -25,6 +25,7 @@ from repro.forces.cutoff import get_split
 from repro.mesh.poisson import PMSolver
 from repro.tree.traversal import TraversalStats, TreeSolver
 from repro.utils.timer import TimingLedger
+from repro.validate.checks import check_finite, check_mesh_mass, check_octree
 
 __all__ = ["TreePMSolver", "TreePMForces"]
 
@@ -57,7 +58,7 @@ class TreePMSolver:
         Use the emulated HPC-ACE fast-rsqrt PP path.
     sdc:
         Optional :class:`repro.validate.SdcAuditor`.  When enabled,
-        every ``audit_every``-th :meth:`forces` call re-sweeps a sampled
+        every ``audit_every``-th :meth:`short_range` call re-sweeps a sampled
         subset of the interaction plan through the reference pipeline
         and compares bitwise; under the ``heal`` policy a miscomputed
         sweep is redone in full through the reference path before the
@@ -76,11 +77,13 @@ class TreePMSolver:
         self.config = config if config is not None else TreePMConfig()
         self.box = float(box)
         self.G = float(G)
-        #: optional repro.validate.Validator consulted by :meth:`forces`
+        #: optional repro.validate.Validator consulted by both force halves
         self.validator = validator
         #: optional repro.validate.SdcAuditor running ABFT spot-checks
         self.sdc = sdc
         self._sdc_evals = 0
+        #: traversal statistics of the latest :meth:`short_range` call
+        self.last_stats: Optional[TraversalStats] = None
         cfg = self.config
         self.split = get_split(cfg.split, cfg.rcut * box)
         self.pm = PMSolver(
@@ -117,23 +120,15 @@ class TreePMSolver:
         """Short-range cutoff radius in length units of the box."""
         return self.config.rcut * self.box
 
-    def forces(self, pos: np.ndarray, mass: np.ndarray) -> TreePMForces:
-        """Evaluate total TreePM accelerations.
-
-        Returns a :class:`TreePMForces` carrying the two components,
-        traversal statistics (``<Ni>``, ``<Nj>``, interaction counts)
-        and a per-phase timing ledger using the paper's Table I names.
-        """
-        pos = np.asarray(pos, dtype=np.float64)
-        mass = np.asarray(mass, dtype=np.float64)
-        timing = TimingLedger()
+    def long_range(
+        self, pos: np.ndarray, mass: np.ndarray, timing: TimingLedger
+    ) -> np.ndarray:
+        """PM accelerations; the four mesh stages are charged to
+        ``timing`` under the paper's Table I row names."""
         v = self.validator
-
         with timing.phase("PM/density assignment"):
             rho = self.pm.density_mesh(pos, mass)
         if v is not None and v.check_enabled("mass_conservation"):
-            from repro.validate.checks import check_mesh_mass
-
             cell_vol = (self.box / self.pm.n) ** 3
             v.handle(
                 check_mesh_mass(
@@ -146,16 +141,25 @@ class TreePMSolver:
         with timing.phase("PM/acceleration on mesh"):
             amesh = self.pm.acceleration_mesh(phi)
         with timing.phase("PM/force interpolation"):
-            a_long = self.pm.interpolate(amesh, pos)
+            acc = self.pm.interpolate(amesh, pos)
+        if v is not None and v.check_enabled("finite_fields"):
+            v.handle(check_finite("pm_acc", acc, stage="treepm/pm", step=v.step))
+        return acc
 
+    def short_range(
+        self, pos: np.ndarray, mass: np.ndarray, timing: TimingLedger
+    ) -> np.ndarray:
+        """Tree (PP) accelerations; construction, traversal and the
+        sweep are charged to ``timing``, the traversal statistics are
+        left in :attr:`last_stats`."""
+        v = self.validator
         with timing.phase("PP/tree construction"):
             tree = self.tree.build(pos, mass)
         if v is not None and v.check_enabled("octree_moments"):
-            from repro.validate.checks import check_octree
-
             v.handle(check_octree(tree, step=v.step))
-        with timing.phase("PP/force calculation"):
-            a_short, stats = self.tree.forces(pos, mass, tree=tree)
+        acc, self.last_stats = self.tree.forces(
+            pos, mass, tree=tree, ledger=timing
+        )
         sdc = self.sdc
         if sdc is not None and sdc.enabled:
             self._sdc_evals += 1
@@ -165,28 +169,33 @@ class TreePMSolver:
                     # spot_check already stopped trusting the native
                     # path; redo the whole sweep through the reference
                     # pipeline so the returned forces are clean
-                    with timing.phase("PP/force calculation"):
-                        a_short, stats = self.tree.forces(
-                            pos, mass, tree=tree
-                        )
+                    acc, self.last_stats = self.tree.forces(
+                        pos, mass, tree=tree, ledger=timing
+                    )
                     ev.healed = True
                     ev.detail += "; healed by reference re-sweep"
                 sdc.apply_policy(None, [ev] if ev is not None else [])
         if v is not None and v.check_enabled("finite_fields"):
-            from repro.validate.checks import check_finite, first_violation
+            v.handle(check_finite("pp_acc", acc, stage="treepm/pp", step=v.step))
+        return acc
 
-            v.handle(
-                first_violation(
-                    check_finite("pm_acc", a_long, stage="treepm/pm", step=v.step),
-                    check_finite("pp_acc", a_short, stage="treepm/pp", step=v.step),
-                )
-            )
+    def forces(self, pos: np.ndarray, mass: np.ndarray) -> TreePMForces:
+        """Evaluate total TreePM accelerations.
 
+        Returns a :class:`TreePMForces` carrying the two components,
+        traversal statistics (``<Ni>``, ``<Nj>``, interaction counts)
+        and a per-phase timing ledger using the paper's Table I names.
+        """
+        pos = np.asarray(pos, dtype=np.float64)
+        mass = np.asarray(mass, dtype=np.float64)
+        timing = TimingLedger()
+        a_long = self.long_range(pos, mass, timing)
+        a_short = self.short_range(pos, mass, timing)
         return TreePMForces(
             total=a_short + a_long,
             short_range=a_short,
             long_range=a_long,
-            stats=stats,
+            stats=self.last_stats,
             timing=timing,
         )
 

@@ -11,11 +11,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import ValidationConfig
 from repro.forces.cutoff import S2ForceSplit
 from repro.mesh.poisson import PMSolver
+from repro.meshcomm import parallel_pm
 from repro.meshcomm.parallel_pencil_pm import ParallelPencilPM
 from repro.meshcomm.parallel_pm import ParallelPM
 from repro.mpi.runtime import MPIRuntime, run_spmd
+from repro.validate import Validator
+from repro.validate.checks import check_mesh_mass
 
 N_MESH = 16
 
@@ -271,3 +275,47 @@ class TestCrossSolverParity:
             assert np.array_equal(native[name], numpy_[name]), name
             np.testing.assert_allclose(native[name], serial_ref, atol=atol)
         np.testing.assert_allclose(native["slab"], native["pencil"], atol=1e-10)
+
+    @pytest.mark.parametrize("div", [(2, 1, 1), (2, 2, 1)])
+    def test_one_cycle_two_layouts_same_mass_checks(
+        self, particles, div, monkeypatch
+    ):
+        """The pencil solver has no cycle of its own, so with validation
+        on both layouts run the same two collective mass checks, after
+        the assignment and after the conversion, with the same verdicts."""
+        assert ParallelPencilPM.forces is ParallelPM.forces
+        assert "forces" not in vars(ParallelPencilPM)
+        pos, mass = particles
+        domains = _grid_domains(div)
+        seen = []
+
+        def recording(mesh_mass, total_mass, **kw):
+            verdict = check_mesh_mass(mesh_mass, total_mass, **kw)
+            seen.append((kw["rank"], kw["stage"], mesh_mass, total_mass, verdict))
+            return verdict
+
+        monkeypatch.setattr(parallel_pm, "check_mesh_mass", recording)
+
+        def fn(comm):
+            lo, hi = domains[comm.rank]
+            sel = _owned(pos, lo, hi)
+            v = Validator(ValidationConfig(policy="abort"), rank=comm.rank)
+            for solver in (
+                ParallelPM(comm, N_MESH),
+                ParallelPencilPM(comm, N_MESH),
+            ):
+                solver.forces(pos[sel], mass[sel], lo, hi, validator=v)
+
+        run_spmd(len(domains), fn)
+        for rank in range(len(domains)):
+            mine = [row[1:] for row in seen if row[0] == rank]
+            slab, pencil = mine[:2], mine[2:]
+            assert [row[0] for row in slab] == ["mesh/assignment", "meshcomm/convert"]
+            assert [row[0] for row in pencil] == [row[0] for row in slab]
+            for (_, mesh_s, total_s, verdict_s), (_, mesh_p, total_p, verdict_p) in zip(
+                slab, pencil
+            ):
+                assert verdict_s is None and verdict_p is None
+                assert total_s == total_p
+                assert mesh_s == pytest.approx(total_s, rel=1e-12)
+                assert mesh_p == pytest.approx(total_p, rel=1e-12)

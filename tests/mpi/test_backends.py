@@ -43,7 +43,6 @@ class TestRegistry:
         avail = available_backends()
         assert avail["thread"] is True
         assert avail["multiprocess"] is True
-        assert "mpi4py" in avail  # importable only where mpi4py exists
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown communicator backend"):
@@ -71,20 +70,6 @@ class TestRegistry:
         runtime = create_backend("fake-test-backend", 3)
         assert runtime.run(None) == ["ran", "ran", "ran"]
 
-    def test_mpi4py_gated_on_import(self):
-        pytest.importorskip("mpi4py", reason="mpi4py installed: gate inert")
-        # unreachable unless mpi4py is present
-
-    def test_mpi4py_missing_raises_actionable_error(self):
-        try:
-            import mpi4py  # noqa: F401
-        except ImportError:
-            with pytest.raises(ImportError, match="pip install mpi4py"):
-                create_backend("mpi4py", 2)
-            assert available_backends()["mpi4py"] is False
-        else:
-            pytest.skip("mpi4py installed")
-
 
 class TestCapabilities:
     def test_thread_capabilities(self):
@@ -97,11 +82,6 @@ class TestCapabilities:
         assert caps.true_parallelism and caps.real_process_kill
         assert caps.heartbeat_liveness and caps.elastic
         assert not caps.network_model
-
-    def test_mpi4py_capabilities(self):
-        caps = backend_capabilities("mpi4py")  # class-level: no import needed
-        assert caps.true_parallelism
-        assert not (caps.simulated_kill or caps.elastic or caps.message_faults)
 
 
 def _collective_program(comm):

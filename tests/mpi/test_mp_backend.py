@@ -12,6 +12,7 @@ outlive the job, no matter which side dies first.
 from __future__ import annotations
 
 import glob
+import multiprocessing as mp
 import os
 import signal
 import subprocess
@@ -25,7 +26,7 @@ import pytest
 
 from repro.config import DomainConfig, PMConfig, SimulationConfig, TreePMConfig
 from repro.mpi.faults import FaultPlan, PeerFailure
-from repro.mpi.mp_backend import MultiprocessBackend
+from repro.mpi.mp_backend import MultiprocessBackend, _MPJob, _worker_main
 from repro.sim.elastic import run_elastic_simulation
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(300)]
@@ -145,8 +146,14 @@ class TestRealKillElasticMatrix:
 
     def test_sigkill_owner_and_buddy_disk_fallback(self, tmp_path):
         pos, mom, mass = _system()
-        # rank 2 holds rank 1's buddy copy (ring successor); killing
-        # both at the same step forces the disk-checkpoint fallback
+        # rank 2 holds rank 1's buddy copy (ring successor).  Two real
+        # SIGKILLs at the same step are sealed either in one consensus
+        # round (the copy died with its holder: disk fallback) or in two
+        # (each victim's buddy is still alive at its own round: two buddy
+        # recoveries).  Both are correct; which one happens is timing the
+        # protocol does not promise.  The forced same-round case is pinned
+        # on the thread backend, where deaths are announced in lock-step
+        # (tests/sim/test_elastic_recovery.py).
         plan = FaultPlan().kill_rank(1, 2).kill_rank(2, 2)
         p, m, w, runners, runtime = run_elastic_simulation(
             _cfg(4), pos, mom, mass, 0.0, T_END, N_STEPS,
@@ -158,7 +165,12 @@ class TestRealKillElasticMatrix:
         live = [r for r in runners if r is not None]
         assert len(live) == 2
         assert all(r.steps_taken == N_STEPS for r in live)
-        assert any(e.mode == "disk" for e in live[0].events)
+        events = [e for r in live for e in r.events]
+        assert events
+        assert all(e.mode in ("buddy", "disk") for e in events)
+        assert all(
+            e.mode == "disk" for e in events if {1, 2} <= set(e.dead_ranks)
+        )
         _assert_conserved(pos, mom, mass, p, m, w)
 
     def test_announced_death_when_real_false(self):
@@ -208,6 +220,52 @@ class TestNonElasticFailures:
         errors = exc_info.value.rank_errors
         assert 1 in errors
         assert "boom on rank 1" in str(errors[1])
+
+
+class TestDeathHoldingAQueueLock:
+    """Every sender to a rank shares the pipe write lock of that rank's
+    inbound queue; a worker SIGKILLed inside ``send_bytes`` dies holding
+    it.  The supervisor must free it, or the rank is unreachable in
+    every later epoch and each recovery attempt times out."""
+
+    def test_survivors_still_reach_each_other(self):
+        def spmd(comm):
+            if comm.rank == 1:
+                comm._job.data_queues[0]._wlock.acquire()
+                os.kill(os.getpid(), signal.SIGKILL)
+            try:
+                comm.barrier()
+            except PeerFailure:
+                pass
+            new_comm, dead, _ = comm.shrink(timeout=20.0)
+            return dead, new_comm.allreduce(new_comm.rank + 1, op="sum")
+
+        runtime = MultiprocessBackend(3, recv_timeout=3.0, elastic=True)
+        results = runtime.run(spmd)
+        assert results == [([1], 3), None, ([1], 3)]
+
+    def test_only_the_dead_holder_is_released(self):
+        ctx = mp.get_context("fork")
+        job = _MPJob(
+            ctx, 2, elastic=False, fault_plan=None, recv_timeout=None,
+            retry_budget=0, shm_threshold=1 << 16, heartbeat_interval=0.05,
+        )
+        lock = job.data_queues[0]._wlock
+
+        def die_holding():
+            lock.acquire()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        victim = ctx.Process(target=die_holding)
+        victim.start()
+        victim.join(timeout=10.0)
+        assert victim.exitcode == -signal.SIGKILL
+        assert not lock.acquire(timeout=0.2)  # as every later sender would find it
+        assert job.release_write_locks(os.getpid()) == 0
+        assert job.release_write_locks(victim.pid) == 1
+        job.data_queues[0].put("delivered")
+        assert job.data_queues[0].get(timeout=5.0) == "delivered"
+        assert job.release_write_locks(victim.pid) == 0
 
 
 class TestHeartbeatLiveness:
@@ -260,7 +318,7 @@ _ORPHAN_DRIVER = textwrap.dedent(
     """
     import os, sys, threading, time
     sys.path.insert(0, {src!r})
-    from repro.mpi.mp_backend import MultiprocessBackend
+    from repro.mpi.mp_backend import MultiprocessBackend, _MPJob, _worker_main
 
     def spmd(comm):
         time.sleep(60.0)
@@ -339,6 +397,34 @@ class TestNoOrphans:
             for p in pids:
                 if _pid_alive(p):
                     os.kill(p, signal.SIGKILL)
+
+    def test_worker_orphaned_before_first_heartbeat_exits(self):
+        """A launcher that dies between ``Process.start()`` and the
+        worker's first line leaves a worker whose ``os.getppid()`` is
+        already the reaper; the watch must compare against the pid the
+        launcher recorded in the job, not one the worker samples."""
+        ctx = mp.get_context("fork")
+        job = _MPJob(
+            ctx, 1, elastic=False, fault_plan=None, recv_timeout=None,
+            retry_budget=0, shm_threshold=1 << 16, heartbeat_interval=0.05,
+        )
+        gone = ctx.Process(target=os._exit, args=(0,))
+        gone.start()
+        gone.join(timeout=10.0)
+        job.parent_pid = gone.pid  # the launcher, dead and reaped
+        worker = ctx.Process(
+            target=_worker_main,
+            args=(job, 0, lambda comm: time.sleep(60.0), (), {}),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            worker.join(timeout=10.0)
+            assert worker.exitcode == 3, "worker slept out its job"
+        finally:
+            if worker.is_alive():
+                worker.kill()
+                worker.join(timeout=10.0)
 
     def test_normal_exit_leaves_nothing(self):
         runtime = MultiprocessBackend(2, recv_timeout=30.0)

@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import DomainConfig, PMConfig, SimulationConfig, TreePMConfig
-from repro.mpi.faults import FaultPlan
-from repro.mpi.recovery import RecoveryError
+from repro.mpi.faults import CommTimeout, FaultPlan
+from repro.mpi.recovery import BuddyStore, RecoveryError
 from repro.sim import checkpoint as _ckpt
 from repro.sim.elastic import config_for_ranks, run_elastic_simulation
 from repro.sim.io import atomic_write
@@ -124,6 +124,38 @@ class TestElasticRecovery:
         (event,) = live[0].events
         assert event.mode == "disk"
         assert all(r.sim.steps_taken == N_STEPS for r in live)
+        _assert_conserved(pos, mom, mass, p, m, w)
+
+    def test_failed_recovery_attempt_keeps_its_dead_ranks(self, monkeypatch):
+        """A recovery attempt that fails after the shrink (here a
+        timeout in its first collective; on real processes also a second
+        SIGKILL landing mid-recovery) is retried in a new consensus
+        round, which reports no *new* deaths.  The retry must still
+        restore the rank the failed attempt had sealed, on the shrunk
+        decomposition."""
+        original = BuddyStore.plan_recovery
+        failed_once = set()
+
+        def flaky(store, new_comm, dead):
+            if id(store) not in failed_once:
+                failed_once.add(id(store))
+                raise CommTimeout("injected: the first attempt times out")
+            return original(store, new_comm, dead)
+
+        monkeypatch.setattr(BuddyStore, "plan_recovery", flaky)
+        pos, mom, mass = _system()
+        p, m, w, runners, runtime = run_elastic_simulation(
+            _cfg(), pos, mom, mass, 0.0, T_END, N_STEPS,
+            fault_plan=FaultPlan().kill_rank(1, 2),
+            recv_timeout=3.0, buddy_every=1,
+        )
+        assert runtime.dead_ranks == [1]
+        live = [r for r in runners if r is not None]
+        assert [r.comm.size for r in live] == [2, 2]
+        for r in live:
+            (event,) = r.events
+            assert event.mode == "buddy" and event.dead_ranks == (1,)
+            assert r.sim.steps_taken == N_STEPS
         _assert_conserved(pos, mom, mass, p, m, w)
 
     def test_no_checkpoint_and_no_buddy_fails_cleanly(self):

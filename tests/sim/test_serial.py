@@ -3,14 +3,26 @@
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.config import PMConfig, SimulationConfig, TreeConfig, TreePMConfig
+from repro.config import (
+    PMConfig,
+    SimulationConfig,
+    TreeConfig,
+    TreePMConfig,
+    ValidationConfig,
+)
 from repro.cosmology.params import EINSTEIN_DE_SITTER
 from repro.integrate.stepper import CosmoStepper, StaticStepper
 from repro.ic.zeldovich import particle_mass
+from repro.integrate.leapfrog import TwoLevelKDK
 from repro.sim.serial import SerialSimulation
+from repro.treepm.solver import TreePMSolver
+from repro.utils.timer import TimingLedger
 
 
 def _config(mesh=16, softening=2e-3, theta=0.4):
@@ -62,6 +74,44 @@ class TestSerialBasics:
         assert t["PM/FFT"] > 0
         assert t["PP/force calculation"] > 0
         assert t["PP/tree construction"] > 0
+
+    @pytest.mark.parametrize("policy", ["off", "warn"])
+    def test_step_is_the_integrator_over_the_solver_halves(
+        self, clustered_particles, policy
+    ):
+        """The driver owns no force code: two steps equal a hand-driven
+        ``TwoLevelKDK`` over ``solver.long_range``/``short_range``."""
+        pos, mass = clustered_particles
+        mom = 0.05 * np.random.default_rng(3).standard_normal(pos.shape)
+        cfg = replace(_config(), validation=ValidationConfig(policy=policy))
+        edges = [(0.0, 0.01), (0.01, 0.02)]
+
+        sim = SerialSimulation(cfg, pos, mom, mass)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the guardrails stay silent
+            for t1, t2 in edges:
+                sim.step(t1, t2)
+        assert (sim.solver.validator is sim.validator) == (policy == "warn")
+
+        solver = TreePMSolver(cfg.treepm)
+        ledger = TimingLedger()
+        kdk = TwoLevelKDK(
+            lambda p: solver.long_range(p, mass, ledger),
+            lambda p: solver.short_range(p, mass, ledger),
+            StaticStepper(),
+            n_sub=cfg.pp_subcycles,
+            ledger=ledger,
+        )
+        p, m = pos, mom
+        for t1, t2 in edges:
+            p, m = kdk.step(p, m, t1, t2)
+        np.testing.assert_array_equal(sim.pos, p)
+        np.testing.assert_array_equal(sim.mom, m)
+        rows = set(sim.timing.as_dict())
+        assert set(ledger.as_dict()) == rows - {
+            "Domain Decomposition/position update"
+        }
+        assert sim.last_stats.interactions == solver.last_stats.interactions
 
     def test_energy_roughly_conserved_static(self, rng):
         """Static Newtonian run from cold uniform initial conditions:

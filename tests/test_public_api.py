@@ -75,3 +75,25 @@ def test_readme_quickstart_runs():
     )
     sim.run(0.0, 0.02, n_steps=1)
     assert sim.steps_taken == 1
+
+
+def test_traced_names_live_where_the_benchmark_replaces_them():
+    """``benchmarks/spine/trace.py`` swaps callables through
+    ``vars(owner)[attr]``: a method that moves to a base class, or a
+    function no longer imported by name into the calling module, is a
+    ``KeyError`` in the traced benchmark pass.  Fail here instead."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spine" / "trace.py"
+    spec = importlib.util.spec_from_file_location("_spine_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+
+    table = trace.SERIAL_SPANS + trace.TREE_SPANS + trace.PARALLEL_SPANS
+    assert table
+    for module, cls, attr, *_ in table:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert callable(vars(owner).get(attr)), f"{module}:{cls}.{attr} moved"

@@ -8,6 +8,7 @@ import pytest
 from repro.config import PMConfig, TreeConfig, TreePMConfig
 from repro.forces.ewald import EwaldSummation
 from repro.treepm.solver import TreePMSolver
+from repro.utils.timer import TimingLedger
 
 
 def _config(mesh=16, rcut_cells=4.0, theta=0.3, eps=1e-4, split="s2"):
@@ -78,6 +79,21 @@ class TestTreePMStructure:
             result.total, result.short_range + result.long_range, atol=0
         )
 
+    def test_forces_is_its_two_halves(self, uniform_particles):
+        """``forces`` is ``long_range`` + ``short_range`` on one ledger —
+        the same two methods the serial driver hands its integrator."""
+        pos, mass = uniform_particles
+        solver = TreePMSolver(_config())
+        result = solver.forces(pos, mass)
+        ledger = TimingLedger()
+        a_long = solver.long_range(pos, mass, ledger)
+        a_short = solver.short_range(pos, mass, ledger)
+        np.testing.assert_array_equal(result.long_range, a_long)
+        np.testing.assert_array_equal(result.short_range, a_short)
+        np.testing.assert_array_equal(result.total, a_short + a_long)
+        assert set(ledger.as_dict()) == set(result.timing.as_dict())
+        assert solver.last_stats.interactions == result.stats.interactions
+
     def test_timing_ledger_has_paper_phases(self, uniform_particles):
         pos, mass = uniform_particles
         result = TreePMSolver(_config()).forces(pos, mass)
@@ -88,6 +104,7 @@ class TestTreePMStructure:
             "PM/acceleration on mesh",
             "PM/force interpolation",
             "PP/tree construction",
+            "PP/tree traversal",
             "PP/force calculation",
         ):
             assert phase in t

@@ -7,8 +7,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import PMConfig, SdcConfig, TreeConfig, TreePMConfig
+from repro.config import (
+    PMConfig,
+    SdcConfig,
+    SimulationConfig,
+    TreeConfig,
+    TreePMConfig,
+)
 from repro.mpi.faults import flip_array_bits
+from repro.sim.serial import SerialSimulation
 from repro.treepm.solver import TreePMSolver
 from repro.validate.sdc import (
     SdcAuditor,
@@ -157,22 +164,24 @@ class TestSpotCheck:
         assert aud.events == []
 
 
+def _sabotage_once(solver):
+    """Corrupt the retained copy of the solver's next sweep."""
+    orig = solver.tree.forces
+    fired = []
+
+    def wrapped(pos, mass, **kw):
+        acc, stats = orig(pos, mass, **kw)
+        if not fired:
+            fired.append(True)
+            solver.tree.last_sweep["acc_sorted"][0, 0] *= -1.0
+        return acc, stats
+
+    solver.tree.forces = wrapped
+
+
 class TestSerialSolverIntegration:
     """The TreePMSolver runs the spot-check inline and, under ``heal``,
     returns forces recomputed through the reference pipeline."""
-
-    def _sabotage_once(self, solver):
-        orig = solver.tree.forces
-        fired = []
-
-        def wrapped(pos, mass, **kw):
-            acc, stats = orig(pos, mass, **kw)
-            if not fired:
-                fired.append(True)
-                solver.tree.last_sweep["acc_sorted"][0, 0] *= -1.0
-            return acc, stats
-
-        solver.tree.forces = wrapped
 
     def test_heal_resweeps_through_reference(self):
         pos, mass, _ = _system()
@@ -181,7 +190,7 @@ class TestSerialSolverIntegration:
             config=SdcConfig(policy="heal", spot_check_groups=999)
         )
         solver = _solver(sdc=aud)
-        self._sabotage_once(solver)
+        _sabotage_once(solver)
         healed = solver.forces(pos, mass)
         (ev,) = aud.events
         assert ev.kind == "spot_check" and ev.healed
@@ -194,7 +203,7 @@ class TestSerialSolverIntegration:
             config=SdcConfig(policy="abort", spot_check_groups=999)
         )
         solver = _solver(sdc=aud)
-        self._sabotage_once(solver)
+        _sabotage_once(solver)
         with pytest.raises(SdcViolation):
             solver.forces(pos, mass)
 
@@ -204,7 +213,7 @@ class TestSerialSolverIntegration:
             config=SdcConfig(policy="warn", spot_check_groups=999)
         )
         solver = _solver(sdc=aud)
-        self._sabotage_once(solver)
+        _sabotage_once(solver)
         with pytest.warns(SdcWarning):
             solver.forces(pos, mass)
         (ev,) = aud.events
@@ -224,6 +233,47 @@ class TestSerialSolverIntegration:
         assert aud.audits_run == 0  # first call: 1 % 2 != 0
         solver.forces(pos, mass)
         assert aud.audits_run == 1
+
+
+class TestSerialSimulationIntegration:
+    """``SerialSimulation`` hands ``config.sdc`` to its solver, so the
+    sweeps of a serial *step* are audited, not only bare ``forces``."""
+
+    @staticmethod
+    def _sim(**sdc):
+        pos, mass, _ = _system()
+        config = SimulationConfig(
+            treepm=TreePMConfig(
+                tree=TreeConfig(group_size=8), pm=PMConfig(mesh_size=8)
+            ),
+            sdc=SdcConfig(**sdc),
+        )
+        return SerialSimulation(config, pos, np.zeros_like(pos), mass)
+
+    def test_step_audits_under_warn_and_heals_under_heal(self):
+        off = self._sim()  # default policy
+        off.step(0.0, 0.01)
+        assert off.solver.sdc is None
+        assert off.solver.tree.retain_last_sweep is False
+        assert off.solver.tree.last_sweep is None
+
+        warn = self._sim(policy="warn", spot_check_groups=999)
+        _sabotage_once(warn.solver)
+        with pytest.warns(SdcWarning):
+            warn.step(0.0, 0.01)
+        (ev,) = warn.solver.sdc.events
+        assert ev.kind == "spot_check" and not ev.healed
+
+        heal = self._sim(policy="heal", spot_check_groups=999)
+        _sabotage_once(heal.solver)
+        heal.step(0.0, 0.01)
+        (ev,) = heal.solver.sdc.events
+        assert ev.healed
+        assert heal.solver.sdc.audits_run == 3  # a first step's PP sweeps
+
+        for sim in (warn, heal):  # auditing never moves a bit
+            np.testing.assert_array_equal(sim.pos, off.pos)
+            np.testing.assert_array_equal(sim.mom, off.mom)
 
 
 class TestPolicyEngine:
