@@ -44,6 +44,12 @@ from repro.sim.elastic import ElasticRunner, run_elastic_simulation
 from repro.mpi.faults import FaultPlan, PeerFailure
 from repro.mpi.recovery import RecoveryError, RecoveryEvent
 from repro.mpi.runtime import MPIRuntime, run_spmd
+from repro.utils.heap import keep_freed_blocks as _keep_freed_blocks
+
+# every process that imports the package (fork and spawn workers
+# included) recycles its freed work arrays instead of faulting them in
+# again each step; process-wide malloc policy, see repro.utils.heap
+_keep_freed_blocks()
 
 __version__ = "1.0.0"
 

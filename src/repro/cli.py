@@ -281,9 +281,43 @@ def _run_parallel_from_config(
             for s in sims
         ],
         "timing_rank0": sims[0].table1_rows(),
+        "per_rank_shm_segments": [
+            {
+                "created": getattr(s, "shm_created", 0),
+                "reused": getattr(s, "shm_reused", 0),
+            }
+            for s in sims
+        ],
     }
     log(f"done: {steps} steps on {ranks} {cfg['backend']} rank(s)")
     return summary
+
+
+def _print_process_state() -> None:
+    """`repro info`: what importing the package did to this process and
+    which per-step stages run on their compiled kernel."""
+    from repro.native import certify, meshops, traverse, treebuild, update
+    from repro.pp import native as pp_native
+    from repro.utils import heap
+
+    policy = heap.policy()
+    settings = ", ".join(f"{k}={v}" for k, v in policy.items() if k != "source")
+    print(f"heap policy: {policy['source']}" + (f" ({settings})" if settings else ""))
+    stages = {
+        "tree": treebuild,
+        "traverse": traverse,
+        "certify": certify,
+        "mesh": meshops,
+        "update": update,
+        "pp": pp_native,
+    }
+    active = [name for name, module in stages.items() if module.available()]
+    fallback = [name for name in stages if name not in active]
+    print(
+        f"native stages active: {len(active)}/{len(stages)}"
+        + (f" ({', '.join(active)})" if active else "")
+        + (f"; on numpy: {', '.join(fallback)}" if fallback else "")
+    )
 
 
 def run_from_config(
@@ -627,6 +661,7 @@ def main(argv=None) -> int:
             "Reproduction of Ishiyama, Nitadori & Makino (SC12): "
             "'4.45 Pflops Astrophysical N-Body Simulation on K computer'"
         )
+        _print_process_state()
         return 0
 
     config = json.loads(args.config.read_text())

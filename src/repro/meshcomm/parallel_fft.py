@@ -93,7 +93,10 @@ class SlabFFT:
     # The block a rank keeps for itself never enters the exchange (an
     # empty placeholder holds its slot): it is assigned straight from
     # ``work`` instead of being staged, copied by alltoall and copied
-    # again into ``out``.
+    # again into ``out``.  The other blocks go out as strided views of
+    # ``work``: the transport packs each one once, into its shared-memory
+    # segment or its in-process copy, so staging it here would only add
+    # a pass over the block.
 
     def _transpose_x_to_y(self, work: np.ndarray) -> np.ndarray:
         """(nx_local, n, nz_r) -> (n, ny_local, nz_r) via alltoallv."""
@@ -101,9 +104,7 @@ class SlabFFT:
         sends = []
         for j in range(self.comm.size):
             ya, yb = self.slabs.range_of(j)
-            sends.append(
-                _NO_BLOCK if j == me else np.ascontiguousarray(work[:, ya:yb, :])
-            )
+            sends.append(_NO_BLOCK if j == me else work[:, ya:yb, :])
         received = self.comm.alltoallv(sends)
         ya, yb = self.y_range
         out = np.empty((self.n, yb - ya, self.nz_r), dtype=np.complex128)
@@ -118,9 +119,7 @@ class SlabFFT:
         sends = []
         for j in range(self.comm.size):
             xa, xb = self.slabs.range_of(j)
-            sends.append(
-                _NO_BLOCK if j == me else np.ascontiguousarray(work[xa:xb, :, :])
-            )
+            sends.append(_NO_BLOCK if j == me else work[xa:xb, :, :])
         received = self.comm.alltoallv(sends)
         xa, xb = self.x_range
         out = np.empty((xb - xa, self.n, self.nz_r), dtype=np.complex128)

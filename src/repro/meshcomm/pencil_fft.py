@@ -98,13 +98,16 @@ class PencilFFT:
 
     # -- transposes ----------------------------------------------------------------
 
+    # Blocks go out as strided views of ``work``: the transport packs
+    # each one once (see SlabFFT), so none is staged contiguous here.
+
     def _transpose_x_to_y(self, work: np.ndarray) -> np.ndarray:
         """(n, ny, nz) -> (nx, n, nz): alltoall within the row comm
         (ranks sharing col_id), swapping which of x/y is split."""
         sends = []
         for r in range(self.comm_row.size):
             xa, xb = self.xdec.range_of(r)
-            sends.append(np.ascontiguousarray(work[xa:xb]))
+            sends.append(work[xa:xb])
         received = self.comm_row.alltoallv(sends)
         xa, xb = self.xdec.range_of(self.row_id)
         out = np.empty(
@@ -119,7 +122,7 @@ class PencilFFT:
         sends = []
         for r in range(self.comm_row.size):
             ya, yb = self.ydec.range_of(r)
-            sends.append(np.ascontiguousarray(work[:, ya:yb, :]))
+            sends.append(work[:, ya:yb, :])
         received = self.comm_row.alltoallv(sends)
         ya, yb = self.ydec.range_of(self.row_id)
         out = np.empty((self.n, yb - ya, work.shape[2]), dtype=np.complex128)
@@ -134,7 +137,7 @@ class PencilFFT:
         sends = []
         for r in range(self.comm_col.size):
             ya, yb = self.y2dec.range_of(r)
-            sends.append(np.ascontiguousarray(work[:, ya:yb, :]))
+            sends.append(work[:, ya:yb, :])
         received = self.comm_col.alltoallv(sends)
         ya, yb = self.y2dec.range_of(self.col_id)
         out = np.empty((work.shape[0], yb - ya, self.n), dtype=np.complex128)
@@ -147,7 +150,7 @@ class PencilFFT:
         sends = []
         for r in range(self.comm_col.size):
             za, zb = self.zdec.range_of(r)
-            sends.append(np.ascontiguousarray(work[:, :, za:zb]))
+            sends.append(work[:, :, za:zb])
         received = self.comm_col.alltoallv(sends)
         za, zb = self.zdec.range_of(self.col_id)
         out = np.empty(

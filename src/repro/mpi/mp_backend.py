@@ -21,11 +21,16 @@ function to be picklable):
   src, tag)`` and discarding other-epoch stragglers exactly like the
   thread backend (counted in ``comm.stale_rejected``).
 * **Large arrays** ride POSIX shared memory instead of the queue pipe:
-  a custom pickler externalizes every C-contiguous numpy array above a
-  size threshold into a ``SharedMemory`` segment (job-unique name
-  prefix), and the receiver copies out and unlinks it.  The pipe then
-  carries only metadata, and a particle block crosses process
-  boundaries with one copy in and one copy out.
+  a custom pickler packs every numpy array above a size threshold
+  (strided views included) into a ``SharedMemory`` segment (job-unique
+  name prefix) and the receiver copies it out.  The pipe then carries
+  only metadata, and a block crosses process boundaries with one copy
+  in and one copy out.  Ownership of a segment passes to the receiver,
+  who keeps it mapped in a small :class:`_ShmPool` to carry its own
+  next send instead of unlinking it: in steady state the same segments
+  circulate between the ranks and no step creates, maps or faults in a
+  new one.  The supervisor's prefix sweep is the backstop for whatever
+  a killed worker held.
 * **Collectives** come from :class:`repro.mpi.backend.CollectiveComm`
   — the identical binomial-tree / pairwise-exchange message patterns as
   every other backend, so results are bit-identical across backends.
@@ -58,8 +63,9 @@ import threading
 import time
 import uuid
 import zlib
-from collections import deque
+from collections import OrderedDict, deque
 from contextlib import contextmanager
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,16 +116,122 @@ _WORLD_KEY: Tuple[Any, ...] = ("w",)
 # ---------------------------------------------------------------------------
 
 
-def _untrack_shm(shm) -> None:
-    """Detach a segment from this process's resource tracker: ownership
-    moved to the receiver (who attaches, copies and unlinks), with the
-    supervisor's prefix sweep as the backstop for undelivered blobs."""
-    try:
-        from multiprocessing import resource_tracker
+#: free segments a process keeps per size class, and in total bytes
+_POOL_PER_CLASS = 2
+_POOL_MAX_BYTES = 128 << 20
+#: mappings it remembers of the segments it sent last (same byte bound)
+_POOL_REMEMBERED = 16
 
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
+
+def _untrack_shm(shm) -> None:
+    """Detach a segment from the resource tracker: segments change
+    owner with every message, and the supervisor's prefix sweep — not a
+    tracker that would have to follow them — is the backstop."""
+    resource_tracker.unregister(shm._name, "shared_memory")
+
+
+def _create_shm(prefix: str, nbytes: int):
+    shm = shared_memory.SharedMemory(
+        create=True, size=nbytes, name=f"{prefix}{uuid.uuid4().hex[:12]}"
+    )
+    _untrack_shm(shm)
+    return shm
+
+
+def _attach_shm(name: str):
+    shm = shared_memory.SharedMemory(name=name)
+    _untrack_shm(shm)
+    return shm
+
+
+def _unlink_shm(shm) -> None:
+    """Unmap and unlink a segment this process owns."""
+    shm.close()
+    # ``unlink`` also unregisters, so the tracker has to know the name
+    resource_tracker.register(shm._name, "shared_memory")
+    try:
+        shm.unlink()
+    except FileNotFoundError:  # already swept
+        _untrack_shm(shm)
+
+
+class _ShmPool:
+    """The segments one worker may reuse, and the mappings it keeps.
+
+    A consumed frame's segment belongs to the receiver.  Instead of
+    unlinking it, :meth:`release` keeps it — mapped — and
+    :meth:`acquire` hands it to the next send of its size class
+    (creating a segment only when the class has none free), so a steady
+    exchange stops paying for ``shm_open``/``mmap``/first-touch faults
+    on every frame.  :meth:`sent` remembers the mapping of a segment
+    that left, so that :meth:`attach` does not map it again when a peer
+    sends it back.
+
+    Segments come in power-of-two sizes (the tail of a segment is never
+    touched, so it costs address space only): frames whose sizes wander
+    from step to step, as particle exchanges do, keep landing in the
+    same few classes, and a small frame cannot take a large segment away
+    from the transposes.  A rank that receives more frames of a class
+    than it sends keeps ``_POOL_PER_CLASS`` of them and unlinks the
+    rest, which is the behaviour without a pool; ``_POOL_MAX_BYTES``
+    bounds the total, and the remembered mappings are the last
+    ``_POOL_REMEMBERED`` sent, under the same byte bound.
+    """
+
+    def __init__(self, prefix: str) -> None:
+        self._prefix = prefix
+        #: owned and mapped, ready to carry a send
+        self._free: List[Any] = []
+        #: name -> mapping of a segment now owned by a peer, oldest first
+        self._away: "OrderedDict[str, Any]" = OrderedDict()
+        #: segments this process created / sends that reused one
+        self.created = 0
+        self.reused = 0
+
+    def acquire(self, nbytes: int):
+        """A mapped segment for an outgoing frame of ``nbytes``."""
+        size = 1 << (nbytes - 1).bit_length()
+        for seg in self._free:
+            if seg.size == size:
+                self._free.remove(seg)
+                self.reused += 1
+                return seg
+        self.created += 1
+        return _create_shm(self._prefix, size)
+
+    def sent(self, seg) -> None:
+        """``seg`` left with a message: it is the receiver's now."""
+        away = self._away
+        away[seg.name] = seg
+        while (
+            len(away) > _POOL_REMEMBERED
+            or sum(s.size for s in away.values()) > _POOL_MAX_BYTES
+        ):
+            away.popitem(last=False)[1].close()
+
+    def attach(self, name: str):
+        """The mapping of an incoming frame's segment."""
+        seg = self._away.pop(name, None)
+        return seg if seg is not None else _attach_shm(name)
+
+    def release(self, seg) -> None:
+        """A consumed frame's segment: kept for a later send while there
+        is room, unlinked otherwise."""
+        free = self._free
+        if (
+            sum(s.size == seg.size for s in free) < _POOL_PER_CLASS
+            and sum(s.size for s in free) + seg.size <= _POOL_MAX_BYTES
+        ):
+            free.append(seg)
+        else:
+            _unlink_shm(seg)
+
+    def clear(self) -> None:
+        """Unlink every owned segment, drop every remembered mapping."""
+        while self._free:
+            _unlink_shm(self._free.pop())
+        while self._away:
+            self._away.popitem()[1].close()
 
 
 class ShmFrameCorrupted(pickle.UnpicklingError):
@@ -130,7 +242,7 @@ class ShmFrameCorrupted(pickle.UnpicklingError):
 
 
 class _ShmPickler(pickle.Pickler):
-    """Externalizes large contiguous arrays into SharedMemory segments.
+    """Externalizes large arrays into SharedMemory segments.
 
     Every frame carries a CRC32 of its payload bytes, computed *before*
     the segment leaves the sender, so a frame corrupted in shared memory
@@ -140,10 +252,10 @@ class _ShmPickler(pickle.Pickler):
     """
 
     def __init__(
-        self, file, prefix: str, threshold: int, sabotage: bool = False
+        self, file, pool: _ShmPool, threshold: int, sabotage: bool = False
     ) -> None:
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._prefix = prefix
+        self._pool = pool
         self._threshold = threshold
         self._sabotage = sabotage
 
@@ -155,38 +267,38 @@ class _ShmPickler(pickle.Pickler):
             and not obj.dtype.hasobject
             and obj.dtype.names is None
         ):
-            from multiprocessing import shared_memory
-
-            arr = np.ascontiguousarray(obj)
-            name = f"{self._prefix}{uuid.uuid4().hex[:12]}"
-            shm = shared_memory.SharedMemory(
-                create=True, size=arr.nbytes, name=name
-            )
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-            view[...] = arr
+            shm = self._pool.acquire(obj.nbytes)
+            # packs a strided block straight into the segment: the CRC
+            # below covers the packed bytes, which is what arrives
+            view = np.ndarray(obj.shape, dtype=obj.dtype, buffer=shm.buf)
+            view[...] = obj
             del view
-            crc = zlib.crc32(shm.buf[: arr.nbytes])
+            crc = zlib.crc32(shm.buf[: obj.nbytes])
             if self._sabotage:
                 # flip one payload byte *after* the checksum was taken:
                 # exactly what a DMA or DRAM bit-flip in flight looks like
                 shm.buf[0] ^= 0xFF
-            shm.close()
-            _untrack_shm(shm)
-            return ("repro-shm", name, arr.dtype.str, arr.shape, crc)
+            self._pool.sent(shm)
+            return ("repro-shm", shm.name, obj.dtype.str, obj.shape, crc)
         return None
 
 
 class _ShmUnpickler(pickle.Unpickler):
-    """Rehydrates externalized arrays (CRC-check, copy out, unlink)."""
+    """Rehydrates externalized arrays (CRC-check, copy out).  What
+    becomes of the segments is :func:`shm_loads`' business."""
+
+    def __init__(self, file, pool: Optional[_ShmPool]) -> None:
+        super().__init__(file)
+        self._pool = pool
+        #: segments whose frames passed their CRC and were copied out
+        self.consumed: List[Any] = []
 
     def persistent_load(self, pid):
         kind, name, dtstr, shape = pid[0], pid[1], pid[2], pid[3]
         crc = pid[4] if len(pid) > 4 else None
         if kind != "repro-shm":  # pragma: no cover - format guard
             raise pickle.UnpicklingError(f"unknown persistent id {kind!r}")
-        from multiprocessing import shared_memory
-
-        seg = shared_memory.SharedMemory(name=name)
+        seg = self._pool.attach(name) if self._pool else _attach_shm(name)
         try:
             arr = np.ndarray(shape, dtype=np.dtype(dtstr), buffer=seg.buf)
             if crc is not None:
@@ -197,12 +309,11 @@ class _ShmUnpickler(pickle.Unpickler):
                         f"(stored {crc:#010x}, computed {got:#010x})"
                     )
             arr = arr.copy()
-        finally:
-            seg.close()
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - double free race
-                pass
+        except BaseException:
+            # a frame that cannot be trusted takes its segment with it
+            _unlink_shm(seg)
+            raise
+        self.consumed.append(seg)
         return arr
 
 
@@ -212,8 +323,6 @@ class _ShmScrubber(pickle.Unpickler):
 
     def persistent_load(self, pid):
         try:
-            from multiprocessing import shared_memory
-
             seg = shared_memory.SharedMemory(name=pid[1])
             seg.close()
             seg.unlink()
@@ -223,10 +332,10 @@ class _ShmScrubber(pickle.Unpickler):
 
 
 def shm_dumps(
-    obj: Any, prefix: str, threshold: int, sabotage: bool = False
+    obj: Any, pool: _ShmPool, threshold: int, sabotage: bool = False
 ) -> bytes:
     buf = io.BytesIO()
-    _ShmPickler(buf, prefix, threshold, sabotage=sabotage).dump(obj)
+    _ShmPickler(buf, pool, threshold, sabotage=sabotage).dump(obj)
     return buf.getvalue()
 
 
@@ -250,8 +359,23 @@ def has_shm_frames(obj: Any, threshold: int) -> bool:
     return False
 
 
-def shm_loads(blob: bytes) -> Any:
-    return _ShmUnpickler(io.BytesIO(blob)).load()
+def shm_loads(blob: bytes, pool: Optional[_ShmPool] = None) -> Any:
+    """Rehydrate a message.  Its segments go to ``pool`` (unlinked
+    without one) once every frame has passed its CRC; a message that
+    fails leaves none of them behind, pooled or linked."""
+    unpickler = _ShmUnpickler(io.BytesIO(blob), pool)
+    try:
+        obj = unpickler.load()
+    except BaseException:
+        for seg in unpickler.consumed:
+            _unlink_shm(seg)
+        raise
+    for seg in unpickler.consumed:
+        if pool is not None:
+            pool.release(seg)
+        else:
+            _unlink_shm(seg)
+    return obj
 
 
 def free_blob(blob: bytes) -> None:
@@ -372,6 +496,7 @@ class _LocalControl:
         self.fault_plan = job.fault_plan
         self.recv_timeout = job.recv_timeout
         self.retry_budget = job.retry_budget
+        self.shm_pool = _ShmPool(job.shm_prefix)
         self.epoch = 0
         self.step = -1
         self._event_seq: Dict[Any, int] = {}
@@ -551,6 +676,17 @@ class MPComm(CollectiveComm):
         """This rank's default receive deadline (seconds, or None)."""
         return self._ctl.recv_timeout
 
+    @property
+    def shm_created(self) -> int:
+        """SharedMemory segments this rank's process has created."""
+        return self._ctl.shm_pool.created
+
+    @property
+    def shm_reused(self) -> int:
+        """Frames this rank's process sent in a segment it had received
+        earlier; next to :attr:`shm_created` it shows a cold pool."""
+        return self._ctl.shm_pool.reused
+
     def set_recv_timeout(self, seconds) -> None:
         """Retune the default receive deadline at runtime (health-layer
         hook; per-process control, so callers set it collectively with
@@ -563,7 +699,7 @@ class MPComm(CollectiveComm):
         damaged data — the loss then surfaces through the normal
         timeout/retry machinery, same as a dropped message."""
         try:
-            return True, shm_loads(blob)
+            return True, shm_loads(blob, self._ctl.shm_pool)
         except ShmFrameCorrupted:
             free_blob(blob)
             self.shm_crc_failures += 1
@@ -671,7 +807,7 @@ class MPComm(CollectiveComm):
         (barrier tokens; the thread backend's ``threading.Barrier`` is
         equally exempt from both)."""
         dst_w = self._world_ranks[dest]
-        blob = shm_dumps(obj, self._job.shm_prefix, self._job.shm_threshold)
+        blob = shm_dumps(obj, self._ctl.shm_pool, self._job.shm_threshold)
         self._job.data_queues[dst_w].put(
             (self._comm_key, self._epoch, self.world_rank, tag, blob)
         )
@@ -719,7 +855,7 @@ class MPComm(CollectiveComm):
                 return False
         blob = shm_dumps(
             payload,
-            self._job.shm_prefix,
+            self._ctl.shm_pool,
             self._job.shm_threshold,
             sabotage=sabotage_shm,
         )
@@ -990,6 +1126,7 @@ def _worker_main(job: _MPJob, world_rank: int, fn, args, kwargs) -> None:
     except (ValueError, OSError):  # pragma: no cover
         pass
 
+    ctl = _LocalControl(job)
     job.hb_board[world_rank] = time.time()
     stop_beat = threading.Event()
 
@@ -997,12 +1134,15 @@ def _worker_main(job: _MPJob, world_rank: int, fn, args, kwargs) -> None:
         while not stop_beat.wait(job.heartbeat_interval):
             job.hb_board[world_rank] = time.time()
             if os.getppid() != job.parent_pid:
-                # orphaned: the parent died without cleaning up
-                os._exit(3)
+                # orphaned: the parent died without cleaning up, and
+                # nobody is left to sweep what this worker holds
+                try:
+                    ctl.shm_pool.clear()
+                finally:
+                    os._exit(3)
 
     threading.Thread(target=beat, name="heartbeat", daemon=True).start()
 
-    ctl = _LocalControl(job)
     mailbox = _Mailbox(job, world_rank)
     comm = MPComm(
         job,
@@ -1016,44 +1156,38 @@ def _worker_main(job: _MPJob, world_rank: int, fn, args, kwargs) -> None:
         TrafficLog(),
     )
     exit_code = 0
+    control = report = None  # for the supervisor / for the launcher
     try:
         result = fn(comm, *args, **kwargs)
         try:
-            blob = shm_dumps(result, job.shm_prefix, job.shm_threshold)
-            job.result_queue.put(("ok", world_rank, blob))
+            blob = shm_dumps(result, ctl.shm_pool, job.shm_threshold)
+            report = ("ok", world_rank, blob)
         except Exception:
-            job.result_queue.put(("unpicklable", world_rank, repr(result)))
+            report = ("unpicklable", world_rank, repr(result))
     except CommAborted as exc:
-        job.result_queue.put(("aborted", world_rank, str(exc)))
-    except RankDeath as exc:
-        if job.elastic:
+        report = ("aborted", world_rank, str(exc))
+    except BaseException as exc:  # noqa: BLE001 - reported to the parent
+        if isinstance(exc, RankDeath) and job.elastic:
             # announced simulated death: no result, a dedicated exit code
-            job.ctrl_queue.put(
-                ("death", world_rank, f"{type(exc).__name__}: {exc}")
-            )
+            control = ("death", world_rank, f"{type(exc).__name__}: {exc}")
             exit_code = DEATH_EXIT_CODE
         else:
-            job.ctrl_queue.put(
-                (
-                    "abort",
-                    world_rank,
-                    f"rank {world_rank} failed: {type(exc).__name__}: {exc}",
-                )
-            )
-            job.result_queue.put(("error", world_rank, _safe_exc(exc)))
-            exit_code = 1
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        job.ctrl_queue.put(
-            (
+            control = (
                 "abort",
                 world_rank,
                 f"rank {world_rank} failed: {type(exc).__name__}: {exc}",
             )
-        )
-        job.result_queue.put(("error", world_rank, _safe_exc(exc)))
-        exit_code = 1
+            report = ("error", world_rank, _safe_exc(exc))
+            exit_code = 1
     finally:
         stop_beat.set()
+        # before the reports go out: a rank the supervisor has heard
+        # from may be terminated at any moment
+        ctl.shm_pool.clear()
+    if control is not None:
+        job.ctrl_queue.put(control)
+    if report is not None:
+        job.result_queue.put(report)
     # normal Process teardown flushes the queue feeders before exit
     if exit_code:
         raise SystemExit(exit_code)

@@ -695,6 +695,8 @@ class ParallelSimulation:
             n_local=int(len(self.pos)),
             timing=self.timing.as_dict(),
             interactions=int(self.stats.interactions),
+            shm_created=getattr(self.comm, "shm_created", 0),
+            shm_reused=getattr(self.comm, "shm_reused", 0),
         )
 
 
@@ -716,6 +718,8 @@ class RankReport:
         n_local: int,
         timing: Dict[str, float],
         interactions: int = 0,
+        shm_created: int = 0,
+        shm_reused: int = 0,
     ) -> None:
         self.rank = rank
         self.size = size
@@ -724,6 +728,11 @@ class RankReport:
         self.n_local = n_local
         self.timing = timing
         self.interactions = interactions
+        #: SharedMemory segments the rank's process created / sends that
+        #: reused a received one (multiprocess backend; a pool that stays
+        #: cold reads created ~ frames sent)
+        self.shm_created = shm_created
+        self.shm_reused = shm_reused
 
     def table1_rows(self) -> Dict[str, float]:
         return dict(self.timing)

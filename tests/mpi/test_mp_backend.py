@@ -316,11 +316,14 @@ class TestHeartbeatLiveness:
 
 _ORPHAN_DRIVER = textwrap.dedent(
     """
-    import os, sys, threading, time
+    import glob, os, sys, threading, time
+    import numpy as np
     sys.path.insert(0, {src!r})
     from repro.mpi.mp_backend import MultiprocessBackend, _MPJob, _worker_main
 
     def spmd(comm):
+        # each rank ends up holding the other's segment in its pool
+        comm.sendrecv(np.ones(30000), 1 - comm.rank, 1 - comm.rank)
         time.sleep(60.0)
         return comm.rank
 
@@ -332,6 +335,9 @@ _ORPHAN_DRIVER = textwrap.dedent(
     ):
         time.sleep(0.01)
     sup = runtime._supervisor
+    while len(glob.glob("/dev/shm/" + sup.job.shm_prefix + "*")) < 2:
+        time.sleep(0.01)
+    time.sleep(0.2)  # both created; let both be consumed and pooled
     print("READY", sup.job.shm_prefix, *[p.pid for p in sup.processes],
           flush=True)
     time.sleep(120.0)

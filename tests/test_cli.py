@@ -184,6 +184,8 @@ class TestMain:
         out = capsys.readouterr().out
         assert "repro" in out
         assert "4.45 Pflops" in out
+        assert "heap policy: " in out
+        assert "native stages active: " in out
 
     def test_run_with_summary_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
