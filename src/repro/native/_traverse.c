@@ -1,123 +1,181 @@
 /* Native plan-construction traversal (Barnes' modified algorithm).
  *
- * One FIFO breadth-first walk per group, emitting accepted nodes and
- * dumped-leaf particles straight into the plan's CSR layout.  The
- * Python reference sweeps all groups level-synchronously and restores
- * per-group order with a stable sort; per-group relative order is
- * level-major with frontier order inside each level both ways, so the
- * sequential per-group emission here reproduces the reference plan
- * entry for entry.
+ * One breadth-first walk per group, emitting accepted nodes and
+ * dumped-leaf particles straight into the plan's CSR layout.  A node is
+ * tested against the group when its *parent* is opened: both tree
+ * builders append the children of a node as one contiguous run of ids,
+ * so a run loads from the structure-of-arrays copy of the node table
+ * (x | y | z | half, `soa_stride` doubles each, zero padded) LANES
+ * siblings at a time, one per SIMD lane.  Only nodes to open enter the
+ * FIFO.
+ *
+ * Emission order.  Parents are opened in FIFO order and a run is tested
+ * in id (= octant) order, so nodes are tested in the breadth-first order
+ * in which a node-at-a-time FIFO walk dequeues them, and accepted nodes
+ * and dumped leaves are written as they are tested: each CSR stream
+ * keeps that order.  The Python reference sweeps all groups level by
+ * level and restores per-group order with a stable sort (level-major,
+ * frontier order inside a level) — the same order, so the plan is the
+ * reference plan entry for entry and the count of tested nodes is its
+ * `nodes_visited`.
  *
  * Per-pair arithmetic mirrors the numpy expressions exactly
- * (individually rounded doubles, no contraction):
+ * (individually rounded doubles, no contraction), lane by lane:
  *
  *   dx    = com - gcenter          (per component)
  *   s     = rint(dx / box) * box;  dx -= s        (periodic only)
  *   dist  = sqrt((dx0*dx0 + dx2*dx2) + dx1*dx1)   (einsum pair order)
- *   keep  = (dist - gr) - half*sqrt3 <= rcut      (when rcut active)
  *   gap   = dist - gr
+ *   keep  = gap - half*sqrt3 <= rcut              (when rcut active)
  *   accept = keep && gap > 0 && 2*half < theta*gap
+ *
+ * The image round is skipped for a batch in which every lane has
+ * |dx| <= box/2 in all components: the correctly rounded dx / box is
+ * then at most 0.5 in magnitude (rounding is monotone, 0.5 is
+ * representable), rint of it is +/-0 (ties to even), s is +/-0 and
+ * dx - s is dx.  When the caller wants the shifts (`part_shift`
+ * non-null: the float32 executor, their one reader) the round always
+ * runs, so the stored s keeps numpy's sign of zero.
  *
  * Capacity protocol: when part_cap / node_cap is too small the walk
  * keeps counting without writing and returns -1 with the exact needed
  * sizes in counts_out, so the caller retries once with a tight
- * allocation.
+ * allocation.  A node whose children are not one contiguous id run
+ * returns -2: the caller walks that tree in numpy.
+ *
+ * The walk is written once over the V_* lane macros and instantiated by
+ * self-include at LANES = 1 (plain C) and, on x86-64, LANES = 4 (AVX2
+ * target attribute on that function only; no FMA, -ffp-contract=off);
+ * the width is picked from the CPU when the library is loaded.
  */
 
-#include <math.h>
-#include <stdint.h>
+#ifdef LANES
+/* ---- the walk, instantiated once per lane width -------------------------- */
 
-int64_t plan_traverse(
-    const int64_t *groups,       /* (n_groups,) node ids */
-    int64_t n_groups,
-    const double *node_com,      /* (n_nodes, 3) */
-    const double *node_center,   /* (n_nodes, 3) */
-    const double *node_half,     /* (n_nodes,) */
-    const int64_t *node_lo,
-    const int64_t *node_hi,
-    const uint8_t *node_is_leaf,
-    const int64_t *node_children, /* (n_nodes, 8) */
-    double theta,
-    int periodic,
-    double box,
-    int use_rcut,
-    double rcut,
-    int64_t part_cap,
-    int64_t node_cap,
-    int64_t *part_ptr,           /* (n_groups + 1,) */
-    int64_t *part_idx,           /* (part_cap,) */
-    double *part_shift,          /* (part_cap, 3), periodic only */
-    int64_t *node_ptr,           /* (n_groups + 1,) */
-    int64_t *node_idx,           /* (node_cap,) */
-    double *node_shift,          /* (node_cap, 3), periodic only */
-    int64_t *queue,              /* scratch, length >= n_nodes */
-    int64_t *counts_out)         /* [visited, part_needed, node_needed] */
+#if LANES == 1
+typedef double FN(vd_w);
+typedef int64_t FN(vm_w); /* lane mask: all ones or zero */
+#define V_ATTR
+#define V_SET1(x) (x)
+#define V_LOAD(p) ((p)[0])
+#define V_STORE(p, v) ((p)[0] = (v))
+#define V_SQRT(x) sqrt(x)
+#define V_RINT(x) rint(x)
+#define V_GT(a, b) (-(int64_t)((a) > (b)))
+#define V_LT(a, b) (-(int64_t)((a) < (b)))
+#define V_LE(a, b) (-(int64_t)((a) <= (b)))
+#define V_BITS(m) ((int)((m) & 1)) /* one bit per lane */
+#else
+typedef double FN(vd_w) __attribute__((vector_size(8 * LANES)));
+typedef int64_t FN(vm_w) __attribute__((vector_size(8 * LANES)));
+#define V_ATTR __attribute__((target("avx2")))
+#define V_SET1(x) ((vd)_mm256_set1_pd(x))
+#define V_LOAD(p) ((vd)_mm256_loadu_pd(p))
+#define V_STORE(p, v) _mm256_storeu_pd(p, (__m256d)(v))
+#define V_SQRT(x) ((vd)_mm256_sqrt_pd((__m256d)(x)))
+#define V_RINT(x) ((vd)_mm256_round_pd((__m256d)(x), _MM_FROUND_CUR_DIRECTION))
+#define V_GT(a, b) ((a) > (b))
+#define V_LT(a, b) ((a) < (b))
+#define V_LE(a, b) ((a) <= (b))
+#define V_BITS(m) _mm256_movemask_pd((__m256d)(m))
+#endif
+#define vd FN(vd_w)
+#define vm FN(vm_w)
+
+V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
 {
+    const double *cx = node_soa, *cy = cx + soa_stride, *cz = cy + soa_stride;
+    const double *hf = cz + soa_stride;
     const double sqrt3 = sqrt(3.0);
+    const vd vbox = V_SET1(box), hb = V_SET1(0.5 * box), nhb = V_SET1(-0.5 * box);
+    const vd vsqrt3 = V_SET1(sqrt3), vrcut = V_SET1(rcut), zero = V_SET1(0.0);
+    const vd two = V_SET1(2.0), vtheta = V_SET1(theta);
+    const int want_shift = periodic && part_shift != 0;
     int64_t np_count = 0, nn_count = 0, visited = 0;
     part_ptr[0] = 0;
     node_ptr[0] = 0;
     for (int64_t gi = 0; gi < n_groups; ++gi) {
         int64_t g = groups[gi];
-        double gc0 = node_center[3 * g];
-        double gc1 = node_center[3 * g + 1];
-        double gc2 = node_center[3 * g + 2];
-        double gr = node_half[g] * sqrt3;
+        const vd gc0 = V_SET1(node_center[3 * g]);
+        const vd gc1 = V_SET1(node_center[3 * g + 1]);
+        const vd gc2 = V_SET1(node_center[3 * g + 2]);
+        const vd gr = V_SET1(hf[g] * sqrt3);
         int64_t head = 0, tail = 0;
-        queue[tail++] = 0; /* every group starts at the root */
-        while (head < tail) {
-            int64_t nd = queue[head++];
-            visited++;
-            double dx0 = node_com[3 * nd] - gc0;
-            double dx1 = node_com[3 * nd + 1] - gc1;
-            double dx2 = node_com[3 * nd + 2] - gc2;
-            double s0 = 0.0, s1 = 0.0, s2 = 0.0;
-            if (periodic) {
-                s0 = rint(dx0 / box) * box;
-                s1 = rint(dx1 / box) * box;
-                s2 = rint(dx2 / box) * box;
-                dx0 -= s0;
-                dx1 -= s1;
-                dx2 -= s2;
-            }
-            double dist = sqrt((dx0 * dx0 + dx2 * dx2) + dx1 * dx1);
-            double half = node_half[nd];
-            int keep = 1;
-            if (use_rcut)
-                keep = (dist - gr) - half * sqrt3 <= rcut;
-            double gap = dist - gr;
-            int accept = keep && gap > 0.0 && 2.0 * half < theta * gap;
-            if (accept) {
-                if (nn_count < node_cap) {
-                    node_idx[nn_count] = nd;
-                    if (periodic) {
-                        node_shift[3 * nn_count] = s0;
-                        node_shift[3 * nn_count + 1] = s1;
-                        node_shift[3 * nn_count + 2] = s2;
-                    }
-                }
-                nn_count++;
-            } else if (keep) {
-                if (node_is_leaf[nd]) {
-                    for (int64_t p = node_lo[nd]; p < node_hi[nd]; ++p) {
-                        if (np_count < part_cap) {
-                            part_idx[np_count] = p;
-                            if (periodic) {
-                                part_shift[3 * np_count] = s0;
-                                part_shift[3 * np_count + 1] = s1;
-                                part_shift[3 * np_count + 2] = s2;
-                            }
+        int64_t first = 0, cnt = 1; /* every group starts at the root */
+        for (;;) {
+            visited += cnt;
+            for (int64_t k = first; k < first + cnt; k += LANES) {
+                vd dx0 = V_LOAD(cx + k) - gc0;
+                vd dx1 = V_LOAD(cy + k) - gc1;
+                vd dx2 = V_LOAD(cz + k) - gc2;
+                double sh[3][LANES];
+                if (periodic) {
+                    vm far = V_GT(dx0, hb) | V_LT(dx0, nhb) | V_GT(dx1, hb) |
+                             V_LT(dx1, nhb) | V_GT(dx2, hb) | V_LT(dx2, nhb);
+                    if (want_shift || V_BITS(far)) {
+                        vd s0 = V_RINT(dx0 / vbox) * vbox;
+                        vd s1 = V_RINT(dx1 / vbox) * vbox;
+                        vd s2 = V_RINT(dx2 / vbox) * vbox;
+                        dx0 -= s0;
+                        dx1 -= s1;
+                        dx2 -= s2;
+                        if (want_shift) {
+                            V_STORE(sh[0], s0);
+                            V_STORE(sh[1], s1);
+                            V_STORE(sh[2], s2);
                         }
-                        np_count++;
                     }
-                } else {
-                    for (int c = 0; c < 8; ++c) {
-                        int64_t k = node_children[8 * nd + c];
-                        if (k >= 0)
-                            queue[tail++] = k;
+                }
+                vd dist = V_SQRT((dx0 * dx0 + dx2 * dx2) + dx1 * dx1);
+                vd half = V_LOAD(hf + k);
+                vd gap = dist - gr;
+                int keep = (1 << LANES) - 1;
+                if (use_rcut)
+                    keep = V_BITS(V_LE(gap - half * vsqrt3, vrcut));
+                int accept = keep & V_BITS(V_GT(gap, zero)) &
+                             V_BITS(V_LT(two * half, vtheta * gap));
+                int64_t n = first + cnt - k < LANES ? first + cnt - k : LANES;
+                for (int l = 0; l < n; ++l) {
+                    int64_t nd = k + l;
+                    if ((accept >> l) & 1) {
+                        if (nn_count < node_cap) {
+                            node_idx[nn_count] = nd;
+                            if (want_shift)
+                                for (int c = 0; c < 3; ++c)
+                                    node_shift[3 * nn_count + c] = sh[c][l];
+                        }
+                        nn_count++;
+                    } else if (!((keep >> l) & 1)) {
+                        continue;
+                    } else if (node_is_leaf[nd]) {
+                        int64_t lo = node_lo[nd], m = node_hi[nd] - lo;
+                        if (np_count + m <= part_cap)
+                            for (int64_t p = 0; p < m; ++p) {
+                                part_idx[np_count + p] = lo + p;
+                                if (want_shift)
+                                    for (int c = 0; c < 3; ++c)
+                                        part_shift[3 * (np_count + p) + c] = sh[c][l];
+                            }
+                        np_count += m;
+                    } else {
+                        queue[tail++] = (int32_t)nd;
                     }
                 }
             }
+            if (head == tail)
+                break;
+            /* open the next node: its children must be one id run */
+            const int64_t *kids = node_children + 8 * (int64_t)queue[head++];
+            int broken = 0;
+            cnt = 0;
+            for (int c = 0; c < 8; ++c) {
+                int has = kids[c] >= 0;
+                first = has & (cnt == 0) ? kids[c] : first;
+                broken |= has & (kids[c] != first + cnt);
+                cnt += has;
+            }
+            if (broken)
+                return -2;
         }
         part_ptr[gi + 1] = np_count;
         node_ptr[gi + 1] = nn_count;
@@ -129,3 +187,99 @@ int64_t plan_traverse(
         return -1;
     return 0;
 }
+
+#undef vd
+#undef vm
+#undef V_ATTR
+#undef V_SET1
+#undef V_LOAD
+#undef V_STORE
+#undef V_SQRT
+#undef V_RINT
+#undef V_GT
+#undef V_LT
+#undef V_LE
+#undef V_BITS
+
+#else
+/* ---- the translation unit ------------------------------------------------ */
+
+#include <math.h>
+#include <stdint.h>
+
+/* FN(name_w) is name_w1 or name_w4; plan_traverse_w1 is exported so the
+ * two widths can be compared on any host */
+#define CAT_(a, b) a##b
+#define CAT(a, b) CAT_(a, b)
+#define FN(name) CAT(name, LANES)
+
+#define TRAVERSE_PARAMS                                                      \
+    const int64_t *groups,        /* (n_groups,) node ids */                 \
+    int64_t n_groups,                                                        \
+    const double *node_soa,       /* com x | y | z | half, padded rows */    \
+    int64_t soa_stride,           /* >= n_nodes + 3 */                       \
+    const double *node_center,    /* (n_nodes, 3) */                         \
+    const int64_t *node_lo,                                                  \
+    const int64_t *node_hi,                                                  \
+    const uint8_t *node_is_leaf,                                             \
+    const int64_t *node_children, /* (n_nodes, 8) */                         \
+    double theta,                                                            \
+    int periodic,                                                            \
+    double box,                                                              \
+    int use_rcut,                                                            \
+    double rcut,                                                             \
+    int64_t part_cap,                                                        \
+    int64_t node_cap,                                                        \
+    int64_t *part_ptr,            /* (n_groups + 1,) */                      \
+    int64_t *part_idx,            /* (part_cap,) */                          \
+    double *part_shift,           /* (part_cap, 3), or null: no shifts */    \
+    int64_t *node_ptr,            /* (n_groups + 1,) */                      \
+    int64_t *node_idx,            /* (node_cap,) */                          \
+    double *node_shift,           /* (node_cap, 3), or null with part_shift */ \
+    int32_t *queue,               /* scratch, length >= n_nodes */           \
+    int64_t *counts_out           /* [visited, part_needed, node_needed] */
+#define TRAVERSE_ARGS                                                        \
+    groups, n_groups, node_soa, soa_stride, node_center, node_lo, node_hi,   \
+    node_is_leaf, node_children, theta, periodic, box, use_rcut, rcut,       \
+    part_cap, node_cap, part_ptr, part_idx, part_shift, node_ptr, node_idx,  \
+    node_shift, queue, counts_out
+
+#define LANES 1
+#include "_traverse.c"
+#undef LANES
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define LANES 4
+#include "_traverse.c"
+#undef LANES
+#define HAVE_W4 1
+#endif
+
+/* the instantiation plan_traverse runs */
+static int64_t (*dispatched)(TRAVERSE_PARAMS) = plan_traverse_w1;
+static int dispatched_lanes = 1;
+
+#ifdef HAVE_W4
+__attribute__((constructor)) static void pick_lanes(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+        dispatched = plan_traverse_w4;
+        dispatched_lanes = 4;
+    }
+}
+#endif
+
+/* Lane width of the dispatched instantiation (for logs and telemetry). */
+int plan_traverse_lanes(void)
+{
+    return dispatched_lanes;
+}
+
+int64_t plan_traverse(TRAVERSE_PARAMS)
+{
+    return dispatched(TRAVERSE_ARGS);
+}
+
+#endif /* LANES */

@@ -2,9 +2,14 @@
 
 :func:`traverse_all` mirrors :func:`repro.tree.traversal.traverse_all_numpy`
 — same inputs, same six-tuple CSR plan, bit for bit — and returns
-``None`` when the kernel is unavailable or the stage is disabled.  The
-first successful load self-tests the kernel against the numpy reference
-on periodic/open × cutoff/pure-tree configurations.
+``None`` when the kernel is unavailable, the stage is disabled or the
+tree is not one the kernel walks (children of a node not one contiguous
+id run).  With ``shifts=False`` the two image-shift arrays, which only
+the float32 executor reads, are neither allocated nor written and come
+back as ``None``.  ``plan_traverse`` runs the lane width picked for this
+CPU (``plan_traverse_lanes()``), ``plan_traverse_w1`` always one lane.
+The first successful load self-tests the kernel against the numpy
+reference on periodic/open × cutoff/pure-tree configurations.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from repro.native import build as _build
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_traverse.c")
 
+_I32P = ctypes.POINTER(ctypes.c_int32)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
@@ -29,17 +35,20 @@ def _ptr(arr, ctype):
 
 
 def _declare(lib: ctypes.CDLL) -> None:
-    lib.plan_traverse.restype = ctypes.c_int64
-    lib.plan_traverse.argtypes = [
-        _I64P, ctypes.c_int64,
-        _F64P, _F64P, _F64P, _I64P, _I64P, _U8P, _I64P,
-        ctypes.c_double, ctypes.c_int, ctypes.c_double,
-        ctypes.c_int, ctypes.c_double,
-        ctypes.c_int64, ctypes.c_int64,
-        _I64P, _I64P, _F64P,
-        _I64P, _I64P, _F64P,
-        _I64P, _I64P,
-    ]
+    lib.plan_traverse_lanes.restype = ctypes.c_int
+    lib.plan_traverse_lanes.argtypes = []
+    for entry in (lib.plan_traverse, lib.plan_traverse_w1):
+        entry.restype = ctypes.c_int64
+        entry.argtypes = [
+            _I64P, ctypes.c_int64,
+            _F64P, ctypes.c_int64, _F64P, _I64P, _I64P, _U8P, _I64P,
+            ctypes.c_double, ctypes.c_int, ctypes.c_double,
+            ctypes.c_int, ctypes.c_double,
+            ctypes.c_int64, ctypes.c_int64,
+            _I64P, _I64P, _F64P,
+            _I64P, _I64P, _F64P,
+            _I32P, _I64P,
+        ]
 
 
 def get_lib() -> Optional[ctypes.CDLL]:
@@ -63,6 +72,9 @@ _SLACK = 1.05
 #: A buffer more than this many times its filled length is copied down
 #: to size instead of being handed out as a view.
 _LOOSE = 2.0
+#: Widest lane count of the C walk: the node table is padded so that a
+#: vector load at the last node stays inside it.
+_MAX_LANES = 4
 
 
 def _fit(arr: np.ndarray, n: int) -> np.ndarray:
@@ -89,19 +101,26 @@ class PlanWalker:
 
     def _walk(
         self, lib, tree, groups: np.ndarray, rcut, theta: float,
-        periodic: bool, box: float,
+        periodic: bool, box: float, shifts: bool = True,
     ) -> Optional[Tuple]:
         Gn = len(groups)
         n_nodes = tree.n_nodes
+        if n_nodes >= 2**31:
+            return None  # the FIFO holds int32 node ids
+        shifts = shifts and periodic
         groups = np.ascontiguousarray(groups, dtype=np.int64)
-        node_com = np.ascontiguousarray(tree.node_com, dtype=np.float64)
+        # com x | y | z | half, one padded row each: a node's children
+        # are consecutive ids, so a run of siblings is one vector load
+        stride = n_nodes + _MAX_LANES - 1
+        node_soa = np.zeros((4, stride))
+        node_soa[:3, :n_nodes] = np.asarray(tree.node_com, dtype=np.float64).T
+        node_soa[3, :n_nodes] = tree.node_half
         node_center = np.ascontiguousarray(tree.node_center, dtype=np.float64)
-        node_half = np.ascontiguousarray(tree.node_half, dtype=np.float64)
         node_lo = np.ascontiguousarray(tree.node_lo, dtype=np.int64)
         node_hi = np.ascontiguousarray(tree.node_hi, dtype=np.int64)
         is_leaf = np.ascontiguousarray(tree.node_is_leaf.view(np.uint8))
         children = np.ascontiguousarray(tree.node_children, dtype=np.int64)
-        queue = np.empty(n_nodes + 8, dtype=np.int64)
+        queue = np.empty(n_nodes, dtype=np.int32)
         counts = np.zeros(3, dtype=np.int64)
         if self.high_water is None:
             part_cap = node_cap = max(1024, 8 * tree.n_particles)
@@ -112,21 +131,23 @@ class PlanWalker:
             node_ptr = np.empty(Gn + 1, dtype=np.int64)
             part_idx = np.empty(part_cap, dtype=np.int64)
             node_idx = np.empty(node_cap, dtype=np.int64)
-            part_shift = np.empty((part_cap, 3)) if periodic else np.empty((0, 3))
-            node_shift = np.empty((node_cap, 3)) if periodic else np.empty((0, 3))
+            part_shift = np.empty((part_cap, 3)) if shifts else None
+            node_shift = np.empty((node_cap, 3)) if shifts else None
             rc = lib.plan_traverse(
                 _ptr(groups, _I64P), ctypes.c_int64(Gn),
-                _ptr(node_com, _F64P), _ptr(node_center, _F64P),
-                _ptr(node_half, _F64P), _ptr(node_lo, _I64P), _ptr(node_hi, _I64P),
+                _ptr(node_soa, _F64P), ctypes.c_int64(stride),
+                _ptr(node_center, _F64P), _ptr(node_lo, _I64P), _ptr(node_hi, _I64P),
                 _ptr(is_leaf, _U8P), _ptr(children, _I64P),
                 ctypes.c_double(theta), ctypes.c_int(1 if periodic else 0),
                 ctypes.c_double(box),
                 ctypes.c_int(0 if rcut is None else 1),
                 ctypes.c_double(0.0 if rcut is None else float(rcut)),
                 ctypes.c_int64(part_cap), ctypes.c_int64(node_cap),
-                _ptr(part_ptr, _I64P), _ptr(part_idx, _I64P), _ptr(part_shift, _F64P),
-                _ptr(node_ptr, _I64P), _ptr(node_idx, _I64P), _ptr(node_shift, _F64P),
-                _ptr(queue, _I64P), _ptr(counts, _I64P),
+                _ptr(part_ptr, _I64P), _ptr(part_idx, _I64P),
+                _ptr(part_shift, _F64P) if shifts else None,
+                _ptr(node_ptr, _I64P), _ptr(node_idx, _I64P),
+                _ptr(node_shift, _F64P) if shifts else None,
+                _ptr(queue, _I32P), _ptr(counts, _I64P),
             )
             np_count = int(counts[1])
             nn_count = int(counts[2])
@@ -138,25 +159,30 @@ class PlanWalker:
                     _fit(part_idx, np_count),
                     node_ptr,
                     _fit(node_idx, nn_count),
-                    _fit(part_shift, np_count) if periodic else None,
-                    _fit(node_shift, nn_count) if periodic else None,
+                    _fit(part_shift, np_count) if shifts else None,
+                    _fit(node_shift, nn_count) if shifts else None,
                     int(counts[0]),
                 )
+            if rc != -1:
+                return None  # children not a contiguous run: not our tree
             # the plan outgrew the arrays: walk again into exact ones
             part_cap, node_cap = np_count, nn_count
         return None
 
     def traverse_all(
-        self, tree, groups, rcut, theta, periodic, box, stats
+        self, tree, groups, rcut, theta, periodic, box, stats, shifts=True
     ) -> Optional[Tuple]:
-        """Native drop-in for ``traverse_all_numpy``; ``None`` = fall back."""
+        """Native drop-in for ``traverse_all_numpy``; ``None`` = fall back.
+        ``shifts=False`` leaves the two shift arrays out (``None``)."""
         Gn = len(groups)
         if Gn == 0:
             return None  # the numpy path handles the empty plan shape
         lib = get_lib()
         if lib is None:
             return None
-        got = self._walk(lib, tree, np.asarray(groups), rcut, theta, periodic, box)
+        got = self._walk(
+            lib, tree, np.asarray(groups), rcut, theta, periodic, box, shifts
+        )
         if got is None:
             return None
         part_ptr, part_idx, node_ptr, node_idx, part_shift, node_shift, visited = got
@@ -174,7 +200,9 @@ def traverse_all(tree, groups, rcut, theta, periodic, box, stats) -> Optional[Tu
 
 
 def _self_test(lib) -> bool:
-    """Bitwise plan comparison vs the numpy traversal on four configs."""
+    """Bitwise plan comparison vs the numpy traversal on eight configs,
+    with the image shifts (the float32 executor's arrays) and without
+    them (where the walk skips the image round of near batches)."""
     from repro.tree.octree import Octree
     from repro.tree.traversal import TraversalStats, traverse_all_numpy
 
@@ -190,7 +218,7 @@ def _self_test(lib) -> bool:
     groups = np.array(tree.group_nodes(24), dtype=np.int64)
     groups = groups[np.argsort(tree.node_lo[groups], kind="stable")]
 
-    # one walker throughout: the eight plans differ in size, so both the
+    # one walker throughout: the plans differ in size, so both the
     # remembered-capacity walk and the count-then-retry walk are checked
     walker = PlanWalker()
     for periodic in (True, False):
@@ -200,22 +228,18 @@ def _self_test(lib) -> bool:
                 ref = traverse_all_numpy(
                     tree, groups, rcut, theta, periodic, 1.0, ref_stats
                 )
-                got = walker._walk(lib, tree, groups, rcut, theta, periodic, 1.0)
-                if got is None:
-                    return False
-                visited = got[6]
-                if visited != ref_stats.nodes_visited:
-                    return False
-                order = (0, 1, 2, 3, 4, 5)
-                native = (got[0], got[1], got[2], got[3], got[4], got[5])
-                for k in order:
-                    a, b = native[k], ref[k]
-                    if a is None or b is None:
-                        if not (a is None and b is None):
-                            return False
-                        continue
-                    if not np.array_equal(a, b):
+                for shifts in (True, False):
+                    got = walker._walk(
+                        lib, tree, groups, rcut, theta, periodic, 1.0, shifts
+                    )
+                    if got is None or got[6] != ref_stats.nodes_visited:
                         return False
+                    for k in range(6):
+                        if got[k] is None:
+                            if k < 4 or (shifts and periodic):
+                                return False
+                        elif not np.array_equal(got[k], ref[k]):
+                            return False
     return True
 
 

@@ -12,7 +12,12 @@
  * width:
  *
  *   - dx = source - target, then (wrap groups only) the minimum-image
- *     round dx -= box * rint(dx / box);
+ *     round dx -= box * rint(dx / box) — skipped for a component in
+ *     which every lane has |dx| <= box/2, where the correctly rounded
+ *     quotient is at most 0.5 in magnitude, rint of it is +/-0 and the
+ *     round leaves dx as it is (a -0.0 that it would turn into +0.0
+ *     squares to the same r2 and adds the same nothing to a sum that
+ *     started at +0.0);
  *   - r2 accumulated over components in numpy's einsum order;
  *   - f = (y*y)*y with y = 1.0/sqrt(r2 + eps2);
  *   - the S2 cutoff polynomial with powers expanded into the exact
@@ -28,8 +33,13 @@
  * round-to-nearest yields -0.0 only from -0.0 + -0.0), and whatever the
  * inactive lane computed on the way (inf*0 for an unsoftened self pair)
  * is discarded by the mask, not summed.  A source with no active lane
- * is skipped before its sqrt and divides.  The last block of a group
- * replicates its last valid target into the spare lanes and does not
+ * is skipped before its sqrt and divides.
+ *
+ * Blocks are built from a group's *targets*: rows [lo, hi) whose byte
+ * in the plan's target mask is set (no mask = every row).  A row that
+ * is not a target — a ghost imported as a source — takes no lane and
+ * its output row is neither read nor written.  The last block of a
+ * group replicates its last target into the spare lanes and does not
  * store them.
  *
  * The kernel body below is written once, over the V_* lane macros, and
@@ -117,10 +127,19 @@ V_ATTR static inline vd FN(gp3m_w)(vd xi)
     return V_KEEP(~V_GE(xi, V_SET1(2.0)), g);
 }
 
-/* Targets [lo, hi) against the gathered list of S sources. */
+/* dx -= box * rint(dx / box), unless no lane can be moved by it */
+V_ATTR static inline vd FN(wrap_w)(vd d, vd box, vd half_box)
+{
+    if (V_ANY(V_GT(d, half_box) | V_LT(d, -half_box)))
+        d -= V_RINT(d / box) * box;
+    return d;
+}
+
+/* Targets among rows [lo, hi) against the gathered list of S sources. */
 V_ATTR static void FN(sweep_targets_w)(
     int64_t lo,
     int64_t hi,
+    const uint8_t *tmask, /* per row: is a target; null = all */
     int64_t S,
     const double *soa, /* sx | sy | sz | sm */
     const double *pos,
@@ -134,14 +153,22 @@ V_ATTR static void FN(sweep_targets_w)(
     double *out)
 {
     const double *sx = soa, *sy = soa + S, *sz = soa + 2 * S, *sm = soa + 3 * S;
-    const vd vbox = V_SET1(box), veps2 = V_SET1(eps2), vrcut = V_SET1(rcut);
+    const vd vbox = V_SET1(box), vhbox = V_SET1(0.5 * box);
+    const vd veps2 = V_SET1(eps2), vrcut = V_SET1(rcut);
     const vd vrc2 = V_SET1(rc2), zero = V_SET1(0.0);
     const vd one = V_SET1(1.0), two = V_SET1(2.0);
-    for (int64_t t = lo; t < hi; t += LANES) {
+    for (int64_t t = lo;;) {
+        int64_t row[LANES];
+        int n = 0;
+        for (; t < hi && n < LANES; ++t)
+            if (!tmask || tmask[t])
+                row[n++] = t;
+        if (n == 0)
+            break;
         double txyz[3][LANES];
         for (int l = 0; l < LANES; ++l) {
             /* spare lanes of the tail block repeat the last target */
-            int64_t i = t + l < hi ? t + l : hi - 1;
+            int64_t i = row[l < n ? l : n - 1];
             txyz[0][l] = pos[3 * i];
             txyz[1][l] = pos[3 * i + 1];
             txyz[2][l] = pos[3 * i + 2];
@@ -153,9 +180,9 @@ V_ATTR static void FN(sweep_targets_w)(
             vd dy = V_SET1(sy[s]) - ty;
             vd dz = V_SET1(sz[s]) - tz;
             if (w) {
-                dx -= V_RINT(dx / vbox) * vbox;
-                dy -= V_RINT(dy / vbox) * vbox;
-                dz -= V_RINT(dz / vbox) * vbox;
+                dx = FN(wrap_w)(dx, vbox, vhbox);
+                dy = FN(wrap_w)(dy, vbox, vhbox);
+                dz = FN(wrap_w)(dz, vbox, vhbox);
             }
             /* numpy's einsum reduces the length-3 component axis in
              * SIMD-pair order: lane x plus remainder z, then lane y */
@@ -179,10 +206,10 @@ V_ATTR static void FN(sweep_targets_w)(
             ay += V_KEEP(active, fm * dy);
             az += V_KEEP(active, fm * dz);
         }
-        for (int l = 0; l < LANES && t + l < hi; ++l) {
-            out[3 * (t + l)] += V_LANE(ax, l) * G;
-            out[3 * (t + l) + 1] += V_LANE(ay, l) * G;
-            out[3 * (t + l) + 2] += V_LANE(az, l) * G;
+        for (int l = 0; l < n; ++l) {
+            out[3 * row[l]] += V_LANE(ax, l) * G;
+            out[3 * row[l] + 1] += V_LANE(ay, l) * G;
+            out[3 * row[l] + 2] += V_LANE(az, l) * G;
         }
     }
 }
@@ -230,8 +257,8 @@ V_ATTR static void FN(sweep_targets_w)(
 #endif
 
 typedef void (*sweep_targets_fn)(
-    int64_t, int64_t, int64_t, const double *, const double *, int, double,
-    double, int, double, double, double, double *);
+    int64_t, int64_t, const uint8_t *, int64_t, const double *, const double *,
+    int, double, double, int, double, double, double, double *);
 
 /* the instantiation plan_sweep and plan_sweep_threads run */
 static sweep_targets_fn dispatched = sweep_targets_w1;
@@ -267,6 +294,7 @@ int plan_sweep_lanes(void)
     const double *node_com,  /* (M, 3) */                                    \
     const double *node_mass, /* (M,) */                                      \
     const uint8_t *wrap,     /* per-group: apply per-pair minimum image */   \
+    const uint8_t *tmask,    /* (N,) row is a target, or null: all are */    \
     double box,                                                              \
     double eps2,                                                             \
     int use_split,           /* 1: apply the S2 gp3m cutoff */               \
@@ -274,11 +302,11 @@ int plan_sweep_lanes(void)
     double rc2,              /* skip threshold, >= rcut^2 */                 \
     double G,                                                                \
     double *scratch,         /* >= 4 * max list length doubles (per thread) */ \
-    double *out              /* (N, 3); rows group_lo..group_hi get += */
+    double *out              /* (N, 3); target rows of each group get += */
 #define PLAN_ARGS                                                            \
     n_groups, group_lo, group_hi, part_ptr, part_idx, node_ptr, node_idx,    \
-    pos, mass, node_com, node_mass, wrap, box, eps2, use_split, rcut, rc2,   \
-    G, scratch, out
+    pos, mass, node_com, node_mass, wrap, tmask, box, eps2, use_split, rcut, \
+    rc2, G, scratch, out
 
 static void sweep_group(sweep_targets_fn sweep_targets, int64_t g, PLAN_PARAMS)
 {
@@ -306,7 +334,7 @@ static void sweep_group(sweep_targets_fn sweep_targets, int64_t g, PLAN_PARAMS)
         sz[k] = node_com[3 * j + 2];
         sm[k] = node_mass[j];
     }
-    sweep_targets(group_lo[g], group_hi[g], S, scratch, pos,
+    sweep_targets(group_lo[g], group_hi[g], tmask, S, scratch, pos,
                   wrap != 0 && wrap[g], box, eps2, use_split, rcut, rc2, G,
                   out);
 }

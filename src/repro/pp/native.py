@@ -65,6 +65,7 @@ _ARGTYPES = [
     _F64P,  # node_com
     _F64P,  # node_mass
     _U8P,  # wrap
+    _U8P,  # target mask (null = every row)
     ctypes.c_double,  # box
     ctypes.c_double,  # eps2
     ctypes.c_int,  # use_split
@@ -126,6 +127,7 @@ def sweep(
     node_com,
     node_mass,
     wrap,
+    target_mask,
     box,
     eps2,
     use_split,
@@ -137,7 +139,8 @@ def sweep(
     nthreads: int = 1,
     scratch_stride: int = 0,
 ) -> None:
-    """Invoke ``plan_sweep`` (arrays must be C-contiguous and typed).
+    """Invoke ``plan_sweep`` (arrays must be C-contiguous and typed;
+    ``target_mask`` is one byte per sorted particle or ``None``).
 
     With ``nthreads > 1`` the OpenMP entry point is used; ``scratch``
     must then hold ``nthreads * scratch_stride`` doubles (one board per
@@ -156,6 +159,7 @@ def sweep(
         _ptr(node_com, _F64P),
         _ptr(node_mass, _F64P),
         _ptr(wrap, _U8P),
+        None if target_mask is None else _ptr(target_mask, _U8P),
         ctypes.c_double(box),
         ctypes.c_double(eps2),
         ctypes.c_int(use_split),
@@ -185,8 +189,10 @@ def _self_test(lib) -> bool:
     numpy build.  Rather than trust it across platforms, the sweep is
     checked on a small synthetic plan exercising wrap and no-wrap
     groups, whole and partial lane blocks, self pairs, softened and
-    unsoftened kernels, and both split modes.
+    unsoftened kernels, both split modes, and a target mask.
     """
+    from dataclasses import replace
+
     from repro.forces.cutoff import S2ForceSplit
     from repro.pp.kernel import PPKernel
     from repro.pp.plan import InteractionPlan, PlanExecutor
@@ -218,13 +224,19 @@ def _self_test(lib) -> bool:
         PPKernel(split=None, eps=1e-3, box=None),
         PPKernel(split=None, eps=0.0, box=1.0),
     ]
+    # ghosts scattered through the blocks; group 2 keeps no target
+    masked = rng.random(N) < 0.6
+    masked[24:36] = False
     executor = PlanExecutor(use_native=False)
     for kern in kernels:
-        want = executor.execute(plan, kern, pos, mass, ncom, nmass)
-        got = np.zeros_like(pos)
-        executor._execute_native(lib, plan, kern, pos, mass, ncom, nmass, got)
-        if not np.array_equal(want, got):
-            return False
+        for mask in (None, masked):
+            p = replace(plan, target_mask=mask)
+            # non-target rows must come back as they went in
+            want = executor.execute(p, kern, pos, mass, ncom, nmass, out=pos.copy())
+            got = pos.copy()
+            executor._execute_native(lib, p, kern, pos, mass, ncom, nmass, got)
+            if not np.array_equal(want, got):
+                return False
     return True
 
 

@@ -6,11 +6,13 @@ kernel consumes the lists in bulk.
 
 1. **Plan construction** (:meth:`repro.tree.traversal.TreeSolver.build_plan`)
    runs the traversal for *all* groups and emits one flat CSR-style
-   :class:`InteractionPlan`: per-group target slices, the concatenated
-   source-particle indices, accepted-node indices, precomputed periodic
-   image shifts per list entry, and a per-group ``no_wrap`` certificate
-   (every pair displacement provably within ``box/2``, so the per-pair
-   ``np.round`` is exactly a no-op).
+   :class:`InteractionPlan`: per-group target slices (and the mask of
+   the rows in them that are targets at all), the concatenated
+   source-particle indices, accepted-node indices, a per-group
+   ``no_wrap`` certificate (every pair displacement provably within
+   ``box/2``, so the per-pair ``np.round`` is exactly a no-op) and, for
+   the float32 executor, precomputed periodic image shifts per list
+   entry.
 2. **Plan execution** (:class:`PlanExecutor`) sweeps the plan — in the
    compiled kernel when it is available and covers the configuration,
    else in large numpy batches of groups bucketed by list length, with
@@ -65,13 +67,14 @@ def slice_plan(plan: "InteractionPlan", groups: np.ndarray) -> "InteractionPlan"
 
     The CSR pointer arrays are rebuilt over the kept groups while every
     index keeps referring to the *full* Morton-sorted particle/node
-    arrays, and each group's target slice ``[group_lo, group_hi)`` is
-    untouched — so executing the sub-plan against the same sorted inputs
-    reproduces, bitwise, exactly the rows the full sweep produced for
-    those groups (groups own disjoint target rows and each group's
-    arithmetic depends only on its own interaction list).  This is what
-    the ABFT force spot-check leans on: re-sweep a sampled subset of
-    groups through the reference pipeline and compare rows.
+    arrays, and each group's target slice ``[group_lo, group_hi)`` and
+    the target mask are untouched — so executing the sub-plan against
+    the same sorted inputs reproduces, bitwise, exactly the rows the
+    full sweep produced for those groups (groups own disjoint target
+    rows and each group's arithmetic depends only on its own
+    interaction list).  This is what the ABFT force spot-check leans
+    on: re-sweep a sampled subset of groups through the reference
+    pipeline and compare rows.
     """
     groups = np.asarray(groups, dtype=np.int64)
     if groups.ndim != 1:
@@ -94,6 +97,7 @@ def slice_plan(plan: "InteractionPlan", groups: np.ndarray) -> "InteractionPlan"
         part_shift=None if plan.part_shift is None else plan.part_shift[psel],
         node_shift=None if plan.node_shift is None else plan.node_shift[nsel],
         no_wrap=None if plan.no_wrap is None else plan.no_wrap[groups],
+        target_mask=plan.target_mask,
     )
 
 
@@ -102,17 +106,25 @@ class InteractionPlan:
     """CSR-style description of one whole short-range force evaluation.
 
     All index arrays refer to the tree's Morton-sorted particle order.
-    Group ``i`` owns targets ``[group_lo[i], group_hi[i])``, particle
+    Group ``i`` owns rows ``[group_lo[i], group_hi[i])``, particle
     sources ``part_idx[part_ptr[i]:part_ptr[i+1]]`` and accepted nodes
     ``node_idx[node_ptr[i]:node_ptr[i+1]]``.  Each source slot of a
     group's list is ordered particles first, then nodes.
 
+    ``target_mask`` (boolean, one entry per sorted particle, ``None`` =
+    all) marks the rows that are targets: both executors sweep only
+    those and leave every other row of the output as they found it (the
+    distributed driver's ghosts are sources, never targets), and
+    ``target_counts``/``n_pairs`` count them alone.
+
     ``part_shift``/``node_shift`` hold the periodic image shift of each
     list entry relative to the group center (``box`` times an integer
-    vector; subtracting it moves the source next to the group).  They
-    are ``None`` for non-periodic plans.  ``no_wrap[i]`` certifies that
-    every pair displacement of group ``i`` lies within ``box/2`` in all
-    coordinates, so the per-pair minimum-image round is exactly zero.
+    vector; subtracting it moves the source next to the group).  Only
+    the float32 executor reads them, so only a ``plan_float32`` solver's
+    periodic plans carry them; everywhere else they are ``None``.
+    ``no_wrap[i]`` certifies that every pair displacement of group ``i``
+    lies within ``box/2`` in all coordinates, so the per-pair
+    minimum-image round is exactly zero.
     """
 
     group_nodes: np.ndarray
@@ -125,6 +137,7 @@ class InteractionPlan:
     part_shift: Optional[np.ndarray] = None
     node_shift: Optional[np.ndarray] = None
     no_wrap: Optional[np.ndarray] = None
+    target_mask: Optional[np.ndarray] = None
 
     @property
     def n_groups(self) -> int:
@@ -132,8 +145,11 @@ class InteractionPlan:
 
     @property
     def target_counts(self) -> np.ndarray:
-        """Targets per group (the per-call ``Ni``)."""
-        return self.group_hi - self.group_lo
+        """Swept targets per group (the per-call ``Ni``)."""
+        if self.target_mask is None:
+            return self.group_hi - self.group_lo
+        below = np.concatenate([[0], np.cumsum(self.target_mask)])
+        return below[self.group_hi] - below[self.group_lo]
 
     @property
     def list_lengths(self) -> np.ndarray:
@@ -228,10 +244,11 @@ class PlanExecutor:
         node_mass: np.ndarray,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Accumulate the plan's monopole forces into ``out`` (sorted
-        particle order).  ``kernel`` is a :class:`repro.pp.kernel.PPKernel`
-        supplying the physics (split, softening, G, rsqrt path, box,
-        Ewald table, counter)."""
+        """Accumulate the plan's monopole forces into the target rows
+        of ``out`` (sorted particle order); other rows are not touched.
+        ``kernel`` is a :class:`repro.pp.kernel.PPKernel` supplying the
+        physics (split, softening, G, rsqrt path, box, Ewald table,
+        counter)."""
         if out is None:
             out = np.zeros_like(pos_sorted)
         if plan.n_groups == 0:
@@ -285,7 +302,8 @@ class PlanExecutor:
 
         pcnt = np.diff(plan.part_ptr)
         order = np.argsort(S, kind="stable")[::-1]
-        order = order[S[order] > 0]  # empty lists contribute nothing
+        # empty lists contribute nothing, a chunk of ghosts has no target
+        order = order[(S[order] > 0) & (T[order] > 0)]
         for need_wrap in (False, True):
             sel = order[wrap[order] == need_wrap]
             i = 0
@@ -300,7 +318,7 @@ class PlanExecutor:
                     ttot += int(T[sel[j]])
                     j += 1
                 self._run_batch(
-                    plan, sel[i:j], smax, ttot, need_wrap, kernel,
+                    plan, sel[i:j], T[sel[i:j]], smax, ttot, need_wrap, kernel,
                     pos_sorted, spos, smass, npos, nmass, pcnt, out,
                 )
                 i = j
@@ -356,6 +374,9 @@ class PlanExecutor:
         nthreads = max(1, min(_native_threads(), G)) if G else 1
         scratch = self._buf("native_scratch", (nthreads * stride,), np.float64)
         eps2 = float(np.float64(kernel.eps) * np.float64(kernel.eps))
+        tmask = plan.target_mask
+        if tmask is not None:
+            tmask = np.ascontiguousarray(tmask, dtype=bool).view(np.uint8)
         _native.sweep(
             lib,
             i64(plan.group_lo),
@@ -369,6 +390,7 @@ class PlanExecutor:
             f64(node_com),
             f64(node_mass),
             wrap,
+            tmask,
             0.0 if box is None else float(box),
             eps2,
             0 if split is None else 1,
@@ -400,16 +422,17 @@ class PlanExecutor:
         The distance lower bound is the componentwise gap between the
         source and the bbox, taken the short way around the circle for
         periodic boxes, so it is sound regardless of which image the
-        per-pair wrap would pick.  Stats are recorded from the original
-        plan before refinement, so ``<Ni>``/``<Nj>`` describe the
-        traversal's lists.
+        per-pair wrap would pick.  The bounding box is taken over every
+        row of a chunk, target or not, which only makes it larger.
+        Stats are recorded from the original plan before refinement, so
+        ``<Ni>``/``<Nj>`` describe the traversal's lists.
         """
         chunk = _REFINE_ROWS
         rcut = kernel.split.cutoff_radius * (1.0 + 1e-9)
         rc2 = rcut * rcut
         box = kernel.box
         Gn = plan.n_groups
-        tcnt = plan.target_counts
+        tcnt = plan.group_hi - plan.group_lo
         reps = (tcnt + chunk - 1) // chunk
         C = int(reps.sum())
         parent = np.repeat(np.arange(Gn, dtype=np.int64), reps)
@@ -471,6 +494,7 @@ class PlanExecutor:
             part_shift=pshift,
             node_shift=nshift,
             no_wrap=None if plan.no_wrap is None else plan.no_wrap[parent],
+            target_mask=plan.target_mask,
         )
 
     def _fill_padded(
@@ -496,6 +520,7 @@ class PlanExecutor:
         self,
         plan,
         groups,
+        tcnt,
         smax,
         ttot,
         need_wrap,
@@ -534,8 +559,9 @@ class PlanExecutor:
             bp, npos, nmass, sb, mb, B,
         )
 
-        tcnt = plan.group_hi[groups] - plan.group_lo[groups]
         trows = multi_arange(plan.group_lo[groups], plan.group_hi[groups])
+        if plan.target_mask is not None:
+            trows = trows[plan.target_mask[trows]]
         tgt = pos_sorted[trows]
         if dt != tgt.dtype:
             tgt = tgt.astype(dt)

@@ -186,7 +186,8 @@ class TreeSolver:
             Optional boolean mask over the input particles; groups
             containing no masked particle are skipped entirely (used by
             the distributed driver, where ghost particles are sources
-            but not targets).  Unmasked rows of the result are zero.
+            but not targets) and unmasked particles of the remaining
+            groups are not swept.  Unmasked rows of the result are zero.
         ledger:
             Optional :class:`repro.utils.timer.TimingLedger` receiving
             the paper's "PP/tree traversal" and "PP/force calculation"
@@ -227,8 +228,8 @@ class TreeSolver:
             out=acc_sorted,
         )
         if self.retain_last_sweep:
-            # monopole output *before* quadrupole terms and mask
-            # zeroing: exactly what re-executing the plan reproduces
+            # monopole output *before* quadrupole terms: exactly what
+            # re-executing the plan reproduces
             self.last_sweep = {
                 "plan": plan,
                 "pos_sorted": tree.pos_sorted,
@@ -252,8 +253,6 @@ class TreeSolver:
         if ledger is not None:
             ledger.add("PP/tree traversal", t1 - t0)
             ledger.add("PP/force calculation", time.perf_counter() - t1)
-        if mask_sorted is not None:
-            acc_sorted[~mask_sorted] = 0.0
         acc = np.empty_like(acc_sorted)
         acc[tree.perm] = acc_sorted
         return acc, stats
@@ -269,10 +268,13 @@ class TreeSolver:
         """Traverse every group once and emit the flat interaction plan.
 
         Groups containing no masked target are omitted entirely (the
-        ghost-as-source-only case of the distributed driver).  For
-        periodic solvers the plan carries per-entry image shifts and the
+        ghost-as-source-only case of the distributed driver) and the
+        mask rides along as ``plan.target_mask``, so the executors sweep
+        masked targets only.  For periodic solvers the plan carries the
         per-group ``no_wrap`` certificate the executor uses to drop the
-        per-pair minimum-image round where it is provably a no-op.
+        per-pair minimum-image round where it is provably a no-op, and
+        — for a ``plan_float32`` solver, whose executor is their one
+        reader — per-entry image shifts.
         """
         if stats is None:
             stats = TraversalStats()
@@ -280,17 +282,13 @@ class TreeSolver:
         groups = np.array(tree.group_nodes(self.group_size), dtype=np.int64)
         groups = groups[np.argsort(tree.node_lo[groups], kind="stable")]
         if mask_sorted is not None:
+            mask_sorted = np.asarray(mask_sorted, dtype=bool)
             cs = np.concatenate([[0], np.cumsum(mask_sorted)])
             has = cs[tree.node_hi[groups]] - cs[tree.node_lo[groups]] > 0
             groups = groups[has]
 
         (part_ptr, part_idx, node_ptr, node_idx,
          part_shift, node_shift) = self._traverse_all(tree, groups, rcut, stats)
-
-        tcnt = tree.node_hi[groups] - tree.node_lo[groups]
-        stats.n_groups += len(groups)
-        stats.pp_from_particles += int(np.dot(np.diff(part_ptr), tcnt))
-        stats.pp_from_nodes += int(np.dot(np.diff(node_ptr), tcnt))
 
         plan = InteractionPlan(
             group_nodes=groups,
@@ -302,7 +300,12 @@ class TreeSolver:
             node_idx=node_idx,
             part_shift=part_shift,
             node_shift=node_shift,
+            target_mask=mask_sorted,
         )
+        tcnt = plan.target_counts
+        stats.n_groups += len(groups)
+        stats.pp_from_particles += int(np.dot(np.diff(part_ptr), tcnt))
+        stats.pp_from_nodes += int(np.dot(np.diff(node_ptr), tcnt))
         if self.periodic and plan.n_groups:
             plan.no_wrap = self._certify_no_wrap(tree, plan)
         return plan
@@ -312,16 +315,19 @@ class TreeSolver:
 
         Runs in the native kernel when available (bitwise self-tested
         against :func:`traverse_all_numpy`), else in the vectorized
-        numpy sweep.  Both return identical plans bit for bit.
+        numpy sweep.  Both return identical plans bit for bit; the image
+        shifts are kept for the float32 executor only.
         """
         native = self._walker.traverse_all(
-            tree, groups, rcut, self.theta, self.periodic, self.box, stats
+            tree, groups, rcut, self.theta, self.periodic, self.box, stats,
+            shifts=self.plan_float32,
         )
         if native is not None:
             return native
-        return traverse_all_numpy(
+        plan = traverse_all_numpy(
             tree, groups, rcut, self.theta, self.periodic, self.box, stats
         )
+        return plan if self.plan_float32 else plan[:4] + (None, None)
 
     def _certify_no_wrap(self, tree: Octree, plan: InteractionPlan) -> np.ndarray:
         """Per-group proof that every pair displacement fits in box/2.
@@ -339,15 +345,19 @@ class TreeSolver:
         self, tree: Octree, plan: InteractionPlan, acc_sorted: np.ndarray
     ) -> None:
         """Per-group quadrupole corrections from the plan's accepted
-        nodes (optional mode)."""
+        nodes onto the plan's targets (optional mode)."""
+        mask = plan.target_mask
         for i in range(plan.n_groups):
             nlo, nhi = plan.node_ptr[i], plan.node_ptr[i + 1]
             if nhi == nlo:
                 continue
             glo, ghi = plan.group_lo[i], plan.group_hi[i]
+            rows = slice(glo, ghi)
+            if mask is not None:
+                rows = glo + np.flatnonzero(mask[rows])
             nidx = plan.node_idx[nlo:nhi]
-            acc_sorted[glo:ghi] += self._quadrupole_acc(
-                tree.pos_sorted[glo:ghi],
+            acc_sorted[rows] += self._quadrupole_acc(
+                tree.pos_sorted[rows],
                 tree.node_com[nidx],
                 tree.node_quad[nidx],
             )
@@ -499,7 +509,7 @@ def certify_no_wrap_numpy(tree, plan, box: float) -> np.ndarray:
     without changing a single bit.
     """
     G = plan.n_groups
-    tcnt = plan.target_counts
+    tcnt = plan.group_hi - plan.group_lo  # every row, swept or not
     tpos = tree.pos_sorted[multi_arange(plan.group_lo, plan.group_hi)]
     tptr = np.concatenate([[0], np.cumsum(tcnt)])
     tmin = np.minimum.reduceat(tpos, tptr[:-1], axis=0)

@@ -191,10 +191,16 @@ class TestTargetsMask:
         assert masked.n_groups < full.n_groups
         # every emitted group holds at least one masked target
         tgt_rows = multi_arange(masked.group_lo, masked.group_hi)
-        gid = np.repeat(np.arange(masked.n_groups), masked.target_counts)
+        gid = np.repeat(
+            np.arange(masked.n_groups), masked.group_hi - masked.group_lo
+        )
         has_target = np.zeros(masked.n_groups, dtype=bool)
         np.logical_or.at(has_target, gid, mask_sorted[tgt_rows])
         assert has_target.all()
+        # and the plan counts those targets, not the rows
+        assert np.array_equal(
+            masked.target_counts, np.bincount(gid, weights=mask_sorted[tgt_rows])
+        )
 
     def test_mask_forces_match_unmasked_on_masked_rows(self, medium_particles):
         """Masking only zeroes rows; it never changes masked-row forces."""
@@ -226,10 +232,18 @@ class TestPlanStructure:
         assert plan.n_pairs == int(
             np.dot(plan.target_counts, plan.list_lengths)
         )
-        assert plan.part_shift.shape == (len(plan.part_idx), 3)
-        assert plan.node_shift.shape == (len(plan.node_idx), 3)
+        # only the float32 executor reads the image shifts, so only its
+        # solver's plans carry them (native walk and numpy fallback alike)
+        assert plan.part_shift is None and plan.node_shift is None
+        f32 = TreeSolver(
+            periodic=True, split=SPLIT, eps=1e-3, plan_float32=True
+        ).build_plan(tree)
+        assert np.array_equal(f32.part_idx, plan.part_idx)
+        assert np.array_equal(f32.node_idx, plan.node_idx)
+        assert f32.part_shift.shape == (len(plan.part_idx), 3)
+        assert f32.node_shift.shape == (len(plan.node_idx), 3)
         # shifts are integer multiples of the box
-        assert np.array_equal(plan.part_shift, np.round(plan.part_shift))
+        assert np.array_equal(f32.part_shift, np.round(f32.part_shift))
 
     def test_no_wrap_certificate_is_sound(self, medium_particles):
         """Where the certificate holds, the wrap must truly be a no-op."""
