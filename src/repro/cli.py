@@ -296,28 +296,29 @@ def _run_parallel_from_config(
 def _print_process_state() -> None:
     """`repro info`: what importing the package did to this process and
     which per-step stages run on their compiled kernel."""
-    from repro.native import certify, meshops, traverse, treebuild, update
-    from repro.pp import native as pp_native
+    from repro.native import build
     from repro.utils import heap
 
     policy = heap.policy()
     settings = ", ".join(f"{k}={v}" for k, v in policy.items() if k != "source")
     print(f"heap policy: {policy['source']}" + (f" ({settings})" if settings else ""))
-    stages = {
-        "tree": treebuild,
-        "traverse": traverse,
-        "certify": certify,
-        "mesh": meshops,
-        "update": update,
-        "pp": pp_native,
-    }
-    active = [name for name, module in stages.items() if module.available()]
-    fallback = [name for name in stages if name not in active]
+    libs = {name: build.library(name) for name in build.STAGES}
+    active = [name for name, lib in libs.items() if lib is not None]
+    fallback = [name for name in libs if name not in active]
     print(
-        f"native stages active: {len(active)}/{len(stages)}"
+        f"native stages active: {len(active)}/{len(libs)}"
         + (f" ({', '.join(active)})" if active else "")
         + (f"; on numpy: {', '.join(fallback)}" if fallback else "")
     )
+    # the laned kernels export their dispatched SIMD width as *_lanes()
+    lanes = [
+        f"{symbol}()={getattr(libs[name], symbol)()}"
+        for name in active
+        for symbol in build.STAGES[name].symbols
+        if symbol.endswith("_lanes")
+    ]
+    if lanes:
+        print(f"lane widths: {', '.join(lanes)}")
 
 
 def run_from_config(

@@ -42,16 +42,11 @@
  * group replicates its last target into the spare lanes and does not
  * store them.
  *
- * The kernel body below is written once, over the V_* lane macros, and
- * this file includes itself to instantiate it at LANES = 1 (plain C,
- * every host) and, on x86-64, at LANES = 4 (256-bit AVX2 vectors,
- * target attribute on those functions only).  The width is picked once
- * when the library is loaded, from the CPU; the translation unit is
- * still compiled for the baseline architecture with -ffp-contract=off,
- * so there is no FMA contraction and no reassociation anywhere, and
- * sqrt, divide and rint are the hardware-rounded instructions in both
- * instantiations (_mm256_round_pd in the current rounding mode is
- * rint).
+ * The kernel body below is written once over the V_* lane macros of
+ * _lanes.h, which instantiates it at one lane (plain C, every host)
+ * and, on x86-64, at four (AVX2) and picks the width from the CPU
+ * when the library is loaded; that header says why neither width
+ * changes a bit.
  *
  * plan_sweep_threads parallelizes over groups with OpenMP (compiled in
  * only when the loader probes -fopenmp successfully; without it the
@@ -64,39 +59,7 @@
 #ifdef LANES
 /* ---- the kernel body, instantiated once per lane width ------------------ */
 
-#if LANES == 1
-typedef double FN(vd_w);
-typedef int64_t FN(vm_w); /* lane mask: all ones or zero */
-#define V_ATTR
-#define V_SET1(x) (x)
-#define V_LOAD(p) ((p)[0])
-#define V_LANE(v, l) (v)
-#define V_SQRT(x) sqrt(x)
-#define V_RINT(x) rint(x)
-#define V_NE(a, b) (-(int64_t)((a) != (b)))
-#define V_GT(a, b) (-(int64_t)((a) > (b)))
-#define V_GE(a, b) (-(int64_t)((a) >= (b)))
-#define V_LT(a, b) (-(int64_t)((a) < (b)))
-#define V_ANY(m) ((m) != 0)
-#define V_KEEP(m, x) ((m) ? (x) : 0.0)
-#else
-typedef double FN(vd_w) __attribute__((vector_size(8 * LANES)));
-typedef int64_t FN(vm_w) __attribute__((vector_size(8 * LANES)));
-#define V_ATTR __attribute__((target("avx2")))
-#define V_SET1(x) ((vd)_mm256_set1_pd(x))
-#define V_LOAD(p) ((vd)_mm256_loadu_pd(p))
-#define V_LANE(v, l) ((v)[l])
-#define V_SQRT(x) ((vd)_mm256_sqrt_pd((__m256d)(x)))
-#define V_RINT(x) ((vd)_mm256_round_pd((__m256d)(x), _MM_FROUND_CUR_DIRECTION))
-#define V_NE(a, b) ((a) != (b))
-#define V_GT(a, b) ((a) > (b))
-#define V_GE(a, b) ((a) >= (b))
-#define V_LT(a, b) ((a) < (b))
-#define V_ANY(m) (_mm256_movemask_pd((__m256d)(m)) != 0)
-#define V_KEEP(m, x) ((vd)((vm)(x) & (m)))
-#endif
-#define vd FN(vd_w)
-#define vm FN(vm_w)
+#include "_lanes.h"
 
 /* exact operation sequence of gp3m_cutoff's array branch */
 V_ATTR static inline vd FN(gp3m_w)(vd xi)
@@ -214,72 +177,21 @@ V_ATTR static void FN(sweep_targets_w)(
     }
 }
 
-#undef vd
-#undef vm
-#undef V_ATTR
-#undef V_SET1
-#undef V_LOAD
-#undef V_LANE
-#undef V_SQRT
-#undef V_RINT
-#undef V_NE
-#undef V_GT
-#undef V_GE
-#undef V_LT
-#undef V_ANY
-#undef V_KEEP
+#include "_lanes.h"
 
 #else
 /* ---- the translation unit ------------------------------------------------ */
-
-#include <math.h>
-#include <stdint.h>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
-/* FN(name_w) is name_w1 or name_w4 */
-#define CAT_(a, b) a##b
-#define CAT(a, b) CAT_(a, b)
-#define FN(name) CAT(name, LANES)
-
-#define LANES 1
-#include "_plansweep.c"
-#undef LANES
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define LANES 4
-#include "_plansweep.c"
-#undef LANES
-#define HAVE_W4 1
-#endif
-
-typedef void (*sweep_targets_fn)(
-    int64_t, int64_t, const uint8_t *, int64_t, const double *, const double *,
-    int, double, double, int, double, double, double, double *);
-
-/* the instantiation plan_sweep and plan_sweep_threads run */
-static sweep_targets_fn dispatched = sweep_targets_w1;
-static int dispatched_lanes = 1;
-
-#ifdef HAVE_W4
-__attribute__((constructor)) static void pick_lanes(void)
-{
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) {
-        dispatched = sweep_targets_w4;
-        dispatched_lanes = 4;
-    }
-}
-#endif
-
-/* Lane width of the dispatched instantiation (for logs and telemetry). */
-int plan_sweep_lanes(void)
-{
-    return dispatched_lanes;
-}
+/* sweep_targets_w1 and _w4, `dispatched` (the one plan_sweep and
+ * plan_sweep_threads run) and plan_sweep_lanes() */
+#define LANES_SELF "_plansweep.c"
+#define LANES_KERNEL sweep_targets_w
+#define LANES_EXPORT plan_sweep_lanes
+#include "_lanes.h"
 
 #define PLAN_PARAMS                                                          \
     int64_t n_groups,                                                        \
@@ -308,7 +220,8 @@ int plan_sweep_lanes(void)
     pos, mass, node_com, node_mass, wrap, tmask, box, eps2, use_split, rcut, \
     rc2, G, scratch, out
 
-static void sweep_group(sweep_targets_fn sweep_targets, int64_t g, PLAN_PARAMS)
+static void sweep_group(__typeof__(dispatched) sweep_targets, int64_t g,
+                        PLAN_PARAMS)
 {
     (void)n_groups;
     int64_t p0 = part_ptr[g], p1 = part_ptr[g + 1];

@@ -43,44 +43,16 @@
  * allocation.  A node whose children are not one contiguous id run
  * returns -2: the caller walks that tree in numpy.
  *
- * The walk is written once over the V_* lane macros and instantiated by
- * self-include at LANES = 1 (plain C) and, on x86-64, LANES = 4 (AVX2
- * target attribute on that function only; no FMA, -ffp-contract=off);
- * the width is picked from the CPU when the library is loaded.
+ * The walk is written once over the V_* lane macros of _lanes.h, which
+ * instantiates it at one lane (plain C) and, on x86-64, at four (AVX2
+ * target attribute on that function only; no FMA, -ffp-contract=off)
+ * and picks the width from the CPU when the library is loaded.
  */
 
 #ifdef LANES
 /* ---- the walk, instantiated once per lane width -------------------------- */
 
-#if LANES == 1
-typedef double FN(vd_w);
-typedef int64_t FN(vm_w); /* lane mask: all ones or zero */
-#define V_ATTR
-#define V_SET1(x) (x)
-#define V_LOAD(p) ((p)[0])
-#define V_STORE(p, v) ((p)[0] = (v))
-#define V_SQRT(x) sqrt(x)
-#define V_RINT(x) rint(x)
-#define V_GT(a, b) (-(int64_t)((a) > (b)))
-#define V_LT(a, b) (-(int64_t)((a) < (b)))
-#define V_LE(a, b) (-(int64_t)((a) <= (b)))
-#define V_BITS(m) ((int)((m) & 1)) /* one bit per lane */
-#else
-typedef double FN(vd_w) __attribute__((vector_size(8 * LANES)));
-typedef int64_t FN(vm_w) __attribute__((vector_size(8 * LANES)));
-#define V_ATTR __attribute__((target("avx2")))
-#define V_SET1(x) ((vd)_mm256_set1_pd(x))
-#define V_LOAD(p) ((vd)_mm256_loadu_pd(p))
-#define V_STORE(p, v) _mm256_storeu_pd(p, (__m256d)(v))
-#define V_SQRT(x) ((vd)_mm256_sqrt_pd((__m256d)(x)))
-#define V_RINT(x) ((vd)_mm256_round_pd((__m256d)(x), _MM_FROUND_CUR_DIRECTION))
-#define V_GT(a, b) ((a) > (b))
-#define V_LT(a, b) ((a) < (b))
-#define V_LE(a, b) ((a) <= (b))
-#define V_BITS(m) _mm256_movemask_pd((__m256d)(m))
-#endif
-#define vd FN(vd_w)
-#define vm FN(vm_w)
+#include "_lanes.h"
 
 V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
 {
@@ -188,30 +160,10 @@ V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
     return 0;
 }
 
-#undef vd
-#undef vm
-#undef V_ATTR
-#undef V_SET1
-#undef V_LOAD
-#undef V_STORE
-#undef V_SQRT
-#undef V_RINT
-#undef V_GT
-#undef V_LT
-#undef V_LE
-#undef V_BITS
+#include "_lanes.h"
 
 #else
 /* ---- the translation unit ------------------------------------------------ */
-
-#include <math.h>
-#include <stdint.h>
-
-/* FN(name_w) is name_w1 or name_w4; plan_traverse_w1 is exported so the
- * two widths can be compared on any host */
-#define CAT_(a, b) a##b
-#define CAT(a, b) CAT_(a, b)
-#define FN(name) CAT(name, LANES)
 
 #define TRAVERSE_PARAMS                                                      \
     const int64_t *groups,        /* (n_groups,) node ids */                 \
@@ -244,38 +196,13 @@ V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
     part_cap, node_cap, part_ptr, part_idx, part_shift, node_ptr, node_idx,  \
     node_shift, queue, counts_out
 
-#define LANES 1
-#include "_traverse.c"
-#undef LANES
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define LANES 4
-#include "_traverse.c"
-#undef LANES
-#define HAVE_W4 1
-#endif
-
-/* the instantiation plan_traverse runs */
-static int64_t (*dispatched)(TRAVERSE_PARAMS) = plan_traverse_w1;
-static int dispatched_lanes = 1;
-
-#ifdef HAVE_W4
-__attribute__((constructor)) static void pick_lanes(void)
-{
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) {
-        dispatched = plan_traverse_w4;
-        dispatched_lanes = 4;
-    }
-}
-#endif
-
-/* Lane width of the dispatched instantiation (for logs and telemetry). */
-int plan_traverse_lanes(void)
-{
-    return dispatched_lanes;
-}
+/* plan_traverse_w1 (exported, so the two widths can be compared on
+ * any host) and _w4, `dispatched` (the one plan_traverse runs) and
+ * plan_traverse_lanes() */
+#define LANES_SELF "_traverse.c"
+#define LANES_KERNEL plan_traverse_w
+#define LANES_EXPORT plan_traverse_lanes
+#include "_lanes.h"
 
 int64_t plan_traverse(TRAVERSE_PARAMS)
 {

@@ -11,40 +11,16 @@ particle sets.
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import Optional
 
 import numpy as np
 
 from repro.native import build as _build
 
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_certify.c")
-
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_F64P = ctypes.POINTER(ctypes.c_double)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
-
-
-def _ptr(arr, ctype):
-    return arr.ctypes.data_as(ctype)
-
-
-def _declare(lib: ctypes.CDLL) -> None:
-    lib.certify_no_wrap.restype = None
-    lib.certify_no_wrap.argtypes = [
-        ctypes.c_int64,
-        _I64P, _I64P,
-        _I64P, _I64P,
-        _I64P, _I64P,
-        _F64P, _F64P,
-        ctypes.c_double,
-        _U8P,
-    ]
-
 
 def get_lib() -> Optional[ctypes.CDLL]:
     """The verified certification library, or ``None`` (checked per call)."""
-    return _build.verified_library("certify", _SRC, _declare, _self_test)
+    return _build.library("certify")
 
 
 def available() -> bool:
@@ -53,24 +29,17 @@ def available() -> bool:
 
 
 def _certify_with(lib, tree, plan, box: float) -> np.ndarray:
-    G = plan.n_groups
-    group_lo = np.ascontiguousarray(plan.group_lo, dtype=np.int64)
-    group_hi = np.ascontiguousarray(plan.group_hi, dtype=np.int64)
-    part_ptr = np.ascontiguousarray(plan.part_ptr, dtype=np.int64)
-    part_idx = np.ascontiguousarray(plan.part_idx, dtype=np.int64)
-    node_ptr = np.ascontiguousarray(plan.node_ptr, dtype=np.int64)
-    node_idx = np.ascontiguousarray(plan.node_idx, dtype=np.int64)
-    pos_sorted = np.ascontiguousarray(tree.pos_sorted, dtype=np.float64)
-    node_com = np.ascontiguousarray(tree.node_com, dtype=np.float64)
-    out = np.zeros(G, dtype=np.uint8)
+    i64 = lambda a: np.ascontiguousarray(a, dtype=np.int64)
+    f64 = lambda a: np.ascontiguousarray(a, dtype=np.float64)
+    out = np.zeros(plan.n_groups, dtype=np.uint8)
     lib.certify_no_wrap(
-        ctypes.c_int64(G),
-        _ptr(group_lo, _I64P), _ptr(group_hi, _I64P),
-        _ptr(part_ptr, _I64P), _ptr(part_idx, _I64P),
-        _ptr(node_ptr, _I64P), _ptr(node_idx, _I64P),
-        _ptr(pos_sorted, _F64P), _ptr(node_com, _F64P),
-        ctypes.c_double(box),
-        _ptr(out, _U8P),
+        plan.n_groups,
+        i64(plan.group_lo), i64(plan.group_hi),
+        i64(plan.part_ptr), i64(plan.part_idx),
+        i64(plan.node_ptr), i64(plan.node_idx),
+        f64(tree.pos_sorted), f64(tree.node_com),
+        box,
+        out,
     )
     return out.view(np.bool_)
 

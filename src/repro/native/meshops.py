@@ -15,55 +15,16 @@ out of contract, and the caller falls back to the numpy code.
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import Optional
 
 import numpy as np
 
 from repro.native import build as _build
 
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_meshops.c")
-
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_F64P = ctypes.POINTER(ctypes.c_double)
-
-
-def _ptr(arr, ctype):
-    return arr.ctypes.data_as(ctype)
-
-
-def _declare(lib: ctypes.CDLL) -> None:
-    lib.mesh_scatter.restype = None
-    lib.mesh_scatter.argtypes = [
-        ctypes.c_int64, ctypes.c_int64,
-        _I64P, _I64P, _I64P, _F64P, _F64P, _F64P, _F64P,
-        ctypes.c_int64, ctypes.c_int64, _F64P,
-    ]
-    lib.mesh_gather.restype = None
-    lib.mesh_gather.argtypes = [
-        ctypes.c_int64, ctypes.c_int64,
-        _I64P, _I64P, _I64P, _F64P, _F64P, _F64P,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        _F64P, _F64P,
-    ]
-    lib.mesh_gather_gradient.restype = None
-    lib.mesh_gather_gradient.argtypes = [
-        ctypes.c_int64, ctypes.c_int64,
-        _I64P, _I64P, _I64P, _F64P, _F64P, _F64P,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_double, _F64P, _F64P,
-    ]
-    for fn in (lib.mesh_block_add, lib.mesh_block_take):
-        fn.restype = None
-        fn.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, _F64P, _F64P,
-        ]
-
 
 def get_lib() -> Optional[ctypes.CDLL]:
     """The verified mesh-ops library, or ``None`` (checked per call)."""
-    return _build.verified_library("mesh", _SRC, _declare, _self_test)
+    return _build.library("mesh")
 
 
 def available() -> bool:
@@ -72,33 +33,22 @@ def available() -> bool:
 
 
 def _contract_ok(ix, iy, iz, wx, wy, wz) -> bool:
-    for arr in (ix, iy, iz):
-        if arr.dtype != np.int64 or not arr.flags["C_CONTIGUOUS"]:
-            return False
-    for arr in (wx, wy, wz):
-        if arr.dtype != np.float64 or not arr.flags["C_CONTIGUOUS"]:
-            return False
-    return True
+    return _build.c_arrays(np.int64, ix, iy, iz) and _build.c_arrays(
+        np.float64, wx, wy, wz
+    )
 
 
 def _scatter_with(lib, out, ix, iy, iz, wx, wy, wz, mass) -> None:
     n, s = ix.shape
     lib.mesh_scatter(
-        ctypes.c_int64(n), ctypes.c_int64(s),
-        _ptr(ix, _I64P), _ptr(iy, _I64P), _ptr(iz, _I64P),
-        _ptr(wx, _F64P), _ptr(wy, _F64P), _ptr(wz, _F64P),
-        _ptr(mass, _F64P),
-        ctypes.c_int64(out.shape[1]), ctypes.c_int64(out.shape[2]),
-        _ptr(out, _F64P),
+        n, s, ix, iy, iz, wx, wy, wz, mass, out.shape[1], out.shape[2], out
     )
 
 
 def scatter(out, ix, iy, iz, wx, wy, wz, mass) -> bool:
     """Accumulate stencil deposits into ``out``; False = fall back."""
     lib = get_lib()
-    if lib is None:
-        return False
-    if out.dtype != np.float64 or not out.flags["C_CONTIGUOUS"]:
+    if lib is None or not _build.c_arrays(np.float64, out):
         return False
     if not _contract_ok(ix, iy, iz, wx, wy, wz):
         return False
@@ -111,12 +61,8 @@ def _gather_with(lib, mesh3, ncomp, ix, iy, iz, wx, wy, wz) -> np.ndarray:
     n, s = ix.shape
     out = np.zeros((n, ncomp))
     lib.mesh_gather(
-        ctypes.c_int64(n), ctypes.c_int64(s),
-        _ptr(ix, _I64P), _ptr(iy, _I64P), _ptr(iz, _I64P),
-        _ptr(wx, _F64P), _ptr(wy, _F64P), _ptr(wz, _F64P),
-        ctypes.c_int64(mesh3.shape[1]), ctypes.c_int64(mesh3.shape[2]),
-        ctypes.c_int64(ncomp),
-        _ptr(mesh3, _F64P), _ptr(out, _F64P),
+        n, s, ix, iy, iz, wx, wy, wz,
+        mesh3.shape[1], mesh3.shape[2], ncomp, mesh3, out,
     )
     return out
 
@@ -128,9 +74,7 @@ def gather(mesh, ix, iy, iz, wx, wy, wz) -> Optional[np.ndarray]:
     the kernel and restored on the result.
     """
     lib = get_lib()
-    if lib is None:
-        return None
-    if mesh.dtype != np.float64 or not mesh.flags["C_CONTIGUOUS"]:
+    if lib is None or not _build.c_arrays(np.float64, mesh):
         return None
     if not _contract_ok(ix, iy, iz, wx, wy, wz):
         return None
@@ -152,10 +96,8 @@ def can_gather_gradient(phi, scheme, trim) -> bool:
     if scheme not in _DIFFERENCES or trim < _DIFFERENCES[scheme][0]:
         return False
     return (
-        isinstance(phi, np.ndarray)
+        _build.c_arrays(np.float64, phi)
         and phi.ndim == 3
-        and phi.dtype == np.float64
-        and phi.flags["C_CONTIGUOUS"]
         and get_lib() is not None
     )
 
@@ -166,13 +108,9 @@ def _gather_gradient_with(
     n, s = ix.shape
     out = np.zeros((n, 3))
     lib.mesh_gather_gradient(
-        ctypes.c_int64(n), ctypes.c_int64(s),
-        _ptr(ix, _I64P), _ptr(iy, _I64P), _ptr(iz, _I64P),
-        _ptr(wx, _F64P), _ptr(wy, _F64P), _ptr(wz, _F64P),
-        ctypes.c_int64(phi.shape[1]), ctypes.c_int64(phi.shape[2]),
-        ctypes.c_int64(trim), ctypes.c_int64(scheme == "four_point"),
-        ctypes.c_double(_DIFFERENCES[scheme][1] * h),
-        _ptr(phi, _F64P), _ptr(out, _F64P),
+        n, s, ix, iy, iz, wx, wy, wz,
+        phi.shape[1], phi.shape[2], trim, scheme == "four_point",
+        _DIFFERENCES[scheme][1] * h, phi, out,
     )
     return out
 
@@ -200,17 +138,15 @@ def gather_gradient(
 def _block_contract_ok(slab, x0, y_idx, z_idx, block_shape) -> bool:
     """Slab/index/shape contract shared by block add and take; the
     range checks are what keeps the kernels inside ``slab``."""
-    if slab.ndim != 3 or slab.dtype != np.float64:
+    if not _build.c_arrays(np.float64, slab) or slab.ndim != 3:
         return False
-    if not slab.flags["C_CONTIGUOUS"] or len(block_shape) != 3:
+    if len(block_shape) != 3 or not _build.c_arrays(np.int64, y_idx, z_idx):
         return False
     for idx, extent, count in (
         (y_idx, slab.shape[1], block_shape[1]),
         (z_idx, slab.shape[2], block_shape[2]),
     ):
-        if not isinstance(idx, np.ndarray) or idx.shape != (count,):
-            return False
-        if idx.dtype != np.int64 or not idx.flags["C_CONTIGUOUS"]:
+        if idx.shape != (count,):
             return False
         if count and (idx.min() < 0 or idx.max() >= extent):
             return False
@@ -219,23 +155,14 @@ def _block_contract_ok(slab, x0, y_idx, z_idx, block_shape) -> bool:
 
 def _block_call(fn, slab, x0, y_idx, z_idx, block) -> None:
     nx, ny, nz = block.shape
-    fn(
-        ctypes.c_int64(nx), ctypes.c_int64(ny), ctypes.c_int64(nz),
-        ctypes.c_int64(x0), _ptr(y_idx, _I64P), _ptr(z_idx, _I64P),
-        ctypes.c_int64(slab.shape[1]), ctypes.c_int64(slab.shape[2]),
-        _ptr(slab, _F64P), _ptr(block, _F64P),
-    )
+    fn(nx, ny, nz, x0, y_idx, z_idx, slab.shape[1], slab.shape[2], slab, block)
 
 
 def block_add(slab, x0, y_idx, z_idx, block) -> bool:
     """``slab[x0 + a, y_idx[b], z_idx[c]] += block[a, b, c]`` in C
     order (``np.add.at`` order, duplicates included); False = fall back."""
     lib = get_lib()
-    if lib is None:
-        return False
-    if not isinstance(block, np.ndarray) or block.dtype != np.float64:
-        return False
-    if not block.flags["C_CONTIGUOUS"]:
+    if lib is None or not _build.c_arrays(np.float64, block):
         return False
     if not _block_contract_ok(slab, x0, y_idx, z_idx, block.shape):
         return False

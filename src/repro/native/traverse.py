@@ -15,45 +15,16 @@ reference on periodic/open × cutoff/pure-tree configurations.
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.native import build as _build
 
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_traverse.c")
-
-_I32P = ctypes.POINTER(ctypes.c_int32)
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_F64P = ctypes.POINTER(ctypes.c_double)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
-
-
-def _ptr(arr, ctype):
-    return arr.ctypes.data_as(ctype)
-
-
-def _declare(lib: ctypes.CDLL) -> None:
-    lib.plan_traverse_lanes.restype = ctypes.c_int
-    lib.plan_traverse_lanes.argtypes = []
-    for entry in (lib.plan_traverse, lib.plan_traverse_w1):
-        entry.restype = ctypes.c_int64
-        entry.argtypes = [
-            _I64P, ctypes.c_int64,
-            _F64P, ctypes.c_int64, _F64P, _I64P, _I64P, _U8P, _I64P,
-            ctypes.c_double, ctypes.c_int, ctypes.c_double,
-            ctypes.c_int, ctypes.c_double,
-            ctypes.c_int64, ctypes.c_int64,
-            _I64P, _I64P, _F64P,
-            _I64P, _I64P, _F64P,
-            _I32P, _I64P,
-        ]
-
 
 def get_lib() -> Optional[ctypes.CDLL]:
     """The verified traversal library, or ``None`` (checked per call)."""
-    return _build.verified_library("traverse", _SRC, _declare, _self_test)
+    return _build.library("traverse")
 
 
 def available() -> bool:
@@ -134,20 +105,14 @@ class PlanWalker:
             part_shift = np.empty((part_cap, 3)) if shifts else None
             node_shift = np.empty((node_cap, 3)) if shifts else None
             rc = lib.plan_traverse(
-                _ptr(groups, _I64P), ctypes.c_int64(Gn),
-                _ptr(node_soa, _F64P), ctypes.c_int64(stride),
-                _ptr(node_center, _F64P), _ptr(node_lo, _I64P), _ptr(node_hi, _I64P),
-                _ptr(is_leaf, _U8P), _ptr(children, _I64P),
-                ctypes.c_double(theta), ctypes.c_int(1 if periodic else 0),
-                ctypes.c_double(box),
-                ctypes.c_int(0 if rcut is None else 1),
-                ctypes.c_double(0.0 if rcut is None else float(rcut)),
-                ctypes.c_int64(part_cap), ctypes.c_int64(node_cap),
-                _ptr(part_ptr, _I64P), _ptr(part_idx, _I64P),
-                _ptr(part_shift, _F64P) if shifts else None,
-                _ptr(node_ptr, _I64P), _ptr(node_idx, _I64P),
-                _ptr(node_shift, _F64P) if shifts else None,
-                _ptr(queue, _I32P), _ptr(counts, _I64P),
+                groups, Gn, node_soa, stride,
+                node_center, node_lo, node_hi, is_leaf, children,
+                theta, int(periodic), box,
+                int(rcut is not None), 0.0 if rcut is None else float(rcut),
+                part_cap, node_cap,
+                part_ptr, part_idx, part_shift,
+                node_ptr, node_idx, node_shift,
+                queue, counts,
             )
             np_count = int(counts[1])
             nn_count = int(counts[2])

@@ -16,43 +16,11 @@ the process.
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.native import build as _build
-
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_treebuild.c")
-
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_U64P = ctypes.POINTER(ctypes.c_uint64)
-_F64P = ctypes.POINTER(ctypes.c_double)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
-
-
-def _ptr(arr, ctype):
-    return arr.ctypes.data_as(ctype)
-
-
-def _declare(lib: ctypes.CDLL) -> None:
-    lib.morton_keys.restype = ctypes.c_int64
-    lib.morton_keys.argtypes = [
-        _F64P, ctypes.c_int64, _F64P, ctypes.c_double, ctypes.c_int64, _U64P,
-    ]
-    lib.radix_argsort.restype = None
-    lib.radix_argsort.argtypes = [_U64P, ctypes.c_int64, _U64P, _I64P, _U64P, _I64P]
-    lib.octree_build.restype = ctypes.c_int64
-    lib.octree_build.argtypes = [
-        _U64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        _F64P, ctypes.c_double, ctypes.c_int64,
-        _F64P, _F64P, _I64P, _I64P, _I64P, _U8P, _I64P,
-    ]
-    lib.group_nodes.restype = ctypes.c_int64
-    lib.group_nodes.argtypes = [
-        _I64P, _I64P, _I64P, _U8P,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P,
-    ]
 
 
 def get_lib() -> Optional[ctypes.CDLL]:
@@ -61,7 +29,7 @@ def get_lib() -> Optional[ctypes.CDLL]:
     Stage gating (``REPRO_NO_NATIVE`` / ``REPRO_NO_NATIVE_TREE``) is
     checked on every call so it can be toggled within a process.
     """
-    return _build.verified_library("tree", _SRC, _declare, _self_test)
+    return _build.library("tree")
 
 
 def available() -> bool:
@@ -79,20 +47,14 @@ def _morton_build_with(
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     origin = np.ascontiguousarray(origin, dtype=np.float64)
     keys = np.empty(n, dtype=np.uint64)
-    rc = lib.morton_keys(
-        _ptr(pos, _F64P), ctypes.c_int64(n), _ptr(origin, _F64P),
-        ctypes.c_double(size), ctypes.c_int64(bits), _ptr(keys, _U64P),
-    )
+    rc = lib.morton_keys(pos, n, origin, size, bits, keys)
     if rc != 0:
         return None  # out-of-cube / non-finite: numpy path raises properly
     keys_sorted = np.empty(n, dtype=np.uint64)
     perm = np.empty(n, dtype=np.int64)
     tmp_k = np.empty(n, dtype=np.uint64)
     tmp_p = np.empty(n, dtype=np.int64)
-    lib.radix_argsort(
-        _ptr(keys, _U64P), ctypes.c_int64(n), _ptr(keys_sorted, _U64P),
-        _ptr(perm, _I64P), _ptr(tmp_k, _U64P), _ptr(tmp_p, _I64P),
-    )
+    lib.radix_argsort(keys, n, keys_sorted, perm, tmp_k, tmp_p)
     return keys_sorted, perm
 
 
@@ -128,13 +90,8 @@ def _build_nodes_with(
         is_leaf = np.empty(cap, dtype=np.uint8)
         children = np.empty((cap, 8), dtype=np.int64)
         ret = lib.octree_build(
-            _ptr(keys_sorted, _U64P), ctypes.c_int64(n),
-            ctypes.c_int64(leaf_size), ctypes.c_int64(max_depth),
-            _ptr(root_center, _F64P), ctypes.c_double(root_half),
-            ctypes.c_int64(cap),
-            _ptr(center, _F64P), _ptr(half, _F64P), _ptr(lo, _I64P),
-            _ptr(hi, _I64P), _ptr(depth, _I64P), _ptr(is_leaf, _U8P),
-            _ptr(children, _I64P),
+            keys_sorted, n, leaf_size, max_depth, root_center, root_half, cap,
+            center, half, lo, hi, depth, is_leaf, children,
         )
         if ret >= 0:
             k = int(ret)
@@ -182,10 +139,7 @@ def _group_nodes_with(
     out = np.empty(n_nodes, dtype=np.int64)
     stack = np.empty(n_nodes + 8, dtype=np.int64)
     ret = lib.group_nodes(
-        _ptr(lo, _I64P), _ptr(hi, _I64P), _ptr(children, _I64P),
-        _ptr(is_leaf, _U8P), ctypes.c_int64(n_nodes),
-        ctypes.c_int64(group_size), ctypes.c_int64(n_nodes),
-        _ptr(out, _I64P), _ptr(stack, _I64P),
+        lo, hi, children, is_leaf, n_nodes, group_size, n_nodes, out, stack
     )
     return out[: int(ret)].tolist()
 

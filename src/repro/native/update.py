@@ -9,39 +9,16 @@ identical numpy arithmetic instead.
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import Optional
 
 import numpy as np
 
 from repro.native import build as _build
 
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_update.c")
-
-_F64P = ctypes.POINTER(ctypes.c_double)
-
-
-def _ptr(arr):
-    return arr.ctypes.data_as(_F64P)
-
-
-def _declare(lib: ctypes.CDLL) -> None:
-    lib.kick.restype = None
-    lib.kick.argtypes = [ctypes.c_int64, _F64P, _F64P, ctypes.c_double]
-    lib.kick_drift_wrap.restype = None
-    lib.kick_drift_wrap.argtypes = [
-        ctypes.c_int64, _F64P, _F64P, _F64P,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double,
-    ]
-    lib.drift_wrap.restype = None
-    lib.drift_wrap.argtypes = [
-        ctypes.c_int64, _F64P, _F64P, ctypes.c_double, ctypes.c_double,
-    ]
-
 
 def get_lib() -> Optional[ctypes.CDLL]:
     """The verified update library, or ``None`` (checked per call)."""
-    return _build.verified_library("update", _SRC, _declare, _self_test)
+    return _build.library("update")
 
 
 def available() -> bool:
@@ -49,19 +26,16 @@ def available() -> bool:
     return get_lib() is not None
 
 
-def _ok(*arrays) -> bool:
-    return all(
-        a.dtype == np.float64 and a.flags["C_CONTIGUOUS"] for a in arrays
-    )
-
-
 def kick(mom: np.ndarray, acc: np.ndarray, coeff: float) -> bool:
     """``mom += acc * coeff`` in place; False = caller falls back."""
     lib = get_lib()
-    if lib is None or not _ok(mom, acc) or mom.shape != acc.shape:
+    if (
+        lib is None
+        or not _build.c_arrays(np.float64, mom, acc)
+        or mom.shape != acc.shape
+    ):
         return False
-    lib.kick(ctypes.c_int64(mom.size), _ptr(mom), _ptr(acc),
-             ctypes.c_double(coeff))
+    lib.kick(mom.size, mom, acc, coeff)
     return True
 
 
@@ -77,15 +51,11 @@ def kick_drift_wrap(
     lib = get_lib()
     if (
         lib is None
-        or not _ok(pos, mom, acc)
+        or not _build.c_arrays(np.float64, pos, mom, acc)
         or not (pos.shape == mom.shape == acc.shape)
     ):
         return False
-    lib.kick_drift_wrap(
-        ctypes.c_int64(pos.size), _ptr(pos), _ptr(mom), _ptr(acc),
-        ctypes.c_double(kick_coeff), ctypes.c_double(drift_coeff),
-        ctypes.c_double(box),
-    )
+    lib.kick_drift_wrap(pos.size, pos, mom, acc, kick_coeff, drift_coeff, box)
     return True
 
 
@@ -94,12 +64,13 @@ def drift_wrap(
 ) -> bool:
     """``pos = wrap(pos + mom * drift_coeff)`` in place."""
     lib = get_lib()
-    if lib is None or not _ok(pos, mom) or pos.shape != mom.shape:
+    if (
+        lib is None
+        or not _build.c_arrays(np.float64, pos, mom)
+        or pos.shape != mom.shape
+    ):
         return False
-    lib.drift_wrap(
-        ctypes.c_int64(pos.size), _ptr(pos), _ptr(mom),
-        ctypes.c_double(drift_coeff), ctypes.c_double(box),
-    )
+    lib.drift_wrap(pos.size, pos, mom, drift_coeff, box)
     return True
 
 
@@ -126,27 +97,19 @@ def _self_test(lib) -> bool:
 
         got_pos = pos.copy()
         got_mom = mom.copy()
-        lib.kick_drift_wrap(
-            ctypes.c_int64(got_pos.size), _ptr(got_pos), _ptr(got_mom),
-            _ptr(acc), ctypes.c_double(kc), ctypes.c_double(dc),
-            ctypes.c_double(box),
-        )
+        lib.kick_drift_wrap(got_pos.size, got_pos, got_mom, acc, kc, dc, box)
         if not (
             np.array_equal(got_mom, ref_mom) and np.array_equal(got_pos, ref_pos)
         ):
             return False
 
         k_mom = mom.copy()
-        lib.kick(ctypes.c_int64(k_mom.size), _ptr(k_mom), _ptr(acc),
-                 ctypes.c_double(kc))
+        lib.kick(k_mom.size, k_mom, acc, kc)
         if not np.array_equal(k_mom, ref_mom):
             return False
 
         d_pos = pos.copy()
-        lib.drift_wrap(
-            ctypes.c_int64(d_pos.size), _ptr(d_pos), _ptr(mom),
-            ctypes.c_double(dc), ctypes.c_double(box),
-        )
+        lib.drift_wrap(d_pos.size, d_pos, mom, dc, box)
         if not np.array_equal(d_pos, wrap_positions(pos + mom * dc, box)):
             return False
     return True

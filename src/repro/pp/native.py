@@ -1,18 +1,19 @@
 """Bindings for the native plan-sweep kernel.
 
-The C source (:file:`_plansweep.c`) ships with the package and is built
-through the shared compile-on-demand loader
-(:mod:`repro.native.build`): compiled once per source/toolchain/flag
-combination into a hash-keyed on-disk cache, bound through
-:mod:`ctypes`.
+The C source (:file:`repro/native/_plansweep.c`) is the ``pp`` entry of
+:data:`repro.native.build.STAGES` and is built through the shared
+compile-on-demand loader like every other stage: compiled once per
+source/toolchain/flag combination into a hash-keyed on-disk cache,
+bound through :mod:`ctypes`, gated by :func:`repro.native.build.library`.
 
 The kernel is laid out like the paper's Phantom-GRAPE: a group's
 interaction list is gathered once into structure-of-arrays scratch and
 the group's targets are swept one per SIMD lane over that shared list.
 One kernel body is instantiated at four lanes (256-bit vectors, picked
 when the library is loaded on an x86-64 CPU with AVX2) and at one lane
-(plain C, every other host); ``plan_sweep`` runs the dispatched width,
-``plan_sweep_w1`` always the one-lane instantiation, and
+(plain C, every other host) by the lane header shared with the walk
+(:file:`repro/native/_lanes.h`); ``plan_sweep`` runs the dispatched
+width, ``plan_sweep_w1`` always the one-lane instantiation, and
 ``plan_sweep_lanes()`` reports which width was dispatched.  Lanes are
 targets, so each lane performs exactly the individually rounded IEEE
 double operations of the numpy executor pipeline for its own target, in
@@ -39,65 +40,16 @@ in use, and no third-party build machinery is involved.
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import Optional
 
 import numpy as np
 
 from repro.native import build as _build
 
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_plansweep.c")
-
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_F64P = ctypes.POINTER(ctypes.c_double)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
-
-_ARGTYPES = [
-    ctypes.c_int64,  # n_groups
-    _I64P,  # group_lo
-    _I64P,  # group_hi
-    _I64P,  # part_ptr
-    _I64P,  # part_idx
-    _I64P,  # node_ptr
-    _I64P,  # node_idx
-    _F64P,  # pos
-    _F64P,  # mass
-    _F64P,  # node_com
-    _F64P,  # node_mass
-    _U8P,  # wrap
-    _U8P,  # target mask (null = every row)
-    ctypes.c_double,  # box
-    ctypes.c_double,  # eps2
-    ctypes.c_int,  # use_split
-    ctypes.c_double,  # rcut
-    ctypes.c_double,  # rc2
-    ctypes.c_double,  # G
-    _F64P,  # scratch
-    _F64P,  # out
-]
-
-
-def _declare(lib: ctypes.CDLL) -> None:
-    lib.plan_sweep_lanes.restype = ctypes.c_int
-    lib.plan_sweep_lanes.argtypes = []
-    for entry in (lib.plan_sweep, lib.plan_sweep_w1):
-        entry.restype = None
-        entry.argtypes = _ARGTYPES
-    lib.plan_sweep_threads.restype = None
-    lib.plan_sweep_threads.argtypes = _ARGTYPES + [
-        ctypes.c_int64,  # scratch_stride
-        ctypes.c_int,  # nthreads
-    ]
-
 
 def get_lib() -> Optional[ctypes.CDLL]:
     """The verified plan-sweep library, or ``None`` (checked per call)."""
-    if not _build.stage_enabled("pp"):
-        return None  # before the OpenMP probe: it compiles a test program
-    extra = ("-fopenmp",) if _build.openmp_available() else ()
-    return _build.verified_library(
-        "pp", _SRC, _declare, _self_test, extra_flags=extra
-    )
+    return _build.library("pp")
 
 
 def available() -> bool:
@@ -108,10 +60,6 @@ def available() -> bool:
 def threaded_available() -> bool:
     """Whether the sweep can actually run multi-threaded (OpenMP built)."""
     return _build.openmp_available() and available()
-
-
-def _ptr(arr, ctype):
-    return arr.ctypes.data_as(ctype)
 
 
 def sweep(
@@ -146,33 +94,13 @@ def sweep(
     must then hold ``nthreads * scratch_stride`` doubles (one board per
     thread).  Results are bitwise identical either way.
     """
-    args = [
-        ctypes.c_int64(len(group_lo)),
-        _ptr(group_lo, _I64P),
-        _ptr(group_hi, _I64P),
-        _ptr(part_ptr, _I64P),
-        _ptr(part_idx, _I64P),
-        _ptr(node_ptr, _I64P),
-        _ptr(node_idx, _I64P),
-        _ptr(pos, _F64P),
-        _ptr(mass, _F64P),
-        _ptr(node_com, _F64P),
-        _ptr(node_mass, _F64P),
-        _ptr(wrap, _U8P),
-        None if target_mask is None else _ptr(target_mask, _U8P),
-        ctypes.c_double(box),
-        ctypes.c_double(eps2),
-        ctypes.c_int(use_split),
-        ctypes.c_double(rcut),
-        ctypes.c_double(rc2),
-        ctypes.c_double(G),
-        _ptr(scratch, _F64P),
-        _ptr(out, _F64P),
-    ]
+    args = (
+        len(group_lo), group_lo, group_hi, part_ptr, part_idx, node_ptr,
+        node_idx, pos, mass, node_com, node_mass, wrap, target_mask,
+        box, eps2, use_split, rcut, rc2, G, scratch, out,
+    )
     if nthreads > 1:
-        lib.plan_sweep_threads(
-            *args, ctypes.c_int64(scratch_stride), ctypes.c_int(nthreads)
-        )
+        lib.plan_sweep_threads(*args, scratch_stride, nthreads)
     else:
         lib.plan_sweep(*args)
 

@@ -1,9 +1,10 @@
 """The shared compile-on-demand loader: hash-keyed caching and gating.
 
 The regression being pinned: compiled ``.so`` artifacts are keyed by a
-hash of the C source plus the full compiler command line, so editing a
-kernel source (or changing flags) can never silently load a stale
-binary — the key changes and a fresh build happens.
+hash of the C source, of the local headers it includes and of the full
+compiler command line, so editing a kernel source or header (or
+changing flags) can never silently load a stale binary — the key
+changes and a fresh build happens.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import ctypes
 import os
 import shutil
 import subprocess
+from fnmatch import fnmatch
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +92,60 @@ def test_editing_source_recompiles(fresh_cache, tmp_path):
     lib3 = nb.load_library(str(src), extra_flags=("-DPROBE",))
     assert lib3 is not None
     assert len(sorted(fresh_cache.glob("kernel-*.so"))) == 3
+
+
+@needs_cc
+def test_editing_an_included_header_recompiles(fresh_cache, tmp_path):
+    """The key covers every local ``#include "…"`` file, so editing a
+    header alone can no more load a stale binary than editing the
+    source."""
+    if not _probe_compiles():
+        pytest.skip("compiler present but not functional")
+    header = tmp_path / "value.h"
+    header.write_text("#define VALUE 42.0\n")
+    src = tmp_path / "inc.c"
+    src.write_text('#include "value.h"\ndouble probe_value(void) { return VALUE; }\n')
+    key = nb.source_key(str(src), nb.BASE_FLAGS)
+    assert _value(nb.load_library(str(src))) == 42.0
+    header.write_text("#define VALUE 43.0\n")
+    assert nb.source_key(str(src), nb.BASE_FLAGS) != key
+    assert _value(nb.load_library(str(src))) == 43.0
+    assert len(sorted(fresh_cache.glob("inc-*.so"))) == 2
+
+
+def test_laned_kernels_are_keyed_by_the_lane_header(tmp_path):
+    native = Path(nb.__file__).parent
+    for name in ("_lanes.h", "_plansweep.c", "_traverse.c"):
+        shutil.copy(native / name, tmp_path / name)
+    keys = [nb.source_key(str(tmp_path / n), nb.BASE_FLAGS)
+            for n in ("_plansweep.c", "_traverse.c")]
+    with open(tmp_path / "_lanes.h", "a") as fh:
+        fh.write("/* edited */\n")
+    assert all(keys)
+    for name, key in zip(("_plansweep.c", "_traverse.c"), keys):
+        assert nb.source_key(str(tmp_path / name), nb.BASE_FLAGS) != key
+
+
+def test_every_c_source_ships_as_package_data():
+    """A non-editable install copies only declared package data: a kernel
+    source or header left out would put its stage on the numpy fallback,
+    silently."""
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+    root = Path(__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["repro"]
+    package = root / "src" / "repro"
+    sources = [
+        p.relative_to(package).as_posix()
+        for p in package.rglob("*")
+        if p.suffix in (".c", ".h")
+    ]
+    assert sources
+    for rel in sources:
+        assert any(fnmatch(rel, pattern) for pattern in declared), rel
 
 
 @needs_cc

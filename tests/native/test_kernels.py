@@ -10,12 +10,14 @@ is then the only path, and it is covered by the rest of the suite.
 from __future__ import annotations
 
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.mesh.assignment import assign_mass, interpolate_mesh
 from repro.native import build, certify, meshops, traverse, treebuild, update
+from repro.pp import native as pp_native
 from repro.tree.morton import MORTON_BITS, morton_keys
 from repro.tree.octree import Octree, build_nodes_numpy
 from repro.tree.traversal import TraversalStats, TreeSolver, traverse_all_numpy
@@ -275,24 +277,39 @@ def test_certified_plans_identical_under_opt_out(particles, monkeypatch):
 
 
 def test_certify_failed_self_test_falls_back(particles, monkeypatch):
-    if not certify.available():
-        pytest.skip("native certify kernel unavailable")
-    monkeypatch.delitem(build._gates, "certify")
-    monkeypatch.setattr(certify, "_self_test", lambda lib: False)
+    assert _fail_self_test(monkeypatch, "certify", lambda lib: False) is False
     assert certify.get_lib() is None
     pos, mass = particles
     tree, plan = _periodic_plan(pos, mass)
     assert certify.certify(tree, plan, 1.0) is None
 
 
-# -- self-test gating ---------------------------------------------------------
+# -- the gate -----------------------------------------------------------------
+
+
+STAGE_MODULES = {
+    "tree": treebuild,
+    "traverse": traverse,
+    "certify": certify,
+    "mesh": meshops,
+    "update": update,
+    "pp": pp_native,
+}
+
+
+def _fail_self_test(monkeypatch, stage, self_test):
+    """Swap the stage's gate for a copy with ``self_test`` and re-run the
+    self-tests, as the health layer does mid-run; returns the stage's new
+    verdict (the verified gate comes back on teardown)."""
+    if not STAGE_MODULES[stage].available():
+        pytest.skip(f"native {stage} kernel unavailable")
+    broken = replace(build._gates[stage], self_test=self_test)
+    monkeypatch.setitem(build._gates, stage, broken)
+    return build.recheck_gates()[stage]
 
 
 def test_failed_self_test_disables_kernel(monkeypatch):
-    if not update.available():
-        pytest.skip("native update kernel unavailable")
-    monkeypatch.delitem(build._gates, "update")
-    monkeypatch.setattr(update, "_self_test", lambda lib: False)
+    assert _fail_self_test(monkeypatch, "update", lambda lib: False) is False
     assert update.get_lib() is None
     assert not update.kick(np.zeros((2, 3)), np.ones((2, 3)), 1.0)
 
@@ -300,34 +317,186 @@ def test_failed_self_test_disables_kernel(monkeypatch):
 def test_failed_sweep_self_test_makes_pp_unavailable(monkeypatch):
     """``pp.native.available()`` means loaded *and* verified, like every
     other stage's."""
-    from repro.pp import native as pp_native
-
-    if not pp_native.available():
-        pytest.skip("native plan-sweep kernel unavailable")
-    monkeypatch.delitem(build._gates, "pp")
-    monkeypatch.setattr(pp_native, "_self_test", lambda lib: False)
+    assert _fail_self_test(monkeypatch, "pp", lambda lib: False) is False
     assert not pp_native.available()
     assert pp_native.get_lib() is None
 
 
 def test_erroring_self_test_disables_kernel(monkeypatch):
-    if not meshops.available():
-        pytest.skip("native mesh kernel unavailable")
-
     def boom(lib):
         raise RuntimeError("synthetic self-test crash")
 
-    monkeypatch.delitem(build._gates, "mesh")
-    monkeypatch.setattr(meshops, "_self_test", boom)
+    assert _fail_self_test(monkeypatch, "mesh", boom) is False
     assert meshops.get_lib() is None
+
+
+def test_recheck_covers_every_stage():
+    if not all(module.available() for module in STAGE_MODULES.values()):
+        pytest.skip("a native stage is unavailable")
+    assert build.recheck_gates() == dict.fromkeys(STAGE_MODULES, True)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        "symbol",  # a declared symbol the library does not export
+        "self_test",  # operator.not_ is False for any loaded library
+    ],
+)
+def test_stage_failing_at_load_is_unavailable(monkeypatch, change):
+    """Declaring every symbol and running the self-test happen when the
+    stage is opened: a failure there leaves the stage on numpy from the
+    start, not an ``AttributeError`` mid-step."""
+    if not update.available():
+        pytest.skip("native update kernel unavailable")
+    stage = build.STAGES["update"]
+    if change == "symbol":
+        symbols = {**stage.symbols, "not_in_the_library": (None, [])}
+        stage = replace(stage, symbols=symbols)
+    else:
+        stage = replace(stage, self_test="operator:not_")
+    monkeypatch.setitem(build.STAGES, "update", stage)
+    monkeypatch.delitem(build._gates, "update")
+    assert update.get_lib() is None
+    assert not update.kick(np.zeros((2, 3)), np.ones((2, 3)), 1.0)
+    assert build._gates["update"].ok is False
+    assert build.recheck_gates()["update"] is False
+
+
+def test_warm_steps_read_no_source(monkeypatch):
+    """Once every stage is open its gate is a dictionary lookup: no
+    kernel call in a step re-reads or re-hashes a C source."""
+    from repro.config import SimulationConfig
+    from repro.sim.serial import SerialSimulation
+
+    rng = np.random.default_rng(7)
+    pos = rng.random((400, 3))
+    config = SimulationConfig.from_dict({"treepm": {"pm": {"mesh_size": 8}}})
+    sim = SerialSimulation(config, pos, np.zeros_like(pos), np.full(400, 1 / 400))
+    sim.step(0.0, 0.01)  # opens every stage
+    calls = []
+    key = build.source_key
+    monkeypatch.setattr(build, "source_key", lambda *a: calls.append(a) or key(*a))
+    for k in range(1, 4):
+        sim.step(0.01 * k, 0.01 * (k + 1))
+    assert calls == []
+
+
+# -- wrong dtype or layout ----------------------------------------------------
+
+
+def _float32(a):
+    return np.asarray(a).astype(np.float32)
+
+
+def _strided(a):
+    """The same values, not C-contiguous."""
+    a = np.asarray(a)
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
+    wide[..., ::2] = a
+    return wide[..., ::2]
+
+
+BAD = pytest.mark.parametrize("bad", [_float32, _strided])
+
+
+@BAD
+def test_update_wrappers_decline(bad):
+    if not update.available():
+        pytest.skip("native update kernel unavailable")
+    mom = bad(np.ones((4, 3)))
+    before = mom.copy()
+    good = np.ones((4, 3))
+    assert not update.kick(mom, good, 0.5)
+    assert not update.kick_drift_wrap(good.copy(), mom, good, 0.5, 1.0, 1.0)
+    assert not update.drift_wrap(mom, good, 1.0, 1.0)
+    assert np.array_equal(mom, before)
+
+
+@BAD
+def test_mesh_wrappers_decline(particles, bad):
+    from repro.mesh.assignment import _weights_1d
+
+    if not meshops.available():
+        pytest.skip("native mesh kernel unavailable")
+    pos, mass = particles
+    ix, wx = _weights_1d("cic", pos[:, 0] * 8)
+    ix %= 8
+    stencil = (ix, ix, ix, wx, wx, wx)
+    grid = np.zeros((8, 8, 8))
+    assert not meshops.scatter(bad(grid), *stencil, mass)
+    assert not meshops.scatter(grid, *stencil[:3], bad(wx), wx, wx, mass)
+    assert meshops.gather(bad(grid), *stencil) is None
+    assert meshops.gather_gradient(bad(np.zeros((12, 12, 12))), 0.1,
+                                   "four_point", 2, *stencil) is None
+    idx = np.arange(8, dtype=np.int64)
+    assert not meshops.block_add(grid, 0, idx, idx, bad(np.ones((2, 8, 8))))
+    assert meshops.block_take(bad(grid), 0, 2, idx, idx) is None
+    assert not grid.any()
+
+
+@BAD
+def test_tree_wrappers_convert(particles, bad):
+    if not treebuild.available():
+        pytest.skip("native tree-build kernel unavailable")
+    pos = np.asarray(bad(particles[0]), dtype=np.float64)
+    keys, perm = treebuild.morton_build(bad(particles[0]), np.zeros(3), 1.0, MORTON_BITS)
+    ref_keys = morton_keys(pos, np.zeros(3), 1.0, MORTON_BITS)
+    assert np.array_equal(perm, np.argsort(ref_keys, kind="stable"))
+    ref = build_nodes_numpy(keys, len(pos), np.zeros(3), 1.0, 8, MORTON_BITS)
+    got = treebuild.build_nodes(_strided(keys), 8, MORTON_BITS, np.full(3, 0.5), 0.5)
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    lo, hi, children, is_leaf = ref[2], ref[3], ref[6], ref[5]
+    assert treebuild.group_nodes(
+        lo.astype(np.int32), hi, _strided(children), is_leaf, 16
+    ) == treebuild.group_nodes(lo, hi, children, is_leaf, 16)
+
+
+def test_walk_and_certify_convert(particles):
+    if not (traverse.available() and certify.available()):
+        pytest.skip("native traversal or certify kernel unavailable")
+    from repro.tree.traversal import certify_no_wrap_numpy
+
+    pos, mass = particles
+    tree, plan = _periodic_plan(pos, mass)
+    groups = np.asarray(plan.group_nodes)
+    got = traverse.traverse_all(
+        tree, groups.astype(np.int32), 0.2, 0.6, True, 1.0,
+        TraversalStats(),
+    )
+    ref = traverse_all_numpy(tree, groups, 0.2, 0.6, True, 1.0, TraversalStats())
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    narrow = replace(
+        plan,
+        part_idx=plan.part_idx.astype(np.int32),
+        node_idx=_strided(plan.node_idx),
+    )
+    assert np.array_equal(
+        certify.certify(tree, narrow, 1.0), certify_no_wrap_numpy(tree, plan, 1.0)
+    )
+
+
+@BAD
+def test_sweep_falls_back_on_output_it_cannot_write(particles, bad):
+    from repro.pp.kernel import PPKernel
+    from repro.pp.plan import PlanExecutor
+
+    pos, mass = particles
+    tree, plan = _periodic_plan(pos, mass)
+    kernel = PPKernel(eps=1e-3, box=1.0)
+    args = (plan, kernel, tree.pos_sorted, tree.mass_sorted,
+            tree.node_com, tree.node_mass)
+    want = PlanExecutor(use_native=False).execute(*args)
+    executor = PlanExecutor()
+    got = executor.execute(*args, out=bad(np.zeros_like(tree.pos_sorted)))
+    assert executor.native_runs == 0
+    assert np.array_equal(got, want.astype(got.dtype))  # each row written once
 
 
 # -- threading ----------------------------------------------------------------
 
 
 def test_plan_sweep_threads_bitwise(particles, monkeypatch):
-    from repro.pp import native as pp_native
-
     if not pp_native.available():
         pytest.skip("native plan-sweep kernel unavailable")
     pos, mass = particles
