@@ -2,7 +2,10 @@
 
 ``python -m repro run config.json`` generates (or loads) initial
 conditions, integrates, and writes snapshots — the adoption surface for
-users who want the simulator without writing Python.
+users who want the simulator without writing Python.  Snapshots and
+checkpoints are one format (:mod:`repro.sim.checkpoint`): each snapshot
+epoch is a checkpoint epoch under ``output_dir/snapshots/``, readable by
+``repro ckpt`` and resumable with ``--resume``.
 
 Config schema (JSON object; every key optional unless noted):
 
@@ -26,7 +29,7 @@ Config schema (JSON object; every key optional unless noted):
   "box_mpc_h": 4e-5,
   "amplitude_boost": 1.0,
   "lpt_order": 1,                     // 1 = Zel'dovich, 2 = 2LPT
-  "snapshots": [0.01, 0.03125],       // epochs to write
+  "snapshots": [0.01, 0.03125],       // epochs to write (serial backend)
   "output_dir": "out",                // required when snapshots given
   "validate": "off",                  // off | warn | abort | dump
   "validate_every": 1,                // check sampling interval (steps)
@@ -54,10 +57,11 @@ override the gray-failure health keys (see ``docs/fault_tolerance.md``
 section 9), and
 ``--backend``/``--ranks`` override the communicator selection (see
 ``docs/parallelism.md``).  Parallel backends run the same schedule via
-:func:`repro.sim.parallel.run_parallel_simulation`; snapshots and
-``--resume`` (the serial single-file checkpoint) are serial-only —
-parallel runs checkpoint through the distributed per-rank format
-instead.
+:func:`repro.sim.parallel.run_parallel_simulation`; snapshots are
+serial-only.  ``--checkpoint-every N`` writes ``step_*`` epochs under
+``--checkpoint-dir`` (default ``output_dir``) with ``sdc_keep_last``
+retention, and ``--resume DIR`` takes a checkpoint root or one of its
+step directories on every backend, whichever driver wrote it.
 """
 
 from __future__ import annotations
@@ -221,51 +225,55 @@ def _run_parallel_from_config(
     log_spaced: bool,
     log,
     checkpoint_every: int,
-    checkpoint_dir,
+    ckpt_root,
     resume,
 ) -> Dict[str, Any]:
     """`repro run` with a parallel communicator backend.
 
     Runs the same schedule through
     :func:`repro.sim.parallel.run_parallel_simulation` on
-    ``cfg["ranks"]`` SPMD ranks.  Serial-only features are rejected
-    explicitly: snapshots and ``--resume`` use the serial single-file
-    format, and the parallel schedule is linearly spaced.
+    ``cfg["ranks"]`` SPMD ranks, or resumes the schedule stored in the
+    checkpoint ``resume`` through
+    :func:`repro.sim.parallel.resume_parallel_simulation`.  Snapshots
+    are serial-only, and the parallel schedule is linearly spaced.
     """
-    if resume is not None:
-        raise ValueError(
-            "--resume takes a serial checkpoint.npz; parallel runs "
-            "resume from distributed checkpoints "
-            "(repro.sim.parallel.resume_parallel_simulation)"
-        )
     if cfg["snapshots"]:
         raise ValueError(
             "snapshots are serial-only; parallel runs persist state "
-            "with --checkpoint-every (distributed checkpoints)"
+            "with --checkpoint-every (checkpoint epochs)"
         )
     if log_spaced:
         raise ValueError(
             "parallel backends step the time variable linearly; set "
             '"log_spaced": false or use the serial backend'
         )
-    from repro.sim.parallel import run_parallel_simulation
+    from repro.sim.parallel import (
+        resume_parallel_simulation,
+        run_parallel_simulation,
+    )
 
     ranks = int(cfg["ranks"])
     par_config = sim_config.with_(
         domain=DomainConfig(divisions=_divisions_for(ranks))
     )
-    pos, mom, mass = _initial_state(cfg, start, end, log)
-    ckpt_dir = (
-        Path(checkpoint_dir or cfg["output_dir"]) if checkpoint_every else None
-    )
     log(f"backend: {cfg['backend']}, {ranks} rank(s)")
-    pos, mom, mass, sims, runtime = run_parallel_simulation(
-        par_config, pos, mom, mass, start, end, cfg["n_steps"],
-        stepper=stepper,
-        checkpoint_every=checkpoint_every or None,
-        checkpoint_dir=ckpt_dir,
-        backend=cfg["backend"],
-    )
+    if resume is not None:
+        log(f"resuming from {resume}")
+        pos, mom, mass, sims, runtime = resume_parallel_simulation(
+            par_config, resume,
+            stepper=stepper,
+            checkpoint_every=checkpoint_every or None,
+            backend=cfg["backend"],
+        )
+    else:
+        pos, mom, mass = _initial_state(cfg, start, end, log)
+        pos, mom, mass, sims, runtime = run_parallel_simulation(
+            par_config, pos, mom, mass, start, end, cfg["n_steps"],
+            stepper=stepper,
+            checkpoint_every=checkpoint_every or None,
+            checkpoint_dir=ckpt_root,
+            backend=cfg["backend"],
+        )
     steps = max(int(s.steps_taken) for s in sims)
     summary = {
         "kind": cfg["kind"],
@@ -274,8 +282,8 @@ def _run_parallel_from_config(
         "final_time": float(end),
         "steps": steps,
         "snapshots": [],
-        "checkpoint": str(ckpt_dir) if ckpt_dir is not None else None,
-        "resumed_from": None,
+        "checkpoint": str(ckpt_root) if ckpt_root is not None else None,
+        "resumed_from": str(resume) if resume is not None else None,
         "per_rank_particles": [
             int(s.n_local) if hasattr(s, "n_local") else len(s.pos)
             for s in sims
@@ -291,6 +299,35 @@ def _run_parallel_from_config(
     }
     log(f"done: {steps} steps on {ranks} {cfg['backend']} rank(s)")
     return summary
+
+
+def _checkpoint_root(cfg: Dict[str, Any], checkpoint_every, checkpoint_dir, resume):
+    """Where this run's checkpoint epochs go: ``--checkpoint-dir``,
+    else ``output_dir``; a resumed run keeps writing into the root that
+    holds the epoch it resumed from.  Also vets ``resume``."""
+    if resume is None:
+        if not checkpoint_every:
+            return None
+        if not (checkpoint_dir or cfg["output_dir"]):
+            raise ValueError(
+                "--checkpoint-every requires --checkpoint-dir or output_dir"
+            )
+        return Path(checkpoint_dir or cfg["output_dir"])
+    from repro.sim.checkpoint import latest_checkpoint
+
+    if not Path(resume).is_dir():
+        raise ValueError(
+            f"--resume takes a checkpoint root or one of its step_* "
+            f"directories (manifest.json + per-rank files); '{resume}' is "
+            f"not one — single-file .npz checkpoints are no longer read"
+        )
+    root = latest_checkpoint(resume).parent
+    if checkpoint_dir is not None and Path(checkpoint_dir).resolve() != root.resolve():
+        raise ValueError(
+            f"a resumed run keeps checkpointing into '{root}'; "
+            f"--checkpoint-dir must name that root or be left out"
+        )
+    return root
 
 
 def _print_process_state() -> None:
@@ -330,12 +367,13 @@ def run_from_config(
 ) -> Dict[str, Any]:
     """Run a simulation described by a config dict.
 
-    ``checkpoint_every`` > 0 writes an atomic rolling checkpoint
-    (``checkpoint.npz`` under ``checkpoint_dir``, defaulting to
-    ``output_dir``) every that many steps; ``resume`` restarts from
-    such a checkpoint, validating that the configuration matches and
-    re-entering the same step schedule so the trajectory is unchanged.
-    Returns a summary dict (final epoch, snapshot paths, statistics).
+    ``checkpoint_every`` > 0 writes a checkpoint epoch (``step_*``
+    under ``checkpoint_dir``, defaulting to ``output_dir``) every that
+    many steps and after the last; ``resume`` restarts from a
+    checkpoint root or step directory written by any driver, validating
+    that the configuration matches and re-entering the same step
+    schedule so the trajectory is unchanged.  Returns a summary dict
+    (final epoch, snapshot step directories, statistics).
     """
     cfg = dict(_DEFAULTS)
     unknown = set(config) - set(cfg)
@@ -357,8 +395,7 @@ def run_from_config(
         )
     if cfg["snapshots"] and not cfg["output_dir"]:
         raise ValueError("snapshots require output_dir")
-    if checkpoint_every and not (checkpoint_dir or cfg["output_dir"]):
-        raise ValueError("--checkpoint-every requires --checkpoint-dir or output_dir")
+    ckpt_root = _checkpoint_root(cfg, checkpoint_every, checkpoint_dir, resume)
 
     sim_config = _build_config(cfg)
 
@@ -381,32 +418,36 @@ def run_from_config(
     if cfg["backend"] != "serial":
         return _run_parallel_from_config(
             cfg, sim_config, stepper, start, end, log_spaced, log,
-            checkpoint_every, checkpoint_dir, resume,
+            checkpoint_every, ckpt_root, resume,
         )
 
+    if log_spaced and start <= 0:
+        raise ValueError("log-spaced steps need a positive start")
+    n_steps = cfg["n_steps"]
+    edges = (
+        np.geomspace(start, end, n_steps + 1)
+        if log_spaced
+        else np.linspace(start, end, n_steps + 1)
+    )
+    schedule = {"t_start": float(start), "t_end": float(end), "n_steps": n_steps}
     first_step = 0
-    resume_time = None
     if resume is not None:
-        sim, hdr = SerialSimulation.from_checkpoint(
+        sim, manifest = SerialSimulation.from_checkpoint(
             sim_config, resume, stepper=stepper
         )
-        first_step = int(hdr.step)
-        resume_time = float(hdr.time)
+        first_step = int(manifest["steps_taken"])
+        if first_step > n_steps:
+            raise ValueError(
+                f"checkpoint is at step {first_step} but the schedule has "
+                f"only {n_steps} steps"
+            )
         log(
             f"resumed from {resume}: step {first_step}, "
-            f"t = {resume_time:.6g} ({len(sim.pos)} particles)"
+            f"t = {edges[first_step]:.6g} ({len(sim.pos)} particles)"
         )
     else:
         pos, mom, mass = _initial_state(cfg, start, end, log)
         sim = SerialSimulation(sim_config, pos, mom, mass, stepper=stepper)
-
-    if log_spaced and start <= 0:
-        raise ValueError("log-spaced steps need a positive start")
-    edges = (
-        np.geomspace(start, end, cfg["n_steps"] + 1)
-        if log_spaced
-        else np.linspace(start, end, cfg["n_steps"] + 1)
-    )
 
     pending = sorted(float(s) for s in cfg["snapshots"])
     for s in pending:
@@ -414,55 +455,37 @@ def run_from_config(
             raise ValueError(f"snapshot epoch {s} outside [{start}, {end}]")
     written: List[str] = []
 
+    def reached(t: float) -> int:
+        return sum(1 for epoch in pending if epoch <= t * (1 + 1e-12))
+
     def maybe_snapshot(t: float) -> None:
-        from repro.sim.io import SnapshotHeader, save_snapshot
-
-        while pending and pending[0] <= t * (1 + 1e-12):
-            epoch = pending.pop(0)
-            out = Path(cfg["output_dir"])
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / f"snapshot_{epoch:.6f}.npz"
-            save_snapshot(
-                path,
-                sim.pos,
-                sim.mom,
-                sim.mass,
-                SnapshotHeader(
-                    time=t,
-                    n_particles=len(sim.pos),
-                    cosmological=cfg["kind"] == "cosmological",
-                    step=sim.steps_taken,
-                    extra={"config": {k: config.get(k) for k in config}},
-                ),
-            )
-            written.append(str(path))
-            log(f"  wrote {path}")
-
-    ckpt_path = None
-    if checkpoint_every:
-        ckpt_path = Path(checkpoint_dir or cfg["output_dir"]) / "checkpoint.npz"
-        ckpt_path.parent.mkdir(parents=True, exist_ok=True)
-
-    if resume is not None:
-        # Snapshot epochs at or before the resume point were already
-        # written by the interrupted run.
-        while pending and pending[0] <= resume_time * (1 + 1e-12):
-            pending.pop(0)
-    else:
-        maybe_snapshot(start)
-    n_steps = cfg["n_steps"]
-    if first_step > n_steps:
-        raise ValueError(
-            f"checkpoint is at step {first_step} but the schedule has "
-            f"only {n_steps} steps"
+        """One checkpoint epoch (retention off) under
+        ``output_dir/snapshots`` for the snapshot epochs reached at ``t``."""
+        if not reached(t):
+            return
+        del pending[: reached(t)]
+        step_dir = sim.save_checkpoint(
+            Path(cfg["output_dir"]) / "snapshots", t,
+            extra={"run_config": dict(config)},
+            schedule={**schedule, "next_step": sim.steps_taken},
+            keep_last=0,
         )
+        written.append(str(step_dir))
+        log(f"  wrote {step_dir}")
+
+    if resume is None:
+        maybe_snapshot(start)
+    else:  # the interrupted run wrote the epochs up to the resume point
+        del pending[: reached(float(edges[first_step]))]
     for i in range(first_step, n_steps):
         t1, t2 = float(edges[i]), float(edges[i + 1])
         sim.step(t1, t2)
         maybe_snapshot(t2)
         if checkpoint_every and ((i + 1) % checkpoint_every == 0 or i + 1 == n_steps):
-            sim.save_checkpoint(ckpt_path, t2)
-            log(f"  checkpoint at step {i + 1} -> {ckpt_path}")
+            step_dir = sim.save_checkpoint(
+                ckpt_root, t2, schedule={**schedule, "next_step": i + 1}
+            )
+            log(f"  checkpoint at step {i + 1} -> {step_dir}")
 
     stats = sim.last_stats
     summary = {
@@ -470,7 +493,7 @@ def run_from_config(
         "final_time": float(edges[-1]),
         "steps": sim.steps_taken,
         "snapshots": written,
-        "checkpoint": str(ckpt_path) if ckpt_path is not None else None,
+        "checkpoint": str(ckpt_root) if ckpt_root is not None else None,
         "resumed_from": str(resume) if resume is not None else None,
         "interactions_last_pp": int(stats.interactions) if stats else 0,
         "mean_group_size": float(stats.mean_group_size) if stats else 0.0,
@@ -506,8 +529,8 @@ def _describe_manifest(step_dir: Path, manifest: Dict[str, Any], log=print) -> N
 
 
 def _ckpt_command(args) -> int:
-    """`repro ckpt ...`: operator tooling for the distributed
-    checkpoint sets the elastic disk-fallback restores from."""
+    """`repro ckpt ...`: operator tooling for checkpoint roots —
+    any driver's checkpoints and the snapshot epochs alike."""
     from repro.sim import checkpoint as _ckpt
     from repro.sim.checkpoint import CheckpointError
 
@@ -535,12 +558,7 @@ def _ckpt_command(args) -> int:
             print(f"scrubbed {len(reports)} epoch(s), {verdict}")
             return 1 if bad else 0
         # validate: accept either a checkpoint root or a bare step dir
-        target = Path(args.dir)
-        step_dir = (
-            target
-            if (target / _ckpt.MANIFEST_NAME).exists()
-            else _ckpt.latest_checkpoint(target)
-        )
+        step_dir = _ckpt.latest_checkpoint(args.dir)
         manifest = _ckpt.validate_checkpoint(step_dir)
     except CheckpointError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
@@ -568,11 +586,13 @@ def main(argv=None) -> int:
     )
     run_p.add_argument(
         "--checkpoint-dir", type=Path, default=None,
-        help="directory for checkpoint.npz (default: output_dir)",
+        help="checkpoint root the step_* epochs go to (default: output_dir; "
+        "a resumed run keeps writing into the root it resumed from)",
     )
     run_p.add_argument(
         "--resume", type=Path, default=None,
-        help="resume from a checkpoint written by --checkpoint-every",
+        help="resume from a checkpoint root or one of its step_* directories, "
+        "written by any backend",
     )
     run_p.add_argument(
         "--backend", choices=_BACKEND_CHOICES, default=None,
@@ -628,8 +648,8 @@ def main(argv=None) -> int:
     info_p = sub.add_parser("info", help="print version and paper reference")
     ckpt_p = sub.add_parser(
         "ckpt",
-        help="inspect distributed checkpoint sets (the elastic-recovery "
-        "disk-fallback state)",
+        help="inspect checkpoint sets (any backend's checkpoints and "
+        "snapshot epochs)",
     )
     ckpt_sub = ckpt_p.add_subparsers(dest="ckpt_command", required=True)
     ckpt_val = ckpt_sub.add_parser(

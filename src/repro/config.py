@@ -521,28 +521,25 @@ class SimulationConfig:
 
         return asdict(self)
 
-    def config_hash(self, include_layout: bool = True) -> str:
-        """sha256 fingerprint of this configuration.
+    def config_hash(self) -> str:
+        """sha256 fingerprint of the physics configuration.
 
-        Checkpoint manifests store the hash with
-        ``include_layout=False``, which excludes the ``domain`` and
-        ``relay`` fields: those describe the process layout rather than
-        the physics, and a checkpoint may legitimately be resumed on a
-        different rank count.  The ``validation`` policy is always
-        excluded: guardrails are diagnostics, and a checkpoint written
-        with validation off must be loadable with validation on (that is
-        how a diagnostic dump is replayed).
+        Checkpoint manifests store it, so a restore can refuse a state
+        written by other physics.  The ``domain`` and ``relay`` fields
+        are excluded: they describe the process layout, and a
+        checkpoint may legitimately be resumed on a different rank
+        count or driver.  The ``validation`` policy is excluded too:
+        guardrails are diagnostics, and a checkpoint written with
+        validation off must be loadable with validation on (that is
+        how a diagnostic dump is replayed).  So are the ``sdc`` and
+        ``health`` policies.
         """
         import hashlib
         import json
 
         d = self.to_dict()
-        d.pop("validation", None)
-        d.pop("sdc", None)
-        d.pop("health", None)
-        if not include_layout:
-            d.pop("domain", None)
-            d.pop("relay", None)
+        for key in ("validation", "sdc", "health", "domain", "relay"):
+            d.pop(key, None)
         return hashlib.sha256(
             json.dumps(d, sort_keys=True, default=str).encode()
         ).hexdigest()

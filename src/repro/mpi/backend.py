@@ -53,6 +53,7 @@ __all__ = [
     "CommBackend",
     "CollectiveComm",
     "Request",
+    "SelfComm",
     "available_backends",
     "backend_capabilities",
     "create_backend",
@@ -494,3 +495,17 @@ class CollectiveComm:
         self, seq: int, color: int, member_ranks: Sequence[int], new_rank: int
     ):
         raise NotImplementedError
+
+
+class SelfComm(CollectiveComm):
+    """The one-rank communicator (``MPI_COMM_SELF``): rank 0 of 1, no
+    transport.  At size 1 every collective returns without a ``send``
+    or ``recv``, so a serial driver runs the same collective protocols
+    (the checkpoint writer and reader) as rank 0 of 1."""
+
+    rank = 0
+    size = 1
+    world_rank = 0
+
+    def barrier(self) -> None:
+        pass

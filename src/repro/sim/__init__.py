@@ -8,7 +8,6 @@ paper's Table I.
 """
 
 from repro.sim.ghosts import distance_to_domain, exchange_ghosts
-from repro.sim.io import SnapshotHeader, load_snapshot, save_snapshot
 from repro.sim.checkpoint import (
     CheckpointError,
     latest_checkpoint,
@@ -25,9 +24,6 @@ from repro.sim.parallel import (
 __all__ = [
     "distance_to_domain",
     "exchange_ghosts",
-    "SnapshotHeader",
-    "load_snapshot",
-    "save_snapshot",
     "CheckpointError",
     "latest_checkpoint",
     "load_distributed_checkpoint",

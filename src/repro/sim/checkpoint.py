@@ -1,29 +1,30 @@
-"""Distributed checkpoint/restart for the SPMD simulation.
+"""Checkpoint/restart: the one on-disk format for simulation state.
 
 The paper's month-long 24576-node campaign survived machine time limits
 and node failures because GreeM could dump its distributed particle
-state and resume.  This module provides the same capability for
-:class:`repro.sim.parallel.ParallelSimulation`:
+state and resume.  Every driver writes and reads the same format
+through :func:`write_checkpoint` and :func:`read_checkpoint`, both
+collective over a communicator; the serial driver is rank 0 of a
+one-rank :class:`repro.mpi.backend.SelfComm`:
 
 * every rank writes an **atomic, checksummed** per-rank file
-  (``rank_00003_of_00008.npz``: particle arrays, force accumulators,
-  decomposition history, per-array sha256 digests);
+  (``rank_00003_of_00008.npz``: particle arrays, the driver's own
+  state such as force accumulators and decomposition history, per-array
+  sha256 digests);
 * rank 0 then writes a **manifest** (``manifest.json``) recording the
-  format version, step, schedule, a config hash and the sha256 digest
-  of every rank file — written last, so an interrupted checkpoint is
-  detected as *torn* (missing manifest / missing files / digest
-  mismatch) instead of loading silently;
+  format version, step, time, schedule, a config hash and the sha256
+  digest of every rank file — written last, so an interrupted
+  checkpoint is detected as *torn* (missing manifest / missing files /
+  digest mismatch) instead of loading silently;
 * finally rank 0 atomically updates a ``LATEST`` pointer in the parent
   checkpoint directory, so resume always finds the newest *complete*
   set even if a later checkpoint attempt was cut down mid-write.
 
-Restore validates the whole set before touching simulation state, and
-supports a *different* rank count by merging the per-rank states (in
-global particle-id order) and re-decomposing.  Same-rank restore is
-bit-for-bit: every field a step depends on (force accumulators, the
-boundary moving-average history, the decomposer's step counter) is
-captured, so a resumed trajectory is byte-identical to an uninterrupted
-one (tested).
+Restore validates before touching simulation state.  With the writer's
+rank count every rank reloads its own file, so a driver that saved its
+force accumulators resumes bit for bit; with a different rank count
+(a serial checkpoint on p ranks, or the reverse) the per-rank states
+are merged in global particle-id order and re-scattered.
 
 Layout::
 
@@ -43,15 +44,19 @@ import io as _io
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.io import atomic_write, fsync_directory
 from repro.utils.integrity import array_digest
 
 __all__ = [
+    "atomic_write",
+    "fsync_directory",
+    "write_checkpoint",
+    "read_checkpoint",
     "CheckpointError",
     "CheckpointSpaceError",
     "checkpoint_size",
@@ -78,8 +83,6 @@ __all__ = [
 CHECKPOINT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 LATEST_NAME = "LATEST"
-
-_ARRAY_KEYS = ("pos", "mom", "mass", "ids", "pp_acc", "pm_acc", "decomp", "history")
 
 
 class CheckpointError(RuntimeError):
@@ -141,6 +144,57 @@ def step_dirname(next_step: int) -> str:
     return f"step_{next_step:05d}"
 
 
+def fsync_directory(path) -> None:
+    """fsync a directory, making a just-renamed entry durable.
+
+    ``os.replace`` makes a rename *atomic*, not *durable*: after a
+    power loss the directory may still replay to its pre-rename state
+    unless the directory inode itself was synced.  Best-effort on
+    platforms whose directories cannot be opened/fsynced.
+    """
+    try:
+        fd = os.open(str(path), os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def atomic_write(path, writer, fsync_parent: bool = False) -> Path:
+    """Call ``writer(file_object)`` on a temp file in ``path``'s
+    directory, fsync it, then atomically move it to ``path``.
+
+    A crash at any point leaves either the previous file or no file —
+    never a torn one.  With ``fsync_parent`` the parent directory is
+    fsynced after the rename, so the rename is also *durable* — a
+    crash cannot roll the directory entry back to the previous file.
+    Returns ``path``.
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            writer(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    if fsync_parent:
+        fsync_directory(path.parent or Path("."))
+    return path
+
+
 # -- per-rank files ------------------------------------------------------------
 
 
@@ -159,7 +213,7 @@ def write_rank_file(
     just before the bytes touch disk — the injection point for
     ``FaultPlan.disk_full`` schedules.  A guard-raised or real
     ``ENOSPC`` surfaces as :class:`CheckpointSpaceError`; either way
-    :func:`repro.sim.io.atomic_write` has already removed the partial
+    :func:`atomic_write` has already removed the partial
     temp file, so the directory never holds a torn rank file.
     """
     checksums = {name: array_digest(a) for name, a in arrays.items()}
@@ -291,17 +345,24 @@ def validate_checkpoint(step_dir) -> Dict[str, Any]:
     step_dir = Path(step_dir)
     manifest = read_manifest(step_dir)
     for entry in manifest["files"]:
-        path = step_dir / entry["name"]
-        if not path.exists():
-            raise CheckpointError(
-                f"torn checkpoint '{step_dir}': missing rank file '{entry['name']}'"
-            )
-        if file_digest(path) != entry["sha256"]:
-            raise CheckpointError(
-                f"corrupt checkpoint '{step_dir}': digest mismatch for "
-                f"'{entry['name']}'"
-            )
+        _verified_path(step_dir, entry)
     return manifest
+
+
+def _verified_path(step_dir: Path, entry: Dict[str, Any]) -> Path:
+    """The rank file a manifest ``entry`` names, after checking that it
+    exists and matches its recorded whole-file digest."""
+    path = step_dir / entry["name"]
+    if not path.exists():
+        raise CheckpointError(
+            f"torn checkpoint '{step_dir}': missing rank file '{entry['name']}'"
+        )
+    if file_digest(path) != entry["sha256"]:
+        raise CheckpointError(
+            f"corrupt checkpoint '{step_dir}': digest mismatch for "
+            f"'{entry['name']}'"
+        )
+    return path
 
 
 def latest_checkpoint(ckpt_dir) -> Path:
@@ -317,19 +378,21 @@ def latest_checkpoint(ckpt_dir) -> Path:
             )
         return step_dir
     # no pointer (e.g. hand-assembled directory): newest step_* dir
-    candidates = sorted(p for p in ckpt_dir.glob("step_*") if p.is_dir())
+    candidates = list_checkpoints(ckpt_dir)
     if candidates:
         return candidates[-1]
-    if (ckpt_dir / MANIFEST_NAME).exists():
-        return ckpt_dir  # a bare step dir was passed directly
     raise CheckpointError(f"no checkpoints found under '{ckpt_dir}'")
 
 
 def list_checkpoints(ckpt_dir) -> List[Path]:
     """Every ``step_*`` checkpoint directory under ``ckpt_dir``, oldest
-    first (the zero-padded names sort chronologically)."""
+    first (the zero-padded names sort chronologically); a bare step
+    directory passed directly lists as itself."""
     ckpt_dir = Path(ckpt_dir)
-    return sorted(p for p in ckpt_dir.glob("step_*") if p.is_dir())
+    epochs = sorted(p for p in ckpt_dir.glob("step_*") if p.is_dir())
+    if not epochs and (ckpt_dir / MANIFEST_NAME).exists():
+        epochs = [ckpt_dir]
+    return epochs
 
 
 def newest_valid_checkpoint(ckpt_dir) -> Path:
@@ -344,8 +407,6 @@ def newest_valid_checkpoint(ckpt_dir) -> Path:
     """
     ckpt_dir = Path(ckpt_dir)
     candidates = list_checkpoints(ckpt_dir)
-    if not candidates and (ckpt_dir / MANIFEST_NAME).exists():
-        candidates = [ckpt_dir]  # a bare step dir was passed directly
     rejected = []
     for step_dir in reversed(candidates):
         try:
@@ -411,8 +472,6 @@ def scrub_checkpoints(ckpt_dir) -> List[Dict[str, Any]]:
     """
     ckpt_dir = Path(ckpt_dir)
     epochs = list_checkpoints(ckpt_dir)
-    if not epochs and (ckpt_dir / MANIFEST_NAME).exists():
-        epochs = [ckpt_dir]
     reports: List[Dict[str, Any]] = []
     for step_dir in epochs:
         try:
@@ -489,3 +548,160 @@ def load_distributed_checkpoint(
             f"manifest says {manifest['total_particles']}"
         )
     return merged
+
+
+# -- the collective writer and reader ------------------------------------------
+
+
+def write_checkpoint(
+    comm,
+    ckpt_dir,
+    config,
+    arrays: Dict[str, np.ndarray],
+    meta: Dict[str, Any],
+    steps_taken: int,
+    schedule: Optional[Dict[str, Any]] = None,
+    time: Optional[float] = None,
+    extra: Optional[Dict[str, Any]] = None,
+    keep_last: int = 0,
+) -> Path:
+    """Write one checkpoint epoch under ``ckpt_dir`` (collective over
+    ``comm``); returns its step directory.
+
+    Every rank writes its ``arrays``/``meta`` as an atomic, checksummed
+    rank file; rank 0 then writes the manifest (with every file's
+    digest, ``time``, ``schedule`` and the ``extra`` entries — a
+    diagnostic dump records its violation there) and flips the
+    ``LATEST`` pointer — in that order, so an interrupted checkpoint
+    can never be mistaken for a complete one.  The step directory is
+    named after ``schedule["next_step"]`` (default ``steps_taken``).
+    ``keep_last`` > 0 then prunes all but the newest that many epochs.
+
+    Disk exhaustion is handled collectively: rank 0 preflights the free
+    space against the previous epoch's measured size *before* creating
+    the step directory, each rank's ``ENOSPC`` (real or injected via
+    ``FaultPlan.disk_full``) is caught locally, and the gathered
+    verdict is broadcast — on any shortfall every rank raises
+    :class:`CheckpointSpaceError` together, no partial step directory
+    is left behind, and the ``LATEST`` pointer still names the last
+    complete set.
+    """
+    ckpt_dir = Path(ckpt_dir)
+    schedule = {"next_step": int(steps_taken), **(schedule or {})}
+    step_name = step_dirname(int(schedule["next_step"]))
+    step_dir = ckpt_dir / step_name
+    preflight = None
+    if comm.rank == 0:
+        ckpt_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            check_free_space(ckpt_dir, checkpoint_size(latest_checkpoint(ckpt_dir)))
+        except CheckpointSpaceError as exc:
+            preflight = str(exc)
+        except CheckpointError:
+            pass  # first epoch: no size estimate, write and see
+        if preflight is None:
+            step_dir.mkdir(exist_ok=True)
+    preflight = comm.bcast(preflight, root=0)
+    if preflight is not None:
+        comm.barrier()
+        raise CheckpointSpaceError(preflight)
+    comm.barrier()
+
+    name = rank_filename(comm.rank, comm.size)
+    plan = getattr(comm, "fault_plan", None)
+    disk_guard = None
+    if plan is not None and not plan.empty:
+        wr = getattr(comm, "world_rank", comm.rank)
+        disk_guard = lambda p, n: plan.check_disk(wr, p, n)
+    write_error = None
+    digest = ""
+    try:
+        digest = write_rank_file(step_dir / name, arrays, meta, disk_guard=disk_guard)
+    except CheckpointSpaceError as exc:
+        # stay in the collective: the verdict is agreed below
+        write_error = str(exc)
+    entries = comm.gather(
+        {"rank": comm.rank, "name": name, "sha256": digest,
+         "n_particles": len(arrays["pos"]), "error": write_error},
+        root=0,
+    )
+    verdict = None
+    if comm.rank == 0:
+        failed = [e for e in entries if e.get("error")]
+        if failed:
+            verdict = f"checkpoint {step_name} abandoned: " + "; ".join(
+                f"rank {e['rank']}: {e['error']}" for e in failed
+            )
+    verdict = comm.bcast(verdict, root=0)
+    if verdict is not None:
+        if comm.rank == 0:
+            # remove the partial epoch; LATEST was never flipped,
+            # so restore still finds the last complete set
+            shutil.rmtree(step_dir, ignore_errors=True)
+        comm.barrier()
+        raise CheckpointSpaceError(verdict)
+    if comm.rank == 0:
+        manifest = {
+            "version": CHECKPOINT_VERSION,
+            "n_ranks": comm.size,
+            "steps_taken": int(steps_taken),
+            "time": None if time is None else float(time),
+            "schedule": schedule,
+            "config_hash": config.config_hash(),
+            "config": config.to_dict(),
+            "total_particles": int(sum(e["n_particles"] for e in entries)),
+            "files": entries,
+            **(extra or {}),
+        }
+        write_manifest(step_dir, manifest)
+        update_latest(ckpt_dir, step_name)
+        if keep_last:
+            # retention: the pointer is durable, so older epochs
+            # beyond the window can go
+            prune_checkpoints(ckpt_dir, keep_last)
+    # no rank may leave before the manifest exists: a kill after this
+    # barrier always finds a complete set on disk
+    comm.barrier()
+    return step_dir
+
+
+def read_checkpoint(
+    comm, step_dir, config
+) -> Tuple[Dict[str, np.ndarray], Dict[str, Any], Dict[str, Any]]:
+    """Load this rank's share of a checkpoint epoch (collective over
+    ``comm``); returns ``(arrays, meta, manifest)``.
+
+    Refuses an epoch written by a different physics configuration.
+    With the writer's rank count each rank reads back its own file, as
+    written.  Otherwise rank 0 merges the validated set in global
+    particle-id order and scatters contiguous slices of ``pos``/``mom``/
+    ``mass``/``ids``; ``meta`` is then empty, as no per-rank driver
+    state survives a change of rank count.  ``config.validation.
+    strict_load`` finite-sweeps the particle state either way.
+    """
+    step_dir = Path(step_dir)
+    manifest = read_manifest(step_dir)
+    want = config.config_hash()
+    if manifest["config_hash"] != want:
+        raise CheckpointError(
+            f"checkpoint '{step_dir}' was written by a different "
+            f"configuration (hash {manifest['config_hash'][:12]}..., "
+            f"ours {want[:12]}...)"
+        )
+    strict = config.validation.strict_load
+    if int(manifest["n_ranks"]) == comm.size:
+        path = _verified_path(step_dir, manifest["files"][comm.rank])
+        arrays, meta = read_rank_file(path, strict=strict)
+        return arrays, meta, manifest
+    chunks = None
+    if comm.rank == 0:
+        merged = load_distributed_checkpoint(step_dir, strict=strict)
+        n = len(merged["ids"])
+        chunks = [
+            {
+                k: merged[k][n * r // comm.size : n * (r + 1) // comm.size]
+                for k in ("pos", "mom", "mass", "ids")
+            }
+            for r in range(comm.size)
+        ]
+    return comm.scatter(chunks, root=0), {}, manifest

@@ -71,8 +71,8 @@ def config_for_ranks(config: SimulationConfig, n_ranks: int) -> SimulationConfig
     new rank count (boundaries re-bootstrap from the sampling method on
     the next step) and the relay group count is clamped so the root
     group keeps at least one FFT process.  Everything the physics
-    depends on is untouched — ``config_hash(include_layout=False)`` is
-    invariant, so disk checkpoints stay loadable across the change.
+    depends on is untouched — ``config_hash()`` is invariant, so disk
+    checkpoints stay loadable across the change.
     """
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")

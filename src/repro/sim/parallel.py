@@ -18,8 +18,6 @@ are exactly Table I's.
 
 from __future__ import annotations
 
-import shutil
-from pathlib import Path
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -35,7 +33,7 @@ from repro.mpi.backend import create_backend
 from repro.native import update as _native_update
 from repro.pp.kernel import InteractionCounter
 from repro.sim import checkpoint as _ckpt
-from repro.sim.checkpoint import CheckpointError, CheckpointSpaceError
+from repro.sim.checkpoint import CheckpointError
 from repro.sim.ghosts import exchange_ghosts
 from repro.tree.traversal import TreeSolver
 from repro.utils.periodic import wrap_positions
@@ -427,7 +425,9 @@ class ParallelSimulation:
                 (i + 1) % checkpoint_every == 0 or i + 1 == n_steps
             ):
                 self.checkpoint(
-                    checkpoint_dir, schedule={**schedule, "next_step": i + 1}
+                    checkpoint_dir,
+                    schedule={**schedule, "next_step": i + 1},
+                    time=float(edges[i + 1]),
                 )
 
     # -- checkpoint / restore -----------------------------------------------------
@@ -437,51 +437,18 @@ class ParallelSimulation:
         checkpoint_dir,
         schedule: Optional[Dict[str, Any]] = None,
         extra: Optional[Dict[str, Any]] = None,
+        time: Optional[float] = None,
     ):
-        """Write a distributed checkpoint set (collective).
+        """Write a checkpoint epoch of this rank's state (collective)
+        through :func:`repro.sim.checkpoint.write_checkpoint`, with
+        ``config.sdc.keep_last`` retention; returns the step directory.
 
-        Every rank writes an atomic, checksummed per-rank file; rank 0
-        then writes the manifest (with every file's digest) and flips
-        the ``LATEST`` pointer — in that order, so an interrupted
-        checkpoint can never be mistaken for a complete one.  ``extra``
-        entries are merged into the manifest (diagnostic dumps record
-        the triggering violation there).  Returns the step directory.
-
-        Disk exhaustion is handled collectively: rank 0 preflights the
-        free space against the previous epoch's measured size, each
-        rank's ``ENOSPC`` (real or injected via
-        ``FaultPlan.disk_full``) is caught locally, and the gathered
-        verdict is broadcast — on any shortfall every rank raises
-        :class:`repro.sim.checkpoint.CheckpointSpaceError` together,
-        the partial step directory is removed, and the ``LATEST``
-        pointer still names the last complete set.
+        Besides the particles every rank saves what its next step
+        depends on — force accumulators, the boundary moving-average
+        history, the decomposer's step counter — so a same-rank-count
+        restore is bit for bit.  On a disk shortfall every rank raises
+        :class:`repro.sim.checkpoint.CheckpointSpaceError` together.
         """
-        comm = self.comm
-        next_step = (
-            int(schedule["next_step"]) if schedule and "next_step" in schedule
-            else self.steps_taken
-        )
-        step_name = _ckpt.step_dirname(next_step)
-        checkpoint_dir = Path(checkpoint_dir)
-        step_dir = checkpoint_dir / step_name
-        preflight = None
-        if comm.rank == 0:
-            step_dir.mkdir(parents=True, exist_ok=True)
-            try:
-                prev = _ckpt.latest_checkpoint(checkpoint_dir)
-                _ckpt.check_free_space(
-                    checkpoint_dir, _ckpt.checkpoint_size(prev)
-                )
-            except CheckpointSpaceError as exc:
-                preflight = str(exc)
-            except CheckpointError:
-                pass  # first epoch: no size estimate, write and see
-        preflight = comm.bcast(preflight, root=0)
-        if preflight is not None:
-            comm.barrier()
-            raise CheckpointSpaceError(preflight)
-        comm.barrier()
-
         history = self.decomposer._history._history
         decomp_flat = self.decomp.flatten()
         arrays = {
@@ -503,156 +470,52 @@ class ParallelSimulation:
             ),
         }
         meta = {
-            "rank": comm.rank,
-            "size": comm.size,
+            "rank": self.comm.rank,
+            "size": self.comm.size,
             "steps_taken": self.steps_taken,
             "pp_cost": self._pp_cost,
             "decomp_step": self.decomposer._step,
             "has_pp_acc": self._pp_acc is not None,
             "has_pm_acc": self._pm_acc is not None,
         }
-        name = _ckpt.rank_filename(comm.rank, comm.size)
-        plan = getattr(comm, "fault_plan", None)
-        disk_guard = None
-        if plan is not None and not plan.empty:
-            wr = getattr(comm, "world_rank", comm.rank)
-            disk_guard = lambda p, n: plan.check_disk(wr, p, n)
-        write_error = None
-        digest = ""
-        try:
-            digest = _ckpt.write_rank_file(
-                step_dir / name, arrays, meta, disk_guard=disk_guard
-            )
-        except CheckpointSpaceError as exc:
-            # stay in the collective: the verdict is agreed below
-            write_error = str(exc)
-        entries = comm.gather(
-            {"rank": comm.rank, "name": name, "sha256": digest,
-             "n_particles": len(self.pos), "error": write_error},
-            root=0,
+        return _ckpt.write_checkpoint(
+            self.comm, checkpoint_dir, self.config, arrays, meta,
+            self.steps_taken, schedule=schedule, time=time, extra=extra,
+            keep_last=int(self.config.sdc.keep_last),
         )
-        verdict = None
-        if comm.rank == 0:
-            failed = [e for e in entries if e.get("error")]
-            if failed:
-                verdict = (
-                    f"checkpoint {step_name} abandoned: "
-                    + "; ".join(
-                        f"rank {e['rank']}: {e['error']}" for e in failed
-                    )
-                )
-        verdict = comm.bcast(verdict, root=0)
-        if verdict is not None:
-            if comm.rank == 0:
-                # remove the partial epoch; LATEST was never flipped,
-                # so restore still finds the last complete set
-                shutil.rmtree(step_dir, ignore_errors=True)
-            comm.barrier()
-            raise CheckpointSpaceError(verdict)
-        if comm.rank == 0:
-            manifest = {
-                "version": _ckpt.CHECKPOINT_VERSION,
-                "n_ranks": comm.size,
-                "divisions": list(self.config.domain.divisions),
-                "steps_taken": self.steps_taken,
-                "schedule": schedule or {"next_step": next_step},
-                "config_hash": self.config.config_hash(include_layout=False),
-                "config": self.config.to_dict(),
-                "total_particles": int(sum(e["n_particles"] for e in entries)),
-                "files": entries,
-            }
-            if extra:
-                manifest.update(extra)
-            _ckpt.write_manifest(step_dir, manifest)
-            _ckpt.update_latest(checkpoint_dir, step_name)
-            keep_last = int(self.config.sdc.keep_last)
-            if keep_last:
-                # retention: the pointer is durable, so older epochs
-                # beyond the window can go
-                _ckpt.prune_checkpoints(checkpoint_dir, keep_last)
-        # no rank may leave before the manifest exists: a kill after this
-        # barrier always finds a complete set on disk
-        comm.barrier()
-        return step_dir
 
     @classmethod
     def restore(cls, comm, config: SimulationConfig, step_dir, stepper=None):
-        """Rebuild per-rank state from a checkpoint set (collective).
+        """Rebuild per-rank state from a checkpoint epoch (collective).
 
-        With the checkpoint's original rank count every rank reloads
-        its own file — including force accumulators and the boundary
-        history — so the resumed trajectory is bit-for-bit identical to
-        an uninterrupted run.  With a different rank count the merged,
-        id-ordered particle state is re-scattered and the decomposition
-        bootstraps afresh (forces are then recomputed on the first
-        step).
+        Every driver's checkpoint is accepted
+        (:func:`repro.sim.checkpoint.read_checkpoint`).  When the epoch
+        was written by this driver on ``comm.size`` ranks, each rank
+        also reloads its force accumulators and boundary history, so
+        the resumed trajectory is bit-for-bit identical to an
+        uninterrupted run.  Otherwise (another rank count, or a serial
+        checkpoint) the id-ordered particle state arrives re-scattered
+        and the decomposition and forces bootstrap afresh on the first
+        step.
         """
-        step_dir = Path(step_dir)
-        manifest = _ckpt.read_manifest(step_dir)
-        want = config.config_hash(include_layout=False)
-        if manifest["config_hash"] != want:
-            raise CheckpointError(
-                f"checkpoint '{step_dir}' was written by a different "
-                f"configuration (hash {manifest['config_hash'][:12]}..., "
-                f"ours {want[:12]}...)"
-            )
-        if int(manifest["n_ranks"]) == comm.size:
-            entry = manifest["files"][comm.rank]
-            path = step_dir / entry["name"]
-            if not path.exists():
-                raise CheckpointError(
-                    f"torn checkpoint '{step_dir}': missing rank file "
-                    f"'{entry['name']}'"
-                )
-            if _ckpt.file_digest(path) != entry["sha256"]:
-                raise CheckpointError(
-                    f"corrupt checkpoint '{step_dir}': digest mismatch for "
-                    f"'{entry['name']}'"
-                )
-            arrays, meta = _ckpt.read_rank_file(
-                path, strict=config.validation.strict_load
-            )
-            sim = cls(
-                comm, config, arrays["pos"], arrays["mom"], arrays["mass"],
-                stepper=stepper, ids=arrays["ids"],
-            )
-            sim.steps_taken = int(manifest["steps_taken"])
-            sim._pp_cost = float(meta["pp_cost"])
-            if meta["has_pp_acc"]:
-                sim._pp_acc = arrays["pp_acc"]
-            if meta["has_pm_acc"]:
-                sim._pm_acc = arrays["pm_acc"]
-            sim.decomp = MultisectionDecomposition.unflatten(
-                arrays["decomp"], config.domain.divisions, 1.0
-            )
-            sim.decomposer._step = int(meta["decomp_step"])
-            sim.decomposer._history._history = [
-                h.copy() for h in arrays["history"]
-            ]
-            return sim
-
-        # different rank count: merge (validating the whole set), then
-        # re-scatter contiguous id-ordered slices
-        if comm.rank == 0:
-            merged = _ckpt.load_distributed_checkpoint(
-                step_dir, strict=config.validation.strict_load
-            )
-            n = len(merged["ids"])
-            chunks = []
-            for r in range(comm.size):
-                lo = n * r // comm.size
-                hi = n * (r + 1) // comm.size
-                chunks.append(
-                    {k: merged[k][lo:hi] for k in ("pos", "mom", "mass", "ids")}
-                )
-        else:
-            chunks = None
-        part = comm.scatter(chunks, root=0)
+        arrays, meta, manifest = _ckpt.read_checkpoint(comm, step_dir, config)
         sim = cls(
-            comm, config, part["pos"], part["mom"], part["mass"],
-            stepper=stepper, ids=part["ids"],
+            comm, config, arrays["pos"], arrays["mom"], arrays["mass"],
+            stepper=stepper, ids=arrays["ids"],
         )
         sim.steps_taken = int(manifest["steps_taken"])
+        if "decomp" not in arrays:
+            return sim
+        sim._pp_cost = float(meta["pp_cost"])
+        if meta["has_pp_acc"]:
+            sim._pp_acc = arrays["pp_acc"]
+        if meta["has_pm_acc"]:
+            sim._pm_acc = arrays["pm_acc"]
+        sim.decomp = MultisectionDecomposition.unflatten(
+            arrays["decomp"], config.domain.divisions, 1.0
+        )
+        sim.decomposer._step = int(meta["decomp_step"])
+        sim.decomposer._history._history = [h.copy() for h in arrays["history"]]
         return sim
 
     def wait_seconds(self) -> float:
@@ -845,8 +708,10 @@ def resume_parallel_simulation(
 
     The rank count comes from ``config.domain.n_domains`` — it may
     differ from the count the checkpoint was written with, in which
-    case the merged particle state is re-decomposed.  Passing
-    ``checkpoint_every`` keeps checkpointing into the same directory.
+    case the merged particle state is re-decomposed.  ``checkpoint_dir``
+    may be a checkpoint root or one of its step directories, written by
+    any driver; ``checkpoint_every`` keeps checkpointing into the root
+    that holds the resumed epoch.
     Returns the same tuple as :func:`run_parallel_simulation`;
     ``backend`` selects the communicator backend the same way.
     """
@@ -867,7 +732,7 @@ def resume_parallel_simulation(
             float(schedule["t_end"]),
             int(schedule["n_steps"]),
             checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir if checkpoint_every else None,
+            checkpoint_dir=step_dir.parent if checkpoint_every else None,
             first_step=int(schedule["next_step"]),
         )
         return sim

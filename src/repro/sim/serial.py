@@ -14,6 +14,8 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.integrate.leapfrog import TwoLevelKDK
 from repro.integrate.stepper import StaticStepper
+from repro.mpi.backend import SelfComm
+from repro.sim import checkpoint as _ckpt
 from repro.treepm.solver import TreePMSolver
 from repro.utils.timer import TimingLedger
 from repro.validate import (
@@ -94,16 +96,12 @@ class SerialSimulation:
 
     def _diagnostic_dump(self, violation) -> str:
         """``dump``-policy hook: checkpoint the current state with the
-        violation in the header; returns the written path."""
-        from pathlib import Path
-
-        dump_dir = Path(self.config.validation.dump_dir or "diagnostics")
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        path = dump_dir / f"violation_step_{self.steps_taken:05d}.npz"
-        self.save_checkpoint(
-            path, self._last_time, extra={"violation": violation.summary()}
+        violation in the manifest; returns the step directory."""
+        dump_dir = self.config.validation.dump_dir or "diagnostics"
+        step_dir = self.save_checkpoint(
+            dump_dir, self._last_time, extra={"violation": violation.summary()}
         )
-        return str(path)
+        return str(step_dir)
 
     @property
     def last_stats(self):
@@ -176,12 +174,12 @@ class SerialSimulation:
         steps (equal in the stepper's independent variable: time for
         static runs, scale factor for cosmological ones).
 
-        ``checkpoint_every`` writes an atomic rolling checkpoint to
-        ``checkpoint_path`` every that many completed steps (and after
-        the last).  ``first_step`` skips already-completed steps of the
-        same schedule, as stored by :meth:`save_checkpoint` — the edges
-        are recomputed from the full schedule, so a resumed trajectory
-        is bit-for-bit the uninterrupted one.
+        ``checkpoint_every`` writes a checkpoint epoch, schedule
+        included, under the root ``checkpoint_path`` every that many
+        completed steps (and after the last).  ``first_step`` skips
+        already-completed steps of the same schedule — the edges are
+        recomputed from the full schedule, so a resumed trajectory is
+        bit-for-bit the uninterrupted one.
         """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
@@ -191,6 +189,11 @@ class SerialSimulation:
             if checkpoint_path is None:
                 raise ValueError("checkpoint_every requires checkpoint_path")
         edges = np.linspace(t_start, t_end, n_steps + 1)
+        schedule = {
+            "t_start": float(t_start),
+            "t_end": float(t_end),
+            "n_steps": int(n_steps),
+        }
         for i in range(int(first_step), n_steps):
             t1, t2 = float(edges[i]), float(edges[i + 1])
             self.step(t1, t2)
@@ -199,54 +202,67 @@ class SerialSimulation:
             if checkpoint_every and (
                 (i + 1) % checkpoint_every == 0 or i + 1 == n_steps
             ):
-                self.save_checkpoint(checkpoint_path, t2)
+                self.save_checkpoint(
+                    checkpoint_path, t2, schedule={**schedule, "next_step": i + 1}
+                )
 
     # -- checkpoint / restore ---------------------------------------------------
 
-    def save_checkpoint(self, path, time: float, extra: Optional[dict] = None) -> None:
-        """Write an atomic, checksummed checkpoint of the current state
-        (a snapshot whose header records the step count and a config
-        hash, so :meth:`from_checkpoint` can refuse mismatched runs)."""
-        from repro.sim.io import SnapshotHeader, save_snapshot
+    def save_checkpoint(
+        self,
+        path,
+        time: float,
+        extra: Optional[dict] = None,
+        schedule: Optional[dict] = None,
+        keep_last: Optional[int] = None,
+    ):
+        """Write the state as a one-rank checkpoint epoch under the
+        root ``path`` (:func:`repro.sim.checkpoint.write_checkpoint`
+        as rank 0 of 1); returns the step directory.
 
-        merged = {"config_hash": self.config.config_hash()}
-        if extra:
-            merged.update(extra)
-        save_snapshot(
-            path,
-            self.pos,
-            self.mom,
-            self.mass,
-            SnapshotHeader(
-                time=float(time),
-                n_particles=len(self.pos),
-                cosmological=bool(self.stepper.cosmological),
-                step=self.steps_taken,
-                extra=merged,
+        The rank file holds ``pos``/``mom``/``mass`` and ``ids =
+        arange(n)``, no force accumulators: they are recomputed on the
+        first step after a restore, bit for bit.  ``keep_last``
+        overrides the ``config.sdc.keep_last`` retention (0 keeps
+        every epoch).
+        """
+        return _ckpt.write_checkpoint(
+            SelfComm(), path, self.config,
+            {
+                "pos": self.pos,
+                "mom": self.mom,
+                "mass": self.mass,
+                "ids": np.arange(len(self.pos)),
+            },
+            {}, self.steps_taken, schedule=schedule, time=time, extra=extra,
+            keep_last=int(
+                self.config.sdc.keep_last if keep_last is None else keep_last
             ),
         )
 
     @classmethod
     def from_checkpoint(cls, config: SimulationConfig, path, stepper=None):
-        """Rebuild a simulation from :meth:`save_checkpoint` output.
+        """Rebuild a simulation from the newest epoch under the
+        checkpoint root ``path`` (or from the step directory ``path``),
+        written by any driver: a p-rank epoch arrives merged in
+        particle-id order.
 
-        Returns ``(sim, header)``; raises ``ValueError`` when the
-        checkpoint was written by a different configuration.
+        Returns ``(sim, manifest)``; raises
+        :class:`repro.sim.checkpoint.CheckpointError` when the epoch is
+        torn or corrupt or was written by a different configuration.
         """
-        from repro.sim.io import load_snapshot
-
-        pos, mom, mass, header = load_snapshot(
-            path, strict=config.validation.strict_load
+        step_dir = _ckpt.latest_checkpoint(path)
+        arrays, _, manifest = _ckpt.read_checkpoint(SelfComm(), step_dir, config)
+        order = np.argsort(arrays["ids"], kind="stable")
+        sim = cls(
+            config,
+            arrays["pos"][order],
+            arrays["mom"][order],
+            arrays["mass"][order],
+            stepper=stepper,
         )
-        stored = header.extra.get("config_hash")
-        if stored is not None and stored != config.config_hash():
-            raise ValueError(
-                f"checkpoint '{path}' was written by a different "
-                f"configuration (hash {stored[:12]}...)"
-            )
-        sim = cls(config, pos, mom, mass, stepper=stepper)
-        sim.steps_taken = int(header.step)
-        return sim, header
+        sim.steps_taken = int(manifest["steps_taken"])
+        return sim, manifest
 
     def run_adaptive(
         self,

@@ -1,10 +1,9 @@
 """Canonical array-integrity helpers shared by checkpointing, buddy
 replication and the silent-data-corruption (SDC) auditor.
 
-Three layers historically grew three private copies of "hash an array":
-:mod:`repro.sim.io` (snapshots), :mod:`repro.sim.checkpoint`
-(distributed checkpoints) and :mod:`repro.mpi.recovery` (buddy
-replicas).  They now all call :func:`array_digest` here, so a digest
+Layers historically grew private copies of "hash an array":
+:mod:`repro.sim.checkpoint` (checkpoints) and :mod:`repro.mpi.recovery`
+(buddy replicas).  They now all call :func:`array_digest` here, so a digest
 computed by one layer can be compared against a digest computed by any
 other — which is exactly what the SDC two-out-of-three attribution vote
 does.

@@ -21,7 +21,6 @@ from repro.mpi.faults import CommTimeout, FaultPlan
 from repro.mpi.recovery import BuddyStore, RecoveryError
 from repro.sim import checkpoint as _ckpt
 from repro.sim.elastic import config_for_ranks, run_elastic_simulation
-from repro.sim.io import atomic_write
 from repro.sim.parallel import run_parallel_simulation
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(300)]
@@ -225,9 +224,7 @@ class TestConfigForRanks:
         cfg = _cfg(4)
         shrunk = config_for_ranks(cfg, 3)
         assert shrunk.domain.n_domains == 3
-        assert shrunk.config_hash(include_layout=False) == cfg.config_hash(
-            include_layout=False
-        )
+        assert shrunk.config_hash() == cfg.config_hash()
 
     def test_clamps_relay_groups(self):
         from repro.config import RelayMeshConfig
@@ -295,7 +292,9 @@ class TestLatestPointerDurability:
         monkeypatch.setattr(
             os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1]
         )
-        atomic_write(tmp_path / "a", lambda fh: fh.write(b"x"))
+        _ckpt.atomic_write(tmp_path / "a", lambda fh: fh.write(b"x"))
         without_parent = len(synced)
-        atomic_write(tmp_path / "b", lambda fh: fh.write(b"x"), fsync_parent=True)
+        _ckpt.atomic_write(
+            tmp_path / "b", lambda fh: fh.write(b"x"), fsync_parent=True
+        )
         assert len(synced) == without_parent + 2  # temp file + parent dir

@@ -1,4 +1,5 @@
-"""Tests of snapshot I/O and checkpoint/resume equivalence."""
+"""Tests of the serial driver's checkpoints: one-rank epochs of the one
+checkpoint format, and checkpoint/resume equivalence."""
 
 from __future__ import annotations
 
@@ -8,79 +9,93 @@ import numpy as np
 import pytest
 
 from repro.config import PMConfig, SimulationConfig, TreeConfig, TreePMConfig
-from repro.sim.io import (
-    SnapshotHeader,
-    array_digest,
+from repro.sim import checkpoint as _ckpt
+from repro.sim.checkpoint import (
+    CheckpointError,
     atomic_write,
-    load_snapshot,
-    save_snapshot,
+    load_distributed_checkpoint,
 )
 from repro.sim.serial import SerialSimulation
+from repro.utils.integrity import array_digest
 
 
 def _state(rng, n=32):
     return rng.random((n, 3)), rng.standard_normal((n, 3)), np.full(n, 1.0 / n)
 
 
+def _cfg():
+    return SimulationConfig(
+        treepm=TreePMConfig(
+            tree=TreeConfig(opening_angle=0.5, group_size=32),
+            pm=PMConfig(mesh_size=16),
+            softening=5e-3,
+        ),
+    )
+
+
 class TestSnapshotRoundtrip:
     def test_arrays_and_header_preserved(self, tmp_path, rng):
         pos, mom, mass = _state(rng)
-        hdr = SnapshotHeader(
-            time=0.25,
-            n_particles=32,
-            cosmological=True,
-            step=7,
-            extra={"seed": 42, "label": "test"},
+        sim = SerialSimulation(_cfg(), pos, mom, mass)
+        sim.steps_taken = 7
+        step_dir = sim.save_checkpoint(
+            tmp_path, 0.25, extra={"seed": 42, "label": "test"}
         )
-        path = tmp_path / "snap.npz"
-        save_snapshot(path, pos, mom, mass, hdr)
-        p2, m2, w2, h2 = load_snapshot(path)
-        np.testing.assert_array_equal(p2, pos)
-        np.testing.assert_array_equal(m2, mom)
-        np.testing.assert_array_equal(w2, mass)
-        assert h2 == hdr
-        assert h2.redshift == pytest.approx(3.0)
+        assert step_dir == tmp_path / "step_00007"
+        back, manifest = SerialSimulation.from_checkpoint(_cfg(), tmp_path)
+        np.testing.assert_array_equal(back.pos, pos)
+        np.testing.assert_array_equal(back.mom, mom)
+        np.testing.assert_array_equal(back.mass, mass)
+        assert back.steps_taken == 7
+        assert manifest["time"] == 0.25
+        assert manifest["n_ranks"] == 1
+        assert manifest["total_particles"] == 32
+        assert (manifest["seed"], manifest["label"]) == (42, "test")
+        arrays, _ = _ckpt.read_rank_file(step_dir / _ckpt.rank_filename(0, 1))
+        assert sorted(arrays) == ["ids", "mass", "mom", "pos"]
+        np.testing.assert_array_equal(arrays["ids"], np.arange(32))
 
     def test_length_mismatch_rejected(self, tmp_path, rng):
+        """A manifest whose particle count disagrees with its rank
+        files does not load."""
         pos, mom, mass = _state(rng)
-        hdr = SnapshotHeader(time=0.0, n_particles=99)
-        with pytest.raises(ValueError):
-            save_snapshot(tmp_path / "x.npz", pos, mom, mass, hdr)
-
-    def test_redshift_requires_cosmological(self):
-        hdr = SnapshotHeader(time=1.0, n_particles=1, cosmological=False)
-        with pytest.raises(ValueError):
-            hdr.redshift
+        step_dir = SerialSimulation(_cfg(), pos, mom, mass).save_checkpoint(
+            tmp_path, 0.0
+        )
+        manifest = json.loads((step_dir / _ckpt.MANIFEST_NAME).read_text())
+        manifest["total_particles"] = 99
+        (step_dir / _ckpt.MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="manifest says 99"):
+            load_distributed_checkpoint(step_dir)
 
     def test_suffix_tolerance(self, tmp_path, rng):
-        """numpy appends .npz: loading by the bare name still works."""
+        """The checkpoint root may end in ``.npz``: ``save_checkpoint``
+        then ``from_checkpoint`` on ``.../checkpoint.npz`` round-trips
+        the state bitwise (the benchmark probe's contract)."""
         pos, mom, mass = _state(rng)
-        hdr = SnapshotHeader(time=0.0, n_particles=32)
-        save_snapshot(tmp_path / "snap", pos, mom, mass, hdr)
-        assert (tmp_path / "snap.npz").exists()
-        p2, _, _, _ = load_snapshot(tmp_path / "snap")
-        np.testing.assert_array_equal(p2, pos)
-
-    def test_missing_snapshot_names_both_candidates(self, tmp_path):
-        with pytest.raises(FileNotFoundError) as ei:
-            load_snapshot(tmp_path / "nope")
-        msg = str(ei.value)
-        assert str(tmp_path / "nope") in msg
-        assert str(tmp_path / "nope.npz") in msg
+        sim = SerialSimulation(_cfg(), pos, mom, mass)
+        sim.run(0.0, 0.02, n_steps=1)
+        path = tmp_path / "checkpoint.npz"
+        sim.save_checkpoint(path, 0.02)
+        back, manifest = SerialSimulation.from_checkpoint(sim.config, path)
+        for name in ("pos", "mom", "mass"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(sim, name))
+        assert manifest["steps_taken"] == 1
 
     def test_missing_snapshot_with_suffix(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="nope.npz"):
-            load_snapshot(tmp_path / "nope.npz")
+        with pytest.raises(CheckpointError, match="nope.npz"):
+            SerialSimulation.from_checkpoint(_cfg(), tmp_path / "nope.npz")
 
 
 class TestSnapshotIntegrity:
     def test_corrupted_array_detected(self, tmp_path, rng):
-        """Tampering with an array after the write must not load."""
+        """Tampering with an array after the write must not load, even
+        when the manifest digest is forged to match the new file."""
         pos, mom, mass = _state(rng)
-        path = tmp_path / "snap.npz"
-        save_snapshot(
-            path, pos, mom, mass, SnapshotHeader(time=0.0, n_particles=32)
+        step_dir = SerialSimulation(_cfg(), pos, mom, mass).save_checkpoint(
+            tmp_path, 0.0
         )
+        path = step_dir / _ckpt.rank_filename(0, 1)
         with np.load(path) as data:
             contents = {name: data[name] for name in data.files}
         tampered = contents["mom"].copy()
@@ -88,8 +103,15 @@ class TestSnapshotIntegrity:
         contents["mom"] = tampered
         with open(path, "wb") as fh:
             np.savez_compressed(fh, **contents)
-        with pytest.raises(ValueError, match="checksum mismatch for array 'mom'"):
-            load_snapshot(path)
+        with pytest.raises(CheckpointError, match="digest mismatch"):
+            SerialSimulation.from_checkpoint(_cfg(), tmp_path)
+        manifest = json.loads((step_dir / _ckpt.MANIFEST_NAME).read_text())
+        manifest["files"][0]["sha256"] = _ckpt.file_digest(path)
+        (step_dir / _ckpt.MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(
+            CheckpointError, match="checksum mismatch for array 'mom'"
+        ):
+            SerialSimulation.from_checkpoint(_cfg(), tmp_path)
 
     def test_atomic_write_replaces_and_cleans_up(self, tmp_path):
         path = tmp_path / "out.bin"
@@ -119,33 +141,24 @@ class TestSnapshotIntegrity:
 
 
 class TestSerialCheckpointApi:
-    def _cfg(self):
-        return SimulationConfig(
-            treepm=TreePMConfig(
-                tree=TreeConfig(opening_angle=0.5, group_size=32),
-                pm=PMConfig(mesh_size=16),
-                softening=5e-3,
-            ),
-        )
-
     def test_save_and_from_checkpoint_roundtrip(self, tmp_path, rng):
-        cfg = self._cfg()
+        cfg = _cfg()
         pos, mom, mass = _state(rng, 64)
         sim = SerialSimulation(cfg, pos, mom, mass)
         sim.run(0.0, 0.1, n_steps=2)
-        path = tmp_path / "ck.npz"
+        path = tmp_path / "ck"
         sim.save_checkpoint(path, 0.1)
-        sim2, hdr = SerialSimulation.from_checkpoint(cfg, path)
+        sim2, manifest = SerialSimulation.from_checkpoint(cfg, path)
         assert sim2.steps_taken == 2
-        assert hdr.time == pytest.approx(0.1)
+        assert manifest["time"] == pytest.approx(0.1)
         np.testing.assert_array_equal(sim2.pos, sim.pos)
         np.testing.assert_array_equal(sim2.mom, sim.mom)
 
     def test_from_checkpoint_rejects_config_mismatch(self, tmp_path, rng):
-        cfg = self._cfg()
+        cfg = _cfg()
         pos, mom, mass = _state(rng, 32)
         sim = SerialSimulation(cfg, pos, mom, mass)
-        sim.save_checkpoint(tmp_path / "ck.npz", 0.0)
+        sim.save_checkpoint(tmp_path / "ck", 0.0)
         other = SimulationConfig(
             treepm=TreePMConfig(
                 tree=TreeConfig(opening_angle=0.5, group_size=32),
@@ -153,30 +166,33 @@ class TestSerialCheckpointApi:
                 softening=1e-2,
             ),
         )
-        with pytest.raises(ValueError, match="different"):
-            SerialSimulation.from_checkpoint(other, tmp_path / "ck.npz")
+        with pytest.raises(CheckpointError, match="different"):
+            SerialSimulation.from_checkpoint(other, tmp_path / "ck")
 
     def test_run_writes_rolling_checkpoint(self, tmp_path, rng):
-        cfg = self._cfg()
+        cfg = _cfg()
         pos, mom, mass = _state(rng, 64)
-        path = tmp_path / "rolling.npz"
+        path = tmp_path / "rolling"
 
         straight = SerialSimulation(cfg, pos, mom, mass)
         straight.run(0.0, 0.2, n_steps=4)
 
         sim = SerialSimulation(cfg, pos, mom, mass)
         sim.run(0.0, 0.2, n_steps=4, checkpoint_every=2, checkpoint_path=path)
-        _, hdr = SerialSimulation.from_checkpoint(cfg, path)
-        assert hdr.step == 4  # last write is after the final step
+        assert [p.name for p in _ckpt.list_checkpoints(path)] == [
+            "step_00002", "step_00004",
+        ]
+        _, manifest = SerialSimulation.from_checkpoint(cfg, path)
+        assert manifest["steps_taken"] == 4  # last write is after the final step
+        assert manifest["schedule"] == {
+            "t_start": 0.0, "t_end": 0.2, "n_steps": 4, "next_step": 4,
+        }
 
-        # resume from a mid-run (step-2) checkpoint: bit-for-bit
-        edges = np.linspace(0.0, 0.2, 5)
-        mid = SerialSimulation(cfg, pos, mom, mass)
-        for i in range(2):
-            mid.step(float(edges[i]), float(edges[i + 1]))
-        mid.save_checkpoint(path, float(edges[2]))
-        resumed, hdr = SerialSimulation.from_checkpoint(cfg, path)
-        resumed.run(0.0, 0.2, n_steps=4, first_step=hdr.step)
+        # resume from the mid-run (step-2) epoch: bit-for-bit
+        resumed, manifest = SerialSimulation.from_checkpoint(
+            cfg, path / "step_00002"
+        )
+        resumed.run(0.0, 0.2, n_steps=4, first_step=manifest["steps_taken"])
         np.testing.assert_array_equal(resumed.pos, straight.pos)
         np.testing.assert_array_equal(resumed.mom, straight.mom)
 
@@ -184,13 +200,7 @@ class TestSerialCheckpointApi:
 class TestCheckpointResume:
     def test_resume_reproduces_trajectory(self, tmp_path, rng):
         """Run 4 steps straight vs 2 steps + checkpoint + 2 steps."""
-        cfg = SimulationConfig(
-            treepm=TreePMConfig(
-                tree=TreeConfig(opening_angle=0.5, group_size=32),
-                pm=PMConfig(mesh_size=16),
-                softening=5e-3,
-            ),
-        )
+        cfg = _cfg()
         pos, mom, mass = _state(rng, 64)
 
         straight = SerialSimulation(cfg, pos, mom, mass)
@@ -198,17 +208,10 @@ class TestCheckpointResume:
 
         first = SerialSimulation(cfg, pos, mom, mass)
         first.run(0.0, 0.1, n_steps=2)
-        save_snapshot(
-            tmp_path / "ckpt.npz",
-            first.pos,
-            first.mom,
-            first.mass,
-            SnapshotHeader(time=0.1, n_particles=64, step=2),
-        )
+        first.save_checkpoint(tmp_path / "ckpt", 0.1)
 
-        p2, m2, w2, hdr = load_snapshot(tmp_path / "ckpt.npz")
-        resumed = SerialSimulation(cfg, p2, m2, w2)
-        resumed.run(hdr.time, 0.2, n_steps=2)
+        resumed, manifest = SerialSimulation.from_checkpoint(cfg, tmp_path / "ckpt")
+        resumed.run(manifest["time"], 0.2, n_steps=2)
 
         np.testing.assert_allclose(resumed.pos, straight.pos, atol=1e-12)
         np.testing.assert_allclose(resumed.mom, straight.mom, atol=1e-12)

@@ -12,7 +12,7 @@ from repro.config import (
     TreeConfig,
     TreePMConfig,
 )
-from repro.sim.io import SnapshotHeader, load_snapshot, save_snapshot
+from repro.sim.checkpoint import latest_checkpoint, load_distributed_checkpoint
 from repro.sim.parallel import run_parallel_simulation
 
 
@@ -39,17 +39,20 @@ class TestParallelCheckpoint:
             _cfg(), pos, mom, mass, 0.0, 0.08, n_steps=2
         )
 
-        # 1 step, gather, snapshot, reload, 1 more step
+        # 1 step with a checkpoint, merge it, 1 more step from the merge
         p1, m1, w1, _, _ = run_parallel_simulation(
-            _cfg(), pos, mom, mass, 0.0, 0.04, n_steps=1
+            _cfg(), pos, mom, mass, 0.0, 0.04, n_steps=1,
+            checkpoint_every=1, checkpoint_dir=tmp_path,
         )
-        path = tmp_path / "parallel_ckpt.npz"
-        save_snapshot(
-            path, p1, m1, w1, SnapshotHeader(time=0.04, n_particles=96, step=1)
-        )
-        p2, m2, w2, hdr = load_snapshot(path)
+        merged = load_distributed_checkpoint(latest_checkpoint(tmp_path))
+        # the merged checkpoint is the gathered state, id-ordered
+        np.testing.assert_array_equal(merged["pos"], p1)
+        np.testing.assert_array_equal(merged["mom"], m1)
+        np.testing.assert_array_equal(merged["mass"], w1)
+        assert merged["manifest"]["time"] == 0.04
         p_res, m_res, _, _, _ = run_parallel_simulation(
-            _cfg(), p2, m2, w2, hdr.time, 0.08, n_steps=1
+            _cfg(), merged["pos"], merged["mom"], merged["mass"],
+            merged["manifest"]["time"], 0.08, n_steps=1,
         )
 
         # the resumed trajectory matches the straight one up to the

@@ -11,6 +11,7 @@ naming the corrupted stage before aborting.
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,15 +206,16 @@ class TestSerialMonitors:
         assert sim.energy_monitor.e0 is None
 
     def test_serial_dump_writes_snapshot(self, tmp_path):
+        """A serial dump is a one-rank checkpoint epoch under dump_dir."""
         dump = tmp_path / "diag"
         sim = self._sim(policy="dump", energy_interval=1, dump_dir=str(dump))
         with pytest.raises(InvariantViolation) as ei:
             sim.run(0.0, 0.8, n_steps=4)
         assert ei.value.dump_path is not None
-        from repro.sim.io import load_snapshot
-
-        p, m, w, header = load_snapshot(ei.value.dump_path, strict=True)
-        assert header.extra["violation"]["check"] == "energy_drift"
+        assert latest_checkpoint(dump) == Path(ei.value.dump_path)
+        merged = load_distributed_checkpoint(ei.value.dump_path, strict=True)
+        assert merged["manifest"]["violation"]["check"] == "energy_drift"
+        assert merged["manifest"]["n_ranks"] == 1
 
     def test_energy_monitor_clean_cosmological_run(self):
         """A Zel'dovich plane wave in EdS integrates cleanly under

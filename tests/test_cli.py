@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main, run_from_config
-from repro.sim.io import load_snapshot
+from repro.sim.checkpoint import latest_checkpoint, load_distributed_checkpoint
 
 
 def _quiet(*args, **kwargs):
@@ -46,11 +46,17 @@ class TestRunFromConfig:
             log=_quiet,
         )
         assert len(summary["snapshots"]) == 2
-        pos, mom, mass, hdr = load_snapshot(summary["snapshots"][-1])
-        assert hdr.cosmological
-        assert hdr.n_particles == 64
-        assert hdr.time == pytest.approx(0.02)
-        assert np.all((pos >= 0) & (pos < 1))
+        # snapshot epochs are checkpoint epochs under output_dir/snapshots
+        assert summary["snapshots"] == [
+            str(tmp_path / "snapshots" / "step_00000"),
+            str(tmp_path / "snapshots" / "step_00003"),
+        ]
+        merged = load_distributed_checkpoint(summary["snapshots"][-1])
+        manifest = merged["manifest"]
+        assert manifest["run_config"]["kind"] == "cosmological"
+        assert manifest["total_particles"] == 64
+        assert manifest["time"] == pytest.approx(0.02)
+        assert np.all((merged["pos"] >= 0) & (merged["pos"] < 1))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config"):
@@ -119,7 +125,10 @@ class TestCheckpointResumeFlags:
         from repro.sim.serial import SerialSimulation
         from repro.cli import _DEFAULTS, _build_config
 
-        straight = run_from_config(dict(self._CFG), log=_quiet)
+        straight = run_from_config(
+            dict(self._CFG), log=_quiet,
+            checkpoint_every=4, checkpoint_dir=tmp_path / "straight",
+        )
 
         # build the interrupted state: first 2 of 4 steps, checkpointed
         cfg = _build_config({**_DEFAULTS, **self._CFG})
@@ -130,20 +139,22 @@ class TestCheckpointResumeFlags:
         edges = np.linspace(0.0, 0.2, 5)
         for i in range(2):
             sim.step(float(edges[i]), float(edges[i + 1]))
-        ckpt = tmp_path / "mid.npz"
+        ckpt = tmp_path / "mid"
         sim.save_checkpoint(ckpt, float(edges[2]))
 
         resumed = run_from_config(
-            dict(self._CFG), log=_quiet, resume=ckpt,
-            checkpoint_every=2, checkpoint_dir=tmp_path,
+            dict(self._CFG), log=_quiet, resume=ckpt, checkpoint_every=2,
         )
         assert resumed["resumed_from"] == str(ckpt)
         assert resumed["steps"] == 4
-        assert resumed["checkpoint"] == str(tmp_path / "checkpoint.npz")
-        # final rolling checkpoint equals the straight run's state
-        _, _, _, hdr = load_snapshot(tmp_path / "checkpoint.npz")
-        assert hdr.step == 4
-        assert straight["steps"] == 4
+        # a resumed run keeps checkpointing into the root it resumed from
+        assert resumed["checkpoint"] == str(ckpt)
+        # its final epoch equals the straight run's, bit for bit
+        final = load_distributed_checkpoint(ckpt / "step_00004")
+        ref = load_distributed_checkpoint(tmp_path / "straight" / "step_00004")
+        assert straight["steps"] == final["manifest"]["steps_taken"] == 4
+        for name in ("pos", "mom", "mass"):
+            np.testing.assert_array_equal(final[name], ref[name])
 
     def test_resume_past_schedule_rejected(self, tmp_path):
         from repro.sim.serial import SerialSimulation
@@ -155,11 +166,47 @@ class TestCheckpointResumeFlags:
             np.zeros((48, 3)), np.full(48, 1.0 / 48),
         )
         sim.steps_taken = 99
-        sim.save_checkpoint(tmp_path / "late.npz", 0.2)
+        sim.save_checkpoint(tmp_path / "late", 0.2)
         with pytest.raises(ValueError, match="step 99"):
             run_from_config(
-                dict(self._CFG), log=_quiet, resume=tmp_path / "late.npz"
+                dict(self._CFG), log=_quiet, resume=tmp_path / "late"
             )
+
+    def test_resume_refuses_single_file_npz(self, tmp_path):
+        legacy = tmp_path / "checkpoint.npz"
+        np.savez(legacy, pos=np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="single-file .npz"):
+            run_from_config(dict(self._CFG), log=_quiet, resume=legacy)
+
+    def test_resume_refuses_other_checkpoint_dir(self, tmp_path):
+        run_from_config(
+            dict(self._CFG), log=_quiet,
+            checkpoint_every=2, checkpoint_dir=tmp_path / "ck",
+        )
+        with pytest.raises(ValueError, match="keeps checkpointing into"):
+            run_from_config(
+                dict(self._CFG), log=_quiet, resume=tmp_path / "ck",
+                checkpoint_every=2, checkpoint_dir=tmp_path / "elsewhere",
+            )
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "multiprocess"])
+    def test_resume_on_every_backend(self, tmp_path, backend):
+        """A serial checkpoint resumes on any backend: from its mid-run
+        step directory, the resumed run rewrites the final epoch."""
+        root = tmp_path / "ck"
+        run_from_config(
+            dict(self._CFG), log=_quiet, checkpoint_every=2, checkpoint_dir=root
+        )
+        ranks = 1 if backend == "serial" else 2
+        summary = run_from_config(
+            {**self._CFG, "backend": backend, "ranks": ranks}, log=_quiet,
+            resume=root / "step_00002", checkpoint_every=2,
+        )
+        assert summary["steps"] == 4
+        assert summary["checkpoint"] == str(root)
+        final = latest_checkpoint(root)
+        assert final.name == "step_00004"
+        assert load_distributed_checkpoint(final)["manifest"]["n_ranks"] == ranks
 
     def test_main_passes_flags_through(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -169,10 +216,10 @@ class TestCheckpointResumeFlags:
             "--checkpoint-every", "2",
             "--checkpoint-dir", str(tmp_path / "ck"),
         ]) == 0
-        assert (tmp_path / "ck" / "checkpoint.npz").exists()
+        assert (tmp_path / "ck" / "LATEST").exists()
         assert main([
             "run", str(cfg_path),
-            "--resume", str(tmp_path / "ck" / "checkpoint.npz"),
+            "--resume", str(tmp_path / "ck"),
         ]) == 0
         out = capsys.readouterr().out
         assert "resumed from" in out
@@ -325,3 +372,27 @@ class TestCkptScrubCommand:
     def test_scrub_empty_dir_exits_nonzero(self, tmp_path, capsys):
         assert main(["ckpt", "scrub", str(tmp_path)]) == 1
         assert "no checkpoints" in capsys.readouterr().err
+
+
+class TestCkptReadsSerialRuns:
+    def test_validate_latest_scrub_on_serial_roots(self, tmp_path, capsys):
+        """`repro ckpt` reads a serial run's checkpoint root and its
+        snapshot root: both are one-rank checkpoint epochs."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "kind": "static", "n_particles": 32, "mesh_size": 8,
+            "end": 0.04, "n_steps": 2, "snapshots": [0.02, 0.04],
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert main([
+            "run", str(cfg_path),
+            "--checkpoint-every", "1", "--checkpoint-dir", str(tmp_path / "ck"),
+        ]) == 0
+        for root in (tmp_path / "ck", tmp_path / "out" / "snapshots"):
+            capsys.readouterr()
+            for command in ("validate", "latest", "scrub"):
+                assert main(["ckpt", command, str(root)]) == 0
+            out = capsys.readouterr().out
+            assert "OK: 1 rank file(s) verified" in out
+            assert "step_00002" in out
+            assert "scrubbed 2 epoch(s), all clean" in out

@@ -108,7 +108,7 @@ class TestRelayModelSummary:
 class TestCliStatic:
     def test_static_snapshots(self, tmp_path):
         from repro.cli import run_from_config
-        from repro.sim.io import load_snapshot
+        from repro.sim.checkpoint import load_distributed_checkpoint
 
         summary = run_from_config(
             {
@@ -123,9 +123,9 @@ class TestCliStatic:
             log=lambda *a: None,
         )
         assert len(summary["snapshots"]) == 2
-        _, _, _, hdr = load_snapshot(summary["snapshots"][0])
-        assert not hdr.cosmological
-        assert hdr.time == pytest.approx(0.02)
+        manifest = load_distributed_checkpoint(summary["snapshots"][0])["manifest"]
+        assert manifest["run_config"]["kind"] == "static"
+        assert manifest["time"] == pytest.approx(0.02)
 
 
 class TestMortonEdge:
