@@ -31,37 +31,33 @@ Config schema (JSON object; every key optional unless noted):
   "lpt_order": 1,                     // 1 = Zel'dovich, 2 = 2LPT
   "snapshots": [0.01, 0.03125],       // epochs to write (serial backend)
   "output_dir": "out",                // required when snapshots given
-  "validate": "off",                  // off | warn | abort | dump
-  "validate_every": 1,                // check sampling interval (steps)
-  "energy_tol": 0.25,                 // relative energy-drift tolerance
-  "energy_every": 0,                  // energy monitor interval (0 = off)
-  "validate_dump_dir": null,          // where "dump" writes diagnostics
   "backend": "serial",                // serial | thread | multiprocess
   "ranks": 1,                         // SPMD ranks (backend != serial)
-  "sdc_policy": "off",                // off | warn | heal | abort
-  "sdc_audit_every": 1,               // SDC audit interval (steps)
-  "sdc_spot_check_groups": 4,         // ABFT groups re-swept per audit
-  "sdc_keep_last": 0,                 // checkpoint retention (0 = keep all)
-  "health_policy": "off",             // off | monitor | evict | degrade
-  "straggler_factor": 3.0,            // straggler = work > factor * median
-  "straggler_patience": 3             // consecutive slow steps to confirm
+  "validation": {                     // the guards: ValidationConfig fields
+    "policy": "off",                  // off | warn | recover | abort
+    "overrides": {"sdc": "warn"},     // per-check policies
+    "interval": 1,                    // check / audit interval (steps)
+    "energy_interval": 0,             // energy monitor interval (0 = off)
+    "energy_tol": 0.25,               // relative energy-drift tolerance
+    "dump_dir": null                  // an abort dumps a checkpoint here
+  }
 }
 ```
 
-The ``--validate``/``--validate-every``/``--energy-tol`` flags override
-the corresponding config keys (see ``docs/validation.md``),
-``--sdc-policy``/``--sdc-audit-every`` override the silent-data-
-corruption audit keys (see ``docs/fault_tolerance.md``),
-``--health-policy``/``--straggler-factor``/``--straggler-patience``
-override the gray-failure health keys (see ``docs/fault_tolerance.md``
-section 9), and
+``--guard POLICY`` sets ``validation.policy`` and ``--guard
+CHECK=POLICY`` (repeatable) one override; ``--guard-every`` and
+``--energy-tol`` set ``interval`` and ``energy_tol`` (see
+``docs/validation.md``).  A run refuses an override naming a check its
+driver does not run: the straggler guard and the parallel SDC audits
+belong to the elastic runner (``docs/fault_tolerance.md`` §8–9).
 ``--backend``/``--ranks`` override the communicator selection (see
 ``docs/parallelism.md``).  Parallel backends run the same schedule via
 :func:`repro.sim.parallel.run_parallel_simulation`; snapshots are
 serial-only.  ``--checkpoint-every N`` writes ``step_*`` epochs under
-``--checkpoint-dir`` (default ``output_dir``) with ``sdc_keep_last``
-retention, and ``--resume DIR`` takes a checkpoint root or one of its
-step directories on every backend, whichever driver wrote it.
+``--checkpoint-dir`` (default ``output_dir``), ``--keep-last K`` keeps
+only the newest K of them, and ``--resume DIR`` takes a checkpoint root
+or one of its step directories on every backend, whichever driver
+wrote it.
 """
 
 from __future__ import annotations
@@ -76,9 +72,7 @@ import numpy as np
 
 from repro.config import (
     DomainConfig,
-    HealthConfig,
     PMConfig,
-    SdcConfig,
     SimulationConfig,
     TreeConfig,
     TreePMConfig,
@@ -108,20 +102,9 @@ _DEFAULTS: Dict[str, Any] = {
     "lpt_order": 1,
     "snapshots": [],
     "output_dir": None,
-    "validate": "off",
-    "validate_every": 1,
-    "energy_tol": 0.25,
-    "energy_every": 0,
-    "validate_dump_dir": None,
     "backend": "serial",
     "ranks": 1,
-    "sdc_policy": "off",
-    "sdc_audit_every": 1,
-    "sdc_spot_check_groups": 4,
-    "sdc_keep_last": 0,
-    "health_policy": "off",
-    "straggler_factor": 3.0,
-    "straggler_patience": 3,
+    "validation": {},
 }
 
 _BACKEND_CHOICES = ("serial", "thread", "multiprocess")
@@ -162,25 +145,15 @@ def _build_config(cfg: Dict[str, Any]) -> SimulationConfig:
         ),
         pp_subcycles=cfg["pp_subcycles"],
         seed=cfg["seed"],
-        validation=ValidationConfig(
-            policy=cfg["validate"],
-            interval=cfg["validate_every"],
-            energy_tol=cfg["energy_tol"],
-            energy_interval=cfg["energy_every"],
-            dump_dir=cfg["validate_dump_dir"],
-        ),
-        sdc=SdcConfig(
-            policy=cfg["sdc_policy"],
-            audit_every=cfg["sdc_audit_every"],
-            spot_check_groups=cfg["sdc_spot_check_groups"],
-            keep_last=cfg["sdc_keep_last"],
-        ),
-        health=HealthConfig(
-            policy=cfg["health_policy"],
-            straggler_factor=cfg["straggler_factor"],
-            straggler_patience=cfg["straggler_patience"],
-        ),
+        validation=_validation_config(cfg["validation"]),
     )
+
+
+def _validation_config(keys: Dict[str, Any]) -> ValidationConfig:
+    unknown = set(keys) - set(ValidationConfig.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown validation keys: {sorted(unknown)}")
+    return ValidationConfig(**keys)
 
 
 def _initial_state(cfg: Dict[str, Any], start: float, end: float, log=print):
@@ -227,6 +200,7 @@ def _run_parallel_from_config(
     checkpoint_every: int,
     ckpt_root,
     resume,
+    keep_last: int,
 ) -> Dict[str, Any]:
     """`repro run` with a parallel communicator backend.
 
@@ -264,6 +238,7 @@ def _run_parallel_from_config(
             stepper=stepper,
             checkpoint_every=checkpoint_every or None,
             backend=cfg["backend"],
+            keep_last=keep_last,
         )
     else:
         pos, mom, mass = _initial_state(cfg, start, end, log)
@@ -273,6 +248,7 @@ def _run_parallel_from_config(
             checkpoint_every=checkpoint_every or None,
             checkpoint_dir=ckpt_root,
             backend=cfg["backend"],
+            keep_last=keep_last,
         )
     steps = max(int(s.steps_taken) for s in sims)
     summary = {
@@ -364,12 +340,14 @@ def run_from_config(
     checkpoint_every: int = 0,
     checkpoint_dir=None,
     resume=None,
+    keep_last: int = 0,
 ) -> Dict[str, Any]:
     """Run a simulation described by a config dict.
 
     ``checkpoint_every`` > 0 writes a checkpoint epoch (``step_*``
     under ``checkpoint_dir``, defaulting to ``output_dir``) every that
-    many steps and after the last; ``resume`` restarts from a
+    many steps and after the last, keeping only the newest
+    ``keep_last`` when > 0; ``resume`` restarts from a
     checkpoint root or step directory written by any driver, validating
     that the configuration matches and re-entering the same step
     schedule so the trajectory is unchanged.  Returns a summary dict
@@ -418,7 +396,7 @@ def run_from_config(
     if cfg["backend"] != "serial":
         return _run_parallel_from_config(
             cfg, sim_config, stepper, start, end, log_spaced, log,
-            checkpoint_every, ckpt_root, resume,
+            checkpoint_every, ckpt_root, resume, keep_last,
         )
 
     if log_spaced and start <= 0:
@@ -483,7 +461,8 @@ def run_from_config(
         maybe_snapshot(t2)
         if checkpoint_every and ((i + 1) % checkpoint_every == 0 or i + 1 == n_steps):
             step_dir = sim.save_checkpoint(
-                ckpt_root, t2, schedule={**schedule, "next_step": i + 1}
+                ckpt_root, t2, schedule={**schedule, "next_step": i + 1},
+                keep_last=keep_last,
             )
             log(f"  checkpoint at step {i + 1} -> {step_dir}")
 
@@ -582,7 +561,12 @@ def main(argv=None) -> int:
     )
     run_p.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",
-        help="write an atomic rolling checkpoint every N steps",
+        help="write a checkpoint epoch (step_NNNNN/ under the checkpoint "
+        "root) every N steps and after the last",
+    )
+    run_p.add_argument(
+        "--keep-last", type=int, default=0, metavar="K",
+        help="keep only the newest K checkpoint epochs (default: all)",
     )
     run_p.add_argument(
         "--checkpoint-dir", type=Path, default=None,
@@ -605,45 +589,20 @@ def main(argv=None) -> int:
         help="number of SPMD ranks for parallel backends (default 1)",
     )
     run_p.add_argument(
-        "--validate", choices=("off", "warn", "abort", "dump"), default=None,
-        help="runtime invariant checks: warn, abort on violation, or "
-        "dump a diagnostic checkpoint and abort (see docs/validation.md)",
+        "--guard", action="append", default=[], metavar="POLICY|CHECK=POLICY",
+        help="guard policy (off, warn, recover, abort) for every check, or "
+        "for one check (e.g. sdc=recover); repeatable — see "
+        "docs/validation.md",
     )
     run_p.add_argument(
-        "--validate-every", type=int, default=None, metavar="N",
-        help="evaluate invariant checks every N steps (default 1)",
+        "--guard-every", type=int, default=None, metavar="N",
+        help="run the invariant checks and SDC audits every N steps "
+        "(default 1)",
     )
     run_p.add_argument(
         "--energy-tol", type=float, default=None, metavar="TOL",
         help="relative energy-drift tolerance (implies the energy "
-        "monitor: sets energy_every to 1 unless configured)",
-    )
-    run_p.add_argument(
-        "--sdc-policy", choices=("off", "warn", "heal", "abort"), default=None,
-        help="silent-data-corruption audits: warn, heal in place (buddy "
-        "replica or rollback), or abort on detection "
-        "(see docs/fault_tolerance.md)",
-    )
-    run_p.add_argument(
-        "--sdc-audit-every", type=int, default=None, metavar="N",
-        help="run the SDC audits every N steps (default 1)",
-    )
-    run_p.add_argument(
-        "--health-policy", choices=("off", "monitor", "evict", "degrade"),
-        default=None,
-        help="gray-failure tolerance: monitor stragglers, proactively "
-        "evict them (cooperative drain + elastic shrink), or degrade "
-        "gracefully without shrinking (see docs/fault_tolerance.md)",
-    )
-    run_p.add_argument(
-        "--straggler-factor", type=float, default=None, metavar="F",
-        help="a rank is suspect when its per-step work time exceeds F "
-        "times the fleet median (default 3.0)",
-    )
-    run_p.add_argument(
-        "--straggler-patience", type=int, default=None, metavar="K",
-        help="consecutive slow steps before a suspect is confirmed "
-        "(default 3)",
+        "monitor: sets energy_interval to 1 unless configured)",
     )
     info_p = sub.add_parser("info", help="print version and paper reference")
     ckpt_p = sub.add_parser(
@@ -692,28 +651,26 @@ def main(argv=None) -> int:
         config["ranks"] = args.ranks
         if args.backend is None:
             config.setdefault("backend", "thread")
-    if args.validate is not None:
-        config["validate"] = args.validate
-    if args.validate_every is not None:
-        config["validate_every"] = args.validate_every
+    validation = dict(config.get("validation", {}))
+    for spec in args.guard:
+        check, _, policy = spec.rpartition("=")
+        if check:
+            validation.setdefault("overrides", {})[check] = policy
+        else:
+            validation["policy"] = policy
+    if args.guard_every is not None:
+        validation["interval"] = args.guard_every
     if args.energy_tol is not None:
-        config["energy_tol"] = args.energy_tol
-        config.setdefault("energy_every", 1)
-    if args.sdc_policy is not None:
-        config["sdc_policy"] = args.sdc_policy
-    if args.sdc_audit_every is not None:
-        config["sdc_audit_every"] = args.sdc_audit_every
-    if args.health_policy is not None:
-        config["health_policy"] = args.health_policy
-    if args.straggler_factor is not None:
-        config["straggler_factor"] = args.straggler_factor
-    if args.straggler_patience is not None:
-        config["straggler_patience"] = args.straggler_patience
+        validation["energy_tol"] = args.energy_tol
+        validation.setdefault("energy_interval", 1)
+    if validation:
+        config["validation"] = validation
     summary = run_from_config(
         config,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
+        keep_last=args.keep_last,
     )
     if args.summary:
         args.summary.write_text(json.dumps(summary, indent=2) + "\n")

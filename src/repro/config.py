@@ -218,69 +218,107 @@ class RelayMeshConfig:
 
 @dataclass(frozen=True)
 class ValidationConfig:
-    """Policy of the runtime invariant guardrails (``repro.validate``).
+    """Policy of the one guard layer (``repro.validate``): runtime
+    invariants, silent-data-corruption audits and straggler health.
 
     Attributes
     ----------
     policy:
-        What happens when a check fires: ``"off"`` (checks are never
-        evaluated), ``"warn"`` (emit an ``InvariantWarning`` and keep
-        running), ``"abort"`` (raise the ``InvariantViolation``) or
-        ``"dump"`` (write a diagnostic checkpoint first, then raise —
-        so the violation is reproducible offline).
+        What happens when a check finds something: ``"off"`` (the check
+        never runs), ``"warn"`` (emit an ``InvariantWarning``, keep
+        running), ``"recover"`` (apply the check's own remedy; a check
+        without one aborts) or ``"abort"`` (raise the
+        ``InvariantViolation``, after writing a diagnostic checkpoint
+        epoch when ``dump_dir`` is set).
+    overrides:
+        Per-check policies, e.g. ``{"energy_drift": "warn", "sdc":
+        "recover"}``.  Keys come from one catalogue: the invariant
+        names, ``"sdc"`` for the three corruption audits and
+        ``"straggler"`` for the health verdict (see
+        ``docs/validation.md``); an unknown key is refused.
     interval:
-        Sampling interval: checks run every this many steps, so
-        ``warn`` stays cheap enough to leave on.
+        Sampling interval: invariants are checked and the SDC audits
+        run every this many steps, so ``warn`` stays cheap enough to
+        leave on.
+    energy_interval:
+        Evaluate the energy monitor every this many steps; ``0``
+        disables it (the total potential is an O(N^2) diagnostic).
     energy_tol:
         Relative total-energy drift tolerance of the per-step monitor.
         Loose by default: cosmological energy is not strictly conserved,
         so the monitor targets integrator blow-ups, not secular drift.
-    energy_interval:
-        Evaluate the energy monitor every this many steps; ``0``
-        disables it (the total potential is an O(N^2) diagnostic).
     momentum_tol:
         Relative total-momentum drift tolerance (against the largest
         momentum scale seen so far).
     dump_dir:
-        Directory for ``dump``-policy diagnostic checkpoints
-        (default: ``"diagnostics"`` under the working directory).
-    strict_load:
-        Run a finite-field sweep over particle arrays when restoring
-        any checkpoint, rejecting values corrupted in storage even when
-        checksums were regenerated around them.
-    overrides:
-        Per-check policy overrides, e.g. ``{"energy_drift": "warn"}``;
-        keys are checker names (see ``docs/validation.md``).
+        When set, an ``abort`` first writes a diagnostic checkpoint
+        epoch here, with the violation in its manifest.
+    spot_check_groups:
+        Interaction-plan groups re-swept through the reference kernel
+        per SDC audit (ABFT force spot-check); ``0`` disables it.
+    straggler_factor:
+        A rank is suspect when its step work time exceeds the fleet
+        median by this factor.
+    straggler_patience:
+        Consecutive suspect steps before a straggler is confirmed
+        (debounces one-off hiccups such as a GC pause).
     """
 
     policy: str = "off"
+    overrides: Mapping[str, str] = field(default_factory=dict)
     interval: int = 1
-    energy_tol: float = 0.25
     energy_interval: int = 0
+    energy_tol: float = 0.25
     momentum_tol: float = 0.25
     dump_dir: Optional[str] = None
-    strict_load: bool = False
-    overrides: Mapping[str, str] = field(default_factory=dict)
+    spot_check_groups: int = 4
+    straggler_factor: float = 3.0
+    straggler_patience: int = 3
 
-    _POLICIES = ("off", "warn", "abort", "dump")
+    _POLICIES = ("off", "warn", "recover", "abort")
+    #: every check a policy override may name
+    _CHECKS = (
+        "finite_fields",
+        "mass_conservation",
+        "momentum_conservation",
+        "octree_moments",
+        "octree_com_bounds",
+        "domain_partition",
+        "domain_containment",
+        "energy_drift",
+        "momentum_drift",
+        "sdc",
+        "straggler",
+    )
 
     def __post_init__(self) -> None:
         if self.policy not in self._POLICIES:
             raise ValueError(
                 f"policy must be one of {self._POLICIES}, got {self.policy!r}"
             )
+        for check, policy in dict(self.overrides).items():
+            if check not in self._CHECKS:
+                raise ValueError(
+                    f"unknown check {check!r} in overrides; checks are "
+                    f"{self._CHECKS}"
+                )
+            if policy not in self._POLICIES:
+                raise ValueError(
+                    f"override policy for {check!r} must be one of "
+                    f"{self._POLICIES}, got {policy!r}"
+                )
         if self.interval < 1:
             raise ValueError("interval must be >= 1")
         if self.energy_interval < 0:
             raise ValueError("energy_interval must be >= 0")
         _check_positive("energy_tol", self.energy_tol)
         _check_positive("momentum_tol", self.momentum_tol)
-        for check, policy in dict(self.overrides).items():
-            if policy not in self._POLICIES:
-                raise ValueError(
-                    f"override for {check!r} must be one of "
-                    f"{self._POLICIES}, got {policy!r}"
-                )
+        if self.spot_check_groups < 0:
+            raise ValueError("spot_check_groups must be >= 0")
+        if self.straggler_factor < 1.0:
+            raise ValueError("straggler_factor must be >= 1")
+        if self.straggler_patience < 1:
+            raise ValueError("straggler_patience must be >= 1")
         # normalize to a private dict copy (value semantics; asdict-safe)
         object.__setattr__(self, "overrides", dict(self.overrides))
 
@@ -289,134 +327,6 @@ class ValidationConfig:
         return self.policy != "off" or any(
             p != "off" for p in self.overrides.values()
         )
-
-
-@dataclass(frozen=True)
-class SdcConfig:
-    """Policy of the silent-data-corruption (SDC) audit layer.
-
-    Attributes
-    ----------
-    policy:
-        What happens when an audit finds corruption: ``"off"`` (audits
-        never run), ``"warn"`` (record and log the ``SdcEvent``, keep
-        running with the corrupted data), ``"heal"`` (restore damaged
-        blocks in place from the checksum-clean replica, or roll back
-        to the last verified boundary when in-place healing is not
-        possible; raise only when nothing clean survives) or
-        ``"abort"`` (raise ``SdcViolation`` on first detection).
-    audit_every:
-        Run the audit battery every this many steps.
-    spot_check_groups:
-        Number of interaction-plan groups re-swept through the pure
-        python reference kernel per audit (ABFT force spot-check);
-        ``0`` disables the spot-check.
-    keep_last:
-        Checkpoint retention depth: after every durable checkpoint,
-        prune all but the newest ``keep_last`` epochs.  ``0`` keeps
-        everything.
-    seed:
-        Seed of the deterministic spot-check sampler (mixed with the
-        step index and rank so every audit draws fresh groups).
-    """
-
-    policy: str = "off"
-    audit_every: int = 1
-    spot_check_groups: int = 4
-    keep_last: int = 0
-    seed: int = 2012
-
-    _POLICIES = ("off", "warn", "heal", "abort")
-
-    def __post_init__(self) -> None:
-        if self.policy not in self._POLICIES:
-            raise ValueError(
-                f"policy must be one of {self._POLICIES}, got {self.policy!r}"
-            )
-        if self.audit_every < 1:
-            raise ValueError("audit_every must be >= 1")
-        if self.spot_check_groups < 0:
-            raise ValueError("spot_check_groups must be >= 0")
-        if self.keep_last < 0:
-            raise ValueError("keep_last must be >= 0")
-
-    @property
-    def enabled(self) -> bool:
-        return self.policy != "off"
-
-
-@dataclass(frozen=True)
-class HealthConfig:
-    """Policy of the gray-failure health layer (``repro.mpi.health``).
-
-    Attributes
-    ----------
-    policy:
-        What happens when a rank is confirmed a straggler: ``"off"``
-        (health monitoring never runs), ``"monitor"`` (score and log
-        ``HealthEvent``\\ s, take no action), ``"evict"`` (cooperative
-        drain — flush the buddy replica, then voluntary shrink through
-        the elastic re-decomposition path) or ``"degrade"`` (keep the
-        straggler but shed load: stretch audit/checkpoint cadence
-        within the declared bounds and widen collective deadlines).
-    straggler_factor:
-        A rank is suspect when its step time exceeds the robust fleet
-        median by this factor.
-    straggler_patience:
-        Consecutive over-threshold steps before a suspect becomes a
-        confirmed straggler (debounces one-off hiccups such as a GC
-        pause or page-cache miss).
-    min_samples:
-        Step-time samples required before verdicts are issued (the
-        first steps include warm-up noise such as JIT/native compile).
-    audit_stretch_max:
-        Upper bound on the degradation engine's audit/checkpoint
-        cadence multiplier — the declared bound that keeps "stretch
-        the audit cadence" from becoming "silently disable audits".
-    deadline_quantile:
-        Quantile of the observed step-time distribution that seeds the
-        adaptive collective deadline.
-    deadline_factor:
-        Multiplier applied to the quantile to get the deadline.
-    deadline_floor / deadline_ceil:
-        Clamp bounds (seconds) of the adaptive deadline.
-    """
-
-    policy: str = "off"
-    straggler_factor: float = 3.0
-    straggler_patience: int = 3
-    min_samples: int = 3
-    audit_stretch_max: int = 4
-    deadline_quantile: float = 0.9
-    deadline_factor: float = 10.0
-    deadline_floor: float = 1.0
-    deadline_ceil: float = 120.0
-
-    _POLICIES = ("off", "monitor", "evict", "degrade")
-
-    def __post_init__(self) -> None:
-        if self.policy not in self._POLICIES:
-            raise ValueError(
-                f"policy must be one of {self._POLICIES}, got {self.policy!r}"
-            )
-        if self.straggler_factor < 1.0:
-            raise ValueError("straggler_factor must be >= 1")
-        if self.straggler_patience < 1:
-            raise ValueError("straggler_patience must be >= 1")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        if self.audit_stretch_max < 1:
-            raise ValueError("audit_stretch_max must be >= 1")
-        if not 0.0 < self.deadline_quantile <= 1.0:
-            raise ValueError("deadline_quantile must be in (0, 1]")
-        _check_positive("deadline_factor", self.deadline_factor)
-        _check_positive("deadline_floor", self.deadline_floor)
-        if self.deadline_ceil < self.deadline_floor:
-            raise ValueError("deadline_ceil must be >= deadline_floor")
-
-    @property
-    def enabled(self) -> bool:
-        return self.policy != "off"
 
 
 @dataclass(frozen=True)
@@ -489,16 +399,10 @@ class SimulationConfig:
     treepm: TreePMConfig = field(default_factory=TreePMConfig)
     domain: DomainConfig = field(default_factory=DomainConfig)
     relay: RelayMeshConfig = field(default_factory=RelayMeshConfig)
-    #: Runtime invariant guardrails (``repro.validate``); diagnostics
-    #: only — never part of the physics fingerprint.
-    validation: ValidationConfig = field(default_factory=ValidationConfig)
-    #: Silent-data-corruption audits (``repro.validate.sdc``); like
-    #: ``validation``, diagnostics only — never part of the physics
+    #: The guard layer (``repro.validate``): invariants, SDC audits and
+    #: straggler health; diagnostics only — never part of the physics
     #: fingerprint.
-    sdc: SdcConfig = field(default_factory=SdcConfig)
-    #: Gray-failure health layer (``repro.mpi.health``); operational
-    #: policy only — never part of the physics fingerprint.
-    health: HealthConfig = field(default_factory=HealthConfig)
+    validation: ValidationConfig = field(default_factory=ValidationConfig)
     #: Number of PP + domain-decomposition sub-cycles per PM step
     #: (the paper: "one simulation step was composed by a cycle of the
     #: PM and two cycles of the PP and the domain decomposition").
@@ -529,16 +433,15 @@ class SimulationConfig:
         are excluded: they describe the process layout, and a
         checkpoint may legitimately be resumed on a different rank
         count or driver.  The ``validation`` policy is excluded too:
-        guardrails are diagnostics, and a checkpoint written with
-        validation off must be loadable with validation on (that is
-        how a diagnostic dump is replayed).  So are the ``sdc`` and
-        ``health`` policies.
+        guards are diagnostics, and a checkpoint written with guards
+        off must be loadable with guards on (that is how a diagnostic
+        dump is replayed).
         """
         import hashlib
         import json
 
         d = self.to_dict()
-        for key in ("validation", "sdc", "health", "domain", "relay"):
+        for key in ("validation", "domain", "relay"):
             d.pop(key, None)
         return hashlib.sha256(
             json.dumps(d, sort_keys=True, default=str).encode()
@@ -563,19 +466,11 @@ class SimulationConfig:
         validation = d.pop("validation", {})
         if isinstance(validation, dict):
             validation = ValidationConfig(**validation)
-        sdc = d.pop("sdc", {})
-        if isinstance(sdc, dict):
-            sdc = SdcConfig(**sdc)
-        health = d.pop("health", {})
-        if isinstance(health, dict):
-            health = HealthConfig(**health)
         return SimulationConfig(
             treepm=treepm,
             domain=domain,
             relay=relay,
             validation=validation,
-            sdc=sdc,
-            health=health,
             **d,
         )
 
@@ -588,7 +483,5 @@ __all__ = [
     "RelayMeshConfig",
     "MachineConfig",
     "ValidationConfig",
-    "SdcConfig",
-    "HealthConfig",
     "SimulationConfig",
 ]

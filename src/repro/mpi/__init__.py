@@ -46,7 +46,6 @@ from repro.mpi.faults import (
 from repro.mpi.health import (
     AdaptiveDeadline,
     DegradationPolicy,
-    HealthEvent,
     HealthMonitor,
     StragglerEvicted,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "retry_with_backoff",
     "AdaptiveDeadline",
     "DegradationPolicy",
-    "HealthEvent",
     "HealthMonitor",
     "StragglerEvicted",
     "BuddyStore",

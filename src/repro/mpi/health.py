@@ -8,32 +8,33 @@ paper's 82,944-node lock-step runs, where a node that is merely *slow*
 stalls every collective behind it, yet killing it on a fixed heartbeat
 deadline murders a healthy-but-loaded rank.
 
-Three cooperating pieces, all policy-driven by
-:class:`repro.config.HealthConfig`:
+Three cooperating pieces, configured by the guard configuration
+(:class:`repro.config.ValidationConfig`, check name ``"straggler"``)
+and logging :class:`repro.validate.GuardEvent` rows into the driver's
+guard log:
 
 :class:`HealthMonitor`
-    Per-rank health scoring fed by per-step timings (the same numbers
-    the :class:`repro.utils.timer.TimingLedger` accumulates) allgathered
-    each step, optionally folded with heartbeat ages from the
-    supervisor's board.  A rank is *suspect* when its step time exceeds
-    the robust fleet median by ``straggler_factor``; it is a *confirmed
+    Straggler verdicts fed by per-step timings (the same numbers the
+    :class:`repro.utils.timer.TimingLedger` accumulates) allgathered
+    each step.  A rank is *suspect* when its step time exceeds the
+    robust fleet median by ``straggler_factor``; it is a *confirmed
     straggler* after ``straggler_patience`` consecutive suspect steps.
     Every rank runs the identical verdict function on the identical
     allgathered samples, so verdicts are deterministic and collective —
     no extra agreement round is needed.
 :class:`AdaptiveDeadline`
     Collective deadlines derived from the observed step-time
-    distribution (``deadline_quantile`` scaled by ``deadline_factor``,
-    clamped to the declared floor/ceil) instead of a fixed
-    ``recv_timeout`` constant: slow fleets aren't mass-timed-out, fast
-    fleets detect wedges sooner.
+    distribution (a quantile scaled by a factor, clamped to a declared
+    floor/ceil) instead of a fixed ``recv_timeout`` constant: slow
+    fleets aren't mass-timed-out, fast fleets detect wedges sooner.
 :class:`DegradationPolicy`
-    The explicit degraded-mode engine: under sustained pressure it
-    stretches SDC-audit and checkpoint cadence within the declared
-    ``audit_stretch_max`` bound, drops non-essential derived outputs
+    The degraded-mode engine that keeps a fleet running with a
+    straggler it does not evict, or under disk pressure: each
+    escalation stretches SDC-audit and checkpoint cadence within the
+    declared bound, from level 2 drops the non-essential derived output
     (the cross-rank snapshot audit), and falls back native→numpy when a
-    kernel's bitwise self-test starts failing mid-run.  Every
-    transition is emitted as a structured :class:`HealthEvent`.
+    kernel's bitwise self-test starts failing mid-run.  The level only
+    rises; it never falls back within a run.
 
 Eviction itself is *cooperative*: the confirmed straggler flushes its
 buddy replica at the current boundary along with everyone else (the
@@ -45,23 +46,21 @@ and no hard-timeout SIGKILL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import HealthConfig
 from repro.mpi.faults import RankDeath
 from repro.native.build import recheck_gates
+from repro.validate.errors import GuardEvent
 
 __all__ = [
-    "HealthEvent",
     "HealthMonitor",
     "AdaptiveDeadline",
     "DegradationPolicy",
     "StragglerEvicted",
-    "recheck_native_kernels",
 ]
+
 
 class StragglerEvicted(RankDeath):
     """Voluntary exit of a confirmed straggler (cooperative eviction).
@@ -74,34 +73,14 @@ class StragglerEvicted(RankDeath):
     """
 
 
-@dataclass(frozen=True)
-class HealthEvent:
-    """One structured health-state transition.
-
-    ``kind`` is one of: ``straggler_suspect``, ``straggler_confirmed``,
-    ``drain``, ``evict``, ``evict_shrink``, ``degrade_enter``,
-    ``audit_stretch``, ``deadline_widen``, ``native_fallback``,
-    ``checkpoint_skipped``, ``recovered``.
-
-    ``rank`` is the *subject* world rank (the straggler, the healed
-    rank, ...); the emitting rank records the event in its own log, and
-    verdict-derived events are identical on every rank.
-    """
-
-    step: int
-    rank: int
-    kind: str
-    detail: str = ""
-    data: Dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "rank": self.rank,
-            "kind": self.kind,
-            "detail": self.detail,
-            "data": dict(self.data),
-        }
+def straggler_event(
+    step: int, rank: int, kind: str, detail: str = "", **data
+) -> GuardEvent:
+    """A ``check="straggler"`` row of the guard log."""
+    return GuardEvent(
+        step=step, rank=rank, check="straggler", kind=kind, detail=detail,
+        data=data,
+    )
 
 
 class AdaptiveDeadline:
@@ -109,15 +88,19 @@ class AdaptiveDeadline:
 
     Tracks the fleet-wide *maximum* step time (the straggler defines
     how long a healthy rank may legitimately block in a collective) in
-    a bounded window and proposes
-    ``clamp(factor * quantile, floor, ceil)`` once ``min_samples``
-    ticks have been observed.
+    a bounded window and proposes ``clamp(FACTOR * quantile(QUANTILE),
+    FLOOR, CEIL)`` once ``min_samples`` ticks have been observed.
     """
 
     WINDOW = 64
+    QUANTILE = 0.9
+    FACTOR = 10.0
+    #: clamp bounds in seconds
+    FLOOR = 1.0
+    CEIL = 120.0
 
-    def __init__(self, config: HealthConfig) -> None:
-        self.config = config
+    def __init__(self, min_samples: int) -> None:
+        self.min_samples = int(min_samples)
         self._samples: List[float] = []
 
     def observe(self, fleet_max_seconds: float) -> None:
@@ -128,65 +111,34 @@ class AdaptiveDeadline:
     def deadline(self) -> Optional[float]:
         """Proposed collective deadline in seconds, or ``None`` until
         enough samples exist."""
-        cfg = self.config
-        if len(self._samples) < cfg.min_samples:
+        if len(self._samples) < self.min_samples:
             return None
-        q = float(np.quantile(self._samples, cfg.deadline_quantile))
-        return min(cfg.deadline_ceil, max(cfg.deadline_floor, cfg.deadline_factor * q))
+        q = float(np.quantile(self._samples, self.QUANTILE))
+        return min(self.CEIL, max(self.FLOOR, self.FACTOR * q))
 
 
 class HealthMonitor:
-    """Deterministic per-rank health scoring and straggler verdicts.
+    """Deterministic straggler verdicts.
 
     Feed :meth:`observe` once per step with the allgathered
     ``(world_rank, step_seconds)`` samples; it returns the world rank of
-    a newly *confirmed* straggler (or ``None``) and appends the
-    corresponding :class:`HealthEvent`\\ s to :attr:`events`.  The
-    verdict function is a pure function of the sample history, so every
-    rank that feeds it the same allgathered rows reaches the same
-    verdict on the same step — detection is collective by construction.
+    a newly *confirmed* straggler (or ``None``) and logs the
+    corresponding events into ``guard.events``.  The verdict function is
+    a pure function of the sample history, so every rank that feeds it
+    the same allgathered rows reaches the same verdict on the same step
+    — detection is collective by construction.
     """
 
-    #: EWMA smoothing of the per-rank slowdown score
-    EWMA = 0.5
-
-    def __init__(self, config: HealthConfig, world_rank: int) -> None:
-        self.config = config
-        self.world_rank = int(world_rank)
-        self.events: List[HealthEvent] = []
-        self.deadline = AdaptiveDeadline(config)
-        self._ticks = 0
+    def __init__(self, guard) -> None:
+        self.config = guard.config
+        #: the guard log this monitor writes to
+        self.events: List[GuardEvent] = guard.events
+        self.deadline = AdaptiveDeadline(self.config.straggler_patience)
         #: consecutive over-threshold steps per world rank
         self._streak: Dict[int, int] = {}
-        #: EWMA of step-time / fleet-median per world rank
-        self._slowdown: Dict[int, float] = {}
         #: ranks already confirmed in the current episode (suppresses
         #: repeat confirmations until the rank recovers)
         self._confirmed: set = set()
-        #: most recent heartbeat ages, if a supervisor feeds them
-        self._beat_age: Dict[int, float] = {}
-
-    # -- scoring ------------------------------------------------------------------
-
-    def record_beat_age(self, rank: int, age_seconds: float) -> None:
-        """Fold a supervisor-observed heartbeat age into the score."""
-        self._beat_age[int(rank)] = float(age_seconds)
-
-    def score(self, rank: int) -> float:
-        """Health score in ``(0, 1]``: 1 is healthy, → 0 as the rank's
-        smoothed slowdown grows or its heartbeat goes quiet."""
-        slowdown = max(1.0, self._slowdown.get(int(rank), 1.0))
-        s = 1.0 / slowdown
-        age = self._beat_age.get(int(rank))
-        if age is not None and age > 0.0:
-            s /= 1.0 + age
-        return s
-
-    def scores(self) -> Dict[int, float]:
-        ranks = set(self._slowdown) | set(self._beat_age)
-        return {r: self.score(r) for r in sorted(ranks)}
-
-    # -- verdicts -----------------------------------------------------------------
 
     def observe(
         self,
@@ -213,52 +165,30 @@ class HealthMonitor:
         self.deadline.observe(
             float(times.max()) if deadline_seconds is None else deadline_seconds
         )
-        self._ticks += 1
         if median <= 0.0:
             return None
-        threshold = self.config.straggler_factor * median
-        confirmed: List[int] = []
+        factor = self.config.straggler_factor
+        patience = self.config.straggler_patience
+        confirmed: Dict[int, float] = {}
         for rank, t in rows:
-            ratio = t / median
-            self._slowdown[rank] = (
-                self.EWMA * ratio
-                + (1.0 - self.EWMA) * self._slowdown.get(rank, 1.0)
-            )
-            if t > threshold:
+            if t > factor * median:
                 streak = self._streak.get(rank, 0) + 1
                 self._streak[rank] = streak
                 if streak == 1:
-                    self.events.append(
-                        HealthEvent(
-                            step=step,
-                            rank=rank,
-                            kind="straggler_suspect",
-                            detail=(
-                                f"step time {t:.3f}s > "
-                                f"{self.config.straggler_factor:g}x fleet "
-                                f"median {median:.3f}s"
-                            ),
-                            data={"seconds": t, "median": median},
-                        )
-                    )
-                if (
-                    streak >= self.config.straggler_patience
-                    and self._ticks >= self.config.min_samples
-                    and rank not in self._confirmed
-                ):
-                    confirmed.append(rank)
-            else:
-                if self._streak.pop(rank, 0):
-                    self._confirmed.discard(rank)
-                    self.events.append(
-                        HealthEvent(
-                            step=step,
-                            rank=rank,
-                            kind="recovered",
-                            detail="step time back under threshold",
-                            data={"seconds": t, "median": median},
-                        )
-                    )
+                    self.events.append(straggler_event(
+                        step, rank, "straggler_suspect",
+                        f"step time {t:.3f}s > {factor:g}x fleet median "
+                        f"{median:.3f}s",
+                        seconds=t, median=median,
+                    ))
+                if streak >= patience and rank not in self._confirmed:
+                    confirmed[rank] = t / median
+            elif self._streak.pop(rank, 0):
+                self._confirmed.discard(rank)
+                self.events.append(straggler_event(
+                    step, rank, "recovered", "step time back under threshold",
+                    seconds=t, median=median,
+                ))
         if not confirmed:
             return None
         # one eviction at a time: the lowest confirmed rank (identical
@@ -266,144 +196,85 @@ class HealthMonitor:
         rank = min(confirmed)
         self._confirmed.add(rank)
         self._streak[rank] = 0
-        self.events.append(
-            HealthEvent(
-                step=step,
-                rank=rank,
-                kind="straggler_confirmed",
-                detail=(
-                    f"{self.config.straggler_patience} consecutive steps over "
-                    f"{self.config.straggler_factor:g}x fleet median"
-                ),
-                data={"slowdown": self._slowdown.get(rank, 1.0)},
-            )
-        )
+        self.events.append(straggler_event(
+            step, rank, "straggler_confirmed",
+            f"{patience} consecutive steps over {factor:g}x fleet median",
+            slowdown=confirmed[rank],
+        ))
         return rank
 
 
-def recheck_native_kernels() -> Dict[str, bool]:
-    """Re-run the bitwise self-test of every *loaded* native kernel.
-
-    The compile-time gate runs each self-test once and caches the
-    verdict; a kernel that starts mis-computing mid-run (bad memory,
-    clock instability) would keep its stale pass.  This re-runs the
-    test and **writes the fresh verdict back into the gate**
-    (:func:`repro.native.build.recheck_gates`), so a failing kernel
-    flips its ``get_lib()`` to ``None`` and every later call takes the
-    bitwise-identical numpy path.
-
-    Returns ``{stage: verdict}`` keyed by the ``REPRO_NO_NATIVE_<STAGE>``
-    stage names (``tree``, ``traverse``, ``certify``, ``mesh``,
-    ``update``, ``pp``) for the stages that had a loaded library to
-    test; stages never loaded are omitted.
-    """
-    return recheck_gates()
-
-
 class DegradationPolicy:
-    """Explicit degraded-mode engine (the "tolerate" half of eviction).
+    """Degraded-mode engine (the "tolerate" half of eviction).
 
-    Levels escalate under sustained pressure and de-escalate when the
-    pressure clears; the current level maps onto concrete sheddings:
+    Each :meth:`escalate` raises the level by one (up to ``MAX_LEVEL``);
+    the level never falls within a run.  It maps onto concrete
+    sheddings:
 
     * ``audit_stretch`` — multiply the SDC-audit and checkpoint cadence
-      by ``min(2**level, audit_stretch_max)``.  The declared bound keeps
+      by ``min(2**level, AUDIT_STRETCH_MAX)``.  The declared bound keeps
       "stretch the cadence" from becoming "silently disable audits".
     * ``skip_derived`` — at level >= 2 drop non-essential derived
       outputs (the cross-rank snapshot audit; checkpoints and the
       fingerprint audit are essential and never skipped).
     * every :meth:`escalate` re-runs the native kernel self-tests
-      (:func:`recheck_native_kernels`): a kernel failing its bitwise
-      gate falls back native→numpy and emits a ``native_fallback``
-      event.
+      (:meth:`recheck_kernels`): a kernel failing its bitwise gate falls
+      back native→numpy and logs a ``native_fallback`` event.
 
-    Every transition appends a structured :class:`HealthEvent` to
-    :attr:`events`.
+    Every transition is logged into ``guard.events``.
     """
 
     MAX_LEVEL = 8
+    #: upper bound on the audit/checkpoint cadence multiplier
+    AUDIT_STRETCH_MAX = 4
 
-    def __init__(self, config: HealthConfig, world_rank: int) -> None:
-        self.config = config
-        self.world_rank = int(world_rank)
+    def __init__(self, guard) -> None:
+        self.world_rank = int(guard.rank or 0)
+        #: the guard log this engine writes to
+        self.events: List[GuardEvent] = guard.events
         self.level = 0
-        self.events: List[HealthEvent] = []
         self._fallen_back: set = set()
-
-    @property
-    def active(self) -> bool:
-        return self.level > 0
 
     @property
     def audit_stretch(self) -> int:
         """Cadence multiplier in effect (1 = no degradation)."""
         if self.level <= 0:
             return 1
-        return min(2 ** self.level, self.config.audit_stretch_max)
+        return min(2 ** self.level, self.AUDIT_STRETCH_MAX)
 
     @property
     def skip_derived(self) -> bool:
         return self.level >= 2
 
     def escalate(self, step: int, rank: int, reason: str) -> None:
-        """Raise the degradation level by one (bounded) and emit the
-        transition events; idempotent at the ceiling."""
+        """Raise the degradation level by one (bounded) and log the
+        transition; idempotent at the ceiling."""
         if self.level < self.MAX_LEVEL:
             self.level += 1
-            self.events.append(
-                HealthEvent(
-                    step=step,
-                    rank=rank,
-                    kind="degrade_enter",
-                    detail=reason,
-                    data={"level": float(self.level)},
-                )
-            )
-            self.events.append(
-                HealthEvent(
-                    step=step,
-                    rank=rank,
-                    kind="audit_stretch",
-                    detail=(
-                        f"audit/checkpoint cadence x{self.audit_stretch} "
-                        f"(bound {self.config.audit_stretch_max})"
-                    ),
-                    data={"stretch": float(self.audit_stretch)},
-                )
-            )
+            self.events.append(straggler_event(
+                step, rank, "degrade_enter", reason, level=float(self.level)
+            ))
+            self.events.append(straggler_event(
+                step, rank, "audit_stretch",
+                f"audit/checkpoint cadence x{self.audit_stretch} "
+                f"(bound {self.AUDIT_STRETCH_MAX})",
+                stretch=float(self.audit_stretch),
+            ))
         self.recheck_kernels(step)
 
-    def relax(self, step: int, rank: int, reason: str) -> None:
-        """Lower the degradation level by one when pressure clears."""
-        if self.level <= 0:
-            return
-        self.level -= 1
-        self.events.append(
-            HealthEvent(
-                step=step,
-                rank=rank,
-                kind="recovered",
-                detail=reason,
-                data={"level": float(self.level)},
-            )
-        )
-
     def recheck_kernels(self, step: int) -> Dict[str, bool]:
-        """Re-run native self-tests; record a ``native_fallback`` event
-        for every stage that newly fails its gate."""
-        results = recheck_native_kernels()
+        """Re-run the bitwise self-test of every loaded native kernel
+        (:func:`repro.native.build.recheck_gates` writes the fresh
+        verdict back into the gate, so a failing kernel's later calls
+        take the bitwise-identical numpy path) and log a
+        ``native_fallback`` event for every stage that newly fails."""
+        results = recheck_gates()
         for stage, ok in results.items():
             if not ok and stage not in self._fallen_back:
                 self._fallen_back.add(stage)
-                self.events.append(
-                    HealthEvent(
-                        step=step,
-                        rank=self.world_rank,
-                        kind="native_fallback",
-                        detail=(
-                            f"native {stage} kernel failed its bitwise "
-                            f"self-test; falling back to numpy"
-                        ),
-                    )
-                )
+                self.events.append(straggler_event(
+                    step, self.world_rank, "native_fallback",
+                    f"native {stage} kernel failed its bitwise self-test; "
+                    f"falling back to numpy",
+                ))
         return results

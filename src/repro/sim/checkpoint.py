@@ -244,8 +244,9 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-#: arrays strict mode sweeps for finite values.  Force accumulators are
-#: deliberately excluded: a ``dump``-policy diagnostic checkpoint may
+#: arrays strict mode sweeps for finite values (every restore through
+#: :func:`read_checkpoint` is strict).  Force accumulators are
+#: deliberately excluded: a diagnostic checkpoint dumped by an abort may
 #: legitimately hold the garbage that triggered the dump in ``pp_acc``
 #: / ``pm_acc``, and must still load for offline analysis.
 STRICT_FINITE_KEYS = ("pos", "mom", "mass")
@@ -676,8 +677,9 @@ def read_checkpoint(
     written.  Otherwise rank 0 merges the validated set in global
     particle-id order and scatters contiguous slices of ``pos``/``mom``/
     ``mass``/``ids``; ``meta`` is then empty, as no per-rank driver
-    state survives a change of rank count.  ``config.validation.
-    strict_load`` finite-sweeps the particle state either way.
+    state survives a change of rank count.  Either way the particle
+    state is finite-swept (:data:`STRICT_FINITE_KEYS`): a state written
+    corrupted checksums perfectly, and must not resume silently.
     """
     step_dir = Path(step_dir)
     manifest = read_manifest(step_dir)
@@ -688,14 +690,13 @@ def read_checkpoint(
             f"configuration (hash {manifest['config_hash'][:12]}..., "
             f"ours {want[:12]}...)"
         )
-    strict = config.validation.strict_load
     if int(manifest["n_ranks"]) == comm.size:
         path = _verified_path(step_dir, manifest["files"][comm.rank])
-        arrays, meta = read_rank_file(path, strict=strict)
+        arrays, meta = read_rank_file(path, strict=True)
         return arrays, meta, manifest
     chunks = None
     if comm.rank == 0:
-        merged = load_distributed_checkpoint(step_dir, strict=strict)
+        merged = load_distributed_checkpoint(step_dir, strict=True)
         n = len(merged["ids"])
         chunks = [
             {

@@ -45,16 +45,21 @@ from repro.mpi.faults import (
 )
 from repro.mpi.health import (
     DegradationPolicy,
-    HealthEvent,
     HealthMonitor,
     StragglerEvicted,
+    straggler_event,
 )
 from repro.mpi.recovery import BuddyStore, RecoveryError, RecoveryEvent, shrink_after_failure
 from repro.sim import checkpoint as _ckpt
 from repro.sim.checkpoint import CheckpointError, CheckpointSpaceError
 from repro.sim.parallel import ParallelSimulation, _launch_spmd
-from repro.validate import check_recovery_totals
-from repro.validate.sdc import SdcAuditor, SdcEvent, SdcViolation
+from repro.validate import (
+    InvariantViolation,
+    SdcAuditor,
+    Validator,
+    check_recovery_totals,
+    refuse_unrun_checks,
+)
 
 __all__ = [
     "ElasticRunner",
@@ -100,12 +105,12 @@ class ElasticRunner:
         refreshed every K completed steps.  A failure replays at most K
         steps; each refresh ships one full particle-block copy to the
         ring buddy.
-    checkpoint_dir, checkpoint_every:
-        Disk checkpointing, as for :meth:`ParallelSimulation.run`.
-        When a directory is given, an initial checkpoint is written at
-        the starting boundary so the disk-fallback path always has a
-        complete set to restore, even for failures before the first
-        cadence point.
+    checkpoint_dir, checkpoint_every, keep_last:
+        Disk checkpointing and retention, as for
+        :meth:`ParallelSimulation.run`.  When a directory is given, an
+        initial checkpoint is written at the starting boundary so the
+        disk-fallback path always has a complete set to restore, even
+        for failures before the first cadence point.
     consensus_timeout:
         Seconds a survivor waits for the consensus round to seal before
         declaring the job lost.
@@ -128,7 +133,9 @@ class ElasticRunner:
         checkpoint_every: Optional[int] = None,
         consensus_timeout: float = 30.0,
         max_recoveries: int = 8,
+        keep_last: int = 0,
     ) -> None:
+        refuse_unrun_checks(config.validation, "ElasticRunner")
         if buddy_every < 1:
             raise ValueError("buddy_every must be >= 1")
         if max_recoveries < 1:
@@ -140,6 +147,7 @@ class ElasticRunner:
         self.buddy_every = int(buddy_every)
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
+        self.keep_last = int(keep_last)
         self.consensus_timeout = float(consensus_timeout)
         self.max_recoveries = int(max_recoveries)
         self.sim = ParallelSimulation(
@@ -155,16 +163,24 @@ class ElasticRunner:
         #: the deaths since the previous epoch, so the next attempt must
         #: still restore these
         self._unrestored: List[int] = []
-        #: the SDC audit engine (detect -> attribute -> heal); cadence
-        #: and policy come from ``config.sdc``
-        self.sdc = SdcAuditor(config=config.sdc, world_rank=comm.world_rank)
+        #: router of the SDC and straggler guards and this rank's one
+        #: guard log (the simulation's own validator routes the
+        #: invariants and is rebuilt with it on every recovery)
+        self.guard = Validator(
+            config.validation,
+            rank=comm.world_rank,
+            dump_fn=lambda violation: self.sim._diagnostic_dump(violation),
+        )
+        #: the SDC audit engine (detect -> attribute -> heal)
+        self.sdc = SdcAuditor(self.guard)
         self._crc_seen = 0
         self._arm_sdc()
-        #: gray-failure layer: straggler verdicts + adaptive deadlines
-        #: (``config.health``); verdicts are collective by construction
-        self.monitor = HealthMonitor(config.health, world_rank=comm.world_rank)
-        #: explicit degraded-mode engine (the "tolerate" response)
-        self.degrade = DegradationPolicy(config.health, world_rank=comm.world_rank)
+        #: gray-failure layer: straggler verdicts + adaptive deadlines;
+        #: verdicts are collective by construction
+        self.monitor = HealthMonitor(self.guard)
+        #: degraded-mode engine (how the fleet keeps running with a
+        #: straggler it does not evict, or under disk pressure)
+        self.degrade = DegradationPolicy(self.guard)
         #: (world_rank, boundary) of a straggler this rank expects to
         #: vanish after a cooperative drain; labels the next recovery
         #: as an eviction rather than a crash
@@ -186,16 +202,17 @@ class ElasticRunner:
         """Collective health round after each completed step: allgather
         this step's *work* time (wall minus time blocked in
         communication), run the (deterministic, identical on every
-        rank) straggler verdict, apply adaptive deadlines, and act on a
-        confirmed straggler per ``config.health.policy``.
+        rank) straggler verdict, apply adaptive deadlines, and route a
+        confirmed straggler through the guard.
 
-        In ``evict`` mode the confirmed straggler participates in one
-        last cooperative drain — a buddy refresh at the just-completed
-        boundary — then raises :class:`StragglerEvicted`; survivors
-        label the resulting shrink an eviction.  The drain means the
-        shrink replays zero steps.
+        The ``recover`` remedy is cooperative eviction: the confirmed
+        straggler takes part in one last drain — a buddy refresh at the
+        just-completed boundary — then raises :class:`StragglerEvicted`;
+        survivors label the resulting shrink an eviction, and the drain
+        means it replays zero steps.  A straggler that stays (``warn``,
+        or nobody left to shrink to) is tolerated: the degradation
+        engine stretches the cadence.
         """
-        policy = self.monitor.config.policy
         rows = self.comm.allgather(
             (self.comm.world_rank, float(work_seconds), float(wall_seconds))
         )
@@ -207,45 +224,35 @@ class ElasticRunner:
         self._apply_deadline(step)
         if verdict is None:
             return
-        if policy == "evict" and self.comm.size > 1 and step < n_steps:
-            self.monitor.events.append(
-                HealthEvent(
-                    step=step,
-                    rank=verdict,
-                    kind="drain",
-                    detail="flushing buddy replica before cooperative eviction",
-                )
-            )
+        finding = InvariantViolation(
+            f"rank {verdict} is a confirmed straggler",
+            check="straggler", stage="mpi/health", step=step, rank=verdict,
+        )
+        if self.guard.handle(finding) and self.comm.size > 1 and step < n_steps:
+            self.monitor.events.append(straggler_event(
+                step, verdict, "drain",
+                "flushing buddy replica before cooperative eviction",
+            ))
             self._refresh_buddy(step)
             if self.comm.world_rank == verdict:
-                self.monitor.events.append(
-                    HealthEvent(
-                        step=step,
-                        rank=verdict,
-                        kind="evict",
-                        detail="voluntary exit after cooperative drain",
-                    )
-                )
+                self.monitor.events.append(straggler_event(
+                    step, verdict, "evict",
+                    "voluntary exit after cooperative drain",
+                ))
                 raise StragglerEvicted(
                     f"rank {verdict} evicted as a confirmed straggler "
                     f"at step {step} (cooperative drain complete)"
                 )
             self._pending_eviction = (verdict, step)
-        elif policy == "degrade":
+        else:
             self.degrade.escalate(
-                step,
-                verdict,
-                f"tolerating confirmed straggler rank {verdict} "
-                f"(eviction disabled)",
+                step, verdict, f"tolerating confirmed straggler rank {verdict}"
             )
-        # "monitor": verdicts and scores are logged, no action taken
 
     def _apply_deadline(self, step: int) -> None:
         """Adopt the adaptive collective deadline once it departs
         materially (>25%) from the one in effect — observed step-time
         distribution instead of the fixed ``recv_timeout`` constant."""
-        if not self.monitor.config.enabled:
-            return
         deadline = self.monitor.deadline.deadline()
         if deadline is None or not hasattr(self.comm, "set_recv_timeout"):
             return
@@ -254,18 +261,12 @@ class ElasticRunner:
             return
         self.comm.set_recv_timeout(deadline)
         self._applied_deadline = deadline
-        self.monitor.events.append(
-            HealthEvent(
-                step=step,
-                rank=self.comm.world_rank,
-                kind="deadline_widen",
-                detail=(
-                    f"collective deadline {deadline:.2f}s from observed "
-                    f"step-time distribution"
-                ),
-                data={"deadline": deadline},
-            )
-        )
+        self.monitor.events.append(straggler_event(
+            step, self.comm.world_rank, "deadline_widen",
+            f"collective deadline {deadline:.2f}s from observed step-time "
+            f"distribution",
+            deadline=deadline,
+        ))
 
     def _checkpoint_step(
         self, step: int, schedule: dict, inject_rot: bool = True
@@ -273,29 +274,26 @@ class ElasticRunner:
         """Durable checkpoint at ``step``, tolerant of a full disk: on
         a collective :class:`CheckpointSpaceError` the epoch is skipped
         (the ``LATEST`` pointer stays on the last complete set), a
-        ``checkpoint_skipped`` :class:`HealthEvent` is recorded, and
-        the run continues degraded instead of crashing."""
+        ``checkpoint_skipped`` event is logged, and the run continues
+        (degraded, when the straggler guard is on) instead of
+        crashing."""
         try:
             self.sim.checkpoint(
                 self.checkpoint_dir,
                 schedule={**schedule, "next_step": step},
+                keep_last=self.keep_last,
             )
         except CheckpointSpaceError as exc:
-            self.monitor.events.append(
-                HealthEvent(
-                    step=step,
-                    rank=self.comm.world_rank,
-                    kind="checkpoint_skipped",
-                    detail=str(exc),
-                )
-            )
-            if self.monitor.config.enabled:
+            self.monitor.events.append(straggler_event(
+                step, self.comm.world_rank, "checkpoint_skipped", str(exc)
+            ))
+            if self.guard.runs("straggler"):
                 self.degrade.escalate(
                     step, self.comm.world_rank, f"disk pressure: {exc}"
                 )
             return
-        # retention (config.sdc.keep_last) is applied inside
-        # sim.checkpoint, before the rot injection here
+        # retention is applied inside sim.checkpoint, before the rot
+        # injection here
         if inject_rot:
             self._inject_rot(step)
 
@@ -303,8 +301,26 @@ class ElasticRunner:
         """(Re-)enable sweep retention on the current solver when ABFT
         spot-checks are on (a recovery rebuilds the simulation, and
         with it the tree solver)."""
-        if self.sdc.enabled and self.sdc.config.spot_check_groups > 0:
+        if self.sdc.enabled and self.guard.config.spot_check_groups > 0:
             self.sim.tree.retain_last_sweep = True
+
+    def _route_sdc(self, found) -> None:
+        """Route one audit round's findings through the guard
+        (collective).  Under ``recover`` the remedy runs: blocks with a
+        clean copy heal in place, and whatever stays damaged on any rank
+        raises on every rank, so the run loop rolls back."""
+        if not self.guard.handle_collective(
+            self.comm, self.sdc.violation(found)
+        ):
+            return
+        left = self.sdc.heal(self.comm, self.buddy, self.sim.tree, found)
+        total = self.comm.allreduce(np.array([float(len(left))]), op="sum")[0]
+        if total:
+            raise self.sdc.violation(left) or InvariantViolation(
+                f"{int(total)} unhealed corruption finding(s) on other ranks",
+                check="sdc", stage="sdc/rollback",
+                step=self.sim.steps_taken, rank=self.comm.world_rank,
+            )
 
     def _inject_state_faults(self, step: int) -> None:
         """Apply the fault plan's SDC events keyed on the just-completed
@@ -379,18 +395,11 @@ class ElasticRunner:
             # checksum-failed SHM frames were discarded as undelivered;
             # the timeout that brought us here is their symptom
             self.sdc.record(
-                SdcEvent(
-                    step=failed_step,
-                    kind="transport",
-                    array="shm_frame",
-                    owner_world_rank=self.comm.world_rank,
-                    attribution="transport",
-                    healed=True,
-                    detail=(
-                        f"{crc - self._crc_seen} SharedMemory frame(s) "
-                        f"failed CRC32 and were dropped"
-                    ),
-                )
+                "transport", failed_step, self.comm.world_rank,
+                f"{crc - self._crc_seen} SharedMemory frame(s) failed CRC32 "
+                f"and were dropped",
+                {"array": "shm_frame", "attribution": "transport"},
+                healed=True,
             )
         self._recover_attempts += 1
         if self._recover_attempts > self.max_recoveries:
@@ -463,18 +472,11 @@ class ElasticRunner:
                 # the LATEST epoch failed digest validation: on-disk
                 # bit-rot, healed by falling back an interval
                 self.sdc.record(
-                    SdcEvent(
-                        step=failed_step,
-                        kind="checkpoint",
-                        array=Path(pointed).name,
-                        owner_world_rank=self.comm.world_rank,
-                        attribution="disk",
-                        healed=True,
-                        detail=(
-                            f"epoch {Path(pointed).name} failed digest "
-                            f"validation; restored {Path(step_dir).name}"
-                        ),
-                    )
+                    "checkpoint", failed_step, self.comm.world_rank,
+                    f"epoch {Path(pointed).name} failed digest validation; "
+                    f"restored {Path(step_dir).name}",
+                    {"array": Path(pointed).name, "attribution": "disk"},
+                    healed=True,
                 )
             manifest = _ckpt.read_manifest(step_dir)
             self.sim = ParallelSimulation.restore(
@@ -506,21 +508,13 @@ class ElasticRunner:
             )
         )
         if trigger == "eviction":
-            self.monitor.events.append(
-                HealthEvent(
-                    step=boundary,
-                    rank=pending[0],
-                    kind="evict_shrink",
-                    detail=(
-                        f"cooperative shrink to {new_comm.size} rank(s) "
-                        f"at epoch {epoch}; zero steps replayed"
-                        if boundary == failed_step
-                        else f"cooperative shrink to {new_comm.size} rank(s) "
-                        f"at epoch {epoch}"
-                    ),
-                    data={"epoch": float(epoch)},
-                )
-            )
+            replayed = "; zero steps replayed" if boundary == failed_step else ""
+            self.monitor.events.append(straggler_event(
+                boundary, pending[0], "evict_shrink",
+                f"cooperative shrink to {new_comm.size} rank(s) at epoch "
+                f"{epoch}{replayed}",
+                epoch=float(epoch),
+            ))
         return boundary
 
     # -- the loop ----------------------------------------------------------------
@@ -574,7 +568,7 @@ class ElasticRunner:
                 work_seconds = max(wall_seconds - wait_seconds, 1e-9)
                 i += 1
                 self._inject_state_faults(i)
-                if self.monitor.config.enabled:
+                if self.guard.runs("straggler"):
                     self._health_tick(i, work_seconds, wall_seconds, n_steps)
                 # degraded mode stretches the audit/checkpoint cadence
                 # within the declared audit_stretch_max bound
@@ -590,17 +584,14 @@ class ElasticRunner:
                 # don't fingerprint-clean must never be frozen, or a
                 # later rollback would "restore" corrupted state
                 if audit_due or (refresh_due and self.sdc.enabled):
-                    found = []
-                    ev = self.sdc.fingerprint_audit(
-                        self.comm, self.sim.ids, self.sim.mass, step=i
-                    )
-                    if ev is not None:
-                        found.append(ev)
+                    found = [
+                        self.sdc.fingerprint_audit(
+                            self.comm, self.sim.ids, self.sim.mass, step=i
+                        )
+                    ]
                     if audit_due:
-                        ev = self.sdc.spot_check(self.sim.tree, step=i)
-                        if ev is not None:
-                            found.append(ev)
-                    self.sdc.apply_policy(self.comm, found)
+                        found.append(self.sdc.spot_check(self.sim.tree, step=i))
+                    self._route_sdc([ev for ev in found if ev is not None])
                 if self.checkpoint_every and (
                     (i - first_step) % (self.checkpoint_every * stretch) == 0
                     or i == n_steps
@@ -612,12 +603,14 @@ class ElasticRunner:
                     # the snapshot audit is the non-essential derived
                     # output the degraded mode sheds; the fingerprint
                     # audit above stays on
-                    found = self.sdc.snapshot_audit(self.comm, self.buddy, step=i)
-                    self.sdc.apply_policy(self.comm, found)
-            except (PeerFailure, CommTimeout, SdcViolation) as exc:
-                if (
-                    isinstance(exc, SdcViolation)
-                    and self.sdc.config.policy == "abort"
+                    self._route_sdc(
+                        self.sdc.snapshot_audit(self.comm, self.buddy, step=i)
+                    )
+            except (PeerFailure, CommTimeout, InvariantViolation) as exc:
+                # the one violation rolled back: the sdc remedy's raise
+                if isinstance(exc, InvariantViolation) and not (
+                    exc.check == "sdc"
+                    and self.guard.policy_for("sdc") == "recover"
                 ):
                     raise
                 # a further failure *during* recovery (another rank died
@@ -628,10 +621,10 @@ class ElasticRunner:
                     try:
                         i = self._recover(exc, failed_step=i)
                         initialized = True
-                        if isinstance(first, SdcViolation):
+                        if isinstance(first, InvariantViolation):
                             # the rollback restored (and re-verified)
                             # state from before the corruption
-                            self.sdc.mark_rolled_back(first.events, i)
+                            self.sdc.mark_rolled_back(i)
                         break
                     except (PeerFailure, CommTimeout) as again:
                         exc = again
@@ -650,16 +643,17 @@ class ElasticRunner:
             events=list(self.events),
             steps_taken=int(self.sim.steps_taken),
             timing=self.sim.timing.as_dict(),
-            sdc_events=[ev.summary() for ev in self.sdc.events],
-            health_events=self.health_events(),
+            guard_events=self.guard_events,
             degraded_level=self.degrade.level,
         )
 
-    def health_events(self) -> List[dict]:
-        """The merged health log, in step order: monitor verdicts and
-        degradation transitions as :meth:`HealthEvent.as_dict` rows."""
-        merged = self.monitor.events + self.degrade.events
-        return [ev.as_dict() for ev in sorted(merged, key=lambda e: e.step)]
+    @property
+    def guard_events(self) -> List[dict]:
+        """This rank's guard log in step order (SDC findings and
+        straggler transitions alike), as
+        :meth:`repro.validate.GuardEvent.as_dict` rows."""
+        log = sorted(self.guard.events, key=lambda e: e.step)
+        return [ev.as_dict() for ev in log]
 
 
 class ElasticRankReport:
@@ -680,8 +674,7 @@ class ElasticRankReport:
         events: List[RecoveryEvent],
         steps_taken: int,
         timing,
-        sdc_events: Optional[List[dict]] = None,
-        health_events: Optional[List[dict]] = None,
+        guard_events: Optional[List[dict]] = None,
         degraded_level: int = 0,
     ) -> None:
         self.world_rank = world_rank
@@ -691,12 +684,8 @@ class ElasticRankReport:
         self.events = events
         self.steps_taken = steps_taken
         self.timing = timing
-        #: :meth:`repro.validate.sdc.SdcEvent.summary` dicts, in
-        #: detection order
-        self.sdc_events = list(sdc_events or [])
-        #: :meth:`repro.mpi.health.HealthEvent.as_dict` rows, in step
-        #: order (straggler verdicts, drains, degradation transitions)
-        self.health_events = list(health_events or [])
+        #: the rank's guard log, as :attr:`ElasticRunner.guard_events`
+        self.guard_events = list(guard_events or [])
         #: final degradation level (0 = never degraded)
         self.degraded_level = int(degraded_level)
 
@@ -731,6 +720,7 @@ def run_elastic_simulation(
     retry_budget: int = 16,
     max_recoveries: int = 8,
     backend="thread",
+    keep_last: int = 0,
 ):
     """Driver: like :func:`repro.sim.parallel.run_parallel_simulation`
     but on an elastic runtime that survives rank deaths.
@@ -765,6 +755,7 @@ def run_elastic_simulation(
             checkpoint_every=checkpoint_every,
             consensus_timeout=consensus_timeout,
             max_recoveries=max_recoveries,
+            keep_last=keep_last,
         )
         runner.run(t_start, t_end, n_steps)
         return runner

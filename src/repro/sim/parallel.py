@@ -47,6 +47,7 @@ from repro.validate import (
     check_momentum,
     check_octree,
     first_violation,
+    refuse_unrun_checks,
 )
 
 __all__ = [
@@ -167,11 +168,14 @@ class ParallelSimulation:
     # -- validation hooks --------------------------------------------------------
 
     def _diagnostic_dump(self, violation) -> str:
-        """``dump``-policy hook: write a distributed diagnostic
-        checkpoint (collective — the Validator invokes it on every rank)
-        recording the violation in the manifest, and return its path."""
-        dump_dir = self.config.validation.dump_dir or "diagnostics"
-        step_dir = self.checkpoint(dump_dir, extra={"violation": violation.summary()})
+        """Dump hook of an ``abort`` with ``dump_dir`` set: write a
+        distributed diagnostic checkpoint (collective — the Validator
+        invokes it on every rank) recording the violation in the
+        manifest, and return its path."""
+        step_dir = self.checkpoint(
+            self.config.validation.dump_dir,
+            extra={"violation": violation.summary()},
+        )
         return str(step_dir)
 
     def _momentum_totals(self) -> np.ndarray:
@@ -396,10 +400,12 @@ class ParallelSimulation:
         checkpoint_every: Optional[int] = None,
         checkpoint_dir=None,
         first_step: int = 0,
+        keep_last: int = 0,
     ) -> None:
         """Integrate ``n_steps`` equal steps from ``t_start`` to
         ``t_end``, optionally writing a distributed checkpoint every
-        ``checkpoint_every`` completed steps (and after the last one).
+        ``checkpoint_every`` completed steps (and after the last one),
+        keeping only the newest ``keep_last`` epochs when > 0.
 
         ``first_step`` resumes a stored schedule: the step edges are
         recomputed from the *full* schedule so a resumed run hits
@@ -428,6 +434,7 @@ class ParallelSimulation:
                     checkpoint_dir,
                     schedule={**schedule, "next_step": i + 1},
                     time=float(edges[i + 1]),
+                    keep_last=keep_last,
                 )
 
     # -- checkpoint / restore -----------------------------------------------------
@@ -438,10 +445,12 @@ class ParallelSimulation:
         schedule: Optional[Dict[str, Any]] = None,
         extra: Optional[Dict[str, Any]] = None,
         time: Optional[float] = None,
+        keep_last: int = 0,
     ):
         """Write a checkpoint epoch of this rank's state (collective)
-        through :func:`repro.sim.checkpoint.write_checkpoint`, with
-        ``config.sdc.keep_last`` retention; returns the step directory.
+        through :func:`repro.sim.checkpoint.write_checkpoint`, pruning
+        all but the newest ``keep_last`` epochs when > 0; returns the
+        step directory.
 
         Besides the particles every rank saves what its next step
         depends on — force accumulators, the boundary moving-average
@@ -481,7 +490,7 @@ class ParallelSimulation:
         return _ckpt.write_checkpoint(
             self.comm, checkpoint_dir, self.config, arrays, meta,
             self.steps_taken, schedule=schedule, time=time, extra=extra,
-            keep_last=int(self.config.sdc.keep_last),
+            keep_last=int(keep_last),
         )
 
     @classmethod
@@ -659,6 +668,7 @@ def run_parallel_simulation(
     recv_timeout: Optional[float] = None,
     watchdog_timeout: Optional[float] = None,
     backend="thread",
+    keep_last: int = 0,
 ):
     """Convenience driver: scatter global arrays, run, gather results.
 
@@ -666,8 +676,10 @@ def run_parallel_simulation(
     list of per-rank :class:`ParallelSimulation` objects (timings,
     statistics) and ``runtime`` exposes the traffic log / network model.
     ``checkpoint_every``/``checkpoint_dir`` enable distributed
-    checkpoints; ``fault_plan``/``recv_timeout``/``watchdog_timeout``
-    are forwarded to the backend.
+    checkpoints, ``keep_last`` > 0 prunes all but that many newest;
+    ``fault_plan``/``recv_timeout``/``watchdog_timeout`` are forwarded
+    to the backend.  A guard override naming a check this driver does
+    not run is refused before any rank starts.
 
     ``backend`` selects the communicator backend by registry name
     (``"thread"``, ``"multiprocess"``) or accepts a pre-built
@@ -675,12 +687,14 @@ def run_parallel_simulation(
     in other processes return a picklable :class:`RankReport` in
     ``sims`` instead of the live simulation object.
     """
+    refuse_unrun_checks(config.validation, "ParallelSimulation")
 
     def run_rank(comm, pos, mom, mass):
         sim = ParallelSimulation(comm, config, pos, mom, mass, stepper=stepper)
         sim.run(
             t_start, t_end, n_steps,
             checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
+            keep_last=keep_last,
         )
         return sim
 
@@ -703,6 +717,7 @@ def resume_parallel_simulation(
     recv_timeout: Optional[float] = None,
     watchdog_timeout: Optional[float] = None,
     backend="thread",
+    keep_last: int = 0,
 ):
     """Resume the schedule stored in the newest complete checkpoint.
 
@@ -713,8 +728,9 @@ def resume_parallel_simulation(
     any driver; ``checkpoint_every`` keeps checkpointing into the root
     that holds the resumed epoch.
     Returns the same tuple as :func:`run_parallel_simulation`;
-    ``backend`` selects the communicator backend the same way.
+    ``backend`` and ``keep_last`` work the same way.
     """
+    refuse_unrun_checks(config.validation, "ParallelSimulation")
     step_dir = _ckpt.latest_checkpoint(checkpoint_dir)
     manifest = _ckpt.read_manifest(step_dir)
     schedule = manifest["schedule"]
@@ -734,6 +750,7 @@ def resume_parallel_simulation(
             checkpoint_every=checkpoint_every,
             checkpoint_dir=step_dir.parent if checkpoint_every else None,
             first_step=int(schedule["next_step"]),
+            keep_last=keep_last,
         )
         return sim
 

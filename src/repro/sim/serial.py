@@ -22,8 +22,8 @@ from repro.validate import (
     EnergyDriftMonitor,
     LayzerIrvineMonitor,
     MomentumDriftMonitor,
-    SdcAuditor,
     Validator,
+    refuse_unrun_checks,
 )
 
 __all__ = ["SerialSimulation"]
@@ -58,9 +58,16 @@ class SerialSimulation:
         if not (len(self.pos) == len(self.mom) == len(self.mass)):
             raise ValueError("pos/mom/mass length mismatch")
         self.stepper = stepper if stepper is not None else StaticStepper()
-        # ABFT spot-checks of the PP sweeps; events land in solver.sdc.events
-        sdc = SdcAuditor(config.sdc) if config.sdc.enabled else None
-        self.solver = TreePMSolver(config.treepm, sdc=sdc)
+        self.validator = Validator(
+            config.validation, dump_fn=self._diagnostic_dump
+        )
+        refuse_unrun_checks(config.validation, "SerialSimulation")
+        # the solver runs the force-side checks and the ABFT
+        # spot-checks of the PP sweeps (findings in validator.events)
+        self.solver = TreePMSolver(
+            config.treepm,
+            validator=self.validator if self.validator.enabled else None,
+        )
         self.timing = TimingLedger()
         self._kdk = TwoLevelKDK(
             pm_force=lambda pos: self.solver.long_range(
@@ -75,11 +82,7 @@ class SerialSimulation:
         )
         self.steps_taken = 0
         self._last_time = 0.0
-        self.validator = Validator(
-            config.validation, dump_fn=self._diagnostic_dump
-        )
         if self.validator.enabled:
-            self.solver.validator = self.validator
             # comoving energy drifts under a perfect integrator, so
             # cosmological runs are judged by the Layzer-Irvine equation
             self.energy_monitor = (
@@ -95,11 +98,12 @@ class SerialSimulation:
             self._mom_monitor = None
 
     def _diagnostic_dump(self, violation) -> str:
-        """``dump``-policy hook: checkpoint the current state with the
-        violation in the manifest; returns the step directory."""
-        dump_dir = self.config.validation.dump_dir or "diagnostics"
+        """Dump hook of an ``abort`` with ``dump_dir`` set: checkpoint
+        the current state with the violation in the manifest; returns
+        the step directory."""
         step_dir = self.save_checkpoint(
-            dump_dir, self._last_time, extra={"violation": violation.summary()}
+            self.config.validation.dump_dir, self._last_time,
+            extra={"violation": violation.summary()},
         )
         return str(step_dir)
 
@@ -169,6 +173,7 @@ class SerialSimulation:
         checkpoint_every: Optional[int] = None,
         checkpoint_path=None,
         first_step: int = 0,
+        keep_last: int = 0,
     ) -> None:
         """Integrate from ``t_start`` to ``t_end`` in ``n_steps`` equal
         steps (equal in the stepper's independent variable: time for
@@ -176,7 +181,8 @@ class SerialSimulation:
 
         ``checkpoint_every`` writes a checkpoint epoch, schedule
         included, under the root ``checkpoint_path`` every that many
-        completed steps (and after the last).  ``first_step`` skips
+        completed steps (and after the last); ``keep_last`` > 0 keeps
+        only that many newest epochs.  ``first_step`` skips
         already-completed steps of the same schedule — the edges are
         recomputed from the full schedule, so a resumed trajectory is
         bit-for-bit the uninterrupted one.
@@ -203,7 +209,9 @@ class SerialSimulation:
                 (i + 1) % checkpoint_every == 0 or i + 1 == n_steps
             ):
                 self.save_checkpoint(
-                    checkpoint_path, t2, schedule={**schedule, "next_step": i + 1}
+                    checkpoint_path, t2,
+                    schedule={**schedule, "next_step": i + 1},
+                    keep_last=keep_last,
                 )
 
     # -- checkpoint / restore ---------------------------------------------------
@@ -214,7 +222,7 @@ class SerialSimulation:
         time: float,
         extra: Optional[dict] = None,
         schedule: Optional[dict] = None,
-        keep_last: Optional[int] = None,
+        keep_last: int = 0,
     ):
         """Write the state as a one-rank checkpoint epoch under the
         root ``path`` (:func:`repro.sim.checkpoint.write_checkpoint`
@@ -222,9 +230,9 @@ class SerialSimulation:
 
         The rank file holds ``pos``/``mom``/``mass`` and ``ids =
         arange(n)``, no force accumulators: they are recomputed on the
-        first step after a restore, bit for bit.  ``keep_last``
-        overrides the ``config.sdc.keep_last`` retention (0 keeps
-        every epoch).
+        first step after a restore, bit for bit.  ``keep_last`` > 0
+        then prunes all but the newest that many epochs (0 keeps every
+        epoch).
         """
         return _ckpt.write_checkpoint(
             SelfComm(), path, self.config,
@@ -235,9 +243,7 @@ class SerialSimulation:
                 "ids": np.arange(len(self.pos)),
             },
             {}, self.steps_taken, schedule=schedule, time=time, extra=extra,
-            keep_last=int(
-                self.config.sdc.keep_last if keep_last is None else keep_last
-            ),
+            keep_last=int(keep_last),
         )
 
     @classmethod

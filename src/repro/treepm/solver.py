@@ -26,6 +26,7 @@ from repro.mesh.poisson import PMSolver
 from repro.tree.traversal import TraversalStats, TreeSolver
 from repro.utils.timer import TimingLedger
 from repro.validate.checks import check_finite, check_mesh_mass, check_octree
+from repro.validate.sdc import SdcAuditor
 
 __all__ = ["TreePMSolver", "TreePMForces"]
 
@@ -56,11 +57,12 @@ class TreePMSolver:
         Gravitational constant.
     use_fast_rsqrt:
         Use the emulated HPC-ACE fast-rsqrt PP path.
-    sdc:
-        Optional :class:`repro.validate.SdcAuditor`.  When enabled,
-        every ``audit_every``-th :meth:`short_range` call re-sweeps a sampled
-        subset of the interaction plan through the reference pipeline
-        and compares bitwise; under the ``heal`` policy a miscomputed
+    validator:
+        Optional :class:`repro.validate.Validator`, the one guard
+        consulted by both force halves.  When it runs the ``sdc``
+        check, every ``interval``-th :meth:`short_range` call re-sweeps
+        a sampled subset of the interaction plan through the reference
+        pipeline and compares bitwise; under ``recover`` a miscomputed
         sweep is redone in full through the reference path before the
         result is returned.
     """
@@ -72,15 +74,18 @@ class TreePMSolver:
         G: float = 1.0,
         use_fast_rsqrt: bool = False,
         validator=None,
-        sdc=None,
     ) -> None:
         self.config = config if config is not None else TreePMConfig()
         self.box = float(box)
         self.G = float(G)
         #: optional repro.validate.Validator consulted by both force halves
         self.validator = validator
-        #: optional repro.validate.SdcAuditor running ABFT spot-checks
-        self.sdc = sdc
+        #: ABFT spot-checks of the PP sweeps (findings in validator.events)
+        self.sdc = (
+            SdcAuditor(validator)
+            if validator is not None and validator.runs("sdc")
+            else None
+        )
         self._sdc_evals = 0
         #: traversal statistics of the latest :meth:`short_range` call
         self.last_stats: Optional[TraversalStats] = None
@@ -108,11 +113,7 @@ class TreePMSolver:
             use_fast_rsqrt=use_fast_rsqrt,
             plan_float32=cfg.tree.plan_float32,
         )
-        if (
-            sdc is not None
-            and sdc.enabled
-            and sdc.config.spot_check_groups > 0
-        ):
+        if self.sdc is not None and validator.config.spot_check_groups > 0:
             self.tree.retain_last_sweep = True
 
     @property
@@ -161,20 +162,19 @@ class TreePMSolver:
             pos, mass, tree=tree, ledger=timing
         )
         sdc = self.sdc
-        if sdc is not None and sdc.enabled:
+        if sdc is not None:
             self._sdc_evals += 1
-            if self._sdc_evals % sdc.config.audit_every == 0:
+            if sdc.due(self._sdc_evals):
                 ev = sdc.spot_check(self.tree, step=self._sdc_evals)
-                if ev is not None and sdc.config.policy == "heal":
-                    # spot_check already stopped trusting the native
-                    # path; redo the whole sweep through the reference
-                    # pipeline so the returned forces are clean
+                if v.handle(sdc.violation([ev])):
+                    # recover: stop trusting the native path and redo
+                    # the whole sweep through the reference pipeline, so
+                    # the returned forces are clean
+                    self.tree._executor.use_native = False
                     acc, self.last_stats = self.tree.forces(
                         pos, mass, tree=tree, ledger=timing
                     )
-                    ev.healed = True
-                    ev.detail += "; healed by reference re-sweep"
-                sdc.apply_policy(None, [ev] if ev is not None else [])
+                    sdc.mark_healed(ev, "healed by reference re-sweep")
         if v is not None and v.check_enabled("finite_fields"):
             v.handle(check_finite("pp_acc", acc, stage="treepm/pp", step=v.step))
         return acc

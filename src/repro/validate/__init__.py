@@ -1,5 +1,5 @@
-"""Runtime invariant guardrails: health checks, corruption detection,
-diagnostic dumps.
+"""The guard layer: runtime invariants, corruption audits, straggler
+health and diagnostic dumps under one policy.
 
 The paper's trillion-particle campaign can only trust a week-long
 integration because every pipeline stage conserves what it must:
@@ -14,19 +14,20 @@ into *runtime guardrails*:
 * :mod:`repro.validate.monitor` — per-step energy and momentum drift
   monitors with configurable tolerances;
 * :mod:`repro.validate.errors` — the structured
-  :class:`InvariantViolation` every checker raises, carrying step,
-  rank, stage and offending-array statistics;
-* :mod:`repro.validate.runtime` — the :class:`Validator` policy engine
-  (``off | warn | abort | dump``, per-check overrides, sampling
-  interval) that the simulations consult; ``dump`` writes a diagnostic
-  checkpoint through the fault-tolerance machinery before aborting, so
-  every violation is reproducible offline;
+  :class:`InvariantViolation` every finding becomes, carrying check,
+  step, rank, stage and offending-array statistics, and the
+  :class:`GuardEvent` rows of the guard log;
+* :mod:`repro.validate.runtime` — the :class:`Validator`, the one
+  router (``off | warn | recover | abort``, per-check overrides,
+  sampling interval) every driver consults for invariants, SDC audits
+  and straggler verdicts alike; an ``abort`` with ``dump_dir`` set
+  writes a diagnostic checkpoint first, so every violation is
+  reproducible offline;
 * :mod:`repro.validate.sdc` — silent-data-corruption audits
   (:class:`SdcAuditor`): snapshot digest cross-checks with
   two-out-of-three attribution and in-place healing, a
   partition-independent live-state fingerprint, and ABFT force
-  spot-checks against the reference kernel (policy
-  ``off | warn | heal | abort``).
+  spot-checks against the reference kernel (check name ``sdc``).
 
 See ``docs/validation.md`` for the invariant catalogue and the
 "violation -> diagnostic dump -> offline repro" workflow.
@@ -45,16 +46,27 @@ from repro.validate.checks import (
     check_recovery_totals,
     first_violation,
 )
-from repro.validate.errors import InvariantViolation, InvariantWarning, array_stats
+from repro.validate.errors import (
+    GuardEvent,
+    InvariantViolation,
+    InvariantWarning,
+    array_stats,
+)
 from repro.validate.monitor import (
     EnergyDriftMonitor,
     LayzerIrvineMonitor,
     MomentumDriftMonitor,
 )
-from repro.validate.runtime import POLICIES, Validator
-from repro.validate.sdc import SdcAuditor, SdcEvent, SdcViolation, SdcWarning
+from repro.validate.runtime import (
+    DRIVER_CHECKS,
+    POLICIES,
+    Validator,
+    refuse_unrun_checks,
+)
+from repro.validate.sdc import SdcAuditor
 
 __all__ = [
+    "GuardEvent",
     "InvariantViolation",
     "InvariantWarning",
     "array_stats",
@@ -74,8 +86,7 @@ __all__ = [
     "MomentumDriftMonitor",
     "Validator",
     "POLICIES",
+    "DRIVER_CHECKS",
+    "refuse_unrun_checks",
     "SdcAuditor",
-    "SdcEvent",
-    "SdcViolation",
-    "SdcWarning",
 ]

@@ -13,15 +13,54 @@ without import cycles.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
-__all__ = ["InvariantViolation", "InvariantWarning", "array_stats"]
+__all__ = ["GuardEvent", "InvariantViolation", "InvariantWarning", "array_stats"]
 
 
 class InvariantWarning(UserWarning):
-    """Emitted (instead of raising) under the ``warn`` validation policy."""
+    """Emitted (instead of raising) under the ``warn`` policy."""
+
+
+@dataclass(frozen=True)
+class GuardEvent:
+    """One record of a rank's guard log.
+
+    ``check`` is the catalogue name of the guard that logged it
+    (``"sdc"`` or ``"straggler"``); ``kind`` the finding or transition
+    (SDC: ``snapshot``, ``fingerprint``, ``spot_check``, ``transport``,
+    ``checkpoint``; straggler: ``straggler_suspect``,
+    ``straggler_confirmed``, ``drain``, ``evict``, ``evict_shrink``,
+    ``degrade_enter``, ``audit_stretch``, ``deadline_widen``,
+    ``native_fallback``, ``checkpoint_skipped``, ``recovered``).
+    ``rank`` is the *subject* world rank (the owner of damaged data,
+    the straggler; ``-1`` for a global finding).  ``healed`` flips when
+    a remedy restored what the finding damaged; ``data`` holds the
+    evidence (attribution, timings, levels).
+    """
+
+    step: int
+    rank: int
+    check: str
+    kind: str
+    detail: str = ""
+    healed: bool = False
+    data: Mapping[str, Any] = field(default_factory=dict)
+
+    def as_dict(self) -> Dict[str, Any]:
+        """JSON-ready form (reports, manifests)."""
+        return {
+            "step": self.step,
+            "rank": self.rank,
+            "check": self.check,
+            "kind": self.kind,
+            "detail": self.detail,
+            "healed": self.healed,
+            "data": _jsonable(dict(self.data)),
+        }
 
 
 def array_stats(arr: np.ndarray, name: str = "array") -> Dict[str, Any]:
@@ -86,8 +125,8 @@ class InvariantViolation(RuntimeError):
         Numeric summary of the offending array(s), usually from
         :func:`array_stats`.
     dump_path:
-        Filled in by the ``dump`` policy with the path of the diagnostic
-        checkpoint written before aborting.
+        Filled in by an ``abort`` with ``dump_dir`` set: the path of the
+        diagnostic checkpoint written before raising.
     """
 
     def __init__(

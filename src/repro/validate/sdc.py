@@ -8,7 +8,8 @@ counterpart of the crash-recovery machinery in
 :mod:`repro.mpi.recovery`: it assumes the job keeps running and asks
 whether the *data* is still right.
 
-Three audits run at a configurable cadence (:class:`repro.config.SdcConfig`):
+Three audits run every ``interval`` steps of the guard configuration
+(:class:`repro.config.ValidationConfig`, check name ``"sdc"``):
 
 * **Snapshot audit** — every rank re-digests its frozen rollback
   snapshot and its buddy replica and cross-checks them against the
@@ -26,7 +27,7 @@ Three audits run at a configurable cadence (:class:`repro.config.SdcConfig`):
   so one allgather per audit detects a corrupted *live* array no
   matter how many times the particles migrated between ranks.  Healing
   live state in place is impossible (there is no clean copy of "now"),
-  so the ``heal`` policy rolls the job back to the last verified
+  so the ``recover`` remedy rolls the job back to the last verified
   boundary through the elastic recovery path.
 
 * **ABFT force spot-check** — the tree solver retains its last
@@ -36,139 +37,80 @@ Three audits run at a configurable cadence (:class:`repro.config.SdcConfig`):
   ``use_native=False``) and compares the sampled target rows bitwise
   against the accelerations the production sweep actually produced.
   In float64 the native kernel is bitwise-identical to the reference,
-  so *any* difference is a miscomputation; healing disables the native
-  path and rolls back.
+  so *any* difference is a miscomputation; the remedy stops trusting
+  the native path and recomputes.
 
-Findings become structured :class:`SdcEvent` records (detected →
-attributed → healed); the :class:`SdcConfig` policy decides whether a
-detection warns, heals, or aborts via :class:`SdcViolation`.
+Findings become :class:`repro.validate.errors.GuardEvent` rows
+(``check="sdc"``) in the guard log; the router
+(:class:`repro.validate.runtime.Validator`) decides whether a round's
+findings warn, abort, or — under ``recover`` — get the remedy of
+:meth:`SdcAuditor.heal`.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import replace
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import SdcConfig
 from repro.utils.integrity import fingerprint_particles
+from repro.validate.errors import GuardEvent, InvariantViolation
 
-__all__ = [
-    "SdcEvent",
-    "SdcViolation",
-    "SdcWarning",
-    "SdcAuditor",
-]
+__all__ = ["SdcAuditor"]
 
 _U64 = 1 << 64
 
-
-class SdcWarning(UserWarning):
-    """Emitted under the ``warn`` policy for every detection."""
-
-
-class SdcViolation(RuntimeError):
-    """Corruption the configured policy does not allow to pass.
-
-    Raised collectively (every rank of the audit raises together, from
-    the same allreduced verdict) so the elastic runner can route it
-    into the recovery state machine like a rank failure.  ``events``
-    carries this rank's contributing :class:`SdcEvent` records — it may
-    be empty on ranks that only learned of the corruption through the
-    collective verdict.
-    """
-
-    def __init__(self, message: str, events: Optional[List["SdcEvent"]] = None):
-        super().__init__(message)
-        self.events: List[SdcEvent] = list(events or [])
+#: seed of the deterministic spot-check sampler (mixed with the step
+#: index and rank so every audit draws fresh groups)
+SPOT_CHECK_SEED = 2012
 
 
-@dataclass
-class SdcEvent:
-    """One detected corruption, as seen from one rank.
-
-    Attributes
-    ----------
-    step:
-        Application step of the audit that caught it.
-    kind:
-        ``"snapshot"`` (frozen rollback copies), ``"fingerprint"``
-        (live conserved arrays), ``"spot_check"`` (force sweep),
-        ``"transport"`` (a checksum-failed SHM frame) or
-        ``"checkpoint"`` (on-disk bit-rot).
-    array:
-        The damaged array (or file) name.
-    owner_world_rank:
-        World rank owning the damaged data; ``-1`` when the audit only
-        establishes a global property (fingerprint mismatch).
-    attribution:
-        Verdict of the evidence vote: ``"owner"``, ``"buddy"``,
-        ``"transport"``, ``"checksum"``, ``"live"``, ``"compute"`` or
-        ``"unrecoverable"``.
-    detected / healed:
-        Lifecycle flags; ``healed`` flips when a clean copy was
-        restored in place or a rollback re-verified the state.
-    detail:
-        Free-form evidence summary.
-    """
-
-    step: int
-    kind: str
-    array: str
-    owner_world_rank: int = -1
-    attribution: str = "unknown"
-    detected: bool = True
-    healed: bool = False
-    detail: str = ""
-
-    def summary(self) -> dict:
-        """JSON-ready form (manifests, reports)."""
-        return {
-            "step": self.step,
-            "kind": self.kind,
-            "array": self.array,
-            "owner_world_rank": self.owner_world_rank,
-            "attribution": self.attribution,
-            "detected": self.detected,
-            "healed": self.healed,
-            "detail": self.detail,
-        }
-
-
-@dataclass
 class SdcAuditor:
-    """Per-rank audit engine; all audits are collective calls.
+    """Per-rank audit engine; the collective audits must be entered by
+    all ranks of ``comm`` in lockstep — their verdicts come from
+    allgathers and ring exchanges, so every rank reaches the same one.
 
-    One auditor lives on each rank (the elastic runner owns it) and
-    accumulates the rank-local :class:`SdcEvent` stream.  Every audit
-    method must be entered by all ranks of ``comm`` in lockstep — the
-    verdicts come from allgathers/ring exchanges, so every rank reaches
-    the same decision and the policy raise is collective.
+    ``guard`` is the driver's :class:`repro.validate.Validator`: its
+    configuration sets the cadence and the spot-check size, and every
+    finding is logged in its :attr:`~repro.validate.Validator.events`.
     """
 
-    config: SdcConfig = field(default_factory=SdcConfig)
-    world_rank: int = 0
-    events: List[SdcEvent] = field(default_factory=list)
-    #: audits executed (all kinds; diagnostic)
-    audits_run: int = 0
-    _reference_fp: Optional[int] = None
-    _reference_count: Optional[int] = None
+    def __init__(self, guard) -> None:
+        self.guard = guard
+        #: the guard log this auditor writes to
+        self.events: List[GuardEvent] = guard.events
+        #: audits executed (all kinds; diagnostic)
+        self.audits_run = 0
+        self._reference_fp: Optional[int] = None
+        self._reference_count: Optional[int] = None
 
     # -- cadence -----------------------------------------------------------------
 
     @property
     def enabled(self) -> bool:
-        return self.config.enabled
+        return self.guard.runs("sdc")
 
     def due(self, steps_since_start: int) -> bool:
         """Is the audit battery due after this many completed steps?"""
         return (
             self.enabled
             and steps_since_start > 0
-            and steps_since_start % self.config.audit_every == 0
+            and steps_since_start % self.guard.config.interval == 0
         )
+
+    def record(
+        self, kind: str, step: int, rank: int, detail: str, data: dict,
+        healed: bool = False,
+    ) -> GuardEvent:
+        """Log one finding (``data`` is its evidence; ``healed`` marks
+        one already repaired, e.g. a CRC-dropped frame)."""
+        ev = GuardEvent(
+            step=step, rank=rank, check="sdc", kind=kind, detail=detail,
+            healed=healed, data=data,
+        )
+        self.events.append(ev)
+        return ev
 
     # -- fingerprint audit -------------------------------------------------------
 
@@ -194,7 +136,7 @@ class SdcAuditor:
         self._reference_fp = fp
         self._reference_count = count
 
-    def fingerprint_audit(self, comm, ids, mass, step: int) -> Optional[SdcEvent]:
+    def fingerprint_audit(self, comm, ids, mass, step: int) -> Optional[GuardEvent]:
         """Compare the live global fingerprint against the reference
         (collective; every rank returns the same verdict).  The first
         call with no reference freezes one instead of judging."""
@@ -208,32 +150,25 @@ class SdcAuditor:
         self.audits_run += 1
         if fp == self._reference_fp and count == self._reference_count:
             return None
-        ev = SdcEvent(
-            step=step,
-            kind="fingerprint",
-            array="ids/mass",
-            owner_world_rank=-1,
-            attribution="live",
-            detail=(
-                f"global fingerprint {fp:#018x} (count {count}) != reference "
-                f"{self._reference_fp:#018x} (count {self._reference_count})"
-            ),
+        return self.record(
+            "fingerprint", step, -1,
+            f"global fingerprint {fp:#018x} (count {count}) != reference "
+            f"{self._reference_fp:#018x} (count {self._reference_count})",
+            {"array": "ids/mass", "attribution": "live"},
         )
-        self.events.append(ev)
-        return ev
 
     # -- ABFT force spot-check ---------------------------------------------------
 
-    def spot_check(self, solver, step: int) -> Optional[SdcEvent]:
+    def spot_check(self, solver, step: int) -> Optional[GuardEvent]:
         """Re-sweep a sampled subset of the last interaction plan
         through the reference pipeline and compare rows bitwise.
 
-        Local (no communication): each rank checks its own sweep; the
-        collective verdict happens in :meth:`apply_policy`.  Needs
-        ``solver.retain_last_sweep`` to have been on during the sweep.
+        Local (no communication): each rank checks its own sweep.
+        Needs ``solver.retain_last_sweep`` to have been on during the
+        sweep.
         """
-        cfg = self.config
-        if not self.enabled or cfg.spot_check_groups < 1:
+        groups_per_audit = self.guard.config.spot_check_groups
+        if not self.enabled or groups_per_audit < 1:
             return None
         sweep = getattr(solver, "last_sweep", None)
         if not sweep:
@@ -245,8 +180,9 @@ class SdcAuditor:
         from repro.pp.plan import PlanExecutor, multi_arange, slice_plan
 
         self.audits_run += 1
-        rng = np.random.default_rng((cfg.seed, step, self.world_rank))
-        k = min(cfg.spot_check_groups, plan.n_groups)
+        rank = self.guard.rank or 0
+        rng = np.random.default_rng((SPOT_CHECK_SEED, step, rank))
+        k = min(groups_per_audit, plan.n_groups)
         groups = np.sort(rng.choice(plan.n_groups, size=k, replace=False))
         sub = slice_plan(plan, groups)
         kc = sweep["kernel_config"]
@@ -280,106 +216,79 @@ class SdcAuditor:
         if np.array_equal(got, want):
             return None
         bad = int(np.count_nonzero(np.any(got != want, axis=-1)))
-        if self.config.policy == "heal":
-            # stop trusting the production path before the rollback
-            # recomputes these forces
-            main.use_native = False
-        ev = SdcEvent(
-            step=step,
-            kind="spot_check",
-            array="acc",
-            owner_world_rank=self.world_rank,
-            attribution="compute",
-            detail=(
-                f"{bad} of {rows.size} sampled target rows differ from the "
-                f"reference sweep ({k} of {plan.n_groups} groups sampled, "
-                f"native_used={bool(sweep['native_used'])})"
-            ),
+        return self.record(
+            "spot_check", step, rank,
+            f"{bad} of {rows.size} sampled target rows differ from the "
+            f"reference sweep ({k} of {plan.n_groups} groups sampled, "
+            f"native_used={bool(sweep['native_used'])})",
+            {"array": "acc", "attribution": "compute"},
         )
-        self.events.append(ev)
-        return ev
 
     # -- snapshot audit ----------------------------------------------------------
 
-    def snapshot_audit(self, comm, buddy, step: int) -> List[SdcEvent]:
+    def snapshot_audit(self, comm, buddy, step: int) -> List[GuardEvent]:
         """Cross-check the frozen rollback copies against the ring
-        partner's digests; under the ``heal`` policy, restore every
-        healable block in place from its surviving clean copy
-        (collective)."""
+        partner's digests (collective); one event per damaged block,
+        carrying the vote's finding (snapshot step, owner, array, role,
+        attribution, healable) as its data."""
         if not self.enabled:
             return []
         self.audits_run += 1
-        findings = buddy.snapshot_audit(comm)
-        if self.config.policy == "heal":
-            findings = buddy.heal_in_place(comm, findings)
-        new = [
-            SdcEvent(
-                step=step,
-                kind="snapshot",
-                array=f["array"],
-                owner_world_rank=f["owner"],
-                attribution=f["attribution"],
-                healed=bool(f.get("healed", False)),
-                detail=f"role={f['role']} snapshot_step={f['step']}",
+        return [
+            self.record(
+                "snapshot", step, f["owner"],
+                f"role={f['role']} snapshot_step={f['step']}", f,
             )
-            for f in findings
+            for f in buddy.snapshot_audit(comm)
         ]
-        self.events.extend(new)
-        return new
 
-    # -- external detections -----------------------------------------------------
+    # -- routing and remedy ------------------------------------------------------
 
-    def record(self, event: SdcEvent) -> SdcEvent:
-        """Append an event produced outside the audit battery (transport
-        CRC failures, checkpoint bit-rot found during recovery)."""
-        self.events.append(event)
-        return event
+    def violation(
+        self, events: Sequence[Optional[GuardEvent]]
+    ) -> Optional[InvariantViolation]:
+        """An audit round's first unhealed finding as the violation the
+        router takes (``None`` when the round found nothing)."""
+        ev = next((e for e in events if e is not None and not e.healed), None)
+        if ev is None:
+            return None
+        return InvariantViolation(
+            ev.detail, check="sdc", stage=f"sdc/{ev.kind}", step=ev.step,
+            rank=self.guard.rank, stats=dict(ev.data),
+        )
 
-    def mark_rolled_back(self, events: List[SdcEvent], boundary: int) -> None:
-        """A rollback re-verified the state these events damaged."""
-        for ev in events:
-            if not ev.healed:
-                ev.healed = True
-                ev.detail = (
-                    f"{ev.detail}; healed by rollback to step {boundary}"
-                ).lstrip("; ")
-
-    # -- policy ------------------------------------------------------------------
-
-    def apply_policy(self, comm, new_events: List[SdcEvent]) -> None:
-        """Collective verdict on this audit round's detections.
-
-        ``warn`` logs and continues; ``heal`` raises
-        :class:`SdcViolation` only for events nothing healed in place
-        (the caller's recovery path is the heal of last resort);
-        ``abort`` raises on any detection.  The raise happens on every
-        rank of ``comm`` together: the fatal count is allreduced, so a
-        rank with no local events still joins the recovery round its
-        peers are about to enter.
+    def heal(
+        self, comm, buddy, solver, events: List[GuardEvent]
+    ) -> List[GuardEvent]:
+        """The ``recover`` remedy for one audit round (collective with
+        the round): a spot-check miss stops trusting the native sweep;
+        every snapshot block with a surviving clean copy is restored in
+        place from it (:meth:`repro.mpi.recovery.BuddyStore.heal_in_place`).
+        Returns the findings still unhealed: the caller rolls them back.
         """
-        policy = self.config.policy
-        if policy in ("off",) or not self.enabled:
-            return
-        if policy == "warn":
-            for ev in new_events:
-                warnings.warn(
-                    f"SDC detected (policy=warn): {ev.summary()}", SdcWarning
-                )
-            return
-        if policy == "abort":
-            fatal = [ev for ev in new_events if ev.detected]
-        else:  # heal
-            fatal = [ev for ev in new_events if ev.detected and not ev.healed]
-        n_local = len(fatal)
-        if comm is not None and comm.size > 1:
-            total = int(
-                comm.allreduce(np.array([float(n_local)]), op="sum")[0]
-            )
-        else:
-            total = n_local
-        if total:
-            raise SdcViolation(
-                f"{total} unhealed corruption event(s) under policy "
-                f"{policy!r} (this rank: {n_local})",
-                events=fatal,
-            )
+        if any(ev.kind == "spot_check" for ev in events):
+            solver._executor.use_native = False
+        snaps = [ev for ev in events if ev.kind == "snapshot"]
+        findings = (
+            buddy.heal_in_place(comm, [ev.data for ev in snaps]) if snaps else []
+        )
+        left = [ev for ev in events if ev.kind != "snapshot"]
+        for ev, f in zip(snaps, findings):
+            if f["healed"]:
+                self.mark_healed(ev)
+            else:
+                left.append(ev)
+        return left
+
+    def mark_healed(self, event: GuardEvent, note: str = "") -> None:
+        """Replace ``event`` in the log by its healed copy."""
+        log = self.events
+        i = next(i for i, ev in enumerate(log) if ev is event)
+        detail = f"{event.detail}; {note}" if note else event.detail
+        log[i] = replace(event, healed=True, detail=detail)
+
+    def mark_rolled_back(self, boundary: int) -> None:
+        """A rollback re-verified the state every unhealed finding
+        damaged."""
+        for ev in [e for e in self.events if e.check == "sdc" and not e.healed]:
+            self.mark_healed(ev, f"healed by rollback to step {boundary}")

@@ -15,27 +15,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.config import HealthConfig
+from repro.config import ValidationConfig
 from repro.mpi.faults import FaultPlan, backoff_delays, retry_with_backoff
 from repro.mpi.health import (
     AdaptiveDeadline,
     DegradationPolicy,
-    HealthEvent,
     HealthMonitor,
     StragglerEvicted,
 )
 from repro.mpi.faults import RankDeath
+from repro.validate import GuardEvent, Validator
 
 
-def _cfg(**kw):
+def _cfg(rank=0, **kw):
+    """A guard running only the straggler check, at ``warn``."""
     base = dict(
-        policy="monitor",
+        overrides={"straggler": "warn"},
         straggler_factor=3.0,
         straggler_patience=2,
-        min_samples=2,
     )
     base.update(kw)
-    return HealthConfig(**base)
+    return Validator(ValidationConfig(**base), rank=rank)
 
 
 def _fleet(slow_rank=None, slow=1.0, n=4, base=0.1):
@@ -46,25 +46,31 @@ def _fleet(slow_rank=None, slow=1.0, n=4, base=0.1):
 
 
 class TestHealthConfig:
+    """The straggler guard's settings live in ``ValidationConfig``."""
+
     def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            HealthConfig(policy="panic")
+        for old in ("panic", "monitor", "evict", "degrade"):
+            with pytest.raises(ValueError):
+                ValidationConfig(overrides={"straggler": old})
 
     def test_enabled_property(self):
-        assert not HealthConfig().enabled
-        assert HealthConfig(policy="monitor").enabled
+        assert not Validator(ValidationConfig()).runs("straggler")
+        assert _cfg().runs("straggler")
+        assert Validator(ValidationConfig(policy="warn")).runs("straggler")
 
     def test_excluded_from_config_hash(self):
         from repro.config import SimulationConfig
 
         a = SimulationConfig()
-        b = SimulationConfig(health=HealthConfig(policy="evict"))
+        b = SimulationConfig(
+            validation=ValidationConfig(overrides={"straggler": "recover"})
+        )
         assert a.config_hash() == b.config_hash()
 
 
 class TestHealthMonitor:
     def test_suspect_then_confirm_after_patience(self):
-        mon = HealthMonitor(_cfg(), world_rank=0)
+        mon = HealthMonitor(_cfg())
         assert mon.observe(1, _fleet(slow_rank=2, slow=1.0)) is None
         kinds = [ev.kind for ev in mon.events]
         assert kinds == ["straggler_suspect"]
@@ -74,13 +80,13 @@ class TestHealthMonitor:
         assert all(ev.rank == 2 for ev in mon.events)
 
     def test_healthy_fleet_never_confirms(self):
-        mon = HealthMonitor(_cfg(), world_rank=0)
+        mon = HealthMonitor(_cfg())
         for step in range(1, 20):
             assert mon.observe(step, _fleet()) is None
         assert mon.events == []
 
     def test_streak_resets_on_healthy_step(self):
-        mon = HealthMonitor(_cfg(straggler_patience=3), world_rank=0)
+        mon = HealthMonitor(_cfg(straggler_patience=3))
         mon.observe(1, _fleet(slow_rank=1, slow=1.0))
         mon.observe(2, _fleet(slow_rank=1, slow=1.0))
         mon.observe(3, _fleet())  # back under threshold: streak resets
@@ -88,20 +94,20 @@ class TestHealthMonitor:
         assert mon.observe(4, _fleet(slow_rank=1, slow=1.0)) is None
 
     def test_no_repeat_confirmation_while_still_slow(self):
-        mon = HealthMonitor(_cfg(), world_rank=0)
+        mon = HealthMonitor(_cfg())
         mon.observe(1, _fleet(slow_rank=0, slow=1.0))
         assert mon.observe(2, _fleet(slow_rank=0, slow=1.0)) == 0
         for step in range(3, 8):
             assert mon.observe(step, _fleet(slow_rank=0, slow=1.0)) is None
 
     def test_lowest_rank_wins_when_two_confirm_together(self):
-        mon = HealthMonitor(_cfg(), world_rank=0)
+        mon = HealthMonitor(_cfg())
         samples = [(0, 0.1), (1, 5.0), (2, 0.1), (3, 5.0), (4, 0.1)]
         mon.observe(1, samples)
         assert mon.observe(2, samples) == 1
 
     def test_verdicts_deterministic_across_ranks(self):
-        mons = [HealthMonitor(_cfg(), world_rank=r) for r in range(3)]
+        mons = [HealthMonitor(_cfg(rank=r)) for r in range(3)]
         for step in range(1, 5):
             verdicts = {
                 m.observe(step, _fleet(slow_rank=2, slow=1.0)) for m in mons
@@ -110,19 +116,18 @@ class TestHealthMonitor:
         a, b, c = ([ev.as_dict() for ev in m.events] for m in mons)
         assert a == b == c
 
-    def test_score_degrades_with_slowdown_and_beat_age(self):
-        mon = HealthMonitor(_cfg(), world_rank=0)
+    def test_events_land_in_the_guard_log(self):
+        guard = _cfg()
+        mon = HealthMonitor(guard)
         mon.observe(1, _fleet(slow_rank=1, slow=1.0))
-        assert mon.score(1) < mon.score(0) == 1.0
-        before = mon.score(1)
-        mon.record_beat_age(1, 10.0)
-        assert mon.score(1) < before
-        assert set(mon.scores()) == {0, 1, 2, 3}
+        assert mon.events is guard.events
+        (ev,) = guard.events
+        assert ev.check == "straggler" and ev.kind == "straggler_suspect"
 
 
 class TestAdaptiveDeadline:
     def test_none_until_min_samples(self):
-        dl = AdaptiveDeadline(_cfg(min_samples=3))
+        dl = AdaptiveDeadline(min_samples=3)
         dl.observe(0.1)
         dl.observe(0.1)
         assert dl.deadline() is None
@@ -130,29 +135,25 @@ class TestAdaptiveDeadline:
         assert dl.deadline() is not None
 
     def test_scales_with_observed_distribution(self):
-        cfg = _cfg(
-            min_samples=2, deadline_factor=10.0,
-            deadline_floor=1e-9, deadline_ceil=1e9,
-        )
-        dl = AdaptiveDeadline(cfg)
+        dl = AdaptiveDeadline(min_samples=2)
         for _ in range(8):
             dl.observe(0.5)
-        assert dl.deadline() == pytest.approx(5.0)
+        assert dl.deadline() == pytest.approx(AdaptiveDeadline.FACTOR * 0.5)
 
     def test_clamped_to_floor_and_ceil(self):
-        cfg = _cfg(min_samples=1, deadline_floor=2.0, deadline_ceil=4.0)
-        dl = AdaptiveDeadline(cfg)
+        dl = AdaptiveDeadline(min_samples=1)
         dl.observe(1e-6)
-        assert dl.deadline() == 2.0
+        assert dl.deadline() == AdaptiveDeadline.FLOOR
         for _ in range(64):
-            dl.observe(100.0)
-        assert dl.deadline() == 4.0
+            dl.observe(1e6)
+        assert dl.deadline() == AdaptiveDeadline.CEIL
 
 
 class TestDegradationPolicy:
     def test_stretch_grows_within_declared_bound(self):
-        pol = DegradationPolicy(_cfg(audit_stretch_max=4), world_rank=0)
-        assert pol.audit_stretch == 1 and not pol.active
+        pol = DegradationPolicy(_cfg())
+        assert DegradationPolicy.AUDIT_STRETCH_MAX == 4
+        assert pol.audit_stretch == 1 and pol.level == 0
         pol.escalate(1, 0, "pressure")
         assert pol.audit_stretch == 2
         pol.escalate(2, 0, "pressure")
@@ -161,22 +162,24 @@ class TestDegradationPolicy:
         assert pol.audit_stretch == 4  # bounded, never "disable audits"
 
     def test_skip_derived_at_level_two(self):
-        pol = DegradationPolicy(_cfg(), world_rank=0)
+        pol = DegradationPolicy(_cfg())
         pol.escalate(1, 0, "x")
         assert not pol.skip_derived
         pol.escalate(2, 0, "x")
         assert pol.skip_derived
 
-    def test_relax_lowers_level(self):
-        pol = DegradationPolicy(_cfg(), world_rank=0)
-        pol.escalate(1, 0, "x")
-        pol.relax(2, 0, "pressure cleared")
-        assert pol.level == 0
-        pol.relax(3, 0, "again")  # idempotent at the floor
-        assert pol.level == 0
+    def test_level_never_falls(self):
+        pol = DegradationPolicy(_cfg())
+        levels = []
+        for step in range(1, 12):
+            pol.escalate(step, 0, "x")
+            levels.append(pol.level)
+        assert levels == sorted(levels)
+        assert pol.level == DegradationPolicy.MAX_LEVEL
+        assert not hasattr(pol, "relax")
 
     def test_transitions_emit_structured_events(self):
-        pol = DegradationPolicy(_cfg(), world_rank=1)
+        pol = DegradationPolicy(_cfg(rank=1))
         pol.escalate(5, 3, "tolerating straggler")
         kinds = [ev.kind for ev in pol.events]
         assert kinds[:2] == ["degrade_enter", "audit_stretch"]
@@ -199,7 +202,7 @@ class TestDegradationPolicy:
         if not update.available():
             pytest.skip("native update kernel unavailable")
         self._break_self_test(monkeypatch, "update")
-        pol = DegradationPolicy(_cfg(), world_rank=0)
+        pol = DegradationPolicy(_cfg())
         results = pol.recheck_kernels(7)
         assert results.get("update") is False
         assert update.get_lib() is None  # gate flipped: numpy fallback
@@ -231,7 +234,7 @@ class TestDegradationPolicy:
             want, _ = TreeSolver(**kw).forces(pos, mass)
 
         self._break_self_test(monkeypatch, "pp")
-        pol = DegradationPolicy(_cfg(), world_rank=0)
+        pol = DegradationPolicy(_cfg())
         results = pol.recheck_kernels(7)
         assert results["pp"] is False
         falls = [ev for ev in pol.events if ev.kind == "native_fallback"]
@@ -354,9 +357,9 @@ class TestBackoffJitter:
 
 class TestHealthEvent:
     def test_as_dict_round_trip(self):
-        ev = HealthEvent(step=3, rank=1, kind="drain", detail="d",
-                         data={"x": 1.0})
+        ev = GuardEvent(step=3, rank=1, check="straggler", kind="drain",
+                        detail="d", data={"x": 1.0})
         assert ev.as_dict() == {
-            "step": 3, "rank": 1, "kind": "drain", "detail": "d",
-            "data": {"x": 1.0},
+            "step": 3, "rank": 1, "check": "straggler", "kind": "drain",
+            "detail": "d", "healed": False, "data": {"x": 1.0},
         }

@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.config import SdcConfig
+from repro.config import ValidationConfig
 from repro.forces.cutoff import S2ForceSplit
 from repro.pp import native
 from repro.pp.kernel import PPKernel
 from repro.pp.plan import InteractionPlan, PlanExecutor, slice_plan
 from repro.tree.traversal import TreeSolver
-from repro.validate.sdc import SdcAuditor
+from repro.validate import SdcAuditor, Validator
 
 RCUT = 0.2
 GROUP_SIZES = (1, 4, 5, 12, 9, 64, 3)
@@ -286,12 +286,16 @@ def test_spot_check_compares_every_row_of_a_masked_sweep(ghosted):
     solver = TreeSolver(periodic=True, split=S2ForceSplit(0.15), eps=1e-3)
     solver.retain_last_sweep = True
     solver.forces(pos, mass, targets_mask=mask)
-    auditor = SdcAuditor(SdcConfig(policy="warn", spot_check_groups=12))
+    auditor = SdcAuditor(Validator(
+        ValidationConfig(policy="warn", spot_check_groups=12)
+    ))
     assert auditor.spot_check(solver, step=1) is None
     assert auditor.audits_run == 1
     # and a flipped own row is still caught
     sweep = solver.last_sweep
     row = int(np.flatnonzero(sweep["mask_sorted"])[0])
     sweep["acc_sorted"][row, 0] += 1.0
-    auditor = SdcAuditor(SdcConfig(policy="warn", spot_check_groups=10**6))
+    auditor = SdcAuditor(Validator(
+        ValidationConfig(policy="warn", spot_check_groups=10**6)
+    ))
     assert auditor.spot_check(solver, step=1) is not None

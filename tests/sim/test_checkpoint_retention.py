@@ -2,8 +2,7 @@
 (keep the newest N epochs, never the one ``LATEST`` names),
 ``scrub_checkpoints`` (full digest re-verification of every retained
 epoch), ``newest_valid_checkpoint`` (restore-time bit-rot skip) and the
-``config.sdc.keep_last`` wiring through the distributed checkpoint
-writer."""
+``keep_last`` wiring through the distributed checkpoint writer."""
 
 from __future__ import annotations
 
@@ -13,7 +12,6 @@ import pytest
 from repro.config import (
     DomainConfig,
     PMConfig,
-    SdcConfig,
     SimulationConfig,
     TreePMConfig,
 )
@@ -142,7 +140,6 @@ class TestKeepLastWiring:
                 divisions=(2, 1, 1), sample_rate=0.3, cost_balance=False
             ),
             treepm=TreePMConfig(pm=PMConfig(mesh_size=16)),
-            sdc=SdcConfig(keep_last=2),
         )
         run_parallel_simulation(
             config,
@@ -153,6 +150,7 @@ class TestKeepLastWiring:
             checkpoint_every=1,
             checkpoint_dir=tmp_path,
             backend="thread",
+            keep_last=2,
         )
         names = [p.name for p in _ckpt.list_checkpoints(tmp_path)]
         assert len(names) == 2

@@ -2,11 +2,12 @@
 degradation, and disk-pressure-safe checkpointing.
 
 The acceptance scenario from the health layer's design: inject
-``slow_rank(factor=10)`` into an elastic run and require (a) with
-``policy="evict"`` a cooperative drain — detect, drain, shrink with
-*zero replayed steps*, no hard-timeout kill of a beating rank, and a
-conserved post-eviction trajectory; (b) with ``policy="degrade"`` the
-same run completes *degraded* instead of deadlocking or shrinking.
+``slow_rank(factor=10)`` into an elastic run and require (a) with the
+straggler guard at ``recover`` a cooperative drain — detect, drain,
+shrink with *zero replayed steps*, no hard-timeout kill of a beating
+rank, and a conserved post-eviction trajectory; (b) at ``warn`` the
+same run completes *degraded* instead of deadlocking or shrinking; (c)
+at ``abort`` every rank raises together.
 Disk-full injection must leave ``LATEST`` on the last complete set and
 keep the run alive.
 """
@@ -20,11 +21,11 @@ import pytest
 
 from repro.config import (
     DomainConfig,
-    HealthConfig,
     PMConfig,
     RelayMeshConfig,
     SimulationConfig,
     TreePMConfig,
+    ValidationConfig,
 )
 from repro.meshcomm.parallel_pm import ParallelPM
 from repro.mpi.faults import FaultPlan
@@ -32,6 +33,7 @@ from repro.sim import checkpoint as _ckpt
 from repro.sim.checkpoint import CheckpointSpaceError
 from repro.sim.elastic import ElasticRunner, run_elastic_simulation
 from repro.sim.parallel import run_parallel_simulation
+from repro.validate import InvariantViolation, InvariantWarning
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(300)]
 
@@ -40,16 +42,19 @@ N_STEPS = 6
 T_END = 0.06
 
 
-def _cfg(n_ranks=3, policy="off", **health_kw):
-    health_kw.setdefault("straggler_factor", 3.0)
-    health_kw.setdefault("straggler_patience", 2)
-    health_kw.setdefault("min_samples", 2)
+def _cfg(n_ranks=3, policy="off", **guard_kw):
+    """``policy`` is the straggler guard's; the other checks stay off."""
+    guard_kw.setdefault("straggler_factor", 3.0)
+    guard_kw.setdefault("straggler_patience", 2)
     return SimulationConfig(
         domain=DomainConfig(
             divisions=(n_ranks, 1, 1), sample_rate=0.3, cost_balance=False
         ),
         treepm=TreePMConfig(pm=PMConfig(mesh_size=16)),
-        health=HealthConfig(policy=policy, **health_kw),
+        validation=ValidationConfig(
+            overrides={"straggler": policy} if policy != "off" else {},
+            **guard_kw,
+        ),
     )
 
 
@@ -80,7 +85,7 @@ class TestStragglerEviction:
         zero replayed steps, trajectory conserved afterwards."""
         pos, mom, mass = _system()
         p, m, w, runners, runtime = run_elastic_simulation(
-            _cfg(policy="evict"), pos, mom, mass, 0.0, T_END, N_STEPS,
+            _cfg(policy="recover"), pos, mom, mass, 0.0, T_END, N_STEPS,
             fault_plan=_slow_plan(), recv_timeout=10.0, buddy_every=1,
         )
         assert runtime.dead_ranks == [2]
@@ -104,7 +109,7 @@ class TestStragglerEviction:
             2, factor=10.0, base=0.05, start_step=start_step
         )
         p, m, w, runners, runtime = run_elastic_simulation(
-            _cfg(policy="evict"), pos, mom, mass, 0.0, T_END, N_STEPS,
+            _cfg(policy="recover"), pos, mom, mass, 0.0, T_END, N_STEPS,
             fault_plan=plan, recv_timeout=10.0, buddy_every=1,
         )
         assert runtime.dead_ranks == [2]
@@ -118,11 +123,11 @@ class TestStragglerEviction:
     def test_eviction_event_log_records_detect_drain_shrink(self):
         pos, mom, mass = _system()
         _, _, _, runners, _ = run_elastic_simulation(
-            _cfg(policy="evict"), pos, mom, mass, 0.0, T_END, N_STEPS,
+            _cfg(policy="recover"), pos, mom, mass, 0.0, T_END, N_STEPS,
             fault_plan=_slow_plan(), recv_timeout=10.0, buddy_every=1,
         )
         live = [r for r in runners if r is not None]
-        kinds = [ev["kind"] for ev in live[0].health_events()]
+        kinds = [ev["kind"] for ev in live[0].guard_events]
         for required in (
             "straggler_suspect", "straggler_confirmed", "drain",
             "evict_shrink",
@@ -132,7 +137,7 @@ class TestStragglerEviction:
             "straggler_confirmed"
         ) < kinds.index("drain") < kinds.index("evict_shrink")
         shrink = next(
-            ev for ev in live[0].health_events()
+            ev for ev in live[0].guard_events
             if ev["kind"] == "evict_shrink"
         )
         assert shrink["rank"] == 2
@@ -141,13 +146,13 @@ class TestStragglerEviction:
     def test_survivor_logs_identical_verdicts(self):
         pos, mom, mass = _system()
         _, _, _, runners, _ = run_elastic_simulation(
-            _cfg(policy="evict"), pos, mom, mass, 0.0, T_END, N_STEPS,
+            _cfg(policy="recover"), pos, mom, mass, 0.0, T_END, N_STEPS,
             fault_plan=_slow_plan(), recv_timeout=10.0, buddy_every=1,
         )
         live = [r for r in runners if r is not None]
         verdicts = [
             [
-                (ev["kind"], ev["rank"]) for ev in r.health_events()
+                (ev["kind"], ev["rank"]) for ev in r.guard_events
                 if ev["kind"].startswith("straggler")
             ]
             for r in live
@@ -157,11 +162,11 @@ class TestStragglerEviction:
 
 class TestGracefulDegradation:
     def test_eviction_disabled_completes_degraded(self):
-        """Same injected straggler, ``policy="degrade"``: nobody dies,
-        nobody deadlocks, the fleet sheds load instead."""
+        """Same injected straggler at ``warn``: nobody dies, nobody
+        deadlocks, the fleet sheds load instead."""
         pos, mom, mass = _system()
         p, m, w, runners, runtime = run_elastic_simulation(
-            _cfg(policy="degrade"), pos, mom, mass, 0.0, T_END, N_STEPS,
+            _cfg(policy="warn"), pos, mom, mass, 0.0, T_END, N_STEPS,
             fault_plan=_slow_plan(), recv_timeout=10.0, buddy_every=1,
         )
         assert runtime.dead_ranks == []
@@ -171,7 +176,7 @@ class TestGracefulDegradation:
         assert all(r.events == [] for r in live)  # no shrink happened
         assert live[0].degrade.level >= 1
         assert live[0].degrade.audit_stretch >= 2
-        kinds = [ev["kind"] for ev in live[0].health_events()]
+        kinds = [ev["kind"] for ev in live[0].guard_events]
         assert "straggler_confirmed" in kinds
         assert "degrade_enter" in kinds and "audit_stretch" in kinds
         _assert_conserved(pos, mom, mass, p, m, w)
@@ -183,7 +188,7 @@ class TestGracefulDegradation:
             2, factor=10.0, base=0.05, start_step=start_step
         )
         p, m, w, runners, runtime = run_elastic_simulation(
-            _cfg(policy="degrade"), pos, mom, mass, 0.0, T_END, N_STEPS,
+            _cfg(policy="warn"), pos, mom, mass, 0.0, T_END, N_STEPS,
             fault_plan=plan, recv_timeout=10.0, buddy_every=1,
         )
         assert runtime.dead_ranks == []
@@ -193,28 +198,30 @@ class TestGracefulDegradation:
         assert live[0].degrade.level >= 1
         _assert_conserved(pos, mom, mass, p, m, w)
 
-    def test_monitor_policy_observes_without_acting(self):
+    def test_warn_policy_keeps_the_fleet_whole(self):
         pos, mom, mass = _system()
-        _, _, _, runners, runtime = run_elastic_simulation(
-            _cfg(policy="monitor"), pos, mom, mass, 0.0, T_END, N_STEPS,
-            fault_plan=_slow_plan(), recv_timeout=10.0, buddy_every=1,
-        )
+        with pytest.warns(InvariantWarning, match="straggler"):
+            _, _, _, runners, runtime = run_elastic_simulation(
+                _cfg(policy="warn"), pos, mom, mass, 0.0, T_END, N_STEPS,
+                fault_plan=_slow_plan(), recv_timeout=10.0, buddy_every=1,
+            )
         assert runtime.dead_ranks == []
         live = [r for r in runners if r is not None]
         assert len(live) == 3
-        assert live[0].degrade.level == 0
-        kinds = [ev["kind"] for ev in live[0].health_events()]
+        assert all(r.comm.size == 3 and r.events == [] for r in live)
+        kinds = [ev["kind"] for ev in live[0].guard_events]
         assert "straggler_confirmed" in kinds
-        assert "degrade_enter" not in kinds and "drain" not in kinds
+        assert "drain" not in kinds and "evict" not in kinds
 
     def test_health_off_run_matches_plain_run_bitwise(self):
-        """``policy="off"`` must be a true no-op on the trajectory."""
+        """A healthy fleet under the straggler guard must follow the
+        plain run's trajectory bit for bit."""
         pos, mom, mass = _system()
         p_ref, m_ref, w_ref, _, _ = run_parallel_simulation(
             _cfg(), pos, mom, mass, 0.0, T_END, N_STEPS
         )
         p, m, w, runners, _ = run_elastic_simulation(
-            _cfg(policy="evict"), pos, mom, mass, 0.0, T_END, N_STEPS,
+            _cfg(policy="recover"), pos, mom, mass, 0.0, T_END, N_STEPS,
             recv_timeout=10.0,
         )
         np.testing.assert_array_equal(p, p_ref)
@@ -223,7 +230,7 @@ class TestGracefulDegradation:
         live = [r for r in runners if r is not None]
         assert all(
             ev["kind"] == "deadline_widen"
-            for r in live for ev in r.health_events()
+            for r in live for ev in r.guard_events
         )  # healthy fleet: at most deadline adjustments, no verdicts
 
 
@@ -252,7 +259,7 @@ class TestWaitInsideThePMSolver:
         # congested link delays it there while rank 1 waits at the world
         # barrier that ends the FFT phase
         cfg = dataclasses.replace(
-            _cfg(2, policy="monitor", straggler_factor=1.8),
+            _cfg(2, policy="warn", straggler_factor=1.8),
             relay=RelayMeshConfig(n_groups=2),
         )
         plan = _DegradeInsidePM().degrade_collective("reduce", self.DELAY, rank=0)
@@ -300,8 +307,8 @@ class TestWaitInsideThePMSolver:
         _, runners = self._run(monkeypatch)
         # on two ranks a factor of 1.8 over the median means nine times
         # the other rank's work: the delay is that, jitter is not
-        kinds = [ev["kind"] for ev in runners[0].health_events()]
-        assert "straggler_confirmed" not in kinds, runners[0].health_events()
+        kinds = [ev["kind"] for ev in runners[0].guard_events]
+        assert "straggler_confirmed" not in kinds, runners[0].guard_events
 
 
 class TestDiskPressure:
@@ -315,14 +322,14 @@ class TestDiskPressure:
         pos, mom, mass = _system()
         plan = FaultPlan().disk_full(path="step_00003", after_bytes=64)
         p, m, w, runners, runtime = run_elastic_simulation(
-            _cfg(policy="degrade"), pos, mom, mass, 0.0, T_END, N_STEPS,
+            _cfg(policy="warn"), pos, mom, mass, 0.0, T_END, N_STEPS,
             fault_plan=plan, recv_timeout=10.0, buddy_every=1,
             checkpoint_dir=tmp_path, checkpoint_every=1,
         )
         assert runtime.dead_ranks == []
         live = [r for r in runners if r is not None]
         assert all(r.sim.steps_taken == N_STEPS for r in live)
-        kinds = [ev["kind"] for ev in live[0].health_events()]
+        kinds = [ev["kind"] for ev in live[0].guard_events]
         assert "checkpoint_skipped" in kinds
         assert "degrade_enter" in kinds  # disk pressure escalates
         # the poisoned epoch is gone; LATEST names a complete one
@@ -342,7 +349,7 @@ class TestDiskPressure:
         pos, mom, mass = _system()
         # first run writes a complete epoch to size the preflight
         run_elastic_simulation(
-            _cfg(policy="degrade"), pos, mom, mass, 0.0, T_END, N_STEPS,
+            _cfg(policy="warn"), pos, mom, mass, 0.0, T_END, N_STEPS,
             recv_timeout=10.0, checkpoint_dir=tmp_path,
             checkpoint_every=N_STEPS,
         )
@@ -370,13 +377,64 @@ class TestDiskPressure:
             os, "statvfs", lambda p: Starved(real_statvfs(p))
         )
         _, _, _, runners, runtime = run_elastic_simulation(
-            _cfg(policy="degrade"), pos, mom, mass, 0.0, T_END, N_STEPS,
+            _cfg(policy="warn"), pos, mom, mass, 0.0, T_END, N_STEPS,
             recv_timeout=10.0, checkpoint_dir=tmp_path,
             checkpoint_every=N_STEPS,
         )
         assert runtime.dead_ranks == []
         live = [r for r in runners if r is not None]
         assert all(r.sim.steps_taken == N_STEPS for r in live)
-        kinds = [ev["kind"] for ev in live[0].health_events()]
+        kinds = [ev["kind"] for ev in live[0].guard_events]
         assert "checkpoint_skipped" in kinds
         assert _ckpt.latest_checkpoint(tmp_path) == latest_before
+
+
+class TestOneGuardLayer:
+    """The straggler verdict and the SDC audits share one router and one
+    log; ``abort`` stops every rank at the same step."""
+
+    def test_straggler_abort_raises_on_every_rank_at_one_step(self):
+        pos, mom, mass = _system()
+        with pytest.raises(RuntimeError) as info:
+            run_elastic_simulation(
+                _cfg(policy="abort"), pos, mom, mass, 0.0, T_END, N_STEPS,
+                fault_plan=_slow_plan(), recv_timeout=10.0, buddy_every=1,
+            )
+        errors = info.value.rank_errors
+        assert sorted(errors) == [0, 1, 2]
+        assert all(isinstance(e, InvariantViolation) for e in errors.values())
+        assert {e.check for e in errors.values()} == {"straggler"}
+        assert {e.rank for e in errors.values()} == {2}
+        assert len({e.step for e in errors.values()}) == 1
+
+    def test_composed_eviction_and_rollback_in_one_log(self):
+        """``warn`` everywhere, ``recover`` for both the SDC audits and
+        the straggler verdict: one run evicts the slow rank and rolls
+        back a live bit flip, and each survivor's one log holds both."""
+        pos, mom, mass = _system()
+        config = dataclasses.replace(
+            _cfg(),
+            validation=ValidationConfig(
+                policy="warn",
+                overrides={"sdc": "recover", "straggler": "recover"},
+                straggler_patience=2,
+            ),
+        )
+        plan = _slow_plan().flip_bits(0, "mass", step=1, target="live")
+        p, m, w, runners, runtime = run_elastic_simulation(
+            config, pos, mom, mass, 0.0, T_END, N_STEPS,
+            fault_plan=plan, recv_timeout=10.0, buddy_every=1,
+        )
+        assert runtime.dead_ranks == [2]
+        live = [r for r in runners if r is not None]
+        assert all(r.sim.steps_taken == N_STEPS for r in live)
+        for r in live:
+            assert [e.trigger for e in r.events] == ["failure", "eviction"]
+            assert r.events[0].mode == "rollback"
+            log = r.guard_events
+            assert [ev["step"] for ev in log] == sorted(ev["step"] for ev in log)
+            (flip,) = [ev for ev in log if ev["check"] == "sdc"]
+            assert flip["kind"] == "fingerprint" and flip["healed"]
+            kinds = [ev["kind"] for ev in log if ev["check"] == "straggler"]
+            assert "straggler_confirmed" in kinds and "evict_shrink" in kinds
+        _assert_conserved(pos, mom, mass, p, m, w)

@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 from repro.config import (
     DomainConfig,
     PMConfig,
-    SdcConfig,
     SimulationConfig,
     TreePMConfig,
+    ValidationConfig,
 )
 from repro.mpi.faults import FaultPlan
 from repro.sim import checkpoint as _ckpt
 from repro.sim.elastic import run_elastic_simulation
-from repro.validate.sdc import SdcViolation
+from repro.validate import InvariantViolation, InvariantWarning
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(300)]
 
@@ -33,17 +33,17 @@ N_STEPS = 4
 T_END = 0.04
 
 
-def _cfg(n_ranks=2, policy="heal", audit_every=1, keep_last=0, spot=2):
+def _cfg(n_ranks=2, policy="recover", audit_every=1, spot=2):
+    """``policy`` is the SDC audits'; the other checks stay off."""
     return SimulationConfig(
         domain=DomainConfig(
             divisions=(n_ranks, 1, 1), sample_rate=0.3, cost_balance=False
         ),
         treepm=TreePMConfig(pm=PMConfig(mesh_size=16)),
-        sdc=SdcConfig(
-            policy=policy,
-            audit_every=audit_every,
+        validation=ValidationConfig(
+            overrides={"sdc": policy},
+            interval=audit_every,
             spot_check_groups=spot,
-            keep_last=keep_last,
         ),
     )
 
@@ -57,11 +57,11 @@ def _system(seed=5):
     )
 
 
-def _run(plan, policy="heal", backend="thread", ckpt=None, every=None,
+def _run(plan, policy="recover", backend="thread", ckpt=None, every=None,
          keep_last=0, audit_every=1):
     pos, mom, mass = _system()
     return run_elastic_simulation(
-        _cfg(policy=policy, keep_last=keep_last, audit_every=audit_every),
+        _cfg(policy=policy, audit_every=audit_every),
         pos, mom, mass, 0.0, T_END, N_STEPS,
         fault_plan=plan,
         buddy_every=1,
@@ -69,14 +69,13 @@ def _run(plan, policy="heal", backend="thread", ckpt=None, every=None,
         checkpoint_every=every,
         recv_timeout=10.0,
         backend=backend,
+        keep_last=keep_last,
     )
 
 
 def _events(runner):
-    evs = getattr(runner, "sdc", None)
-    if evs is not None:
-        return [ev.summary() for ev in evs.events]
-    return list(runner.sdc_events)
+    """The SDC rows of a runner's (or a rank report's) guard log."""
+    return [ev for ev in runner.guard_events if ev["check"] == "sdc"]
 
 
 class TestSnapshotFlipHealing:
@@ -94,8 +93,8 @@ class TestSnapshotFlipHealing:
             assert r.events == []  # healed in place: zero recoveries
             snap = [e for e in _events(r) if e["kind"] == "snapshot"]
             assert len(snap) == 1
-            assert snap[0]["attribution"] == "owner"
-            assert snap[0]["owner_world_rank"] == 0
+            assert snap[0]["data"]["attribution"] == "owner"
+            assert snap[0]["rank"] == 0
             assert snap[0]["healed"]
 
     def test_peer_copy_flip_attributed_to_buddy(self):
@@ -107,7 +106,7 @@ class TestSnapshotFlipHealing:
             assert r.events == []
             snap = [e for e in _events(r) if e["kind"] == "snapshot"]
             assert len(snap) == 1
-            assert snap[0]["attribution"] == "buddy"
+            assert snap[0]["data"]["attribution"] == "buddy"
             assert snap[0]["healed"]
 
     def test_healed_run_matches_fault_free_run(self):
@@ -141,13 +140,13 @@ class TestLiveFlipRollback:
             assert [e.mode for e in r.events] == ["rollback"]
             fp = [e for e in _events(r) if e["kind"] == "fingerprint"]
             assert len(fp) == 1
-            assert fp[0]["attribution"] == "live"
+            assert fp[0]["data"]["attribution"] == "live"
             assert fp[0]["healed"]
             assert "healed by rollback" in fp[0]["detail"]
 
     def test_warn_policy_records_without_recovering(self):
         plan = FaultPlan(seed=1).flip_bits(0, "mass", step=1, target="live")
-        with pytest.warns(Warning):
+        with pytest.warns(InvariantWarning, match="sdc"):
             p, m, w, runners, _ = _run(plan, policy="warn")
         assert len(p) == N
         for r in runners:
@@ -157,8 +156,13 @@ class TestLiveFlipRollback:
 
     def test_abort_policy_terminates_the_run(self):
         plan = FaultPlan(seed=1).flip_bits(0, "mass", step=1, target="live")
-        with pytest.raises((SdcViolation, RuntimeError)):
+        with pytest.raises(RuntimeError) as info:
             _run(plan, policy="abort")
+        errors = info.value.rank_errors
+        assert errors and all(
+            isinstance(e, InvariantViolation) and e.check == "sdc"
+            for e in errors.values()
+        )
 
     def test_off_policy_sees_nothing(self):
         plan = FaultPlan(seed=1).flip_bits(0, "mass", step=1, target="live")
@@ -261,5 +265,5 @@ class TestMultiprocessTransportCorruption:
             if e["kind"] == "transport"
         ]
         assert transport
-        assert all(e["attribution"] == "transport" for e in transport)
+        assert all(e["data"]["attribution"] == "transport" for e in transport)
         assert all(e["healed"] for e in transport)

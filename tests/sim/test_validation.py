@@ -117,7 +117,7 @@ class TestCorruptionDetection:
         dump_dir = tmp_path / "diag"
         with pytest.raises(RuntimeError) as ei:
             run_parallel_simulation(
-                _cfg("dump", dump_dir=str(dump_dir)),
+                _cfg("abort", dump_dir=str(dump_dir)),
                 pos, mom, mass, 0.0, 0.02, n_steps=2,
                 fault_plan=_corruption_plan(),
             )
@@ -175,6 +175,16 @@ class TestStrictCheckpointLoad:
         with pytest.raises(CheckpointError, match="mom"):
             load_distributed_checkpoint(step_dir, verify=False, strict=True)
 
+    def test_resume_refuses_nan_position(self, tmp_path):
+        """A state written with a NaN checksums perfectly; resuming it
+        must fail naming the array, not integrate garbage."""
+        pos, mom, mass = _ics()
+        sim = SerialSimulation(_cfg(), pos, mom, mass)
+        sim.pos[3, 1] = np.nan
+        sim.save_checkpoint(tmp_path, 0.0)
+        with pytest.raises(CheckpointError, match="pos"):
+            SerialSimulation.from_checkpoint(_cfg(), tmp_path)
+
 
 class TestSerialMonitors:
     def _sim(self, policy="abort", n=128, **vkw):
@@ -208,7 +218,7 @@ class TestSerialMonitors:
     def test_serial_dump_writes_snapshot(self, tmp_path):
         """A serial dump is a one-rank checkpoint epoch under dump_dir."""
         dump = tmp_path / "diag"
-        sim = self._sim(policy="dump", energy_interval=1, dump_dir=str(dump))
+        sim = self._sim(policy="abort", energy_interval=1, dump_dir=str(dump))
         with pytest.raises(InvariantViolation) as ei:
             sim.run(0.0, 0.8, n_steps=4)
         assert ei.value.dump_path is not None

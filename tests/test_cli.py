@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main, run_from_config
 from repro.sim.checkpoint import latest_checkpoint, load_distributed_checkpoint
 
@@ -268,27 +273,37 @@ class TestSdcFlags:
 
         cfg = _build_config({
             **_DEFAULTS, **self._CFG,
-            "sdc_policy": "heal", "sdc_audit_every": 3,
-            "sdc_spot_check_groups": 7, "sdc_keep_last": 2,
+            "validation": {
+                "overrides": {"sdc": "recover"}, "interval": 3,
+                "spot_check_groups": 7,
+            },
         })
-        assert cfg.sdc.policy == "heal"
-        assert cfg.sdc.audit_every == 3
-        assert cfg.sdc.spot_check_groups == 7
-        assert cfg.sdc.keep_last == 2
+        assert cfg.validation.overrides == {"sdc": "recover"}
+        assert cfg.validation.interval == 3
+        assert cfg.validation.spot_check_groups == 7
 
     def test_invalid_sdc_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
+        for old in ("retry", "heal"):
+            with pytest.raises(ValueError, match="policy"):
+                run_from_config(
+                    {**self._CFG, "validation": {"overrides": {"sdc": old}}},
+                    log=_quiet,
+                )
+        with pytest.raises(ValueError, match="unknown validation keys"):
             run_from_config(
-                {**self._CFG, "sdc_policy": "retry"}, log=_quiet
+                {**self._CFG, "validation": {"audit_every": 2}}, log=_quiet
             )
 
     def test_main_sdc_flags_override_config(self, tmp_path):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(self._CFG))
+        cfg_path.write_text(json.dumps(
+            {**self._CFG, "validation": {"policy": "abort"}}
+        ))
         assert main([
             "run", str(cfg_path),
-            "--sdc-policy", "warn",
-            "--sdc-audit-every", "2",
+            "--guard", "warn",
+            "--guard", "sdc=recover",
+            "--guard-every", "2",
         ]) == 0
 
     def test_build_config_plumbs_health_keys(self):
@@ -296,29 +311,64 @@ class TestSdcFlags:
 
         cfg = _build_config({
             **_DEFAULTS, **self._CFG,
-            "health_policy": "degrade",
-            "straggler_factor": 4.5,
-            "straggler_patience": 5,
+            "validation": {
+                "overrides": {"straggler": "recover"},
+                "straggler_factor": 4.5,
+                "straggler_patience": 5,
+            },
         })
-        assert cfg.health.policy == "degrade"
-        assert cfg.health.straggler_factor == 4.5
-        assert cfg.health.straggler_patience == 5
+        assert cfg.validation.overrides == {"straggler": "recover"}
+        assert cfg.validation.straggler_factor == 4.5
+        assert cfg.validation.straggler_patience == 5
 
     def test_invalid_health_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            run_from_config(
-                {**self._CFG, "health_policy": "panic"}, log=_quiet
-            )
+        for old in ("panic", "monitor", "evict", "degrade"):
+            with pytest.raises(ValueError, match="policy"):
+                run_from_config(
+                    {**self._CFG,
+                     "validation": {"overrides": {"straggler": old}}},
+                    log=_quiet,
+                )
 
     def test_main_health_flags_override_config(self, tmp_path):
+        """The straggler guard belongs to the elastic runner: a serial
+        run refuses it instead of accepting it and doing nothing."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(self._CFG))
+        with pytest.raises(ValueError, match="'straggler'.*ElasticRunner"):
+            main(["run", str(cfg_path), "--guard", "straggler=recover"])
+
+    @pytest.mark.parametrize(
+        "flags, check",
+        [
+            (["--guard", "straggler=recover"], "straggler"),
+            (["--backend", "thread", "--ranks", "2",
+              "--guard", "sdc=recover"], "sdc"),
+        ],
+        ids=["serial-straggler", "thread-sdc"],
+    )
+    def test_guard_nothing_runs_exits_nonzero(self, tmp_path, flags, check):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(self._CFG))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(cfg_path), *flags],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode != 0
+        assert f"'{check}'" in proc.stderr and "ElasticRunner" in proc.stderr
+
+    def test_keep_last_flag_prunes_epochs(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(self._CFG))
         assert main([
-            "run", str(cfg_path),
-            "--health-policy", "monitor",
-            "--straggler-factor", "4.0",
-            "--straggler-patience", "2",
+            "run", str(cfg_path), "--checkpoint-every", "1",
+            "--checkpoint-dir", str(tmp_path / "ck"), "--keep-last", "1",
         ]) == 0
+        assert [p.name for p in (tmp_path / "ck").glob("step_*")] == [
+            "step_00002"
+        ]
 
 
 class TestCkptScrubCommand:

@@ -9,10 +9,10 @@ from repro.config import (
     MachineConfig,
     PMConfig,
     RelayMeshConfig,
-    SdcConfig,
     SimulationConfig,
     TreeConfig,
     TreePMConfig,
+    ValidationConfig,
 )
 
 
@@ -154,41 +154,69 @@ class TestSimulationConfig:
 
 
 class TestSdcConfig:
-    def test_defaults_disabled(self):
-        sdc = SdcConfig()
-        assert sdc.policy == "off" and not sdc.enabled
-        assert sdc.audit_every == 1
-        assert sdc.keep_last == 0
+    """The SDC audits are configured by the one guard config: check
+    name ``sdc`` in ``overrides``, the shared ``interval``, and
+    ``spot_check_groups``."""
 
-    @pytest.mark.parametrize("policy", ["warn", "heal", "abort"])
+    def test_defaults_disabled(self):
+        cfg = ValidationConfig()
+        assert cfg.policy == "off" and not cfg.enabled
+        assert cfg.interval == 1 and cfg.spot_check_groups == 4
+
+    @pytest.mark.parametrize("policy", ["warn", "recover", "abort"])
     def test_enabled_policies(self, policy):
-        assert SdcConfig(policy=policy).enabled
+        assert ValidationConfig(overrides={"sdc": policy}).enabled
 
     def test_validation(self):
+        for old in ("retry", "heal", "dump"):
+            with pytest.raises(ValueError):
+                ValidationConfig(overrides={"sdc": old})
+        with pytest.raises(ValueError, match="unknown check"):
+            ValidationConfig(overrides={"sdc_audit": "warn"})
         with pytest.raises(ValueError):
-            SdcConfig(policy="retry")
+            ValidationConfig(interval=0)
         with pytest.raises(ValueError):
-            SdcConfig(audit_every=0)
-        with pytest.raises(ValueError):
-            SdcConfig(spot_check_groups=-1)
-        with pytest.raises(ValueError):
-            SdcConfig(keep_last=-1)
+            ValidationConfig(spot_check_groups=-1)
 
     def test_roundtrip_through_dict(self):
         import json
 
         cfg = SimulationConfig(
-            sdc=SdcConfig(policy="heal", audit_every=2, keep_last=3)
+            validation=ValidationConfig(
+                overrides={"sdc": "recover"}, interval=2, spot_check_groups=3
+            )
         )
         back = SimulationConfig.from_dict(
             json.loads(json.dumps(cfg.to_dict()))
         )
-        assert back.sdc == cfg.sdc
+        assert back.validation == cfg.validation
 
     def test_config_hash_ignores_sdc(self):
         # audit policy is an operational knob, not physics: two runs
         # that differ only in SDC settings are the same simulation
         # (checkpoints must remain mutually restorable)
         a = SimulationConfig()
-        b = SimulationConfig(sdc=SdcConfig(policy="heal", audit_every=5))
+        b = SimulationConfig(
+            validation=ValidationConfig(
+                overrides={"sdc": "recover"}, interval=5
+            )
+        )
         assert a.config_hash() == b.config_hash()
+
+    def test_config_hash_pinned(self):
+        # folding the guard configs must not move the physics
+        # fingerprint: existing checkpoints keep loading
+        assert SimulationConfig().config_hash() == (
+            "8eecefecc4a1c7fbea79c99f32c5a10e04a44a96347190fa4dc7e45a464ae4bc"
+        )
+
+    def test_ten_guard_fields(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(ValidationConfig)] == [
+            "policy", "overrides", "interval", "energy_interval",
+            "energy_tol", "momentum_tol", "dump_dir", "spot_check_groups",
+            "straggler_factor", "straggler_patience",
+        ]
+        names = {f.name for f in dataclasses.fields(SimulationConfig)}
+        assert "validation" in names and not {"sdc", "health"} & names

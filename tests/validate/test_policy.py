@@ -10,11 +10,14 @@ import pytest
 from repro.config import ValidationConfig
 from repro.mpi.runtime import run_spmd
 from repro.validate import (
+    DRIVER_CHECKS,
+    POLICIES,
     EnergyDriftMonitor,
     InvariantViolation,
     InvariantWarning,
     MomentumDriftMonitor,
     Validator,
+    refuse_unrun_checks,
 )
 
 
@@ -114,10 +117,79 @@ class TestSerialHandling:
             seen.append(violation)
             return "/tmp/dump"
 
-        v = Validator(ValidationConfig(policy="dump"), dump_fn=dump)
+        v = Validator(
+            ValidationConfig(policy="abort", dump_dir="diag"), dump_fn=dump
+        )
         with pytest.raises(InvariantViolation) as exc:
             v.handle(_violation())
         assert seen and exc.value.dump_path == "/tmp/dump"
+
+
+class _SoloComm:
+    def allgather(self, value):
+        return [value]
+
+
+class TestOneRouter:
+    """Every check under every policy goes through the one router."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("check", ValidationConfig._CHECKS)
+    @pytest.mark.parametrize("collective", [False, True])
+    def test_policy_table(self, check, policy, collective):
+        dumps = []
+        v = Validator(
+            ValidationConfig(overrides={check: policy}, dump_dir="diag"),
+            dump_fn=lambda viol: dumps.append(viol) or "diag/step_00001",
+        )
+        violation = _violation(check)
+
+        def route():
+            if collective:
+                return v.handle_collective(_SoloComm(), violation)
+            return v.handle(violation)
+
+        if policy in ("off", "warn"):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                assert route() is False
+            assert len(seen) == (policy == "warn")
+        elif policy == "recover" and check in ("sdc", "straggler"):
+            assert route() is True  # the caller applies the remedy
+        else:  # abort, and recover on a check without a remedy
+            with pytest.raises(InvariantViolation):
+                route()
+            assert dumps == [violation]
+            assert violation.dump_path == "diag/step_00001"
+        if dumps == []:
+            assert violation.dump_path is None
+
+    def test_abort_without_dump_dir_writes_nothing(self):
+        dumps = []
+        v = Validator(ValidationConfig(policy="abort"), dump_fn=dumps.append)
+        with pytest.raises(InvariantViolation):
+            v.handle(_violation())
+        assert dumps == []
+
+    def test_unknown_override_refused(self):
+        with pytest.raises(ValueError, match="unknown check"):
+            ValidationConfig(overrides={"finite_field": "warn"})
+
+    def test_catalogue_is_what_the_drivers_run(self):
+        ran = {c for checks in DRIVER_CHECKS.values() for c in checks}
+        assert ran == set(ValidationConfig._CHECKS)
+
+    @pytest.mark.parametrize("driver", sorted(DRIVER_CHECKS))
+    def test_driver_refuses_checks_it_does_not_run(self, driver):
+        for check in ValidationConfig._CHECKS:
+            cfg = ValidationConfig(overrides={check: "warn"})
+            if check in DRIVER_CHECKS[driver]:
+                refuse_unrun_checks(cfg, driver)
+            else:
+                with pytest.raises(ValueError, match=check):
+                    refuse_unrun_checks(cfg, driver)
+        # the global policy is not an override: every driver takes it
+        refuse_unrun_checks(ValidationConfig(policy="abort"), driver)
 
 
 class TestCollectiveHandling:
@@ -146,7 +218,7 @@ class TestCollectiveHandling:
         def spmd(comm):
             calls = []
             v = Validator(
-                ValidationConfig(policy="dump"),
+                ValidationConfig(policy="abort", dump_dir="diag"),
                 rank=comm.rank,
                 dump_fn=lambda viol: calls.append(viol) or f"d{comm.rank}",
             )

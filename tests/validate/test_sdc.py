@@ -1,6 +1,7 @@
 """Unit tests for the silent-data-corruption auditor: cadence, the
 live-state fingerprint audit, the ABFT force spot-check (including the
-serial TreePM solver hookup), and the policy engine."""
+serial TreePM solver hookup), and their routing through the one guard
+router."""
 
 from __future__ import annotations
 
@@ -9,19 +10,20 @@ import pytest
 
 from repro.config import (
     PMConfig,
-    SdcConfig,
     SimulationConfig,
     TreeConfig,
     TreePMConfig,
+    ValidationConfig,
 )
 from repro.mpi.faults import flip_array_bits
 from repro.sim.serial import SerialSimulation
 from repro.treepm.solver import TreePMSolver
-from repro.validate.sdc import (
+from repro.validate import (
+    GuardEvent,
+    InvariantViolation,
+    InvariantWarning,
     SdcAuditor,
-    SdcEvent,
-    SdcViolation,
-    SdcWarning,
+    Validator,
 )
 
 pytestmark = pytest.mark.timeout(120)
@@ -50,28 +52,37 @@ def _system(n=48, seed=4):
     )
 
 
-def _solver(sdc=None, group_size=8):
+def _guard(policy, **kw):
+    """A guard running only the SDC audits, at ``policy``."""
+    return Validator(ValidationConfig(overrides={"sdc": policy}, **kw))
+
+
+def _auditor(policy, **kw):
+    return SdcAuditor(_guard(policy, **kw))
+
+
+def _solver(guard=None, group_size=8):
     return TreePMSolver(
         config=TreePMConfig(
             tree=TreeConfig(group_size=group_size),
             pm=PMConfig(mesh_size=8),
         ),
-        sdc=sdc,
+        validator=guard,
     )
 
 
 class TestCadence:
     def test_disabled_policy_never_due(self):
-        aud = SdcAuditor(config=SdcConfig(policy="off"))
+        aud = _auditor("off")
         assert not aud.enabled
         assert not aud.due(1)
 
     def test_audit_every(self):
-        aud = SdcAuditor(config=SdcConfig(policy="warn", audit_every=3))
+        aud = _auditor("warn", interval=3)
         assert [s for s in range(10) if aud.due(s)] == [3, 6, 9]
 
     def test_step_zero_not_due(self):
-        aud = SdcAuditor(config=SdcConfig(policy="heal", audit_every=1))
+        aud = _auditor("recover", interval=1)
         assert not aud.due(0)
         assert aud.due(1)
 
@@ -79,7 +90,7 @@ class TestCadence:
 class TestFingerprintAudit:
     def test_clean_state_passes(self):
         _, mass, ids = _system()
-        aud = SdcAuditor(config=SdcConfig(policy="heal"))
+        aud = _auditor("recover")
         comm = _SoloComm()
         aud.set_reference(comm, ids, mass)
         assert aud.fingerprint_audit(comm, ids, mass, step=1) is None
@@ -87,7 +98,7 @@ class TestFingerprintAudit:
 
     def test_first_call_freezes_reference(self):
         _, mass, ids = _system()
-        aud = SdcAuditor(config=SdcConfig(policy="heal"))
+        aud = _auditor("recover")
         comm = _SoloComm()
         assert aud.fingerprint_audit(comm, ids, mass, step=0) is None
         assert aud._reference_fp is not None
@@ -95,7 +106,7 @@ class TestFingerprintAudit:
     @pytest.mark.parametrize("which", ["mass", "ids"])
     def test_single_bit_flip_detected(self, which):
         _, mass, ids = _system()
-        aud = SdcAuditor(config=SdcConfig(policy="heal"))
+        aud = _auditor("recover")
         comm = _SoloComm()
         aud.set_reference(comm, ids, mass)
         if which == "mass":
@@ -104,13 +115,14 @@ class TestFingerprintAudit:
             flip_array_bits(ids, nbits=1, seed=7)
         ev = aud.fingerprint_audit(comm, ids, mass, step=2)
         assert ev is not None
-        assert ev.kind == "fingerprint" and ev.attribution == "live"
+        assert ev.kind == "fingerprint" and ev.data["attribution"] == "live"
+        assert ev.check == "sdc"
         assert ev.step == 2 and not ev.healed
         assert aud.events == [ev]
 
     def test_lost_particle_detected(self):
         _, mass, ids = _system()
-        aud = SdcAuditor(config=SdcConfig(policy="heal"))
+        aud = _auditor("recover")
         comm = _SoloComm()
         aud.set_reference(comm, ids, mass)
         ev = aud.fingerprint_audit(comm, ids[:-1], mass[:-1], step=1)
@@ -118,25 +130,21 @@ class TestFingerprintAudit:
 
     def test_disabled_returns_none(self):
         _, mass, ids = _system()
-        aud = SdcAuditor(config=SdcConfig(policy="off"))
+        aud = _auditor("off")
         assert aud.fingerprint_audit(_SoloComm(), ids, mass, step=1) is None
 
 
 class TestSpotCheck:
     def test_clean_sweep_passes(self):
-        aud = SdcAuditor(
-            config=SdcConfig(policy="heal", spot_check_groups=999)
-        )
-        solver = _solver(sdc=aud)
+        solver = _solver(_guard("recover", spot_check_groups=999))
+        aud = solver.sdc
         pos, mass, _ = _system()
         solver.forces(pos, mass)
         assert aud.events == []
         assert aud.audits_run >= 1
 
     def test_corrupted_sweep_detected_and_native_disabled(self):
-        aud = SdcAuditor(
-            config=SdcConfig(policy="heal", spot_check_groups=999)
-        )
+        aud = _auditor("recover", spot_check_groups=999)
         solver = _solver()
         solver.tree.retain_last_sweep = True
         pos, mass, _ = _system()
@@ -144,24 +152,25 @@ class TestSpotCheck:
         solver.tree.last_sweep["acc_sorted"][0, 0] += 1.0
         ev = aud.spot_check(solver.tree, step=3)
         assert ev is not None
-        assert ev.kind == "spot_check" and ev.attribution == "compute"
+        assert ev.kind == "spot_check" and ev.data["attribution"] == "compute"
         assert "differ from the" in ev.detail
+        # detection alone leaves the production path alone; the recover
+        # remedy stops trusting it
+        assert solver.tree._executor.use_native is True
+        assert aud.heal(_SoloComm(), None, solver.tree, [ev]) == [ev]
         assert solver.tree._executor.use_native is False
 
     def test_no_retained_sweep_is_a_noop(self):
-        aud = SdcAuditor(config=SdcConfig(policy="heal"))
+        aud = _auditor("recover")
         solver = _solver()
         assert aud.spot_check(solver.tree, step=1) is None
 
     def test_zero_groups_disables(self):
-        aud = SdcAuditor(
-            config=SdcConfig(policy="heal", spot_check_groups=0)
-        )
-        solver = _solver(sdc=aud)
+        solver = _solver(_guard("recover", spot_check_groups=0))
         assert solver.tree.retain_last_sweep is False
         pos, mass, _ = _system()
         solver.forces(pos, mass)
-        assert aud.events == []
+        assert solver.sdc.events == []
 
 
 def _sabotage_once(solver):
@@ -180,54 +189,45 @@ def _sabotage_once(solver):
 
 
 class TestSerialSolverIntegration:
-    """The TreePMSolver runs the spot-check inline and, under ``heal``,
-    returns forces recomputed through the reference pipeline."""
+    """The TreePMSolver runs the spot-check inline and, under
+    ``recover``, returns forces recomputed through the reference
+    pipeline."""
 
     def test_heal_resweeps_through_reference(self):
         pos, mass, _ = _system()
         clean = _solver().forces(pos, mass)
-        aud = SdcAuditor(
-            config=SdcConfig(policy="heal", spot_check_groups=999)
-        )
-        solver = _solver(sdc=aud)
+        solver = _solver(_guard("recover", spot_check_groups=999))
         _sabotage_once(solver)
         healed = solver.forces(pos, mass)
-        (ev,) = aud.events
+        (ev,) = solver.validator.events
         assert ev.kind == "spot_check" and ev.healed
         assert "healed by reference re-sweep" in ev.detail
+        assert solver.tree._executor.use_native is False
         np.testing.assert_array_equal(healed.total, clean.total)
 
     def test_abort_raises(self):
         pos, mass, _ = _system()
-        aud = SdcAuditor(
-            config=SdcConfig(policy="abort", spot_check_groups=999)
-        )
-        solver = _solver(sdc=aud)
+        solver = _solver(_guard("abort", spot_check_groups=999))
         _sabotage_once(solver)
-        with pytest.raises(SdcViolation):
+        with pytest.raises(InvariantViolation) as info:
             solver.forces(pos, mass)
+        assert info.value.check == "sdc"
+        assert info.value.stage == "sdc/spot_check"
 
     def test_warn_records_and_continues(self):
         pos, mass, _ = _system()
-        aud = SdcAuditor(
-            config=SdcConfig(policy="warn", spot_check_groups=999)
-        )
-        solver = _solver(sdc=aud)
+        solver = _solver(_guard("warn", spot_check_groups=999))
         _sabotage_once(solver)
-        with pytest.warns(SdcWarning):
+        with pytest.warns(InvariantWarning):
             solver.forces(pos, mass)
-        (ev,) = aud.events
+        (ev,) = solver.sdc.events
         assert not ev.healed
         # warn must not touch the production path
         assert solver.tree._executor.use_native is True
 
     def test_audit_every_skips_calls(self):
-        aud = SdcAuditor(
-            config=SdcConfig(
-                policy="warn", audit_every=2, spot_check_groups=999
-            )
-        )
-        solver = _solver(sdc=aud)
+        solver = _solver(_guard("warn", interval=2, spot_check_groups=999))
+        aud = solver.sdc
         pos, mass, _ = _system()
         solver.forces(pos, mass)
         assert aud.audits_run == 0  # first call: 1 % 2 != 0
@@ -236,17 +236,17 @@ class TestSerialSolverIntegration:
 
 
 class TestSerialSimulationIntegration:
-    """``SerialSimulation`` hands ``config.sdc`` to its solver, so the
-    sweeps of a serial *step* are audited, not only bare ``forces``."""
+    """``SerialSimulation`` hands its guard to its solver, so the sweeps
+    of a serial *step* are audited, not only bare ``forces``."""
 
     @staticmethod
-    def _sim(**sdc):
+    def _sim(policy="off", **kw):
         pos, mass, _ = _system()
         config = SimulationConfig(
             treepm=TreePMConfig(
                 tree=TreeConfig(group_size=8), pm=PMConfig(mesh_size=8)
             ),
-            sdc=SdcConfig(**sdc),
+            validation=ValidationConfig(overrides={"sdc": policy}, **kw),
         )
         return SerialSimulation(config, pos, np.zeros_like(pos), mass)
 
@@ -257,14 +257,14 @@ class TestSerialSimulationIntegration:
         assert off.solver.tree.retain_last_sweep is False
         assert off.solver.tree.last_sweep is None
 
-        warn = self._sim(policy="warn", spot_check_groups=999)
+        warn = self._sim("warn", spot_check_groups=999)
         _sabotage_once(warn.solver)
-        with pytest.warns(SdcWarning):
+        with pytest.warns(InvariantWarning):
             warn.step(0.0, 0.01)
-        (ev,) = warn.solver.sdc.events
+        (ev,) = warn.validator.events
         assert ev.kind == "spot_check" and not ev.healed
 
-        heal = self._sim(policy="heal", spot_check_groups=999)
+        heal = self._sim("recover", spot_check_groups=999)
         _sabotage_once(heal.solver)
         heal.step(0.0, 0.01)
         (ev,) = heal.solver.sdc.events
@@ -277,46 +277,64 @@ class TestSerialSimulationIntegration:
 
 
 class TestPolicyEngine:
-    def _event(self, healed=False):
-        return SdcEvent(step=1, kind="snapshot", array="mass", healed=healed)
+    """An audit round's findings go through the one router: ``warn``
+    warns, ``recover`` hands back to the remedy what nothing healed,
+    ``abort`` raises."""
+
+    def _event(self, aud, healed=False):
+        return aud.record(
+            "snapshot", 1, 0, "role=owner", {"array": "mass"}, healed=healed
+        )
 
     def test_off_ignores(self):
-        aud = SdcAuditor(config=SdcConfig(policy="off"))
-        aud.apply_policy(_SoloComm(), [self._event()])
+        aud = _auditor("off")
+        assert not aud.guard.handle_collective(
+            _SoloComm(), aud.violation([self._event(aud)])
+        )
 
     def test_warn_warns_per_event(self):
-        aud = SdcAuditor(config=SdcConfig(policy="warn"))
-        with pytest.warns(SdcWarning):
-            aud.apply_policy(_SoloComm(), [self._event()])
+        aud = _auditor("warn")
+        with pytest.warns(InvariantWarning, match="sdc"):
+            assert not aud.guard.handle_collective(
+                _SoloComm(), aud.violation([self._event(aud)])
+            )
 
     def test_heal_passes_healed_events(self):
-        aud = SdcAuditor(config=SdcConfig(policy="heal"))
-        aud.apply_policy(_SoloComm(), [self._event(healed=True)])
+        aud = _auditor("recover")
+        assert aud.violation([self._event(aud, healed=True)]) is None
+        assert not aud.guard.handle_collective(_SoloComm(), None)
 
     def test_heal_raises_on_unhealed(self):
-        aud = SdcAuditor(config=SdcConfig(policy="heal"))
-        with pytest.raises(SdcViolation) as info:
-            aud.apply_policy(_SoloComm(), [self._event()])
-        assert len(info.value.events) == 1
+        aud = _auditor("recover")
+        violation = aud.violation([self._event(aud)])
+        assert violation.check == "sdc" and violation.stage == "sdc/snapshot"
+        # the router hands the finding to the remedy instead of raising
+        assert aud.guard.handle_collective(_SoloComm(), violation)
 
     def test_abort_raises_even_when_healed(self):
-        aud = SdcAuditor(config=SdcConfig(policy="abort"))
-        with pytest.raises(SdcViolation):
-            aud.apply_policy(_SoloComm(), [self._event(healed=True)])
+        aud = _auditor("abort")
+        ev = self._event(aud)
+        violation = aud.violation([ev])
+        aud.mark_healed(ev)
+        with pytest.raises(InvariantViolation):
+            aud.guard.handle_collective(_SoloComm(), violation)
 
     def test_none_comm_is_local_verdict(self):
-        aud = SdcAuditor(config=SdcConfig(policy="heal"))
-        with pytest.raises(SdcViolation):
-            aud.apply_policy(None, [self._event()])
+        aud = _auditor("abort")
+        with pytest.raises(InvariantViolation):
+            aud.guard.handle(aud.violation([self._event(aud)]))
 
     def test_mark_rolled_back(self):
-        aud = SdcAuditor(config=SdcConfig(policy="heal"))
-        ev = self._event()
-        aud.mark_rolled_back([ev], boundary=4)
+        aud = _auditor("recover")
+        self._event(aud)
+        aud.mark_rolled_back(boundary=4)
+        (ev,) = aud.events
         assert ev.healed and "healed by rollback to step 4" in ev.detail
 
     def test_event_summary_roundtrips_to_json(self):
         import json
 
-        ev = SdcEvent(step=2, kind="transport", array="shm_frame")
-        assert json.loads(json.dumps(ev.summary()))["kind"] == "transport"
+        ev = GuardEvent(step=2, rank=0, check="sdc", kind="transport",
+                        data={"array": "shm_frame"})
+        row = json.loads(json.dumps(ev.as_dict()))
+        assert row["kind"] == "transport" and row["check"] == "sdc"
