@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mesh.fft import irfft3, rfft3
+
 __all__ = ["gradient_mesh", "gradient_block"]
 
 
@@ -90,10 +92,10 @@ def _spectral_gradient(phi: np.ndarray, box: float) -> np.ndarray:
     n = phi.shape[0]
     k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=box / n)
     kz = 2.0 * np.pi * np.fft.rfftfreq(n, d=box / n)
-    ft = np.fft.rfftn(phi)
+    ft = rfft3(phi)
     out = np.empty(phi.shape + (3,))
     for ax, k in enumerate(
         (k1[:, None, None], k1[None, :, None], kz[None, None, :])
     ):
-        out[..., ax] = np.fft.irfftn(1j * k * ft, s=phi.shape, axes=(0, 1, 2))
+        out[..., ax] = irfft3(1j * k * ft, n)
     return out

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.mesh.assignment import assign_mass, interpolate_mesh
 from repro.mesh.differentiate import gradient_mesh
+from repro.mesh.fft import irfft3, rfft3
 from repro.mesh.greens import build_greens_function
 
 __all__ = ["PMSolver"]
@@ -116,14 +117,14 @@ class PMSolver:
 
     def density_k(self, pos: np.ndarray, mass: np.ndarray) -> np.ndarray:
         """k-space mass density, interlaced when enabled."""
-        rho_k = np.fft.rfftn(self.density_mesh(pos, mass))
+        rho_k = rfft3(self.density_mesh(pos, mass))
         if not self.interlace:
             return rho_k
         half = 0.5 * self.box / self.n
         from repro.utils.periodic import wrap_positions
 
         shifted = wrap_positions(np.asarray(pos) + half, self.box)
-        rho2_k = np.fft.rfftn(self.density_mesh(shifted, mass))
+        rho2_k = rfft3(self.density_mesh(shifted, mass))
         # the shifted mesh's odd alias images carry the opposite sign
         # after the phase correction: averaging cancels them
         return 0.5 * (rho_k + rho2_k * self._interlace_phase)
@@ -134,16 +135,14 @@ class PMSolver:
         The k = 0 mode of the Green's function is zero, so the mean
         density (the neutralizing background) drops out automatically.
         """
-        rho_k = np.fft.rfftn(rho)
-        phi_k = rho_k * self.greens
-        return np.fft.irfftn(phi_k, s=rho.shape, axes=(0, 1, 2))
+        phi_k = rfft3(rho)
+        phi_k *= self.greens
+        return irfft3(phi_k, self.n)
 
     def potential_mesh_from_k(self, rho_k: np.ndarray) -> np.ndarray:
         """Potential from an already-transformed (e.g. interlaced)
-        density."""
-        phi_k = rho_k * self.greens
-        n = self.n
-        return np.fft.irfftn(phi_k, s=(n, n, n), axes=(0, 1, 2))
+        density; ``rho_k`` is left as it was."""
+        return irfft3(rho_k * self.greens, self.n)
 
     def acceleration_mesh(self, phi: np.ndarray) -> np.ndarray:
         """Acceleration mesh ``-grad phi``, shape (n, n, n, 3)."""

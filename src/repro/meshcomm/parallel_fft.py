@@ -6,6 +6,10 @@ Forward transform of an x-slab-decomposed real mesh:
 2. transpose x-slabs -> y-slabs (one ``alltoallv`` inside COMM_FFT),
 3. ``fft`` along x (local; the full x extent is now resident).
 
+These are the passes of ``np.fft.rfftn`` in its order, so the result is
+bitwise that of the serial transform; every complex pass writes over
+its input (``out=``) instead of into a fresh array.
+
 The k-space data stays y-slab-decomposed; pointwise convolution with a
 Green's function is local.  The inverse reverses the three steps.  Only
 the transpose communicates — the same property that pins the paper's
@@ -75,17 +79,20 @@ class SlabFFT:
         if slab.shape != (b - a, self.n, self.n):
             raise ValueError("slab shape mismatch")
         work = np.fft.rfft(slab, axis=2)
-        work = np.fft.fft(work, axis=1)
+        np.fft.fft(work, axis=1, out=work)
         work = self._transpose_x_to_y(work)
-        return np.fft.fft(work, axis=0)
+        return np.fft.fft(work, axis=0, out=work)
 
     def inverse(self, kslab: np.ndarray) -> np.ndarray:
-        """Complex y-slab -> real x-slab (inverse of :meth:`forward`)."""
+        """Complex y-slab -> real x-slab (inverse of :meth:`forward`).
+
+        Its first pass runs in place: ``kslab`` is overwritten.
+        """
         if kslab.shape != self.kspace_shape():
             raise ValueError("k-slab shape mismatch")
-        work = np.fft.ifft(kslab, axis=0)
-        work = self._transpose_y_to_x(work)
-        work = np.fft.ifft(work, axis=1)
+        np.fft.ifft(kslab, axis=0, out=kslab)
+        work = self._transpose_y_to_x(kslab)
+        np.fft.ifft(work, axis=1, out=work)
         return np.fft.irfft(work, n=self.n, axis=2)
 
     # -- transposes ------------------------------------------------------------------

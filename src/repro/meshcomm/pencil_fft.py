@@ -101,64 +101,28 @@ class PencilFFT:
     # Blocks go out as strided views of ``work``: the transport packs
     # each one once (see SlabFFT), so none is staged contiguous here.
 
-    def _transpose_x_to_y(self, work: np.ndarray) -> np.ndarray:
-        """(n, ny, nz) -> (nx, n, nz): alltoall within the row comm
-        (ranks sharing col_id), swapping which of x/y is split."""
-        sends = []
-        for r in range(self.comm_row.size):
-            xa, xb = self.xdec.range_of(r)
-            sends.append(work[xa:xb])
-        received = self.comm_row.alltoallv(sends)
-        xa, xb = self.xdec.range_of(self.row_id)
-        out = np.empty(
-            (xb - xa, self.n, work.shape[2]), dtype=np.complex128
+    def _swap(self, work, split, join):
+        """One alltoall within a row (x <-> y) or a column (y <-> z) of
+        the grid: axis ``split`` of ``work``, whole, becomes this rank's
+        block of it, and axis ``join``, split, becomes whole."""
+        row = 2 not in (split, join)
+        comm, me = (self.comm_row, self.row_id) if row else (self.comm_col, self.col_id)
+        dec = {0: self.xdec, 1: self.ydec} if row else {1: self.y2dec, 2: self.zdec}
+
+        def cut(axis, bounds):
+            idx = [slice(None)] * 3
+            idx[axis] = slice(*bounds)
+            return tuple(idx)
+
+        received = comm.alltoallv(
+            [work[cut(split, dec[split].range_of(r))] for r in range(comm.size)]
         )
+        shape = list(work.shape)
+        a, b = dec[split].range_of(me)
+        shape[split], shape[join] = b - a, self.n
+        out = np.empty(shape, dtype=np.complex128)
         for r, block in enumerate(received):
-            ya, yb = self.ydec.range_of(r)
-            out[:, ya:yb, :] = block
-        return out
-
-    def _transpose_y_to_x(self, work: np.ndarray) -> np.ndarray:
-        sends = []
-        for r in range(self.comm_row.size):
-            ya, yb = self.ydec.range_of(r)
-            sends.append(work[:, ya:yb, :])
-        received = self.comm_row.alltoallv(sends)
-        ya, yb = self.ydec.range_of(self.row_id)
-        out = np.empty((self.n, yb - ya, work.shape[2]), dtype=np.complex128)
-        for r, block in enumerate(received):
-            xa, xb = self.xdec.range_of(r)
-            out[xa:xb] = block
-        return out
-
-    def _transpose_y_to_z(self, work: np.ndarray) -> np.ndarray:
-        """(nx, n, nz) -> (nx, ny, n): alltoall within the column comm
-        (ranks sharing row_id), swapping which of y/z is split."""
-        sends = []
-        for r in range(self.comm_col.size):
-            ya, yb = self.y2dec.range_of(r)
-            sends.append(work[:, ya:yb, :])
-        received = self.comm_col.alltoallv(sends)
-        ya, yb = self.y2dec.range_of(self.col_id)
-        out = np.empty((work.shape[0], yb - ya, self.n), dtype=np.complex128)
-        for r, block in enumerate(received):
-            za, zb = self.zdec.range_of(r)
-            out[:, :, za:zb] = block
-        return out
-
-    def _transpose_z_to_y(self, work: np.ndarray) -> np.ndarray:
-        sends = []
-        for r in range(self.comm_col.size):
-            za, zb = self.zdec.range_of(r)
-            sends.append(work[:, :, za:zb])
-        received = self.comm_col.alltoallv(sends)
-        za, zb = self.zdec.range_of(self.col_id)
-        out = np.empty(
-            (work.shape[0], self.n, zb - za), dtype=np.complex128
-        )
-        for r, block in enumerate(received):
-            ya, yb = self.y2dec.range_of(r)
-            out[:, ya:yb, :] = block
+            out[cut(join, dec[join].range_of(r))] = block
         return out
 
     # -- transforms ------------------------------------------------------------------
@@ -168,20 +132,21 @@ class PencilFFT:
         if pencil.shape != self.real_shape():
             raise ValueError("pencil shape mismatch")
         work = np.fft.fft(pencil, axis=0)
-        work = self._transpose_x_to_y(work)
-        work = np.fft.fft(work, axis=1)
-        work = self._transpose_y_to_z(work)
-        return np.fft.fft(work, axis=2)
+        work = self._swap(work, 0, 1)
+        np.fft.fft(work, axis=1, out=work)
+        work = self._swap(work, 1, 2)
+        return np.fft.fft(work, axis=2, out=work)
 
     def inverse(self, kpencil: np.ndarray) -> np.ndarray:
-        """Complex z-pencil -> real x-pencil (imaginary parts dropped)."""
+        """Complex z-pencil -> real x-pencil (imaginary parts dropped).
+        Its first pass runs in place: ``kpencil`` is overwritten."""
         if kpencil.shape != self.kspace_shape():
             raise ValueError("k-pencil shape mismatch")
-        work = np.fft.ifft(kpencil, axis=2)
-        work = self._transpose_z_to_y(work)
-        work = np.fft.ifft(work, axis=1)
-        work = self._transpose_y_to_x(work)
-        return np.real(np.fft.ifft(work, axis=0))
+        np.fft.ifft(kpencil, axis=2, out=kpencil)
+        work = self._swap(kpencil, 2, 1)
+        np.fft.ifft(work, axis=1, out=work)
+        work = self._swap(work, 1, 0)
+        return np.real(np.fft.ifft(work, axis=0, out=work))
 
     # -- convolution -------------------------------------------------------------------
 

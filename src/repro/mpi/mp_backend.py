@@ -62,7 +62,6 @@ import signal
 import threading
 import time
 import uuid
-import zlib
 from collections import OrderedDict, deque
 from contextlib import contextmanager
 from multiprocessing import resource_tracker, shared_memory
@@ -88,6 +87,7 @@ from repro.mpi.faults import (
 )
 from repro.mpi.network import TrafficLog
 from repro.mpi.supervisor import DEATH_EXIT_CODE, Supervisor
+from repro.native import frame
 
 __all__ = [
     "MultiprocessBackend",
@@ -268,12 +268,15 @@ class _ShmPickler(pickle.Pickler):
             and obj.dtype.names is None
         ):
             shm = self._pool.acquire(obj.nbytes)
-            # packs a strided block straight into the segment: the CRC
-            # below covers the packed bytes, which is what arrives
             view = np.ndarray(obj.shape, dtype=obj.dtype, buffer=shm.buf)
-            view[...] = obj
+            if obj.flags.c_contiguous:  # copied and checksummed in one pass
+                crc = frame.crc32_copy(view, obj)
+            else:
+                # numpy packs a strided block straight into the segment:
+                # the CRC covers the packed bytes, which is what arrives
+                view[...] = obj
+                crc = frame.crc32_copy(None, view)
             del view
-            crc = zlib.crc32(shm.buf[: obj.nbytes])
             if self._sabotage:
                 # flip one payload byte *after* the checksum was taken:
                 # exactly what a DMA or DRAM bit-flip in flight looks like
@@ -294,21 +297,20 @@ class _ShmUnpickler(pickle.Unpickler):
         self.consumed: List[Any] = []
 
     def persistent_load(self, pid):
-        kind, name, dtstr, shape = pid[0], pid[1], pid[2], pid[3]
-        crc = pid[4] if len(pid) > 4 else None
+        kind, name, dtstr, shape, crc = pid
         if kind != "repro-shm":  # pragma: no cover - format guard
             raise pickle.UnpicklingError(f"unknown persistent id {kind!r}")
         seg = self._pool.attach(name) if self._pool else _attach_shm(name)
         try:
-            arr = np.ndarray(shape, dtype=np.dtype(dtstr), buffer=seg.buf)
-            if crc is not None:
-                got = zlib.crc32(seg.buf[: arr.nbytes])
-                if got != crc:
-                    raise ShmFrameCorrupted(
-                        f"shared-memory frame {name!r} failed its CRC32 "
-                        f"(stored {crc:#010x}, computed {got:#010x})"
-                    )
-            arr = arr.copy()
+            frame_view = np.ndarray(shape, dtype=np.dtype(dtstr), buffer=seg.buf)
+            arr = np.empty_like(frame_view)
+            # checked and copied out in one pass; a mismatch drops the copy
+            got = frame.crc32_copy(arr, frame_view)
+            if got != crc:
+                raise ShmFrameCorrupted(
+                    f"shared-memory frame {name!r} failed its CRC32 "
+                    f"(stored {crc:#010x}, computed {got:#010x})"
+                )
         except BaseException:
             # a frame that cannot be trusted takes its segment with it
             _unlink_shm(seg)
@@ -1307,6 +1309,9 @@ class MultiprocessBackend(CommBackend):
         """Run ``fn(comm, *args, **kwargs)`` on every rank, each in its
         own supervised OS process; same result/failure contract as
         :meth:`repro.mpi.runtime.MPIRuntime.run`."""
+        # compile and self-test the frame kernel here, not inside some
+        # rank's timed step; forked workers inherit the verified library
+        frame.get_lib()
         ctx = mp.get_context(self.start_method)
         job = _MPJob(
             ctx,

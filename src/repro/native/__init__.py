@@ -15,9 +15,10 @@ Opt-outs (checked per call, so they can be toggled within a process):
 ``REPRO_NO_NATIVE``
     Disable every native kernel.
 ``REPRO_NO_NATIVE_TREE`` / ``..._TRAVERSE`` / ``..._CERTIFY`` /
-``..._MESH`` / ``..._UPDATE`` / ``..._PP``
+``..._MESH`` / ``..._UPDATE`` / ``..._PP`` / ``..._FRAME``
     Disable one stage (tree build, plan construction, no-wrap
-    certification, mesh scatter/gather, kick-drift update, plan sweep).
+    certification, mesh scatter/gather, kick-drift update, plan sweep,
+    the shared-memory frames' fused copy + CRC-32).
 ``REPRO_NATIVE_THREADS``
     OpenMP thread count for the plan sweep (default 1).  Threading is
     deterministic: groups own disjoint output rows, so the result is

@@ -379,6 +379,9 @@ STAGES: Dict[str, Stage] = {
         "plan_sweep_w1": (None, _SWEEP_ARGS),
         "plan_sweep_threads": (None, _SWEEP_ARGS + [_I64, _INT]),
     }, "repro.pp.native:_self_test", flags=("-fopenmp",)),
+    "frame": Stage("_frame.c", {
+        "crc32_copy": (ctypes.c_uint32, [_U8A, _U8A, _I64, ctypes.c_uint32]),
+    }, "repro.native.frame:_self_test"),
 }
 
 

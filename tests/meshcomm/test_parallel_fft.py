@@ -1,4 +1,8 @@
-"""Tests of the slab-decomposed parallel FFT against numpy's rfftn."""
+"""Tests of the slab-decomposed parallel FFT against numpy's rfftn.
+
+The slab passes are rfftn's passes in rfftn's order, so every
+comparison here is bitwise (``np.array_equal``), at 5 ranks on uneven
+slabs too."""
 
 from __future__ import annotations
 
@@ -7,6 +11,7 @@ import pytest
 
 from repro.forces.cutoff import S2ForceSplit
 from repro.mesh.greens import build_greens_function
+from repro.mesh.poisson import PMSolver
 from repro.meshcomm.parallel_fft import SlabFFT
 from repro.meshcomm.slab import SlabDecomposition
 from repro.mpi.runtime import run_spmd
@@ -38,7 +43,7 @@ class TestForward:
         slabs = SlabDecomposition(N, n_ranks)
         for r in range(n_ranks):
             ya, yb = slabs.range_of(r)
-            np.testing.assert_allclose(out[r], ref[:, ya:yb, :], atol=1e-10)
+            assert np.array_equal(out[r], ref[:, ya:yb, :])
 
     def test_shape_validation(self):
         def work(fft, slab, comm):
@@ -73,22 +78,46 @@ class TestRoundtrip:
 
 
 class TestConvolve:
-    @pytest.mark.parametrize("n_ranks", [1, 2, 4])
+    @pytest.mark.parametrize("n_ranks", [1, 2, 4, 5])
     def test_matches_serial_poisson_solve(self, n_ranks):
         """Distributed convolution with the S2 Green's function equals
-        the serial rfftn/irfftn pipeline."""
-        split = S2ForceSplit(3.0 / N)
-        greens = build_greens_function(N, split=split, deconvolve=2)
+        the serial solve bit for bit: ``PMSolver.potential_mesh`` and
+        the rfftn/irfftn formula it replaced."""
+        pm = PMSolver(N, split=S2ForceSplit(3.0 / N), deconvolve=2)
 
         def work(fft, slab, comm):
-            return fft.convolve(slab, fft.greens_slice(greens))
+            return fft.convolve(slab, fft.greens_slice(pm.greens))
 
         glob, out = _run_slab_fft(n_ranks, work)
-        ref = np.fft.irfftn(np.fft.rfftn(glob) * greens, s=glob.shape, axes=(0, 1, 2))
+        ref = pm.potential_mesh(glob)
+        formula = np.fft.irfftn(
+            np.fft.rfftn(glob) * pm.greens, s=glob.shape, axes=(0, 1, 2)
+        )
+        assert np.array_equal(ref, formula)
         slabs = SlabDecomposition(N, n_ranks)
         for r in range(n_ranks):
             a, b = slabs.range_of(r)
-            np.testing.assert_allclose(out[r], ref[a:b], atol=1e-11)
+            assert np.array_equal(out[r], ref[a:b])
+
+    def test_convolve_keeps_its_input_and_inverse_overwrites_kslab(self):
+        """``forward``/``convolve`` leave their slab alone; ``inverse``
+        runs its first pass in place and so overwrites ``kslab``."""
+
+        def work(fft, slab, comm):
+            before = slab.copy()
+            greens = np.ones(fft.kspace_shape())
+            fft.convolve(slab, greens)
+            kslab = fft.forward(slab)
+            kcopy = kslab.copy()
+            fft.inverse(kslab)
+            return (
+                np.array_equal(slab, before),
+                np.array_equal(kslab, kcopy),
+                np.array_equal(fft.inverse(kcopy.copy()), fft.inverse(kcopy)),
+            )
+
+        _, out = _run_slab_fft(2, work)
+        assert out == [(True, False, True)] * 2
 
     def test_transpose_traffic_stays_within_comm_fft(self):
         """The FFT transposes must be all-to-all among FFT ranks only."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import glob
 import io
+import os
 import pickle
 import uuid
 import zlib
@@ -27,6 +28,7 @@ from repro.mpi import mp_backend
 from repro.mpi.faults import CommTimeout, FaultPlan
 from repro.mpi.mp_backend import (
     MultiprocessBackend,
+    ShmFrameCorrupted,
     _ShmPool,
     has_shm_frames,
     shm_dumps,
@@ -69,6 +71,52 @@ def test_corrupted_frame_dropped_clean_frame_delivered():
     assert outcome == "dropped"
     assert crc_failures == 1
     assert probe == 2.0  # the clean frame after the bad one is intact
+
+
+def _mixed_paths(comm, native_rank):
+    if comm.rank != native_rank:
+        os.environ["REPRO_NO_NATIVE_FRAME"] = "1"
+    return _sabotaged_then_clean(comm)
+
+
+@pytest.mark.parametrize("native_rank", [0, 1])
+def test_frames_cross_between_the_native_and_zlib_paths(native_rank):
+    """One rank checksums with the frame kernel, the other with zlib:
+    the clean frame is delivered and the corrupted one still dropped,
+    whichever side runs which."""
+    plan = FaultPlan(seed=5).corrupt_shm(src=0, dst=1, nth=0)
+    backend = MultiprocessBackend(
+        2, fault_plan=plan, recv_timeout=2.0, shm_threshold=256
+    )
+    _, receiver = backend.run(_mixed_paths, native_rank)
+    assert receiver == ("dropped", 1, 2.0)
+
+
+@pytest.mark.parametrize("pack_native", [True, False])
+def test_frames_packed_on_one_path_load_on_the_other(pack_native, monkeypatch):
+    def use_native(on):
+        if on:
+            monkeypatch.delenv("REPRO_NO_NATIVE_FRAME", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_NO_NATIVE_FRAME", "1")
+
+    pool = _ShmPool(f"rpmptest{uuid.uuid4().hex[:8]}")
+    message = {"strided": _strided_mib(4), "contiguous": _strided_mib(5).copy()}
+    try:
+        use_native(pack_native)
+        blob = shm_dumps(message, pool, 1 << 16)
+        bad = shm_dumps(message["contiguous"], pool, 1 << 16, sabotage=True)
+        use_native(not pack_native)
+        got = shm_loads(blob, pool)
+        for key, block in message.items():
+            assert got[key].tobytes() == np.ascontiguousarray(block).tobytes()
+        with pytest.raises(ShmFrameCorrupted):
+            shm_loads(bad, pool)
+    finally:
+        pool.clear()
+        left = _segments(pool._prefix)
+        sweep_shm_segments(pool._prefix)  # frames never loaded, on a failure
+    assert not left
 
 
 def _small_message(comm):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.mesh.assignment import assign_mass, interpolate_mesh
-from repro.native import build, certify, meshops, traverse, treebuild, update
+from repro.native import build, certify, frame, meshops, traverse, treebuild, update
 from repro.pp import native as pp_native
 from repro.tree.morton import MORTON_BITS, morton_keys
 from repro.tree.octree import Octree, build_nodes_numpy
@@ -294,6 +294,7 @@ STAGE_MODULES = {
     "mesh": meshops,
     "update": update,
     "pp": pp_native,
+    "frame": frame,
 }
 
 
