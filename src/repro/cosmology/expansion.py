@@ -11,7 +11,6 @@ leapfrog integrator needs:
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from repro.cosmology.params import CosmologyParams
 
@@ -22,7 +21,12 @@ class Expansion:
     """Expansion kinematics for a parameter set (H0 = 1 units)."""
 
     def __init__(self, params: CosmologyParams) -> None:
+        # scipy is imported when a run builds its background, inside
+        # set-up: a static run, which builds none, never loads it
+        from scipy.integrate import quad
+
         self.params = params
+        self._quad = quad
 
     def E(self, a) -> np.ndarray:
         """Dimensionless Hubble rate ``H(a) / H0``."""
@@ -41,24 +45,24 @@ class Expansion:
 
     def drift_factor(self, a1: float, a2: float) -> float:
         """``int_{a1}^{a2} da / (a^3 H)`` — multiplies momentum in a drift."""
-        val, _ = quad(lambda a: 1.0 / (a**3 * float(self.E(a))), a1, a2)
+        val, _ = self._quad(lambda a: 1.0 / (a**3 * float(self.E(a))), a1, a2)
         return val
 
     def kick_factor(self, a1: float, a2: float) -> float:
         """``int_{a1}^{a2} da / (a^2 H)`` — multiplies force in a kick."""
-        val, _ = quad(lambda a: 1.0 / (a**2 * float(self.E(a))), a1, a2)
+        val, _ = self._quad(lambda a: 1.0 / (a**2 * float(self.E(a))), a1, a2)
         return val
 
     def time_between(self, a1: float, a2: float) -> float:
         """Cosmic time elapsed between scale factors (code units)."""
-        val, _ = quad(lambda a: float(self.dtda(a)), a1, a2)
+        val, _ = self._quad(lambda a: float(self.dtda(a)), a1, a2)
         return val
 
     def comoving_distance(self, z: float) -> float:
         """Comoving distance to redshift z (units of c / H0)."""
         if z < 0:
             raise ValueError("z must be non-negative")
-        val, _ = quad(lambda zz: 1.0 / float(self.E(1.0 / (1.0 + zz))), 0.0, z)
+        val, _ = self._quad(lambda zz: 1.0 / float(self.E(1.0 / (1.0 + zz))), 0.0, z)
         return val
 
     def lookback_time(self, z: float) -> float:

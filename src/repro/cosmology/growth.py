@@ -12,7 +12,6 @@ normalized so D(1) = 1, plus the logarithmic growth rate
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from repro.cosmology.expansion import Expansion
 from repro.cosmology.params import CosmologyParams
@@ -30,6 +29,8 @@ class GrowthFactor:
         self._norm = 1.0 / self._unnormalized(1.0)
 
     def _unnormalized(self, a: float) -> float:
+        from scipy.integrate import quad
+
         E = self.expansion.E
         integral, _ = quad(
             lambda x: x ** (-3.0) * float(E(x)) ** (-3.0), 1e-8, float(a)

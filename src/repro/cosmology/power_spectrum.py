@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from repro.cosmology.growth import GrowthFactor
 from repro.cosmology.params import CosmologyParams
@@ -112,6 +111,7 @@ class PowerSpectrum:
 
     def sigma_r(self, r: float, z: float = 0.0) -> float:
         """RMS linear fluctuation in top-hat spheres of radius r Mpc/h."""
+        from scipy.integrate import quad
 
         def w(x):
             return 3.0 * (np.sin(x) - x * np.cos(x)) / x**3

@@ -15,7 +15,6 @@ and intended for small N.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc
 
 from repro.forces.softening import plummer_force_factor
 from repro.utils.periodic import minimum_image
@@ -89,6 +88,8 @@ class EwaldSummation:
         ``dx`` has shape (..., 3) = r_i - r_j; returns the acceleration
         contribution per unit G*m_j (pointing from i toward j).
         """
+        from scipy.special import erfc
+
         # shape (..., images, 3)
         s = dx[..., None, :] + self._images
         r2 = np.einsum("...ik,...ik->...i", s, s)
@@ -172,6 +173,8 @@ class EwaldSummation:
         """Ewald pair potential psi(dx) per unit G*m (background
         included); psi(0) is the interaction of a particle with its own
         periodic images (without the singular self term)."""
+        from scipy.special import erfc
+
         dx = minimum_image(np.asarray(dx, dtype=np.float64), self.box)
         s = dx[..., None, :] + self._images
         r2 = np.einsum("...ik,...ik->...i", s, s)

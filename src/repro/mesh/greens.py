@@ -48,6 +48,8 @@ def build_greens_function(
     assignment: Optional[str] = "tsc",
     deconvolve: int = 2,
     rfft: bool = True,
+    x_range: Optional[Tuple[int, int]] = None,
+    y_range: Optional[Tuple[int, int]] = None,
 ) -> np.ndarray:
     """Precompute the Green's function mesh ``G(k)``.
 
@@ -70,19 +72,30 @@ def build_greens_function(
         the safe choice for a pure-PM solver (dividing twice without a
         k-space cutoff amplifies mesh-scale aliasing into visible
         ringing); 0 disables deconvolution.
+    x_range, y_range:
+        ``[start, stop)`` of the x- and y-planes to build (default: all
+        ``n``).  A distributed FFT rank builds only the block it holds;
+        every element is computed by the same operations as in the full
+        mesh, so the block equals that slice of it bit for bit.
     """
-    kx, ky, kz = kvectors(n, box, rfft=rfft)
-    k2 = kx**2 + ky**2 + kz**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gk = -4.0 * np.pi * G / k2
-    gk[0, 0, 0] = 0.0
-
-    if split is not None:
-        kmag = np.sqrt(k2)
-        gk = gk * split.long_range_kspace_factor(kmag)
-
     if deconvolve not in (0, 1, 2):
         raise ValueError("deconvolve must be 0, 1 or 2")
+    xs = slice(*(x_range or (0, n)))
+    ys = slice(*(y_range or (0, n)))
+    kx, ky, kz = kvectors(n, box, rfft=rfft)
+    kx, ky = kx[xs], ky[:, ys]
+    k2 = kx**2 + ky**2 + kz**2
+    # the split factor reads |k| before the division overwrites k2
+    factor = None
+    if split is not None:
+        factor = split.long_range_kspace_factor(np.sqrt(k2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gk = np.divide(-4.0 * np.pi * G, k2, out=k2)
+    if xs.start == ys.start == 0:  # the block holds k = 0
+        gk[0, 0, 0] = 0.0
+    if factor is not None:
+        gk *= factor
+
     if deconvolve and assignment is not None:
         h = box / n
         w = (
@@ -91,7 +104,8 @@ def build_greens_function(
             * window_ft(assignment, kz, h)
         )
         # the window never vanishes on the grid (|k h / 2| <= pi/2 < pi)
-        gk = gk / w**deconvolve
+        w **= deconvolve
+        gk /= w
     return gk
 
 

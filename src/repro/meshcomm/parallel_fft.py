@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.mesh.greens import build_greens_function
 from repro.meshcomm.slab import SlabDecomposition
 
 __all__ = ["SlabFFT"]
@@ -137,10 +138,11 @@ class SlabFFT:
 
     # -- convolution -------------------------------------------------------------------
 
-    def greens_slice(self, greens_full: np.ndarray) -> np.ndarray:
-        """This rank's y-slab slice of a full rfft Green's function."""
-        ya, yb = self.y_range
-        return greens_full[:, ya:yb, :]
+    def greens_slice(self, **greens) -> np.ndarray:
+        """This rank's y-slab of the rfft Green's function, built for
+        its own planes only (``greens``: the keyword arguments of
+        :func:`~repro.mesh.greens.build_greens_function`)."""
+        return build_greens_function(self.n, y_range=self.y_range, **greens)
 
     def convolve(self, slab: np.ndarray, greens_slab: np.ndarray) -> np.ndarray:
         """Real slab -> real slab convolved with the Green's function."""

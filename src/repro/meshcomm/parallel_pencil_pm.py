@@ -71,9 +71,7 @@ class ParallelPencilPM(ParallelPM):
         self.is_fft_rank = in_grid
         if in_grid:
             self.fft = PencilFFT(self.comm_fft, self.n, self.grid)
-            self.greens_pencil = self.fft.greens_slice(
-                self._greens_function(rfft=False)
-            )
+            self.greens_pencil = self._greens_block()
             (xa, xb), (ya, yb), (za, zb) = self.fft.real_ranges()
             self.pencil_region = LocalMeshRegion(
                 n=self.n,

@@ -30,7 +30,6 @@ from repro.mesh.assignment import (
     interpolate_local,
 )
 from repro.mesh.differentiate import gradient_block
-from repro.mesh.greens import build_greens_function
 from repro.meshcomm.convert import local_to_slab, slab_to_local
 from repro.meshcomm.parallel_fft import SlabFFT
 from repro.meshcomm.slab import LocalMeshRegion, SlabDecomposition
@@ -159,7 +158,7 @@ class ParallelPM:
 
         if self.is_fft_rank:
             self.fft = SlabFFT(self.comm_fft, self.n)
-            self.greens_slab = self.fft.greens_slice(self._greens_function())
+            self.greens_slab = self._greens_block()
         else:
             self.fft = None
             self.greens_slab = None
@@ -179,16 +178,14 @@ class ParallelPM:
             deconvolve = 2 if split is not None else 1
         self.deconvolve = deconvolve
 
-    def _greens_function(self, rfft: bool = True) -> np.ndarray:
-        """The full Green's function mesh the FFT ranks slice."""
-        return build_greens_function(
-            self.n,
+    def _greens_block(self) -> np.ndarray:
+        """The block of the Green's function this FFT rank holds."""
+        return self.fft.greens_slice(
             box=self.box,
             split=self.split,
             G=self.G,
             assignment=self.assignment,
             deconvolve=self.deconvolve,
-            rfft=rfft,
         )
 
     @property

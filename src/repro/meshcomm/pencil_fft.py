@@ -28,6 +28,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.mesh.greens import build_greens_function
 from repro.meshcomm.slab import SlabDecomposition
 
 __all__ = ["PencilFFT"]
@@ -150,11 +151,15 @@ class PencilFFT:
 
     # -- convolution -------------------------------------------------------------------
 
-    def greens_slice(self, greens_full: np.ndarray) -> np.ndarray:
-        """This rank's k-space window of a full (non-rfft) Green's
-        function mesh ``(n, n, n)``."""
-        (xa, xb), (ya, yb), _ = self.kspace_ranges()
-        return greens_full[xa:xb, ya:yb, :]
+    def greens_slice(self, **greens) -> np.ndarray:
+        """This rank's k-space window of the full (non-rfft) Green's
+        function, built for its own x- and y-planes only (``greens``:
+        the keyword arguments of
+        :func:`~repro.mesh.greens.build_greens_function`)."""
+        x_range, y_range, _ = self.kspace_ranges()
+        return build_greens_function(
+            self.n, rfft=False, x_range=x_range, y_range=y_range, **greens
+        )
 
     def convolve(self, pencil: np.ndarray, greens_pencil: np.ndarray) -> np.ndarray:
         kdata = self.forward(pencil)

@@ -226,13 +226,33 @@ def _copy(obj: Any) -> Any:
 
 
 def payload_bytes(obj: Any) -> int:
-    """Approximate wire size of a payload (traffic accounting)."""
+    """Approximate wire size of a payload (traffic accounting).
+
+    Arrays count their ``nbytes``, also inside lists, tuples and dicts;
+    only the other leaves are pickled, together, to be measured."""
+    rest: list = []
+    n = _array_bytes(obj, rest)
+    if rest:
+        try:
+            n += len(pickle.dumps(rest, protocol=pickle.HIGHEST_PROTOCOL))
+        except Exception:
+            n += 64  # unpicklable in-process object; count a token size
+    return n
+
+
+def _array_bytes(obj: Any, rest: list) -> int:
+    """``nbytes`` summed over the array leaves of ``obj``; every other
+    leaf is appended to ``rest``."""
     if isinstance(obj, np.ndarray):
         return obj.nbytes
-    try:
-        return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return 64  # unpicklable in-process object; count a token size
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(item, rest) for item in obj)
+    if isinstance(obj, dict):
+        return sum(
+            _array_bytes(k, rest) + _array_bytes(v, rest) for k, v in obj.items()
+        )
+    rest.append(obj)
+    return 0
 
 
 REDUCE_OPS: Dict[str, Callable[[Any, Any], Any]] = {

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace as _dc_replace
+from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
@@ -700,6 +701,13 @@ class ElasticRankReport:
         )
 
 
+def _run_elastic(comm, pos, mom, mass, config, schedule, **runner_options):
+    """One rank of :func:`run_elastic_simulation`."""
+    runner = ElasticRunner(comm, config, pos, mom, mass, **runner_options)
+    runner.run(*schedule)
+    return runner
+
+
 def run_elastic_simulation(
     config: SimulationConfig,
     pos: np.ndarray,
@@ -742,24 +750,16 @@ def run_elastic_simulation(
     if recv_timeout is None or recv_timeout <= 0:
         raise ValueError("elastic runs need a finite recv_timeout")
 
-    def run_rank(comm, pos, mom, mass):
-        runner = ElasticRunner(
-            comm,
-            config,
-            pos,
-            mom,
-            mass,
-            stepper=stepper,
-            buddy_every=buddy_every,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            consensus_timeout=consensus_timeout,
-            max_recoveries=max_recoveries,
-            keep_last=keep_last,
-        )
-        runner.run(t_start, t_end, n_steps)
-        return runner
-
+    run_rank = partial(
+        _run_elastic, config=config, schedule=(t_start, t_end, n_steps),
+        stepper=stepper,
+        buddy_every=buddy_every,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every,
+        consensus_timeout=consensus_timeout,
+        max_recoveries=max_recoveries,
+        keep_last=keep_last,
+    )
     return _launch_spmd(
         config, backend, run_rank, arrays=(pos, mom, mass),
         torus_shape=torus_shape,

@@ -18,6 +18,7 @@ are exactly Table I's.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -628,28 +629,44 @@ def _launch_spmd(config, backend, run_rank, arrays=None, **backend_options):
     ``arrays``), and unpack.
 
     ``run_rank`` returns the finished per-rank driver, which must offer
-    ``report()`` and ``gather_state()``.  Returns ``(pos, mom, mass,
-    drivers, runtime)``: the state gathered on the (surviving) root, and
-    per rank the live driver, its picklable report when the rank ran in
-    another process, or ``None`` when the rank died.
+    ``report()`` and ``gather_state()``; it must pickle (a module-level
+    function or a ``partial`` of one) for ranks started by ``spawn``.
+    Returns ``(pos, mom, mass, drivers, runtime)``: the state gathered
+    on the (surviving) root, and per rank the live driver, its picklable
+    report when the rank ran in another process, or ``None`` when the
+    rank died.
     """
     runtime = create_backend(backend, config.domain.n_domains, **backend_options)
-    in_process = runtime.name == "thread"
-
-    def spmd(comm):
-        local = ()
-        if arrays is not None:
-            n = len(arrays[0])
-            lo = n * comm.rank // comm.size
-            hi = n * (comm.rank + 1) // comm.size
-            local = tuple(a[lo:hi] for a in arrays)
-        driver = run_rank(comm, *local)
-        return (driver if in_process else driver.report()), driver.gather_state()
-
-    results = runtime.run(spmd)
+    results = runtime.run(_spmd, run_rank, arrays, runtime.name == "thread")
     drivers = [None if r is None else r[0] for r in results]
     state = next(r[1] for r in results if r is not None and r[1] is not None)
     return state[0], state[1], state[2], drivers, runtime
+
+
+def _spmd(comm, run_rank, arrays, in_process):
+    """The SPMD body of :func:`_launch_spmd`."""
+    local = ()
+    if arrays is not None:
+        n = len(arrays[0])
+        lo = n * comm.rank // comm.size
+        hi = n * (comm.rank + 1) // comm.size
+        local = tuple(a[lo:hi] for a in arrays)
+    driver = run_rank(comm, *local)
+    return (driver if in_process else driver.report()), driver.gather_state()
+
+
+def _run_new(comm, pos, mom, mass, config, stepper, schedule, **run_options):
+    """One rank of :func:`run_parallel_simulation`."""
+    sim = ParallelSimulation(comm, config, pos, mom, mass, stepper=stepper)
+    sim.run(*schedule, **run_options)
+    return sim
+
+
+def _run_resumed(comm, config, step_dir, stepper, schedule, **run_options):
+    """One rank of :func:`resume_parallel_simulation`."""
+    sim = ParallelSimulation.restore(comm, config, step_dir, stepper=stepper)
+    sim.run(*schedule, **run_options)
+    return sim
 
 
 def run_parallel_simulation(
@@ -689,15 +706,12 @@ def run_parallel_simulation(
     """
     refuse_unrun_checks(config.validation, "ParallelSimulation")
 
-    def run_rank(comm, pos, mom, mass):
-        sim = ParallelSimulation(comm, config, pos, mom, mass, stepper=stepper)
-        sim.run(
-            t_start, t_end, n_steps,
-            checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-            keep_last=keep_last,
-        )
-        return sim
-
+    run_rank = partial(
+        _run_new, config=config, stepper=stepper,
+        schedule=(t_start, t_end, n_steps),
+        checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
+        keep_last=keep_last,
+    )
     return _launch_spmd(
         config, backend, run_rank, arrays=(pos, mom, mass),
         torus_shape=torus_shape,
@@ -741,19 +755,18 @@ def resume_parallel_simulation(
                 f"(missing '{key}'); pass the schedule to ParallelSimulation.run"
             )
 
-    def run_rank(comm):
-        sim = ParallelSimulation.restore(comm, config, step_dir, stepper=stepper)
-        sim.run(
+    run_rank = partial(
+        _run_resumed, config=config, step_dir=step_dir, stepper=stepper,
+        schedule=(
             float(schedule["t_start"]),
             float(schedule["t_end"]),
             int(schedule["n_steps"]),
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=step_dir.parent if checkpoint_every else None,
-            first_step=int(schedule["next_step"]),
-            keep_last=keep_last,
-        )
-        return sim
-
+        ),
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=step_dir.parent if checkpoint_every else None,
+        first_step=int(schedule["next_step"]),
+        keep_last=keep_last,
+    )
     return _launch_spmd(
         config, backend, run_rank,
         torus_shape=torus_shape,

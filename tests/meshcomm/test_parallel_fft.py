@@ -86,7 +86,7 @@ class TestConvolve:
         pm = PMSolver(N, split=S2ForceSplit(3.0 / N), deconvolve=2)
 
         def work(fft, slab, comm):
-            return fft.convolve(slab, fft.greens_slice(pm.greens))
+            return fft.convolve(slab, fft.greens_slice(split=pm.split, deconvolve=2))
 
         glob, out = _run_slab_fft(n_ranks, work)
         ref = pm.potential_mesh(glob)

@@ -78,7 +78,7 @@ class TestConvolve:
         greens = build_greens_function(N, split=split, deconvolve=2, rfft=False)
 
         def work(fft, pencil, comm):
-            return fft, fft.convolve(pencil, fft.greens_slice(greens))
+            return fft, fft.convolve(pencil, fft.greens_slice(split=split, deconvolve=2))
 
         glob, out = _run(grid, work)
         ref = np.real(np.fft.ifftn(np.fft.fftn(glob) * greens))
