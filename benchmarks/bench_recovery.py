@@ -9,10 +9,13 @@ re-decomposition over the survivor set and the re-executed steps.
 This harness runs a small elastic job, kills ranks at chosen steps, and
 reports the per-recovery latency split by mode:
 
-* ``buddy``  — in-memory restore from the ring-replicated block;
-* ``disk``   — owner *and* buddy died: restore the newest complete
-  distributed checkpoint (includes filesystem I/O and the
-  different-rank-count merge/scatter).
+* ``buddy``  — every rank file of the restored epoch came from memory
+  (its owner's copy or its ring buddy's);
+* ``disk``   — owner *and* buddy died: the disk checkpoint lends the
+  lost rank file (includes filesystem I/O).
+
+Both then run the same reader: rank 0 merges the files and re-scatters
+them over the survivors.
 
 Usage::
 

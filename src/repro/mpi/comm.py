@@ -312,7 +312,9 @@ class _CommState:
         #: deaths this state already excludes — only *new* deaths beyond
         #: this set raise PeerFailure on its members
         self.known_dead = frozenset(known_dead)
-        self.barrier = threading.Barrier(size)
+        #: generations the barrier released (counted by the last arriver)
+        self.barrier_passes = 0
+        self.barrier = threading.Barrier(size, action=self._barrier_passed)
         control.register_barrier(self.barrier)
         # queues[dst][src]
         self.queues = [
@@ -320,6 +322,9 @@ class _CommState:
         ]
         self.lock = threading.Lock()
         self.split_registry: Dict[Tuple[int, Any], "_CommState"] = {}
+
+    def _barrier_passed(self) -> None:
+        self.barrier_passes += 1
 
     @property
     def abort_event(self) -> threading.Event:
@@ -712,9 +717,15 @@ class Comm(CollectiveComm):
         me_w = self.world_rank
         registered = ctl.block(me_w, self._current_op or "barrier", "")
         self._wait_enter()
+        st = self._state
+        passes = st.barrier_passes
         try:
-            self._state.barrier.wait()
+            st.barrier.wait()
         except threading.BrokenBarrierError:
+            if st.barrier_passes > passes:
+                # every rank arrived before the break (a rank that left
+                # first died before this one woke): the barrier held
+                return
             # elastic death breaks barriers without aborting the job:
             # classify before reporting a (fatal) CommAborted
             self._check_peer_failure()

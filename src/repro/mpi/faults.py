@@ -394,8 +394,9 @@ class FaultPlan:
         ray in DRAM flips a mantissa bit; nothing crashes, nothing logs).
 
         ``target`` picks which copy is damaged: ``"self_copy"`` (the
-        rank's frozen rollback snapshot in its :class:`BuddyStore` —
-        detected and healed in place by the SDC snapshot audit),
+        newest rank file the rank froze in its :class:`BuddyStore` —
+        that of boundary ``step`` when one was frozen there — detected
+        and healed in place by the SDC snapshot audit),
         ``"peer_copy"`` (the buddy replica it holds for its ring
         predecessor — attributed to the buddy and re-replicated), or
         ``"live"`` (the working particle arrays; flips in conserved

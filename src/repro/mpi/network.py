@@ -61,16 +61,6 @@ class PhaseTraffic:
                 senders[m.dst].add(m.src)
         return max((len(s) for s in senders.values()), default=0)
 
-    def bytes_per_endpoint(self) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """(sent_bytes_by_rank, received_bytes_by_rank), self excluded."""
-        tx: Dict[int, int] = defaultdict(int)
-        rx: Dict[int, int] = defaultdict(int)
-        for m in self.messages:
-            if m.src != m.dst:
-                tx[m.src] += m.nbytes
-                rx[m.dst] += m.nbytes
-        return dict(tx), dict(rx)
-
 
 class TrafficLog:
     """Thread-safe message recorder with named phases.

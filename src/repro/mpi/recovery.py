@@ -21,14 +21,14 @@ This module provides the runtime half of that ULFM-style protocol for
   its epoch, so a straggler sent before the failure can never be
   delivered into post-recovery traffic (it is counted in
   ``comm.stale_rejected`` instead).
-* **Buddy replication** — :class:`BuddyStore` keeps, in memory, a
-  checksummed copy of each rank's particle block on its ring successor
-  (refreshed every K steps at the exchange boundary), plus each rank's
-  own snapshot of the same boundary.  After a failure the survivors
-  roll back to that consistent boundary and the dead rank's particles
-  are recovered from the buddy copy without touching disk; only when
-  owner *and* buddy died does recovery fall back to the distributed
-  disk checkpoint.
+* **Buddy replication** — :class:`BuddyStore` is the in-memory tier
+  of the checkpoint format: each rank keeps its own checkpoint rank
+  file of the last boundaries, with the same per-array checksums and
+  manifest entry a disk epoch records, and a copy of its ring
+  predecessor's (refreshed every K steps).  Every recovery is one
+  :func:`repro.sim.checkpoint.read_checkpoint` over the newest epoch
+  whose rank files resolve — each from its owner's copy, else its
+  buddy's, else disk (multi-level checkpointing, as in SCR).
 
 The simulation-level wiring (re-decomposition over the survivor set,
 step re-execution, the post-recovery validation sweep) lives in
@@ -37,18 +37,19 @@ step re-execution, the post-recovery validation sweep) lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mpi.comm import Comm
+from repro.sim import checkpoint as _ckpt
 from repro.utils.integrity import array_digest as _digest
 
 __all__ = [
     "RecoveryError",
     "RecoveryEvent",
-    "BuddySnapshot",
     "BuddyStore",
     "shrink_after_failure",
     "BUDDY_TAG",
@@ -71,10 +72,9 @@ HEAL_TAG = -23
 class RecoveryError(RuntimeError):
     """In-run recovery is impossible (or produced an invalid state).
 
-    Raised when the in-memory path cannot proceed — buddy and owner
-    both dead, inconsistent snapshot steps, a checksum mismatch, or a
-    failed post-recovery validation sweep — so the caller can fall back
-    to the disk checkpoint, or give up loudly."""
+    Raised when no epoch resolves — a rank file lost with its owner
+    and buddy and absent (or rotted) on disk — or the runner ran out
+    of attempts: the job gives up loudly."""
 
 
 @dataclass
@@ -84,9 +84,10 @@ class RecoveryEvent:
     epoch: int
     dead_ranks: Tuple[int, ...]
     n_survivors: int
-    #: ``"buddy"`` (in-memory), ``"disk"`` (checkpoint fallback) or
-    #: ``"rollback"`` (no deaths — a transient failure exhausted its
-    #: retries; same consistent boundary, same rank count)
+    #: ``"disk"`` (some rank file came from disk), else ``"buddy"``
+    #: (ranks died; every file came from memory) or ``"rollback"`` (no
+    #: deaths — a transient failure or a corruption rolled back; same
+    #: rank count, so the replay is bit for bit)
     mode: str
     #: step the survivors resumed from (the rolled-back boundary)
     resumed_step: int
@@ -101,270 +102,135 @@ class RecoveryEvent:
     trigger: str = "failure"
 
 
-@dataclass
-class BuddySnapshot:
-    """One rank's particle block frozen at a step boundary."""
-
-    owner_world_rank: int
-    step: int
-    epoch: int
-    arrays: Dict[str, np.ndarray]
-    checksums: Dict[str, str]
-    #: global conservation reference of the snapshot boundary
-    #: (identical on every rank: computed by one allreduce)
-    reference: Dict[str, Any] = field(default_factory=dict)
-    #: digests the *receiver* recomputed the moment the replica arrived
-    #: (buddy side only; empty on self copies).  Lets the SDC audit
-    #: split "corrupted in flight" from "rotted in the buddy's memory".
-    received_checksums: Dict[str, str] = field(default_factory=dict)
-
-    def verify(self) -> bool:
-        """Recompute every array digest against the stored checksums."""
-        if set(self.checksums) != set(self.arrays):
-            return False
-        return all(
-            _digest(self.arrays[k]) == want for k, want in self.checksums.items()
-        )
-
-
 class BuddyStore:
-    """In-memory buddy replication over a ring.
+    """The in-memory tier of the checkpoint format, replicated over a ring.
 
-    Every ``refresh`` (collective) freezes this rank's particle block —
-    its *self copy*, the rollback boundary — and ships a checksummed
-    duplicate to the ring successor ``(rank + 1) % size`` while
-    receiving the predecessor's.  After a rank dies, its block survives
-    on its buddy; :meth:`plan_recovery` decides collectively whether
-    every dead rank is covered by a live, checksum-clean, step-consistent
-    copy, and :meth:`recovered_arrays` hands each survivor its rollback
-    block (with any adopted dead-rank particles appended).
+    Every ``refresh`` (collective) freezes this rank's checkpoint
+    payload — its *self copy*, the rollback boundary — with the
+    per-array :func:`~repro.utils.integrity.array_digest` checksums and
+    the manifest entry :func:`~repro.sim.checkpoint.write_checkpoint`
+    would record, and ships the same rank file to the ring successor
+    ``(rank + 1) % size`` while receiving the predecessor's.  Recovery
+    reads these files through the one checkpoint reader:
+    :meth:`restore_source` resolves each rank file of the newest
+    complete epoch from the owner's copy, else the buddy's, else disk.
 
     The refresh cadence K trades overhead for staleness: each refresh
-    costs one ring message of the full particle block (plus one small
-    allreduce for the conservation reference), and a failure loses at
-    most K steps of progress — exactly a checkpoint-interval trade-off,
-    but at memory speed and without touching the filesystem.
+    costs one ring message of the full payload, and a failure loses at
+    most K steps of progress — a checkpoint-interval trade-off at
+    memory speed, without touching the filesystem.
 
     The store keeps the last :data:`HISTORY_DEPTH` boundaries, not just
     the newest.  On backends with real processes a rank can be killed
     *mid-refresh*: its own send may never leave the dying process, so
-    some survivors finish the exchange at the new boundary while others
-    still hold the previous one.  The newest boundary is then
-    inconsistent across the ring, but the one before it — whose copies
-    are provably delivered, FIFO-ordered behind a full step of traffic —
-    still is; :meth:`plan_recovery` picks the newest boundary every
-    survivor can serve.
+    its file at the new boundary exists nowhere, while the boundary
+    before — whose copies are provably delivered, FIFO-ordered behind a
+    full step of traffic — is complete; the newest-complete-epoch rule
+    then picks the older one.
     """
-
-    #: keys every snapshot must carry (the exchange payload minus the
-    #: force accumulators, which are recomputed after recovery anyway)
-    REQUIRED_KEYS = ("pos", "mom", "mass", "ids")
 
     #: boundaries retained; 2 covers a single mid-refresh crash per
     #: round (the store is rebuilt fresh after every recovery)
     HISTORY_DEPTH = 2
 
     def __init__(self) -> None:
-        #: step -> snapshot, oldest first (insertion order)
-        self._self_copies: Dict[int, BuddySnapshot] = {}
-        self._peer_copies: Dict[int, BuddySnapshot] = {}
-
-    @property
-    def self_copy(self) -> Optional[BuddySnapshot]:
-        """The newest own snapshot (None before the first refresh)."""
-        if not self._self_copies:
-            return None
-        return self._self_copies[max(self._self_copies)]
-
-    @property
-    def peer_copy(self) -> Optional[BuddySnapshot]:
-        """The newest received buddy copy (None before the first)."""
-        if not self._peer_copies:
-            return None
-        return self._peer_copies[max(self._peer_copies)]
-
-    @property
-    def step(self) -> Optional[int]:
-        return None if not self._self_copies else max(self._self_copies)
-
-    def _trim(self) -> None:
-        for copies in (self._self_copies, self._peer_copies):
-            while len(copies) > self.HISTORY_DEPTH:
-                copies.pop(min(copies))
-
-    def refresh(self, comm: Comm, arrays: Dict[str, np.ndarray], step: int) -> None:
-        """Collective: snapshot ``arrays`` at boundary ``step`` and
-        exchange buddy copies around the ring."""
-        for key in self.REQUIRED_KEYS:
-            if key not in arrays:
-                raise ValueError(f"buddy snapshot needs array {key!r}")
-        mass = np.asarray(arrays["mass"], dtype=np.float64)
-        mom = np.asarray(arrays["mom"], dtype=np.float64)
-        mp = mass[:, None] * mom if len(mass) else np.zeros((0, 3))
-        totals = comm.allreduce(
-            np.array(
-                [
-                    float(len(mass)),
-                    float(mass.sum()),
-                    *mp.sum(axis=0),
-                    float(np.abs(mp).sum()),
-                ]
-            ),
-            op="sum",
-        )
-        reference = {
-            "count": int(round(totals[0])),
-            "mass": float(totals[1]),
-            "momentum": totals[2:5].copy(),
-            "mom_scale": float(totals[5]),
+        #: held rank files by role (the fault plan's flip targets), each
+        #: ``boundary step -> file``, oldest first.  A file is a dict:
+        #: ``arrays``/``meta`` (the payload), ``checksums``, ``entry``
+        #: (its manifest entry), ``owner`` (world rank) and ``size``
+        #: (the writer's rank count); a buddy copy adds ``received``,
+        #: the digests recomputed the moment it arrived.
+        self.copies: Dict[str, Dict[int, Dict[str, Any]]] = {
+            "self_copy": {},
+            "peer_copy": {},
         }
-        copies = {k: np.array(arrays[k], copy=True) for k in arrays}
-        snap = BuddySnapshot(
-            owner_world_rank=comm.world_rank,
-            step=int(step),
-            epoch=comm.epoch,
-            arrays=copies,
-            checksums={k: _digest(a) for k, a in copies.items()},
-            reference=reference,
-        )
-        self._self_copies[snap.step] = snap
-        self._trim()
+
+    def newest(self, role: str) -> Optional[Dict[str, Any]]:
+        """The newest held file of ``role`` (None before the first)."""
+        held = self.copies[role]
+        return held[max(held)] if held else None
+
+    def _keep(self, role: str, step: int, held: Dict[str, Any]) -> None:
+        copies = self.copies[role]
+        copies[int(step)] = held
+        while len(copies) > self.HISTORY_DEPTH:
+            copies.pop(min(copies))
+
+    def refresh(self, comm: Comm, payload, step: int) -> None:
+        """Collective: freeze the rank-file ``payload`` ``(arrays, meta)``
+        at boundary ``step`` and exchange buddy copies around the ring."""
+        arrays, meta = payload
+        entry = {"rank": comm.rank, **_ckpt.rank_totals(arrays)}
+        arrays = {k: np.array(a, copy=True) for k, a in arrays.items()}
+        own = {
+            "owner": comm.world_rank,
+            "size": comm.size,
+            "arrays": arrays,
+            "meta": dict(meta),
+            "checksums": {k: _digest(a) for k, a in arrays.items()},
+            "entry": entry,
+        }
+        self._keep("self_copy", step, own)
         if comm.size == 1:
-            self._peer_copies.clear()
+            self.copies["peer_copy"].clear()
             return
         succ = (comm.rank + 1) % comm.size
         pred = (comm.rank - 1) % comm.size
-        comm.send(snap, succ, tag=BUDDY_TAG, reliable=True)
+        # the replica leaves as an independent copy, as a real
+        # transfer's bytes would (in-process backends deliver by
+        # reference): the whole point of the copy is surviving damage
+        # to the original, and the SDC audit's vote assumes the two
+        # copies can disagree
+        replica = {
+            **own,
+            "arrays": {k: a.copy() for k, a in arrays.items()},
+            "checksums": dict(own["checksums"]),
+        }
+        comm.send(replica, succ, tag=BUDDY_TAG, reliable=True)
         got = comm.recv(pred, tag=BUDDY_TAG)
-        # in-process backends deliver by reference: materialize an
-        # independent replica, as a real network transfer would — the
-        # whole point of the copy is surviving damage to the original
-        # (and the SDC audit's attribution vote assumes the two copies
-        # can disagree)
-        got = BuddySnapshot(
-            owner_world_rank=got.owner_world_rank,
-            step=int(got.step),
-            epoch=got.epoch,
-            arrays={k: np.array(a, copy=True) for k, a in got.arrays.items()},
-            checksums=dict(got.checksums),
-            reference=dict(got.reference),
-        )
-        got.received_checksums = {k: _digest(a) for k, a in got.arrays.items()}
-        self._peer_copies[int(got.step)] = got
-        self._trim()
+        got["received"] = {k: _digest(a) for k, a in got["arrays"].items()}
+        self._keep("peer_copy", step, got)
 
     # -- recovery ---------------------------------------------------------------
 
-    def _peer_report(self) -> Dict[str, Any]:
-        return {
-            "self_steps": sorted(self._self_copies),
-            "peers": [
-                {"owner": s.owner_world_rank, "step": s.step, "valid": s.verify()}
-                for s in self._peer_copies.values()
-            ],
-        }
+    def restore_source(
+        self, comm: Comm, config, checkpoint_dir=None
+    ) -> Tuple[_ckpt.Epoch, List[str]]:
+        """Collective (on the shrunk comm): the newest epoch whose every
+        rank file resolves, as a :func:`repro.sim.checkpoint.read_checkpoint`
+        source, and the newer disk files passed over because they
+        failed their digests.
 
-    def reference_at(self, step: int) -> Dict[str, Any]:
-        """The conservation reference frozen at boundary ``step``."""
-        snap = self._self_copies.get(int(step))
-        if snap is None:
-            raise RecoveryError(f"no self snapshot at step {step}")
-        return dict(snap.reference)
-
-    def plan_recovery(
-        self, new_comm: Comm, dead_ranks: Sequence[int]
-    ) -> Tuple[bool, int, str]:
-        """Collective (on the shrunk comm): can the dead set be
-        recovered in memory, and from which boundary?
-
-        Returns ``(feasible, boundary_step, reason)`` — identical on
-        every survivor, because the verdict is a pure function of the
-        allgathered per-rank reports.  The boundary is the newest step
-        every survivor snapshotted *and* at which every dead rank's
-        block survives on a live, checksum-clean buddy; a mid-refresh
-        crash that split the ring across two boundaries resolves to the
-        older, fully-delivered one.
+        Each survivor reports the files it holds and whether they pass
+        their checksums; rank 0 walks the in-memory and on-disk epochs
+        newest first and resolves each rank file from its owner's copy,
+        else its buddy's, else the disk epoch of the same step and rank
+        count, and broadcasts the verdict.  Raises
+        :class:`RecoveryError` when no epoch resolves.
         """
-        reports = new_comm.allgather(self._peer_report())
-        if any(not r["self_steps"] for r in reports):
-            return False, -1, "a survivor holds no self snapshot"
-        common = set(reports[0]["self_steps"])
-        for r in reports[1:]:
-            common &= set(r["self_steps"])
-        if not common:
-            steps = sorted({s for r in reports for s in r["self_steps"]})
-            return False, -1, (
-                f"survivor snapshots share no boundary: {steps}"
-            )
-        dead = sorted(int(r) for r in dead_ranks)
-        reason = ""
-        for boundary in sorted(common, reverse=True):
-            covered = True
-            for d in dead:
-                holders = [
-                    p
-                    for r in reports
-                    for p in r["peers"]
-                    if p["owner"] == d and p["step"] == boundary
-                ]
-                if not holders:
-                    covered = False
-                    if not reason:
-                        reason = (
-                            f"no live buddy holds rank {d}'s block at step "
-                            f"{boundary} (owner and buddy both lost)"
-                        )
-                    break
-                if not any(p["valid"] for p in holders):
-                    covered = False
-                    if not reason:
-                        reason = (
-                            f"buddy copy of rank {d}'s block failed its checksum"
-                        )
-                    break
-            if covered:
-                return True, boundary, ""
-        return False, max(common), reason
-
-    def recovered_arrays(
-        self, dead_ranks: Sequence[int], boundary: Optional[int] = None
-    ) -> Tuple[Dict[str, np.ndarray], List[int]]:
-        """This survivor's rollback block at ``boundary`` (default: its
-        newest snapshot): its own snapshot, plus the particles of any
-        dead rank whose buddy copy *at that boundary* it holds.  Returns
-        ``(arrays, adopted_dead_ranks)``.  The first post-recovery
-        domain update redistributes everything, so *where* the adopted
-        block lands does not matter — only that exactly one survivor
-        contributes it.
-        """
-        if not self._self_copies:
-            raise RecoveryError("no self snapshot to roll back to")
-        if boundary is None:
-            boundary = max(self._self_copies)
-        own = self._self_copies.get(int(boundary))
-        if own is None:
-            raise RecoveryError(f"no self snapshot at step {boundary}")
-        if not own.verify():
-            raise RecoveryError("own rollback snapshot failed its checksum")
-        arrays = {k: a.copy() for k, a in own.arrays.items()}
-        adopted: List[int] = []
-        peer = self._peer_copies.get(int(boundary))
-        dead = {int(r) for r in dead_ranks}
-        if peer is not None and peer.owner_world_rank in dead:
-            if not peer.verify():
-                raise RecoveryError(
-                    f"buddy copy of rank {peer.owner_world_rank} failed its checksum"
-                )
-            if set(peer.arrays) != set(arrays):
-                raise RecoveryError(
-                    f"buddy copy of rank {peer.owner_world_rank} carries keys "
-                    f"{sorted(peer.arrays)}, expected {sorted(arrays)}"
-                )
-            for k in arrays:
-                arrays[k] = np.concatenate([arrays[k], peer.arrays[k]], axis=0)
-            adopted.append(peer.owner_world_rank)
-        return arrays, adopted
-
+        report = [
+            {
+                "role": role,
+                "step": step,
+                "size": held["size"],
+                "entry": held["entry"],
+                "valid": held["checksums"]
+                == {k: _digest(a) for k, a in held["arrays"].items()},
+            }
+            for role, copies in self.copies.items()
+            for step, held in copies.items()
+        ]
+        reports = comm.gather(report, root=0)
+        plan = None
+        if comm.rank == 0:
+            plan = _resolve(reports, config.config_hash(), checkpoint_dir)
+        plan = comm.bcast(plan, root=0)
+        if "error" in plan:
+            raise RecoveryError(plan["error"])
+        step = plan["step"]
+        local = {role: held[step] for role, held in self.copies.items() if step in held}
+        epoch = _ckpt.Epoch(plan["step_dir"], plan["manifest"], plan["holders"], local)
+        return epoch, plan["rejected"]
 
     # -- silent-data-corruption audit & in-place healing -------------------------
 
@@ -397,24 +263,6 @@ class BuddyStore:
             return "checksum"
         return "unrecoverable"
 
-    def _digest_reports(self):
-        own = {
-            step: {
-                "live": {k: _digest(s.arrays[k]) for k in s.arrays},
-                "frozen": dict(s.checksums),
-            }
-            for step, s in self._self_copies.items()
-        }
-        peer = {
-            step: {
-                "live": {k: _digest(s.arrays[k]) for k in s.arrays},
-                "recv": dict(s.received_checksums),
-                "shipped": dict(s.checksums),
-            }
-            for step, s in self._peer_copies.items()
-        }
-        return own, peer
-
     def snapshot_audit(self, comm: Comm) -> List[Dict[str, Any]]:
         """Collective: cross-check every retained boundary's array
         digests around the ring and *attribute* each mismatch.
@@ -431,72 +279,63 @@ class BuddyStore:
         whether :meth:`heal_in_place` can repair it from the surviving
         clean copy.
         """
-        findings: List[Dict[str, Any]] = []
-        own_report, peer_report = self._digest_reports()
-        if comm.size == 1:
-            for step, mine in sorted(own_report.items()):
-                for k in sorted(mine["live"]):
-                    if mine["live"][k] != mine["frozen"].get(k):
-                        findings.append({
-                            "step": int(step),
-                            "owner": comm.world_rank,
-                            "array": k,
-                            "role": "owner",
-                            "attribution": "owner",
-                            "healable": False,  # no replica exists
-                        })
-            return findings
-        succ = (comm.rank + 1) % comm.size
-        pred = (comm.rank - 1) % comm.size
-        comm.send(own_report, succ, tag=AUDIT_OWN_TAG, reliable=True)
-        comm.send(peer_report, pred, tag=AUDIT_PEER_TAG, reliable=True)
-        pred_own = comm.recv(pred, tag=AUDIT_OWN_TAG)
-        succ_peer = comm.recv(succ, tag=AUDIT_PEER_TAG)
+        def live(held):
+            return {k: _digest(a) for k, a in held["arrays"].items()}
 
-        def judge(step, key, owner_side, replica_side):
-            a = owner_side["live"].get(key)
-            b = owner_side["frozen"].get(key)
-            if replica_side is None:
-                return "owner" if a != b else "clean", False
-            verdict = self._attribute(
-                a,
-                b,
-                replica_side["live"].get(key),
-                replica_side["recv"].get(key),
-                replica_side["shipped"].get(key),
-            )
-            healable = verdict in ("owner", "buddy", "transport")
-            return verdict, healable
-
+        own_report = {
+            step: {"live": live(held), "frozen": dict(held["checksums"])}
+            for step, held in self.copies["self_copy"].items()
+        }
+        peer_report = {
+            step: {
+                "live": live(held),
+                "recv": dict(held["received"]),
+                "shipped": dict(held["checksums"]),
+            }
+            for step, held in self.copies["peer_copy"].items()
+        }
+        pred_own: Dict[int, Any] = {}
+        succ_peer: Dict[int, Any] = {}
+        if comm.size > 1:
+            succ = (comm.rank + 1) % comm.size
+            pred = (comm.rank - 1) % comm.size
+            comm.send(own_report, succ, tag=AUDIT_OWN_TAG, reliable=True)
+            comm.send(peer_report, pred, tag=AUDIT_PEER_TAG, reliable=True)
+            pred_own = comm.recv(pred, tag=AUDIT_OWN_TAG)
+            succ_peer = comm.recv(succ, tag=AUDIT_PEER_TAG)
         # my blocks, judged with the replica evidence from my successor
-        for step, mine in sorted(own_report.items()):
-            for k in sorted(mine["live"]):
-                verdict, healable = judge(step, k, mine, succ_peer.get(step))
+        # (none on one rank: no replica exists), then the replicas I
+        # hold, judged with my predecessor's (skipped once the owner no
+        # longer retains the boundary)
+        pairs = [
+            (step, comm.world_rank, "owner", mine, succ_peer.get(step))
+            for step, mine in sorted(own_report.items())
+        ] + [
+            (step, self.copies["peer_copy"][step]["owner"], "buddy",
+             pred_own[step], held)
+            for step, held in sorted(peer_report.items())
+            if step in pred_own
+        ]
+        findings: List[Dict[str, Any]] = []
+        for step, owner, role, owner_side, replica in pairs:
+            for k in sorted((owner_side if role == "owner" else replica)["live"]):
+                a = owner_side["live"].get(k)
+                b = owner_side["frozen"].get(k)
+                verdict = ("owner" if a != b else "clean") if replica is None else (
+                    self._attribute(
+                        a, b, replica["live"].get(k), replica["recv"].get(k),
+                        replica["shipped"].get(k),
+                    )
+                )
                 if verdict != "clean":
                     findings.append({
                         "step": int(step),
-                        "owner": comm.world_rank,
+                        "owner": owner,
                         "array": k,
-                        "role": "owner",
+                        "role": role,
                         "attribution": verdict,
-                        "healable": healable,
-                    })
-        # the replicas I hold, judged with my predecessor's evidence
-        for step, held in sorted(peer_report.items()):
-            owner_side = pred_own.get(step)
-            if owner_side is None:
-                continue  # the owner no longer retains this boundary
-            for k in sorted(held["live"]):
-                verdict, healable = judge(step, k, owner_side, held)
-                if verdict != "clean":
-                    snap = self._peer_copies[step]
-                    findings.append({
-                        "step": int(step),
-                        "owner": snap.owner_world_rank,
-                        "array": k,
-                        "role": "buddy",
-                        "attribution": verdict,
-                        "healable": healable,
+                        "healable": replica is not None
+                        and verdict in ("owner", "buddy", "transport"),
                     })
         return findings
 
@@ -518,48 +357,125 @@ class BuddyStore:
         """
         findings = [dict(f) for f in findings]
         if comm.size > 1:
-            succ = (comm.rank + 1) % comm.size
-            pred = (comm.rank - 1) % comm.size
+            # my copy of a finding's block, and the partner holding the other
+            copy_of = {
+                "owner": ("self_copy", (comm.rank + 1) % comm.size),
+                "buddy": ("peer_copy", (comm.rank - 1) % comm.size),
+            }
             order = sorted(
                 (f for f in findings if f["healable"]),
                 key=lambda f: (f["step"], f["array"], f["role"]),
             )
-            # phase 1: every clean copy leaves its holder (whose own
-            # finding merely *reports* the partner's damage — shipping
-            # the clean block is the heal it asked for)
-            for f in order:
-                step, k = f["step"], f["array"]
-                if f["role"] == "buddy" and f["attribution"] == "owner":
-                    comm.send(
-                        self._peer_copies[step].arrays[k], pred,
-                        tag=HEAL_TAG, reliable=True,
-                    )
-                    f["healed"] = True
-                elif f["role"] == "owner" and f["attribution"] in ("buddy", "transport"):
-                    comm.send(
-                        self._self_copies[step].arrays[k], succ,
-                        tag=HEAL_TAG, reliable=True,
-                    )
-                    f["healed"] = True
-            # phase 2: every damaged copy is replaced and re-verified
-            for f in order:
-                step, k = f["step"], f["array"]
-                if f["role"] == "owner" and f["attribution"] == "owner":
-                    snap = self._self_copies[step]
-                    clean = np.array(comm.recv(succ, tag=HEAL_TAG), copy=True)
-                    snap.arrays[k] = clean
-                    f["healed"] = _digest(clean) == snap.checksums.get(k)
-                elif f["role"] == "buddy" and f["attribution"] in ("buddy", "transport"):
-                    snap = self._peer_copies[step]
-                    clean = np.array(comm.recv(pred, tag=HEAL_TAG), copy=True)
-                    snap.arrays[k] = clean
-                    d = _digest(clean)
-                    snap.checksums[k] = d
-                    snap.received_checksums[k] = d
-                    f["healed"] = True
+            for phase in ("give", "take"):
+                # give: every clean copy leaves its holder (whose own
+                # finding merely *reports* the partner's damage —
+                # shipping the clean block is the heal it asked for);
+                # take: every damaged copy is replaced and re-verified
+                for f in order:
+                    damaged = (f["attribution"] == "owner") == (f["role"] == "owner")
+                    if damaged != (phase == "take"):
+                        continue
+                    role, partner = copy_of[f["role"]]
+                    held, k = self.copies[role][f["step"]], f["array"]
+                    if phase == "give":
+                        comm.send(held["arrays"][k], partner, tag=HEAL_TAG, reliable=True)
+                        f["healed"] = True
+                        continue
+                    clean = np.array(comm.recv(partner, tag=HEAL_TAG), copy=True)
+                    held["arrays"][k] = clean
+                    if role == "peer_copy":
+                        # a re-replicated block is recorded afresh
+                        held["checksums"][k] = held["received"][k] = _digest(clean)
+                    f["healed"] = _digest(clean) == held["checksums"].get(k)
         for f in findings:
             f.setdefault("healed", False)
         return findings
+
+
+def _resolve(reports, config_hash: str, checkpoint_dir) -> Dict[str, Any]:
+    """The restore plan (rank 0 of :meth:`BuddyStore.restore_source`).
+
+    ``reports[h]`` lists the files survivor ``h`` holds.  Epochs are
+    tried newest first; an epoch is one boundary step at one writer
+    rank count, so a disk epoch lends files to the in-memory epoch of
+    its step only when both were written by the same ranks holding the
+    same totals.  Returns ``{"step", "manifest", "holders",
+    "step_dir", "rejected"}`` — ``holders[r]`` is ``(role, survivor)``
+    or None for disk — or ``{"error": reason}``.
+    """
+    memory: Dict[int, Dict[str, Any]] = {}
+    for holder, rows in enumerate(reports):
+        for row in rows:
+            if not row["valid"]:
+                continue
+            epoch = memory.setdefault(row["step"], {"size": row["size"], "files": {}})
+            # self copies sort before buddy copies of the same file
+            epoch["files"].setdefault(row["entry"]["rank"], []).append(
+                (row["role"] != "self_copy", holder, row["role"], row["entry"])
+            )
+    disk: Dict[int, Tuple[Path, Dict[str, Any]]] = {}
+    for step_dir in _ckpt.list_checkpoints(checkpoint_dir) if checkpoint_dir else []:
+        try:
+            manifest = _ckpt.read_manifest(step_dir)
+        except _ckpt.CheckpointError:
+            continue  # torn: a death cut the write short
+        disk[int(manifest["schedule"]["next_step"])] = (step_dir, manifest)
+    rejected: List[str] = []
+    reason = ""
+    for step in sorted({*memory, *disk}, reverse=True):
+        mem = memory.get(step, {"size": None, "files": {}})
+        step_dir, manifest = disk.get(step, (None, None))
+        sizes = [n for n in (mem["size"], manifest and manifest["n_ranks"]) if n]
+        for n in dict.fromkeys(sizes):
+            held = {r: min(c) for r, c in mem["files"].items()} if mem["size"] == n else {}
+            lend = manifest is not None and manifest["n_ranks"] == n and all(
+                _same_totals(entry, manifest["files"][r])
+                for r, (_, _, _, entry) in held.items()
+            )
+            holders: List[Any] = []
+            for r in range(n):
+                if r in held:
+                    holders.append((held[r][2], held[r][1]))
+                    continue
+                if not lend:
+                    reason = reason or (
+                        f"no live copy of rank {r}'s file at step {step} (owner "
+                        f"and buddy both lost) and no disk epoch to lend it"
+                    )
+                    break
+                try:
+                    _ckpt.read_epoch_file(step_dir, manifest["files"][r])
+                except _ckpt.CheckpointError as exc:
+                    rejected.append(f"{step_dir.name}/{manifest['files'][r]['name']}")
+                    reason = reason or str(exc)
+                    break
+                holders.append(None)
+            else:
+                if None not in holders:
+                    entries = [held[r][3] for r in range(n)]
+                    manifest = {
+                        "version": _ckpt.CHECKPOINT_VERSION,
+                        "n_ranks": n,
+                        "steps_taken": step,
+                        "schedule": {"next_step": step},
+                        "config_hash": config_hash,
+                        "total_particles": sum(e["n_particles"] for e in entries),
+                        "files": entries,
+                    }
+                return {
+                    "step": step,
+                    "manifest": manifest,
+                    "holders": holders,
+                    "step_dir": step_dir,
+                    "rejected": rejected,
+                }
+    if not memory and not disk:
+        reason = "no epoch held in memory or on disk"
+    return {"error": f"no epoch resolves every rank file: {reason}"}
+
+
+def _same_totals(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
+    return all(a.get(k) == b.get(k) for k in ("n_particles", "mass", "momentum"))
 
 
 def shrink_after_failure(

@@ -24,7 +24,10 @@ Restore validates before touching simulation state.  With the writer's
 rank count every rank reloads its own file, so a driver that saved its
 force accumulators resumes bit for bit; with a different rank count
 (a serial checkpoint on p ranks, or the reverse) the per-rank states
-are merged in global particle-id order and re-scattered.
+are merged in global particle-id order and re-scattered.  The elastic
+runner's in-memory buddy copies hold the same rank files; an
+:class:`Epoch` resolves each file from memory or disk, so recovery
+reads through the same function.
 
 Layout::
 
@@ -72,17 +75,25 @@ __all__ = [
     "read_manifest",
     "validate_checkpoint",
     "latest_checkpoint",
-    "newest_valid_checkpoint",
     "list_checkpoints",
     "prune_checkpoints",
     "scrub_checkpoints",
     "load_distributed_checkpoint",
+    "manifest_totals",
+    "rank_totals",
+    "read_epoch_file",
+    "verify_rank_arrays",
+    "Epoch",
+    "PARTICLE_KEYS",
     "STRICT_FINITE_KEYS",
 ]
 
 CHECKPOINT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 LATEST_NAME = "LATEST"
+
+#: arrays every rank file carries, whichever driver wrote it
+PARTICLE_KEYS = ("pos", "mom", "mass", "ids")
 
 
 class CheckpointError(RuntimeError):
@@ -265,6 +276,27 @@ def _strict_finite_sweep(arrays: Dict[str, np.ndarray], path) -> None:
             ) from violation
 
 
+def verify_rank_arrays(
+    arrays: Dict[str, np.ndarray],
+    checksums: Dict[str, str],
+    where,
+    strict: bool = False,
+) -> None:
+    """Raise :class:`CheckpointError` unless ``arrays`` holds exactly
+    the recorded arrays, each matching its :func:`array_digest`; with
+    ``strict``, also finite-sweep the particle state.  The one check
+    every rank file passes on its way back in, from disk or memory."""
+    bad = sorted(set(arrays) ^ set(checksums)) or [
+        k for k, want in checksums.items() if array_digest(arrays[k]) != want
+    ]
+    if bad:
+        raise CheckpointError(
+            f"corrupt checkpoint '{where}': checksum mismatch for array '{bad[0]}'"
+        )
+    if strict:
+        _strict_finite_sweep(arrays, where)
+
+
 def read_rank_file(
     path, strict: bool = False
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
@@ -287,22 +319,42 @@ def read_rank_file(
                 )
             meta = json.loads(bytes(data["meta_json"]).decode())
             checksums = json.loads(bytes(data["checksums_json"]).decode())
-            arrays = {}
-            for name, expected in checksums.items():
-                arr = data[name]
-                if array_digest(arr) != expected:
-                    raise CheckpointError(
-                        f"corrupt checkpoint '{path}': checksum mismatch "
-                        f"for array '{name}'"
-                    )
-                arrays[name] = arr
+            arrays = {name: data[name] for name in checksums}
     except CheckpointError:
         raise
     except Exception as exc:
         raise CheckpointError(f"unreadable checkpoint rank file '{path}': {exc}") from exc
-    if strict:
-        _strict_finite_sweep(arrays, path)
+    verify_rank_arrays(arrays, checksums, path, strict=strict)
     return arrays, meta
+
+
+def rank_totals(arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
+    """A rank file's conservation totals, as its manifest entry records
+    them: particle count, Σm, Σm·p and the scale Σ|m·p|.  Raises
+    :class:`ValueError` naming the first missing :data:`PARTICLE_KEYS`
+    array."""
+    for key in PARTICLE_KEYS:
+        if key not in arrays:
+            raise ValueError(f"a rank file needs array {key!r}")
+    mass = np.asarray(arrays["mass"], dtype=np.float64)
+    mp = mass[:, None] * np.asarray(arrays["mom"], dtype=np.float64)
+    return {
+        "n_particles": len(mass),
+        "mass": float(mass.sum()),
+        "momentum": [float(x) for x in mp.sum(axis=0)],
+        "mom_scale": float(np.abs(mp).sum()),
+    }
+
+
+def manifest_totals(manifest: Dict[str, Any]) -> Dict[str, Any]:
+    """An epoch's conservation reference: its entries' totals, summed."""
+    files = manifest["files"]
+    return {
+        "count": int(manifest["total_particles"]),
+        "mass": sum(float(e["mass"]) for e in files),
+        "momentum": np.sum([e["momentum"] for e in files], axis=0),
+        "mom_scale": sum(float(e["mom_scale"]) for e in files),
+    }
 
 
 # -- manifest ------------------------------------------------------------------
@@ -366,6 +418,13 @@ def _verified_path(step_dir: Path, entry: Dict[str, Any]) -> Path:
     return path
 
 
+def read_epoch_file(step_dir, entry: Dict[str, Any]):
+    """The rank file a manifest ``entry`` of ``step_dir`` names: its
+    whole-file digest, per-array checksums and finite sweep checked;
+    returns ``(arrays, meta)``."""
+    return read_rank_file(_verified_path(Path(step_dir), entry), strict=True)
+
+
 def latest_checkpoint(ckpt_dir) -> Path:
     """Resolve the newest complete checkpoint step directory."""
     ckpt_dir = Path(ckpt_dir)
@@ -394,33 +453,6 @@ def list_checkpoints(ckpt_dir) -> List[Path]:
     if not epochs and (ckpt_dir / MANIFEST_NAME).exists():
         epochs = [ckpt_dir]
     return epochs
-
-
-def newest_valid_checkpoint(ckpt_dir) -> Path:
-    """The newest checkpoint set that passes full digest validation.
-
-    Bit-rot defense for restore: where :func:`latest_checkpoint` trusts
-    the ``LATEST`` pointer, this walks epochs newest-to-oldest and
-    returns the first one whose manifest and every rank-file digest
-    verify — so a rotted newest epoch costs one interval of progress
-    instead of the run.  Raises :class:`CheckpointError` (naming each
-    rejected epoch) when nothing validates.
-    """
-    ckpt_dir = Path(ckpt_dir)
-    candidates = list_checkpoints(ckpt_dir)
-    rejected = []
-    for step_dir in reversed(candidates):
-        try:
-            validate_checkpoint(step_dir)
-            return step_dir
-        except CheckpointError as exc:
-            rejected.append(f"{step_dir.name}: {exc}")
-    if rejected:
-        raise CheckpointError(
-            f"no valid checkpoint under '{ckpt_dir}'; rejected "
-            + "; ".join(rejected)
-        )
-    raise CheckpointError(f"no checkpoints found under '{ckpt_dir}'")
 
 
 def prune_checkpoints(ckpt_dir, keep_last: int) -> List[Path]:
@@ -524,31 +556,24 @@ def load_distributed_checkpoint(
     """
     step_dir = Path(step_dir)
     manifest = validate_checkpoint(step_dir) if verify else read_manifest(step_dir)
-    pos: List[np.ndarray] = []
-    mom: List[np.ndarray] = []
-    mass: List[np.ndarray] = []
-    ids: List[np.ndarray] = []
-    for entry in manifest["files"]:
-        arrays, _meta = read_rank_file(step_dir / entry["name"], strict=strict)
-        pos.append(arrays["pos"])
-        mom.append(arrays["mom"])
-        mass.append(arrays["mass"])
-        ids.append(arrays["ids"])
-    all_ids = np.concatenate(ids)
-    order = np.argsort(all_ids, kind="stable")
-    merged = {
-        "pos": np.vstack(pos)[order],
-        "mom": np.vstack(mom)[order],
-        "mass": np.concatenate(mass)[order],
-        "ids": all_ids[order],
-        "manifest": manifest,
-    }
-    if len(merged["ids"]) != manifest["total_particles"]:
+    files = [
+        read_rank_file(step_dir / entry["name"], strict=strict)[0]
+        for entry in manifest["files"]
+    ]
+    return {**_merge(files, manifest, step_dir), "manifest": manifest}
+
+
+def _merge(files: List[Dict[str, np.ndarray]], manifest, where) -> Dict[str, np.ndarray]:
+    """One epoch's rank files as global particle-id-ordered
+    :data:`PARTICLE_KEYS` arrays, checked against the manifest count."""
+    ids = np.concatenate([f["ids"] for f in files])
+    if len(ids) != manifest["total_particles"]:
         raise CheckpointError(
-            f"checkpoint '{step_dir}' holds {len(merged['ids'])} particles, "
+            f"checkpoint '{where}' holds {len(ids)} particles, "
             f"manifest says {manifest['total_particles']}"
         )
-    return merged
+    order = np.argsort(ids, kind="stable")
+    return {k: np.concatenate([f[k] for f in files])[order] for k in PARTICLE_KEYS}
 
 
 # -- the collective writer and reader ------------------------------------------
@@ -571,7 +596,8 @@ def write_checkpoint(
 
     Every rank writes its ``arrays``/``meta`` as an atomic, checksummed
     rank file; rank 0 then writes the manifest (with every file's
-    digest, ``time``, ``schedule`` and the ``extra`` entries — a
+    digest and :func:`rank_totals`, ``time``, ``schedule`` and the
+    ``extra`` entries — a
     diagnostic dump records its violation there) and flips the
     ``LATEST`` pointer — in that order, so an interrupted checkpoint
     can never be mistaken for a complete one.  The step directory is
@@ -587,6 +613,7 @@ def write_checkpoint(
     is left behind, and the ``LATEST`` pointer still names the last
     complete set.
     """
+    totals = rank_totals(arrays)
     ckpt_dir = Path(ckpt_dir)
     schedule = {"next_step": int(steps_taken), **(schedule or {})}
     step_name = step_dirname(int(schedule["next_step"]))
@@ -623,7 +650,7 @@ def write_checkpoint(
         write_error = str(exc)
     entries = comm.gather(
         {"rank": comm.rank, "name": name, "sha256": digest,
-         "n_particles": len(arrays["pos"]), "error": write_error},
+         "error": write_error, **totals},
         root=0,
     )
     verdict = None
@@ -666,43 +693,93 @@ def write_checkpoint(
     return step_dir
 
 
+#: message tag of a held rank file on its way to the rank reloading it
+RESTORE_TAG = -25
+
+
+class Epoch:
+    """One checkpoint epoch as :func:`read_checkpoint` reads it.
+
+    Rank file ``r`` comes from disk when ``holders[r]`` is None, else
+    from the memory of rank ``holders[r][1]`` of the reading
+    communicator — the in-memory tier
+    (:class:`repro.mpi.recovery.BuddyStore`), where ``local`` maps a
+    role ``holders[r][0]`` to the file this rank holds: the payload
+    ``arrays``/``meta`` with its ``checksums``.  A bare step directory
+    is the epoch with every file on disk.
+    """
+
+    def __init__(self, step_dir=None, manifest=None, holders=None, local=None):
+        self.step_dir = None if step_dir is None else Path(step_dir)
+        self.manifest = manifest or read_manifest(self.step_dir)
+        self.holders = holders or [None] * int(self.manifest["n_ranks"])
+        self.local = local or {}
+        schedule = self.manifest["schedule"]
+        self.step = int(schedule.get("next_step", self.manifest["steps_taken"]))
+        self.from_disk = None in self.holders
+        self.where = self.step_dir if self.from_disk else f"in-memory epoch {self.step}"
+
+    def deliver(self, comm, dest) -> List[Tuple[Dict[str, np.ndarray], Dict[str, Any]]]:
+        """Collective: the verified ``(arrays, meta)`` of every rank file
+        ``r`` with ``dest[r] == comm.rank``, in file order.  Held files
+        are shipped first (the transports do not block on send), and
+        each arrives checked as a disk read is."""
+        dest = list(dest)
+        for r, holder in enumerate(self.holders):
+            if holder and holder[1] == comm.rank and dest[r] != comm.rank:
+                comm.send(self.local[holder[0]], dest[r], tag=RESTORE_TAG, reliable=True)
+        out = []
+        for r, holder in enumerate(self.holders):
+            if dest[r] != comm.rank:
+                continue
+            if holder is None:
+                out.append(read_epoch_file(self.step_dir, self.manifest["files"][r]))
+                continue
+            role, h = holder
+            held = self.local[role] if h == comm.rank else comm.recv(h, tag=RESTORE_TAG)
+            arrays = {k: np.array(a, copy=True) for k, a in held["arrays"].items()}
+            verify_rank_arrays(arrays, held["checksums"], self.where, strict=True)
+            out.append((arrays, dict(held["meta"])))
+        return out
+
+
 def read_checkpoint(
-    comm, step_dir, config
+    comm, source, config
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any], Dict[str, Any]]:
     """Load this rank's share of a checkpoint epoch (collective over
     ``comm``); returns ``(arrays, meta, manifest)``.
 
-    Refuses an epoch written by a different physics configuration.
-    With the writer's rank count each rank reads back its own file, as
-    written.  Otherwise rank 0 merges the validated set in global
-    particle-id order and scatters contiguous slices of ``pos``/``mom``/
-    ``mass``/``ids``; ``meta`` is then empty, as no per-rank driver
-    state survives a change of rank count.  Either way the particle
-    state is finite-swept (:data:`STRICT_FINITE_KEYS`): a state written
+    ``source`` is a step directory or an :class:`Epoch`.  Refuses an
+    epoch written by a different physics configuration.  With the writer's
+    rank count each rank reads back its own file, as written.
+    Otherwise rank 0 merges the set in global particle-id order and
+    scatters contiguous slices of ``pos``/``mom``/``mass``/``ids``;
+    ``meta`` is then empty, as no per-rank driver state survives a
+    change of rank count.  Either way every file passes its checksums
+    and a finite sweep (:data:`STRICT_FINITE_KEYS`): a state written
     corrupted checksums perfectly, and must not resume silently.
     """
-    step_dir = Path(step_dir)
-    manifest = read_manifest(step_dir)
+    if not isinstance(source, Epoch):
+        source = Epoch(source)
+    manifest = source.manifest
     want = config.config_hash()
     if manifest["config_hash"] != want:
         raise CheckpointError(
-            f"checkpoint '{step_dir}' was written by a different "
+            f"checkpoint '{source.where}' was written by a different "
             f"configuration (hash {manifest['config_hash'][:12]}..., "
             f"ours {want[:12]}...)"
         )
-    if int(manifest["n_ranks"]) == comm.size:
-        path = _verified_path(step_dir, manifest["files"][comm.rank])
-        arrays, meta = read_rank_file(path, strict=True)
+    n = int(manifest["n_ranks"])
+    if n == comm.size:
+        ((arrays, meta),) = source.deliver(comm, range(n))
         return arrays, meta, manifest
+    files = source.deliver(comm, [0] * n)
     chunks = None
     if comm.rank == 0:
-        merged = load_distributed_checkpoint(step_dir, strict=True)
-        n = len(merged["ids"])
+        merged = _merge([arrays for arrays, _ in files], manifest, source.where)
+        m = len(merged["ids"])
         chunks = [
-            {
-                k: merged[k][n * r // comm.size : n * (r + 1) // comm.size]
-                for k in ("pos", "mom", "mass", "ids")
-            }
+            {k: a[m * r // comm.size : m * (r + 1) // comm.size] for k, a in merged.items()}
             for r in range(comm.size)
         ]
     return comm.scatter(chunks, root=0), {}, manifest

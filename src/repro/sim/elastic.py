@@ -6,20 +6,20 @@ in the recovery state machine of :mod:`repro.mpi.recovery`:
 .. code-block:: text
 
    detect ──> consensus ──> restore ──> re-decompose ──> validate ──> continue
-   (PeerFailure/     (survivor vote:   (buddy copy,      (multisection   (count/mass/
-    CommTimeout       dead set + new    else disk         over the        momentum sweep
-    from any           epoch)           checkpoint)       survivor set)   gates the run)
-    collective)
+   (PeerFailure/     (survivor vote:   (one reader:      (multisection   (count/mass/
+    CommTimeout       dead set + new    each rank file    over the        momentum vs
+    from any           epoch)           from memory,      survivor set)   the manifest)
+    collective)                         else disk)
 
 Detection costs nothing extra: the existing timeout/watchdog machinery
 already converts a dead or wedged peer into an exception on every
-survivor.  The runner catches it, joins the consensus round, restores
-the last buddy boundary (every survivor rolls back; the dead rank's
-block is adopted by its ring buddy), rebuilds the simulation over the
-shrunk communicator — the sampling multisection decomposition
-re-bootstraps at the new rank count on the next step — and re-executes
-from the boundary.  Only when a rank *and* its buddy died together does
-recovery fall back to the newest complete disk checkpoint.
+survivor.  The runner catches it, joins the consensus round and
+restores the newest epoch whose every rank file resolves — from its
+owner's in-memory copy, its ring buddy's, or the disk checkpoint —
+through the same reader a disk resume uses.  With no deaths every rank
+reloads its own payload and the replay is bit for bit; after a shrink
+rank 0 merges the files and re-scatters them, and the sampling
+multisection decomposition re-bootstraps at the new rank count.
 
 Elastic jobs should run with a finite ``recv_timeout``: a survivor
 blocked on a rank that already entered the consensus round escapes its
@@ -52,7 +52,7 @@ from repro.mpi.health import (
 )
 from repro.mpi.recovery import BuddyStore, RecoveryError, RecoveryEvent, shrink_after_failure
 from repro.sim import checkpoint as _ckpt
-from repro.sim.checkpoint import CheckpointError, CheckpointSpaceError
+from repro.sim.checkpoint import CheckpointSpaceError
 from repro.sim.parallel import ParallelSimulation, _launch_spmd
 from repro.validate import (
     InvariantViolation,
@@ -104,14 +104,14 @@ class ElasticRunner:
     buddy_every:
         Buddy-replication cadence K: the in-memory rollback boundary is
         refreshed every K completed steps.  A failure replays at most K
-        steps; each refresh ships one full particle-block copy to the
+        steps; each refresh ships this rank's checkpoint payload to the
         ring buddy.
     checkpoint_dir, checkpoint_every, keep_last:
         Disk checkpointing and retention, as for
         :meth:`ParallelSimulation.run`.  When a directory is given, an
-        initial checkpoint is written at the starting boundary so the
-        disk-fallback path always has a complete set to restore, even
-        for failures before the first cadence point.
+        initial checkpoint is written at the starting boundary so disk
+        can lend a rank file lost from memory even for failures before
+        the first cadence point.
     consensus_timeout:
         Seconds a survivor waits for the consensus round to seal before
         declaring the job lost.
@@ -190,12 +190,8 @@ class ElasticRunner:
 
     # -- pieces ------------------------------------------------------------------
 
-    def _particle_arrays(self):
-        s = self.sim
-        return {"pos": s.pos, "mom": s.mom, "mass": s.mass, "ids": s.ids}
-
     def _refresh_buddy(self, boundary: int) -> None:
-        self.buddy.refresh(self.comm, self._particle_arrays(), boundary)
+        self.buddy.refresh(self.comm, self.sim.checkpoint_payload(), boundary)
 
     def _health_tick(
         self, step: int, work_seconds: float, wall_seconds: float, n_steps: int
@@ -323,26 +319,26 @@ class ElasticRunner:
                 step=self.sim.steps_taken, rank=self.comm.world_rank,
             )
 
-    def _inject_state_faults(self, step: int) -> None:
+    def _inject_state_faults(self, step: int, targets) -> None:
         """Apply the fault plan's SDC events keyed on the just-completed
-        step: bit flips in the live particle arrays and in the frozen
-        buddy-store copies.  Test machinery — a no-op without a plan."""
+        ``step`` to ``targets``: ``"live"`` (the particle arrays, hit
+        before the boundary is audited and frozen) or a buddy-store
+        role (its newest held file, hit once the boundary is frozen).
+        Test machinery — a no-op without a plan."""
         plan = getattr(self.comm, "fault_plan", None)
         if plan is None or plan.empty:
             return
-        wr = self.comm.world_rank
-        apply_scheduled_flips(
-            plan, wr, step, self._particle_arrays(), target="live"
-        )
-        for target, store in (
-            ("self_copy", self.buddy._self_copies),
-            ("peer_copy", self.buddy._peer_copies),
-        ):
-            if not store:
-                continue
-            newest = max(store)
+        s = self.sim
+        for target in targets:
+            if target == "live":
+                arrays = {"pos": s.pos, "mom": s.mom, "mass": s.mass, "ids": s.ids}
+            else:
+                held = self.buddy.newest(target)
+                if held is None:
+                    continue
+                arrays = held["arrays"]
             apply_scheduled_flips(
-                plan, wr, step, store[newest].arrays, target=target
+                plan, self.comm.world_rank, step, arrays, target=target
             )
 
     def _inject_rot(self, step: int) -> None:
@@ -365,11 +361,12 @@ class ElasticRunner:
                     path, nbits=ev.nbits, seed=(plan.seed, ev.rank, ev.step)
                 )
 
-    def _sweep(self, reference, boundary: int) -> None:
+    def _sweep(self, source) -> None:
         """Post-recovery validation sweep (collective): the restored
-        global totals must match the rollback boundary's reference.
-        A violation is raised on every rank — recovery does not count
-        as successful until the restored state proves consistent."""
+        global totals must match the totals the restored epoch's
+        manifest recorded when it was frozen.  A violation is raised on
+        every rank — recovery does not count as successful until the
+        restored state proves consistent."""
         s = self.sim
         mp = s.mass[:, None] * s.mom if len(s.mass) else np.zeros((0, 3))
         totals = self.comm.allreduce(
@@ -380,8 +377,8 @@ class ElasticRunner:
             int(round(totals[0])),
             float(totals[1]),
             totals[2:5],
-            reference,
-            step=boundary,
+            _ckpt.manifest_totals(source.manifest),
+            step=source.step,
             rank=self.comm.rank,
         )
         if violation is not None:
@@ -429,67 +426,27 @@ class ElasticRunner:
             else self.sim.config
         )
 
-        feasible, boundary, reason = self.buddy.plan_recovery(new_comm, dead)
-        if feasible:
-            arrays, adopted = self.buddy.recovered_arrays(dead, boundary)
-            self.sim = ParallelSimulation(
-                new_comm,
-                config,
-                arrays["pos"],
-                arrays["mom"],
-                arrays["mass"],
-                stepper=self.stepper,
-                ids=arrays["ids"],
+        # one reader: the newest epoch whose every rank file resolves
+        # from memory (owner, then buddy) or disk
+        source, rejected = self.buddy.restore_source(
+            new_comm, config, self.checkpoint_dir
+        )
+        if rejected:
+            # a newer disk file failed digest validation: on-disk
+            # bit-rot, healed by restoring an epoch that verifies
+            self.sdc.record(
+                "checkpoint", failed_step, self.comm.world_rank,
+                f"{', '.join(rejected)} failed digest validation; "
+                f"restored step {source.step}",
+                {"array": rejected[0], "attribution": "disk"},
+                healed=True,
             )
-            self.sim.steps_taken = boundary
-            mode = "buddy" if dead else "rollback"
-            detail = (
-                f"adopted rank(s) {adopted} from buddy copies" if adopted else ""
-            )
-            # the sweep validates against the conservation totals frozen
-            # at the *chosen* boundary (which may be one refresh behind
-            # this rank's newest snapshot after a mid-refresh death)
-            reference = self.buddy.reference_at(boundary)
-        else:
-            # disk fallback: owner and buddy both died (or no consistent
-            # in-memory boundary exists)
-            if self.checkpoint_dir is None:
-                raise RecoveryError(
-                    f"in-memory recovery impossible ({reason}) and no "
-                    f"checkpoint directory configured"
-                )
-            try:
-                step_dir = _ckpt.newest_valid_checkpoint(self.checkpoint_dir)
-            except CheckpointError as ckpt_exc:
-                raise RecoveryError(
-                    f"in-memory recovery impossible ({reason}) and no "
-                    f"valid disk checkpoint found: {ckpt_exc}"
-                ) from ckpt_exc
-            try:
-                pointed = _ckpt.latest_checkpoint(self.checkpoint_dir)
-            except CheckpointError:
-                pointed = None
-            if pointed is not None and Path(pointed) != Path(step_dir):
-                # the LATEST epoch failed digest validation: on-disk
-                # bit-rot, healed by falling back an interval
-                self.sdc.record(
-                    "checkpoint", failed_step, self.comm.world_rank,
-                    f"epoch {Path(pointed).name} failed digest validation; "
-                    f"restored {Path(step_dir).name}",
-                    {"array": Path(pointed).name, "attribution": "disk"},
-                    healed=True,
-                )
-            manifest = _ckpt.read_manifest(step_dir)
-            self.sim = ParallelSimulation.restore(
-                new_comm, config, step_dir, stepper=self.stepper
-            )
-            boundary = self.sim.steps_taken
-            mode = "disk"
-            detail = f"restored {step_dir} ({reason})"
-            reference = {"count": int(manifest["total_particles"])}
-
+        self.sim = ParallelSimulation.restore(
+            new_comm, config, source, stepper=self.stepper
+        )
+        boundary = source.step
         self._arm_sdc()
-        self._sweep(reference, boundary)
+        self._sweep(source)
         self._unrestored = []
         # re-arm replication on the new communicator at the restored
         # boundary, so a follow-up failure rolls back here, not further
@@ -500,11 +457,13 @@ class ElasticRunner:
                 epoch=epoch,
                 dead_ranks=tuple(dead),
                 n_survivors=new_comm.size,
-                mode=mode,
+                mode="disk" if source.from_disk else (
+                    "buddy" if dead else "rollback"
+                ),
                 resumed_step=boundary,
                 failed_step=failed_step,
                 duration=time.perf_counter() - t0,
-                detail=detail,
+                detail=f"restored {source.where}",
                 trigger=trigger,
             )
         )
@@ -568,7 +527,7 @@ class ElasticRunner:
                 wait_seconds = self.sim.wait_seconds() - wait0
                 work_seconds = max(wall_seconds - wait_seconds, 1e-9)
                 i += 1
-                self._inject_state_faults(i)
+                self._inject_state_faults(i, ("live",))
                 if self.guard.runs("straggler"):
                     self._health_tick(i, work_seconds, wall_seconds, n_steps)
                 # degraded mode stretches the audit/checkpoint cadence
@@ -580,11 +539,18 @@ class ElasticRunner:
                 refresh_due = (
                     (i - first_step) % self.buddy_every == 0 and i < n_steps
                 )
-                # the fingerprint guards every replication boundary (not
-                # just audit steps): a boundary whose conserved arrays
-                # don't fingerprint-clean must never be frozen, or a
-                # later rollback would "restore" corrupted state
-                if audit_due or (refresh_due and self.sdc.enabled):
+                checkpoint_due = bool(self.checkpoint_every) and (
+                    (i - first_step) % (self.checkpoint_every * stretch) == 0
+                    or i == n_steps
+                )
+                # the fingerprint guards every boundary an epoch freezes,
+                # in memory or on disk (not just audit steps): one whose
+                # conserved arrays don't fingerprint-clean must never be
+                # frozen, or a later restore would "recover" corrupted
+                # state
+                if audit_due or (
+                    (refresh_due or checkpoint_due) and self.sdc.enabled
+                ):
                     found = [
                         self.sdc.fingerprint_audit(
                             self.comm, self.sim.ids, self.sim.mass, step=i
@@ -593,13 +559,11 @@ class ElasticRunner:
                     if audit_due:
                         found.append(self.sdc.spot_check(self.sim.tree, step=i))
                     self._route_sdc([ev for ev in found if ev is not None])
-                if self.checkpoint_every and (
-                    (i - first_step) % (self.checkpoint_every * stretch) == 0
-                    or i == n_steps
-                ):
+                if checkpoint_due:
                     self._checkpoint_step(i, schedule)
                 if refresh_due:
                     self._refresh_buddy(i)
+                self._inject_state_faults(i, self.buddy.copies)
                 if audit_due and i < n_steps and not self.degrade.skip_derived:
                     # the snapshot audit is the non-essential derived
                     # output the degraded mode sheds; the fingerprint

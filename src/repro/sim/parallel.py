@@ -440,25 +440,13 @@ class ParallelSimulation:
 
     # -- checkpoint / restore -----------------------------------------------------
 
-    def checkpoint(
-        self,
-        checkpoint_dir,
-        schedule: Optional[Dict[str, Any]] = None,
-        extra: Optional[Dict[str, Any]] = None,
-        time: Optional[float] = None,
-        keep_last: int = 0,
-    ):
-        """Write a checkpoint epoch of this rank's state (collective)
-        through :func:`repro.sim.checkpoint.write_checkpoint`, pruning
-        all but the newest ``keep_last`` epochs when > 0; returns the
-        step directory.
-
-        Besides the particles every rank saves what its next step
-        depends on — force accumulators, the boundary moving-average
-        history, the decomposer's step counter — so a same-rank-count
-        restore is bit for bit.  On a disk shortfall every rank raises
-        :class:`repro.sim.checkpoint.CheckpointSpaceError` together.
-        """
+    def checkpoint_payload(self):
+        """This rank's rank-file payload ``(arrays, meta)``: besides the
+        particles, what its next step depends on — force accumulators,
+        the boundary moving-average history, the decomposer's step
+        counter — so reloading it on the same rank count replays bit
+        for bit.  Disk epochs and the in-memory buddy ring hold the
+        same payload (the arrays alias live state; holders copy)."""
         history = self.decomposer._history._history
         decomp_flat = self.decomp.flatten()
         arrays = {
@@ -488,6 +476,24 @@ class ParallelSimulation:
             "has_pp_acc": self._pp_acc is not None,
             "has_pm_acc": self._pm_acc is not None,
         }
+        return arrays, meta
+
+    def checkpoint(
+        self,
+        checkpoint_dir,
+        schedule: Optional[Dict[str, Any]] = None,
+        extra: Optional[Dict[str, Any]] = None,
+        time: Optional[float] = None,
+        keep_last: int = 0,
+    ):
+        """Write :meth:`checkpoint_payload` as a checkpoint epoch
+        (collective) through :func:`repro.sim.checkpoint.write_checkpoint`,
+        pruning all but the newest ``keep_last`` epochs when > 0;
+        returns the step directory.  On a disk shortfall every rank
+        raises :class:`repro.sim.checkpoint.CheckpointSpaceError`
+        together.
+        """
+        arrays, meta = self.checkpoint_payload()
         return _ckpt.write_checkpoint(
             self.comm, checkpoint_dir, self.config, arrays, meta,
             self.steps_taken, schedule=schedule, time=time, extra=extra,
@@ -495,25 +501,37 @@ class ParallelSimulation:
         )
 
     @classmethod
-    def restore(cls, comm, config: SimulationConfig, step_dir, stepper=None):
+    def restore(cls, comm, config: SimulationConfig, source, stepper=None):
         """Rebuild per-rank state from a checkpoint epoch (collective).
 
-        Every driver's checkpoint is accepted
+        ``source`` is a step directory or an in-memory epoch; every
+        driver's checkpoint is accepted
         (:func:`repro.sim.checkpoint.read_checkpoint`).  When the epoch
         was written by this driver on ``comm.size`` ranks, each rank
-        also reloads its force accumulators and boundary history, so
-        the resumed trajectory is bit-for-bit identical to an
-        uninterrupted run.  Otherwise (another rank count, or a serial
-        checkpoint) the id-ordered particle state arrives re-scattered
-        and the decomposition and forces bootstrap afresh on the first
-        step.
+        reloads its whole payload (:meth:`from_payload`), so the
+        resumed trajectory is bit-for-bit identical to an uninterrupted
+        run.  Otherwise (another rank count, or a serial checkpoint)
+        the id-ordered particle state arrives re-scattered and the
+        decomposition and forces bootstrap afresh on the first step.
         """
-        arrays, meta, manifest = _ckpt.read_checkpoint(comm, step_dir, config)
+        arrays, meta, manifest = _ckpt.read_checkpoint(comm, source, config)
+        return cls.from_payload(
+            comm, config, arrays, meta, int(manifest["steps_taken"]), stepper
+        )
+
+    @classmethod
+    def from_payload(
+        cls, comm, config: SimulationConfig, arrays, meta, steps_taken: int,
+        stepper=None,
+    ):
+        """The simulation a :meth:`checkpoint_payload` describes; a
+        payload of particles alone (a merged epoch) leaves the driver
+        state to bootstrap."""
         sim = cls(
             comm, config, arrays["pos"], arrays["mom"], arrays["mass"],
             stepper=stepper, ids=arrays["ids"],
         )
-        sim.steps_taken = int(manifest["steps_taken"])
+        sim.steps_taken = int(steps_taken)
         if "decomp" not in arrays:
             return sim
         sim._pp_cost = float(meta["pp_cost"])

@@ -272,10 +272,6 @@ class Octree:
     def n_particles(self) -> int:
         return len(self.pos_sorted)
 
-    def node_bounding_radius(self, idx) -> np.ndarray:
-        """Radius of the sphere circumscribing node cube(s)."""
-        return self.node_half[idx] * np.sqrt(3.0)
-
     def leaves(self) -> np.ndarray:
         """Indices of all leaf nodes."""
         return np.flatnonzero(self.node_is_leaf)

@@ -382,16 +382,16 @@ def check_recovery_totals(
     rank: Optional[int] = None,
 ) -> Optional[InvariantViolation]:
     """Post-recovery sweep: restored global totals must match the
-    conservation reference frozen at the rollback boundary.
+    conservation reference of the restored epoch's manifest
+    (:func:`repro.sim.checkpoint.manifest_totals`).
 
-    ``reference`` carries any of ``count`` (exact match required),
-    ``mass`` (relative), ``momentum`` with its ``mom_scale`` (absolute
-    per component, relative to the sum of ``|m p|`` magnitudes — the
+    ``reference`` carries ``count`` (exact match required), ``mass``
+    (relative) and ``momentum`` with its ``mom_scale`` (absolute per
+    component, relative to the sum of ``|m p|`` magnitudes — the
     restored arrays are bit-identical copies, so only summation
-    reassociation may move the totals).  Missing reference keys are
-    skipped, which lets the disk-fallback path check count only.
+    reassociation may move the totals).
     """
-    if "count" in reference and int(count) != int(reference["count"]):
+    if int(count) != int(reference["count"]):
         return InvariantViolation(
             f"recovered particle count {int(count)} != reference "
             f"{int(reference['count'])}",
@@ -401,35 +401,33 @@ def check_recovery_totals(
             rank=rank,
             stats={"count": int(count), "reference": int(reference["count"])},
         )
-    if "mass" in reference:
-        want = float(reference["mass"])
-        diff = abs(float(mass) - want)
-        if not np.isfinite(diff) or diff > rel_tol * max(abs(want), 1.0e-300):
-            return InvariantViolation(
-                f"recovered total mass {float(mass):.17g} differs from "
-                f"reference {want:.17g} by {diff:.6g}",
-                check="recovery_totals",
-                stage=stage,
-                step=step,
-                rank=rank,
-                stats={"mass": float(mass), "reference": want},
-            )
-    if "momentum" in reference:
-        ref_p = np.asarray(reference["momentum"], dtype=np.float64)
-        got_p = np.asarray(momentum, dtype=np.float64)
-        scale = max(float(reference.get("mom_scale", 0.0)), 1.0e-300)
-        diff = float(np.max(np.abs(got_p - ref_p), initial=0.0))
-        if not np.isfinite(diff) or diff > rel_tol * scale:
-            return InvariantViolation(
-                f"recovered total momentum {got_p.tolist()} differs from "
-                f"reference {ref_p.tolist()} by {diff:.6g} "
-                f"(tolerance {rel_tol * scale:.6g})",
-                check="recovery_totals",
-                stage=stage,
-                step=step,
-                rank=rank,
-                stats={"momentum": got_p.tolist(), "reference": ref_p.tolist()},
-            )
+    want = float(reference["mass"])
+    diff = abs(float(mass) - want)
+    if not np.isfinite(diff) or diff > rel_tol * max(abs(want), 1.0e-300):
+        return InvariantViolation(
+            f"recovered total mass {float(mass):.17g} differs from "
+            f"reference {want:.17g} by {diff:.6g}",
+            check="recovery_totals",
+            stage=stage,
+            step=step,
+            rank=rank,
+            stats={"mass": float(mass), "reference": want},
+        )
+    ref_p = np.asarray(reference["momentum"], dtype=np.float64)
+    got_p = np.asarray(momentum, dtype=np.float64)
+    scale = max(float(reference["mom_scale"]), 1.0e-300)
+    diff = float(np.max(np.abs(got_p - ref_p), initial=0.0))
+    if not np.isfinite(diff) or diff > rel_tol * scale:
+        return InvariantViolation(
+            f"recovered total momentum {got_p.tolist()} differs from "
+            f"reference {ref_p.tolist()} by {diff:.6g} "
+            f"(tolerance {rel_tol * scale:.6g})",
+            check="recovery_totals",
+            stage=stage,
+            step=step,
+            rank=rank,
+            stats={"momentum": got_p.tolist(), "reference": ref_p.tolist()},
+        )
     return None
 
 

@@ -5,9 +5,12 @@ alarm is the backstop against hangs."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.config import SimulationConfig
 from repro.decomp.multisection import divisions_for_ranks
 from repro.mpi.faults import (
     CommTimeout,
@@ -18,6 +21,7 @@ from repro.mpi.faults import (
 )
 from repro.mpi.recovery import BuddyStore, RecoveryError, shrink_after_failure
 from repro.mpi.runtime import MPIRuntime
+from repro.sim.checkpoint import CheckpointError, read_checkpoint, verify_rank_arrays
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(90)]
 
@@ -126,6 +130,26 @@ class TestPeerFailureSurfacing:
         results, _ = elastic_run(2, fn)
         assert results[1] == 41
 
+    def test_released_barrier_survives_a_later_death(self):
+        # every rank arrived, so the barrier held; a rank that leaves it
+        # first and dies at once must not turn the others' still-waking
+        # wait into a PeerFailure (the death is the next operation's)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def fn(comm):
+                for _ in range(20):
+                    comm.barrier()
+                if comm.rank == 0:
+                    raise InjectedFault("down right after the barrier")
+                return "held"
+
+            results, rt = elastic_run(8, fn)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rt.dead_ranks == [0]
+        assert results[1:] == ["held"] * 7
+
     def test_all_ranks_dead_is_an_error(self):
         def fn(comm):
             raise InjectedFault("everyone down")
@@ -159,32 +183,42 @@ class TestEpochs:
 
 
 class TestBuddyStore:
+    """The buddy ring holds checkpoint rank files; recovery reads them
+    through the one checkpoint reader."""
+
+    CONFIG = SimulationConfig()
+
     @staticmethod
-    def _arrays(rank, n=5):
+    def _payload(rank, n=5):
         rng = np.random.default_rng(rank)
-        return {
+        arrays = {
             "pos": rng.random((n, 3)),
             "mom": rng.normal(size=(n, 3)),
             "mass": np.full(n, 0.125),
             "ids": np.arange(rank * n, (rank + 1) * n),
         }
+        return arrays, {"rank": rank}
 
     def test_ring_refresh(self):
         def fn(comm):
             store = BuddyStore()
-            store.refresh(comm, self._arrays(comm.rank), step=3)
-            assert store.self_copy.owner_world_rank == comm.world_rank
-            assert store.step == 3
-            assert store.self_copy.verify()
-            peer = store.peer_copy
-            assert peer.owner_world_rank == (comm.rank - 1) % comm.size
-            assert peer.verify()
+            store.refresh(comm, self._payload(comm.rank), step=3)
+            assert list(store.copies["self_copy"]) == [3]
+            own = store.newest("self_copy")
+            assert own["owner"] == comm.world_rank
+            verify_rank_arrays(own["arrays"], own["checksums"], "self")
+            peer = store.newest("peer_copy")
+            assert peer["owner"] == (comm.rank - 1) % comm.size
+            verify_rank_arrays(peer["arrays"], peer["checksums"], "peer")
+            assert peer["received"] == peer["checksums"]
+            assert peer["meta"] == {"rank": peer["owner"]}
             np.testing.assert_array_equal(
-                peer.arrays["ids"], self._arrays(peer.owner_world_rank)["ids"]
+                peer["arrays"]["ids"], self._payload(peer["owner"])[0]["ids"]
             )
-            ref = store.self_copy.reference
-            assert ref["count"] == 5 * comm.size
-            assert ref["mass"] == pytest.approx(0.125 * 5 * comm.size)
+            # the manifest entry write_checkpoint would record
+            assert own["entry"]["rank"] == comm.rank
+            assert own["entry"]["n_particles"] == 5
+            assert own["entry"]["mass"] == pytest.approx(0.625)
             return True
 
         results, _ = elastic_run(3, fn)
@@ -193,8 +227,10 @@ class TestBuddyStore:
     def test_single_rank_has_no_peer(self):
         def fn(comm):
             store = BuddyStore()
-            store.refresh(comm, self._arrays(0), step=0)
-            return store.peer_copy is None and store.self_copy is not None
+            store.refresh(comm, self._payload(0), step=0)
+            return store.newest("peer_copy") is None and list(
+                store.copies["self_copy"]
+            ) == [0]
 
         results, _ = elastic_run(1, fn)
         assert results == [True]
@@ -203,7 +239,7 @@ class TestBuddyStore:
         def fn(comm):
             store = BuddyStore()
             with pytest.raises(ValueError, match="mom"):
-                store.refresh(comm, {"pos": np.zeros((1, 3))}, step=0)
+                store.refresh(comm, ({"pos": np.zeros((1, 3))}, {}), step=0)
             return True
 
         results, _ = elastic_run(1, fn)
@@ -212,40 +248,40 @@ class TestBuddyStore:
     def test_checksum_detects_tampering(self):
         def fn(comm):
             store = BuddyStore()
-            store.refresh(comm, self._arrays(comm.rank), step=1)
-            store.peer_copy.arrays["mass"][0] += 1.0
-            return store.peer_copy.verify()
+            store.refresh(comm, self._payload(comm.rank), step=1)
+            peer = store.newest("peer_copy")
+            peer["arrays"]["mass"][0] += 1.0
+            with pytest.raises(CheckpointError, match="mass"):
+                verify_rank_arrays(peer["arrays"], peer["checksums"], "peer")
+            return True
 
         results, _ = elastic_run(2, fn)
-        assert results == [False, False]
+        assert results == [True, True]
 
     def test_plan_and_recover_covers_dead_rank(self):
         def fn(comm):
-            if comm.rank == 1:
-                store = BuddyStore()
-                store.refresh(comm, self._arrays(1), step=2)
-                raise InjectedFault("down")
             store = BuddyStore()
-            store.refresh(comm, self._arrays(comm.rank), step=2)
+            store.refresh(comm, self._payload(comm.rank), step=2)
+            if comm.rank == 1:
+                raise InjectedFault("down")
             try:
                 comm.barrier()
             except (PeerFailure, CommTimeout):
                 pass
             new_comm, dead, _ = shrink_after_failure(comm, timeout=10.0)
-            feasible, boundary, reason = store.plan_recovery(new_comm, dead)
-            assert feasible, reason
-            assert boundary == 2
-            arrays, adopted = store.recovered_arrays(dead)
-            # rank 2 was rank 1's ring buddy: it adopts the dead block
-            if comm.world_rank == 2:
-                assert adopted == [1]
-                assert len(arrays["ids"]) == 10
-                assert set(self._arrays(1)["ids"]) <= set(arrays["ids"])
-            else:
-                assert adopted == []
-                assert len(arrays["ids"]) == 5
-            total = new_comm.allreduce(len(arrays["ids"]))
-            assert total == 15  # nothing lost, nothing duplicated
+            source, rejected = store.restore_source(new_comm, self.CONFIG)
+            assert source.step == 2 and not source.from_disk and not rejected
+            # rank 2 holds rank 1's file (ring successor); every file
+            # is resolved from memory, owner copies first
+            assert source.holders == [
+                ("self_copy", 0), ("peer_copy", 1), ("self_copy", 1)
+            ]
+            arrays, meta, manifest = read_checkpoint(new_comm, source, self.CONFIG)
+            assert meta == {}  # merged and re-scattered over 2 ranks
+            assert manifest["total_particles"] == 15
+            ids = np.concatenate(new_comm.allgather(arrays["ids"]))
+            # nothing lost, nothing duplicated
+            np.testing.assert_array_equal(np.sort(ids), np.arange(15))
             return True
 
         results, rt = elastic_run(3, fn)
@@ -260,7 +296,7 @@ class TestBuddyStore:
                 # death (its feeder's message racing the death mark) —
                 # the elastic loop treats that exactly like a failed
                 # barrier, and so does this test
-                store.refresh(comm, self._arrays(comm.rank), step=1)
+                store.refresh(comm, self._payload(comm.rank), step=1)
                 if comm.rank in (1, 2):  # rank 2 is rank 1's buddy
                     raise InjectedFault("down")
                 comm.barrier()
@@ -268,18 +304,21 @@ class TestBuddyStore:
                 pass
             new_comm, dead, _ = shrink_after_failure(comm, timeout=10.0)
             assert sorted(dead) == [1, 2]
-            feasible, _, reason = store.plan_recovery(new_comm, dead)
-            assert not feasible
-            assert "both lost" in reason
+            with pytest.raises(RecoveryError, match="both lost"):
+                store.restore_source(new_comm, self.CONFIG)
             return True
 
         results, _ = elastic_run(4, fn)
         assert results[0] and results[3]
 
-    def test_recovered_arrays_without_snapshot_raises(self):
-        store = BuddyStore()
-        with pytest.raises(RecoveryError, match="no self snapshot"):
-            store.recovered_arrays([1])
+    def test_restore_without_snapshot_raises(self):
+        def fn(comm):
+            with pytest.raises(RecoveryError, match="no epoch"):
+                BuddyStore().restore_source(comm, self.CONFIG)
+            return True
+
+        results, _ = elastic_run(1, fn)
+        assert results == [True]
 
 
 class TestReliableTransport:

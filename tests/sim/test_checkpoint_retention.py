@@ -1,7 +1,8 @@
 """Checkpoint retention and at-rest integrity: ``prune_checkpoints``
 (keep the newest N epochs, never the one ``LATEST`` names),
 ``scrub_checkpoints`` (full digest re-verification of every retained
-epoch), ``newest_valid_checkpoint`` (restore-time bit-rot skip) and the
+epoch), the restore-time bit-rot skip of the one restore path
+(``BuddyStore.restore_source`` over a checkpoint directory) and the
 ``keep_last`` wiring through the distributed checkpoint writer."""
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from repro.config import (
     SimulationConfig,
     TreePMConfig,
 )
+from repro.mpi.backend import SelfComm
 from repro.mpi.faults import flip_file_bits
+from repro.mpi.recovery import BuddyStore, RecoveryError
 from repro.sim import checkpoint as _ckpt
-from repro.sim.checkpoint import CheckpointError
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -51,6 +53,12 @@ def _make_epoch(root, step, n_ranks=1, point_latest=True):
     if point_latest:
         _ckpt.update_latest(root, step_dir.name)
     return step_dir
+
+
+def _restore_source(root):
+    """The epoch a recovery with nothing in memory restores from
+    ``root``, and the newer disk files it passed over."""
+    return BuddyStore().restore_source(SelfComm(), SimulationConfig(), root)
 
 
 class TestPrune:
@@ -113,8 +121,9 @@ class TestScrubAndNewestValid:
             tmp_path / "step_00002" / _ckpt.rank_filename(0, 1),
             nbits=1, seed=2,
         )
-        good = _ckpt.newest_valid_checkpoint(tmp_path)
-        assert good.name == "step_00001"
+        good, rejected = _restore_source(tmp_path)
+        assert good.step_dir.name == "step_00001" and good.from_disk
+        assert rejected == ["step_00002/" + _ckpt.rank_filename(0, 1)]
 
     def test_newest_valid_raises_when_all_rotted(self, tmp_path):
         _make_epoch(tmp_path, 0)
@@ -122,8 +131,8 @@ class TestScrubAndNewestValid:
             tmp_path / "step_00000" / _ckpt.rank_filename(0, 1),
             nbits=1, seed=2,
         )
-        with pytest.raises(CheckpointError, match="step_00000"):
-            _ckpt.newest_valid_checkpoint(tmp_path)
+        with pytest.raises(RecoveryError, match="step_00000"):
+            _restore_source(tmp_path)
 
     def test_scrub_empty_dir(self, tmp_path):
         assert _ckpt.scrub_checkpoints(tmp_path) == []

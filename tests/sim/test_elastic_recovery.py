@@ -16,12 +16,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import DomainConfig, PMConfig, SimulationConfig, TreePMConfig
+from repro.config import (
+    DomainConfig,
+    PMConfig,
+    SimulationConfig,
+    TreePMConfig,
+    ValidationConfig,
+)
 from repro.mpi.faults import CommTimeout, FaultPlan
 from repro.mpi.recovery import BuddyStore, RecoveryError
 from repro.sim import checkpoint as _ckpt
-from repro.sim.elastic import config_for_ranks, run_elastic_simulation
+from repro.sim.elastic import (
+    ElasticRunner,
+    config_for_ranks,
+    run_elastic_simulation,
+)
 from repro.sim.parallel import run_parallel_simulation
+from repro.validate import InvariantViolation
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(300)]
 
@@ -125,6 +136,72 @@ class TestElasticRecovery:
         assert all(r.sim.steps_taken == N_STEPS for r in live)
         _assert_conserved(pos, mom, mass, p, m, w)
 
+    def test_disk_restore_is_swept_against_manifest_totals(
+        self, tmp_path, monkeypatch
+    ):
+        """A rank file rewritten with one mass changed passes every
+        digest (per-array and whole-file); the post-recovery sweep must
+        still stop it, because the manifest's Σm disagrees."""
+        write = ElasticRunner._checkpoint_step
+
+        def tamper(runner, step, schedule, inject_rot=True):
+            write(runner, step, schedule, inject_rot)
+            if step == 2 and runner.comm.rank == 0:
+                step_dir = tmp_path / _ckpt.step_dirname(step)
+                manifest = _ckpt.read_manifest(step_dir)
+                entry = manifest["files"][1]
+                arrays, meta = _ckpt.read_rank_file(step_dir / entry["name"])
+                arrays["mass"][0] *= 2.0
+                entry["sha256"] = _ckpt.write_rank_file(
+                    step_dir / entry["name"], arrays, meta
+                )
+                _ckpt.write_manifest(step_dir, manifest)
+
+        monkeypatch.setattr(ElasticRunner, "_checkpoint_step", tamper)
+        pos, mom, mass = _system()
+        with pytest.raises(RuntimeError) as info:
+            run_elastic_simulation(
+                _cfg(4), pos, mom, mass, 0.0, T_END, N_STEPS,
+                fault_plan=FaultPlan().kill_rank(1, 2).kill_rank(2, 2),
+                recv_timeout=3.0, buddy_every=1,
+                checkpoint_dir=tmp_path, checkpoint_every=1,
+            )
+        errors = getattr(info.value, "rank_errors", {})
+        assert any(
+            isinstance(e, InvariantViolation) and e.check == "recovery_totals"
+            and "mass" in str(e)
+            for e in errors.values()
+        ), errors
+
+    def test_memory_and_disk_resolve_the_same_bits(self, tmp_path):
+        """One reader: a dead rank's file resolved from its buddy's
+        memory and the same file resolved from disk (the buddy copy
+        flipped, unaudited) restore the same state, bit for bit."""
+        pos, mom, mass = _system()
+        cfg = _cfg().with_(
+            validation=ValidationConfig(overrides={"sdc": "off"})
+        )
+        kill = FaultPlan().kill_rank(1, 2)
+        finals = {}
+        for case, plan in (
+            ("buddy", kill),
+            ("disk", FaultPlan().kill_rank(1, 2).flip_bits(
+                2, "mass", step=2, target="peer_copy"
+            )),
+        ):
+            p, m, _, runners, _ = run_elastic_simulation(
+                cfg, pos, mom, mass, 0.0, T_END, N_STEPS,
+                fault_plan=plan, recv_timeout=3.0, buddy_every=1,
+                checkpoint_dir=tmp_path / case, checkpoint_every=1,
+            )
+            live = [r for r in runners if r is not None]
+            for r in live:
+                (event,) = r.events
+                assert event.mode == case and event.resumed_step == 2
+            finals[case] = p, m
+        np.testing.assert_array_equal(finals["disk"][0], finals["buddy"][0])
+        np.testing.assert_array_equal(finals["disk"][1], finals["buddy"][1])
+
     def test_failed_recovery_attempt_keeps_its_dead_ranks(self, monkeypatch):
         """A recovery attempt that fails after the shrink (here a
         timeout in its first collective; on real processes also a second
@@ -132,16 +209,16 @@ class TestElasticRecovery:
         round, which reports no *new* deaths.  The retry must still
         restore the rank the failed attempt had sealed, on the shrunk
         decomposition."""
-        original = BuddyStore.plan_recovery
+        original = BuddyStore.restore_source
         failed_once = set()
 
-        def flaky(store, new_comm, dead):
+        def flaky(store, new_comm, *args):
             if id(store) not in failed_once:
                 failed_once.add(id(store))
                 raise CommTimeout("injected: the first attempt times out")
-            return original(store, new_comm, dead)
+            return original(store, new_comm, *args)
 
-        monkeypatch.setattr(BuddyStore, "plan_recovery", flaky)
+        monkeypatch.setattr(BuddyStore, "restore_source", flaky)
         pos, mom, mass = _system()
         p, m, w, runners, runtime = run_elastic_simulation(
             _cfg(), pos, mom, mass, 0.0, T_END, N_STEPS,

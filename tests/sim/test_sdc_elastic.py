@@ -21,7 +21,9 @@ from repro.config import (
     TreePMConfig,
     ValidationConfig,
 )
+from repro.mpi.backend import SelfComm
 from repro.mpi.faults import FaultPlan
+from repro.mpi.recovery import BuddyStore
 from repro.sim import checkpoint as _ckpt
 from repro.sim.elastic import run_elastic_simulation
 from repro.validate import InvariantViolation, InvariantWarning
@@ -172,6 +174,44 @@ class TestLiveFlipRollback:
             assert r.events == []
 
 
+class TestRollbackBitwise:
+    """A same-rank-count rollback reloads every rank's checkpoint
+    payload (force accumulators and decomposer state included) through
+    the reader a same-count disk resume uses, so the healed run replays
+    the fault-free trajectory bit for bit."""
+
+    STEPS = 5
+
+    def _final(self, plan, backend="thread"):
+        pos, mom, mass = _system()
+        p, m, _, runners, _ = run_elastic_simulation(
+            _cfg(), pos, mom, mass, 0.0, T_END, self.STEPS,
+            fault_plan=plan, buddy_every=1, recv_timeout=10.0,
+            backend=backend,
+        )
+        return p, m, runners
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_live_flip_rollback_matches_fault_free_run(self, step):
+        p0, m0, _ = self._final(None)
+        plan = FaultPlan(seed=1).flip_bits(0, "mass", step=step, target="live")
+        p1, m1, runners = self._final(plan)
+        for r in runners:
+            assert [e.mode for e in r.events] == ["rollback"]
+            assert r.events[0].resumed_step == step - 1
+        np.testing.assert_array_equal(p1, p0)
+        np.testing.assert_array_equal(m1, m0)
+
+    def test_multiprocess_rollback_matches_fault_free_run(self):
+        p0, m0, _ = self._final(None, backend="multiprocess")
+        plan = FaultPlan(seed=1).flip_bits(0, "mass", step=2, target="live")
+        p1, m1, reports = self._final(plan, backend="multiprocess")
+        for r in reports:
+            assert [e.mode for e in r.events] == ["rollback"]
+        np.testing.assert_array_equal(p1, p0)
+        np.testing.assert_array_equal(m1, m0)
+
+
 class TestKillAnywhereSdcProperty:
     """A single bit flip — any detectable array, any copy, any step —
     must be detected within one audit interval and healed, and the run
@@ -224,8 +264,8 @@ class TestCheckpointRotMatrix:
         assert len(bad) == 1
         assert "step_00002" in str(bad[0]["step_dir"])
         # restore-time defense: the rotted epoch is skipped
-        good = _ckpt.newest_valid_checkpoint(tmp_path)
-        assert "step_00002" not in str(good)
+        good, _ = BuddyStore().restore_source(SelfComm(), _cfg(1), tmp_path)
+        assert "step_00002" not in str(good.step_dir)
 
     def test_rot_disk_fallback_restores_older_epoch(self, tmp_path):
         # rot the final epoch, then force a disk restore by also
