@@ -220,8 +220,18 @@ def _ensure_builtins() -> None:
 
 
 def _copy(obj: Any) -> Any:
+    """``obj`` with every array leaf copied, also inside lists, tuples
+    and dicts (the walk of :func:`_array_bytes`): what a receiver reads
+    never changes when its sender later writes to its own arrays."""
     if isinstance(obj, np.ndarray):
         return obj.copy()
+    if isinstance(obj, list):
+        return [_copy(item) for item in obj]
+    if isinstance(obj, tuple):
+        items = [_copy(item) for item in obj]
+        return type(obj)(*items) if hasattr(obj, "_fields") else tuple(items)
+    if isinstance(obj, dict):
+        return {k: _copy(v) for k, v in obj.items()}
     return obj
 
 

@@ -47,6 +47,11 @@ __all__ = ["Comm", "Request", "CommAborted", "CommTimeout", "PeerFailure"]
 
 _POLL_SECONDS = 0.05
 
+#: put into the queue of a receive whose source died or gave up on the
+#: communicator (voted in a consensus round), so the receive sees the
+#: failure now, not at its next poll
+_WAKE = object()
+
 #: retry caps of the "reliable" transport path (per individual call);
 #: the per-rank, per-step total is bounded by ``_JobControl.retry_budget``.
 _RELIABLE_SEND_RETRIES = 3
@@ -89,6 +94,8 @@ class _JobControl:
         self.abort_reason: Optional[str] = None
         self.abort_origin: Optional[int] = None
         self._blocked: Dict[int, Tuple[str, str, float]] = {}
+        #: world rank -> (queue, source world rank) of a blocked receive
+        self._wake: Dict[int, Tuple[Any, int]] = {}
         self._barriers: List[threading.Barrier] = []
         self._event_seq: Dict[Any, int] = {}
         # -- elastic recovery state (see repro.mpi.recovery) ------------------
@@ -140,9 +147,17 @@ class _JobControl:
             self.dead_ranks.add(int(world_rank))
             self.dead_errors[int(world_rank)] = exc
             barriers = list(self._barriers)
+            self._wake_receivers_from(int(world_rank))
             self._cond.notify_all()
         for b in barriers:
             b.abort()
+
+    def _wake_receivers_from(self, world_rank: int) -> None:
+        """Wake every rank blocked receiving from ``world_rank``, which
+        will send nothing more (caller holds the lock)."""
+        for q, source in self._wake.values():
+            if source == world_rank:
+                q.put(_WAKE)
 
     def new_dead(self, known: frozenset) -> frozenset:
         """Dead world ranks not in ``known`` (snapshot under the lock)."""
@@ -200,6 +215,7 @@ class _JobControl:
             rnd = self.epoch + 1
             votes = self._consensus_votes.setdefault(rnd, set())
             votes.add(int(world_rank))
+            self._wake_receivers_from(int(world_rank))
             self._cond.notify_all()
             while True:
                 cached = self._consensus_result.get(rnd)
@@ -262,16 +278,25 @@ class _JobControl:
 
     # -- watch board (who is blocked where, for the watchdog) -----------------
 
-    def block(self, world_rank: int, op: str, detail: str) -> bool:
-        if not self.watching:
+    def block(self, world_rank: int, op: str, detail: str, wake=None) -> bool:
+        """Register a blocked rank.  In an elastic job ``wake`` is the
+        ``(queue, source world rank)`` of a receive: the source's death
+        or consensus vote puts a wake token into the queue.  ``True``
+        when the caller must :meth:`unblock`."""
+        wake = wake if self.elastic else None
+        if not self.watching and wake is None:
             return False
         with self._lock:
-            self._blocked[world_rank] = (op, detail, time.monotonic())
+            if self.watching:
+                self._blocked[world_rank] = (op, detail, time.monotonic())
+            if wake is not None:
+                self._wake[world_rank] = wake
         return True
 
     def unblock(self, world_rank: int) -> None:
         with self._lock:
             self._blocked.pop(world_rank, None)
+            self._wake.pop(world_rank, None)
 
     def oldest_blocked(self) -> Optional[Tuple[int, str, str, float]]:
         """(world_rank, op, detail, since) of the longest-blocked rank."""
@@ -625,7 +650,9 @@ class Comm(CollectiveComm):
         me_w = st.world_ranks[self._rank]
         src_w = st.world_ranks[source]
         op = self._current_op or "recv"
-        registered = ctl.block(me_w, op, f"from rank {src_w}, tag {tag}")
+        registered = ctl.block(
+            me_w, op, f"from rank {src_w}, tag {tag}", wake=(q, src_w)
+        )
         self._wait_enter()
         try:
             while True:
@@ -635,7 +662,7 @@ class Comm(CollectiveComm):
                 # spuriously lose e.g. its buddy copy to a PeerFailure
                 # raised while the data sat in its queue)
                 try:
-                    got_epoch, got_tag, payload = q.get_nowait()
+                    item = q.get_nowait()
                 except _queue.Empty:
                     if ctl.abort_event.is_set():
                         raise CommAborted(self._abort_reason("peer rank failed"))
@@ -653,9 +680,12 @@ class Comm(CollectiveComm):
                             op=op,
                         )
                     try:
-                        got_epoch, got_tag, payload = q.get(timeout=_POLL_SECONDS)
+                        item = q.get(timeout=_POLL_SECONDS)
                     except _queue.Empty:
                         continue
+                if item is _WAKE:
+                    continue
+                got_epoch, got_tag, payload = item
                 if got_epoch != st.epoch:
                     self.stale_rejected += 1
                     continue
@@ -697,9 +727,12 @@ class Comm(CollectiveComm):
         q = st.queues[self.rank][source]
         while True:
             try:
-                got_epoch, got_tag, payload = q.get_nowait()
+                item = q.get_nowait()
             except _queue.Empty:
                 return False, None
+            if item is _WAKE:
+                continue
+            got_epoch, got_tag, payload = item
             if got_epoch != st.epoch:
                 self.stale_rejected += 1
                 continue

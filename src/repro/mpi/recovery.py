@@ -176,17 +176,7 @@ class BuddyStore:
             return
         succ = (comm.rank + 1) % comm.size
         pred = (comm.rank - 1) % comm.size
-        # the replica leaves as an independent copy, as a real
-        # transfer's bytes would (in-process backends deliver by
-        # reference): the whole point of the copy is surviving damage
-        # to the original, and the SDC audit's vote assumes the two
-        # copies can disagree
-        replica = {
-            **own,
-            "arrays": {k: a.copy() for k, a in arrays.items()},
-            "checksums": dict(own["checksums"]),
-        }
-        comm.send(replica, succ, tag=BUDDY_TAG, reliable=True)
+        comm.send(own, succ, tag=BUDDY_TAG, reliable=True)
         got = comm.recv(pred, tag=BUDDY_TAG)
         got["received"] = {k: _digest(a) for k, a in got["arrays"].items()}
         self._keep("peer_copy", step, got)

@@ -71,6 +71,32 @@ class TestPointToPoint:
         out = run_spmd(2, fn)
         np.testing.assert_array_equal(out[1], np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "wrap, unwrap",
+        [
+            (lambda a: {"a": a}, lambda got: got["a"]),
+            (lambda a: [0, [a]], lambda got: got[1][0]),
+            (lambda a: ("x", a), lambda got: got[1]),
+        ],
+        ids=["dict", "list", "tuple"],
+    )
+    def test_send_copies_arrays_inside_containers(self, wrap, unwrap):
+        """An array nested in a payload is copied too: the sender
+        writing to it after ``send`` leaves the receiver's value alone."""
+
+        def fn(comm):
+            if comm.rank == 0:
+                a = np.zeros(4)
+                comm.send(wrap(a), dest=1)
+                a[:] = 99.0
+                comm.barrier()
+                return None
+            comm.barrier()
+            return unwrap(comm.recv(0))
+
+        out = run_spmd(2, fn)
+        np.testing.assert_array_equal(out[1], np.zeros(4))
+
     def test_tag_mismatch_raises(self):
         def fn(comm):
             if comm.rank == 0:

@@ -6,10 +6,12 @@ alarm is the backstop against hangs."""
 from __future__ import annotations
 
 import sys
+import time
 
 import numpy as np
 import pytest
 
+import repro.mpi.comm as comm_mod
 from repro.config import SimulationConfig
 from repro.decomp.multisection import divisions_for_ranks
 from repro.mpi.faults import (
@@ -116,6 +118,66 @@ class TestPeerFailureSurfacing:
 
         results, _ = elastic_run(3, fn)
         assert results[0] == results[2] == "survived"
+
+    def test_death_wakes_a_blocked_recv_at_once(self, monkeypatch):
+        # with a 10 s poll, only the death's wake token can end the wait
+        # in time
+        monkeypatch.setattr(comm_mod, "_POLL_SECONDS", 10.0)
+        died = []
+
+        def fn(comm):
+            if comm.rank == 1:
+                time.sleep(0.2)  # let rank 0 block in its receive
+                died.append(time.monotonic())
+                raise InjectedFault("down")
+            with pytest.raises(PeerFailure):
+                comm.recv(1, timeout=30.0)
+            return time.monotonic()
+
+        results, _ = elastic_run(2, fn, recv_timeout=30.0)
+        assert results[0] - died[0] < 2.0
+
+    def test_peer_that_gives_up_wakes_its_receivers(self, monkeypatch):
+        # rank 0 waits on live rank 1, which waits on rank 2; rank 2
+        # dies, rank 1 turns to a consensus round, and its vote must end
+        # rank 0's wait at once
+        monkeypatch.setattr(comm_mod, "_POLL_SECONDS", 10.0)
+        died = []
+
+        def fn(comm):
+            if comm.rank == 2:
+                time.sleep(0.2)
+                died.append(time.monotonic())
+                raise InjectedFault("down")
+            with pytest.raises(PeerFailure):
+                comm.recv(comm.rank + 1, timeout=30.0)
+            failed = time.monotonic()
+            shrink_after_failure(comm, timeout=30.0)
+            return failed
+
+        results, _ = elastic_run(3, fn, recv_timeout=30.0)
+        assert max(results[:2]) - died[0] < 2.0
+
+    def test_stale_wake_token_is_dropped(self):
+        # a token left behind by a wake the receive did not need is
+        # neither delivered nor a tag mismatch
+        def fn(comm):
+            if comm.rank == 1:
+                comm.send("a", 0, tag=3)
+                comm.send("b", 0, tag=4)
+                return None
+            q = comm._state.queues[0][1]
+            q.put(comm_mod._WAKE)
+            first = comm.recv(1, tag=3)
+            q.put(comm_mod._WAKE)
+            req = comm.irecv(1, tag=4)
+            done, second = req.test()
+            while not done:
+                done, second = req.test()
+            return first, second
+
+        results, _ = elastic_run(2, fn)
+        assert results[0] == ("a", "b")
 
     def test_delivered_message_wins_over_death_mark(self):
         # a message already in the queue must be received even if the
