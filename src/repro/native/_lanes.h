@@ -79,6 +79,8 @@ typedef int64_t FN(vm_w);
 #define V_LANE(v, l) (v)
 #define V_SQRT(x) sqrt(x)
 #define V_RINT(x) rint(x)
+#define V_MAX(a, b) ((a) > (b) ? (a) : (b))
+#define V_MIN(a, b) ((a) < (b) ? (a) : (b))
 #define V_NE(a, b) (-(int64_t)((a) != (b)))
 #define V_GT(a, b) (-(int64_t)((a) > (b)))
 #define V_GE(a, b) (-(int64_t)((a) >= (b)))
@@ -97,6 +99,10 @@ typedef int64_t FN(vm_w) __attribute__((vector_size(8 * LANES)));
 #define V_LANE(v, l) ((v)[l])
 #define V_SQRT(x) ((vd)_mm256_sqrt_pd((__m256d)(x)))
 #define V_RINT(x) ((vd)_mm256_round_pd((__m256d)(x), _MM_FROUND_CUR_DIRECTION))
+/* maxpd/minpd return the second operand unless the first compares
+ * greater/less: the one-lane ternaries exactly */
+#define V_MAX(a, b) ((vd)_mm256_max_pd((__m256d)(a), (__m256d)(b)))
+#define V_MIN(a, b) ((vd)_mm256_min_pd((__m256d)(a), (__m256d)(b)))
 #define V_NE(a, b) ((a) != (b))
 #define V_GT(a, b) ((a) > (b))
 #define V_GE(a, b) ((a) >= (b))
@@ -121,6 +127,8 @@ typedef int64_t FN(vm_w) __attribute__((vector_size(8 * LANES)));
 #undef V_LANE
 #undef V_SQRT
 #undef V_RINT
+#undef V_MAX
+#undef V_MIN
 #undef V_NE
 #undef V_GT
 #undef V_GE

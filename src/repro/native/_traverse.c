@@ -5,7 +5,8 @@
  * tested against the group when its *parent* is opened: both tree
  * builders append the children of a node as one contiguous run of ids,
  * so a run loads from the structure-of-arrays copy of the node table
- * (x | y | z | half, `soa_stride` doubles each, zero padded) LANES
+ * (com x | y | z, half, bmin x | y | z, bmax x | y | z: `soa_stride`
+ * doubles each, zero padded) LANES
  * siblings at a time, one per SIMD lane.  Only nodes to open enter the
  * FIFO.
  *
@@ -26,8 +27,23 @@
  *   s     = rint(dx / box) * box;  dx -= s        (periodic only)
  *   dist  = sqrt((dx0*dx0 + dx2*dx2) + dx1*dx1)   (einsum pair order)
  *   gap   = dist - gr
- *   keep  = gap - half*sqrt3 <= rcut              (when rcut active)
  *   accept = keep && gap > 0 && 2*half < theta*gap
+ *
+ * and, with a force split (use_rcut), the box cull of box_gap2 in
+ * repro.tree.traversal, per axis between a node's box [lo, hi] and the
+ * group node's box [glo, ghi]:
+ *
+ *   d     = max(lo - ghi, glo - hi)
+ *   d     = min(d, box - (max(hi, ghi) - min(lo, glo)))   (periodic only)
+ *   d     = max(d, 0)
+ *   keep  = (d0*d0 + d1*d1) + d2*d2 <= rc*rc,   rc = rcut * (1 + 1e-9)
+ *           && gap - half*sqrt3 <= rcut           (the older sphere cull)
+ *   near  = the same test with lo = hi = com
+ *
+ * An accepted node is listed only when it is near, a kept leaf is
+ * dumped whole and a kept internal node is opened.  The S2 factor is
+ * exactly zero past rcut, so every entry the cull drops would have
+ * added +/-0 to every target of the group.
  *
  * The image round is skipped for a batch in which every lane has
  * |dx| <= box/2 in all components: the correctly rounded dx / box is
@@ -54,13 +70,28 @@
 
 #include "_lanes.h"
 
+/* One axis of the box-to-box gap: how far [lo, hi] lies from [glo, ghi],
+ * the short way round a periodic box, 0 when they overlap. */
+V_ATTR static inline vd FN(axis_gap_w)(vd lo, vd hi, vd glo, vd ghi,
+                                       int periodic, vd vbox)
+{
+    vd gap = V_MAX(lo - ghi, glo - hi);
+    if (periodic)
+        gap = V_MIN(gap, vbox - (V_MAX(hi, ghi) - V_MIN(lo, glo)));
+    return V_MAX(gap, V_SET1(0.0));
+}
+
 V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
 {
     const double *cx = node_soa, *cy = cx + soa_stride, *cz = cy + soa_stride;
     const double *hf = cz + soa_stride;
+    const double *lx = hf + soa_stride, *ly = lx + soa_stride, *lz = ly + soa_stride;
+    const double *ux = lz + soa_stride, *uy = ux + soa_stride, *uz = uy + soa_stride;
     const double sqrt3 = sqrt(3.0);
+    const double rc = rcut * (1.0 + 1e-9);
     const vd vbox = V_SET1(box), hb = V_SET1(0.5 * box), nhb = V_SET1(-0.5 * box);
     const vd vsqrt3 = V_SET1(sqrt3), vrcut = V_SET1(rcut), zero = V_SET1(0.0);
+    const vd vrc2 = V_SET1(rc * rc);
     const vd two = V_SET1(2.0), vtheta = V_SET1(theta);
     const int want_shift = periodic && part_shift != 0;
     int64_t np_count = 0, nn_count = 0, visited = 0;
@@ -72,14 +103,17 @@ V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
         const vd gc1 = V_SET1(node_center[3 * g + 1]);
         const vd gc2 = V_SET1(node_center[3 * g + 2]);
         const vd gr = V_SET1(hf[g] * sqrt3);
+        const vd gl0 = V_SET1(lx[g]), gl1 = V_SET1(ly[g]), gl2 = V_SET1(lz[g]);
+        const vd gu0 = V_SET1(ux[g]), gu1 = V_SET1(uy[g]), gu2 = V_SET1(uz[g]);
         int64_t head = 0, tail = 0;
         int64_t first = 0, cnt = 1; /* every group starts at the root */
         for (;;) {
             visited += cnt;
             for (int64_t k = first; k < first + cnt; k += LANES) {
-                vd dx0 = V_LOAD(cx + k) - gc0;
-                vd dx1 = V_LOAD(cy + k) - gc1;
-                vd dx2 = V_LOAD(cz + k) - gc2;
+                const vd px = V_LOAD(cx + k), py = V_LOAD(cy + k), pz = V_LOAD(cz + k);
+                vd dx0 = px - gc0;
+                vd dx1 = py - gc1;
+                vd dx2 = pz - gc2;
                 double sh[3][LANES];
                 if (periodic) {
                     vm far = V_GT(dx0, hb) | V_LT(dx0, nhb) | V_GT(dx1, hb) |
@@ -101,15 +135,29 @@ V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
                 vd dist = V_SQRT((dx0 * dx0 + dx2 * dx2) + dx1 * dx1);
                 vd half = V_LOAD(hf + k);
                 vd gap = dist - gr;
-                int keep = (1 << LANES) - 1;
-                if (use_rcut)
-                    keep = V_BITS(V_LE(gap - half * vsqrt3, vrcut));
+                int keep = (1 << LANES) - 1, near = keep;
+                if (use_rcut) {
+                    vd d0 = FN(axis_gap_w)(V_LOAD(lx + k), V_LOAD(ux + k),
+                                           gl0, gu0, periodic, vbox);
+                    vd d1 = FN(axis_gap_w)(V_LOAD(ly + k), V_LOAD(uy + k),
+                                           gl1, gu1, periodic, vbox);
+                    vd d2 = FN(axis_gap_w)(V_LOAD(lz + k), V_LOAD(uz + k),
+                                           gl2, gu2, periodic, vbox);
+                    keep = V_BITS(V_LE(gap - half * vsqrt3, vrcut)) &
+                           V_BITS(V_LE((d0 * d0 + d1 * d1) + d2 * d2, vrc2));
+                    d0 = FN(axis_gap_w)(px, px, gl0, gu0, periodic, vbox);
+                    d1 = FN(axis_gap_w)(py, py, gl1, gu1, periodic, vbox);
+                    d2 = FN(axis_gap_w)(pz, pz, gl2, gu2, periodic, vbox);
+                    near = V_BITS(V_LE((d0 * d0 + d1 * d1) + d2 * d2, vrc2));
+                }
                 int accept = keep & V_BITS(V_GT(gap, zero)) &
                              V_BITS(V_LT(two * half, vtheta * gap));
                 int64_t n = first + cnt - k < LANES ? first + cnt - k : LANES;
                 for (int l = 0; l < n; ++l) {
                     int64_t nd = k + l;
                     if ((accept >> l) & 1) {
+                        if (!((near >> l) & 1))
+                            continue; /* its com is out of range */
                         if (nn_count < node_cap) {
                             node_idx[nn_count] = nd;
                             if (want_shift)
@@ -168,7 +216,7 @@ V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
 #define TRAVERSE_PARAMS                                                      \
     const int64_t *groups,        /* (n_groups,) node ids */                 \
     int64_t n_groups,                                                        \
-    const double *node_soa,       /* com x | y | z | half, padded rows */    \
+    const double *node_soa,       /* com, half, bmin, bmax: 10 rows */       \
     int64_t soa_stride,           /* >= n_nodes + 3 */                       \
     const double *node_center,    /* (n_nodes, 3) */                         \
     const int64_t *node_lo,                                                  \

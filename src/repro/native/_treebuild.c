@@ -14,6 +14,10 @@
  *     expressions (center = parent + offset * half / 2), so every node
  *     array matches the Python build bit for bit.
  *
+ *   - Node bounding boxes are minima and maxima of particle
+ *     coordinates, which are exact in any order, so node_bounds gives
+ *     the numpy boxes bit for bit.
+ *
  * Node moments stay in numpy (vectorized prefix sums) — both builders
  * produce identical lo/hi slices, so the moments agree by construction.
  */
@@ -200,6 +204,55 @@ int64_t octree_build(
         }
     }
     return count;
+}
+
+/* Bounding box of each node's particles.  Nodes are numbered
+ * breadth-first, so every child has a larger id than its parent: one
+ * pass from the last node to the root fills a leaf from its particles
+ * and an internal node from its (already filled) children.  Stored as
+ * x + 0.0, so a box never holds -0.0 (numpy's reductions may pick
+ * either zero). */
+void node_bounds(
+    const double *pos,            /* (n, 3) Morton-sorted */
+    int64_t n_nodes,
+    const int64_t *node_lo,
+    const int64_t *node_hi,
+    const uint8_t *node_is_leaf,
+    const int64_t *node_children, /* (n_nodes, 8) */
+    double *bmin,                 /* (n_nodes, 3) out */
+    double *bmax)                 /* (n_nodes, 3) out */
+{
+    /* widen the box (x0..x1, y0..y1, z0..z1) to hold [lo, hi] */
+#define WIDEN(lo, hi)                              \
+    do {                                           \
+        x0 = (lo)[0] < x0 ? (lo)[0] : x0;          \
+        y0 = (lo)[1] < y0 ? (lo)[1] : y0;          \
+        z0 = (lo)[2] < z0 ? (lo)[2] : z0;          \
+        x1 = (hi)[0] > x1 ? (hi)[0] : x1;          \
+        y1 = (hi)[1] > y1 ? (hi)[1] : y1;          \
+        z1 = (hi)[2] > z1 ? (hi)[2] : z1;          \
+    } while (0)
+    for (int64_t i = n_nodes - 1; i >= 0; --i) {
+        double x0 = INFINITY, y0 = INFINITY, z0 = INFINITY;
+        double x1 = -INFINITY, y1 = -INFINITY, z1 = -INFINITY;
+        if (node_is_leaf[i]) {
+            for (int64_t p = node_lo[i]; p < node_hi[i]; ++p)
+                WIDEN(pos + 3 * p, pos + 3 * p);
+        } else {
+            for (int c = 0; c < 8; ++c) {
+                int64_t kid = node_children[8 * i + c];
+                if (kid >= 0)
+                    WIDEN(bmin + 3 * kid, bmax + 3 * kid);
+            }
+        }
+        bmin[3 * i] = x0 + 0.0;
+        bmin[3 * i + 1] = y0 + 0.0;
+        bmin[3 * i + 2] = z0 + 0.0;
+        bmax[3 * i] = x1 + 0.0;
+        bmax[3 * i + 1] = y1 + 0.0;
+        bmax[3 * i + 2] = z1 + 0.0;
+    }
+#undef WIDEN
 }
 
 /* Barnes group selection: the shallowest nodes holding at most

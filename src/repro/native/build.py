@@ -350,6 +350,9 @@ STAGES: Dict[str, Stage] = {
         "group_nodes": (_I64, [
             _I64A, _I64A, _I64A, _U8A, _I64, _I64, _I64, _I64A, _I64A,
         ]),
+        "node_bounds": (None, [
+            _F64A, _I64, _I64A, _I64A, _U8A, _I64A, _F64A, _F64A,
+        ]),
     }, "repro.native.treebuild:_self_test"),
     "traverse": Stage("_traverse.c", {
         "plan_traverse_lanes": (_INT, []),

@@ -80,12 +80,15 @@ class PlanWalker:
             return None  # the FIFO holds int32 node ids
         shifts = shifts and periodic
         groups = np.ascontiguousarray(groups, dtype=np.int64)
-        # com x | y | z | half, one padded row each: a node's children
-        # are consecutive ids, so a run of siblings is one vector load
+        # com x|y|z, half, bmin x|y|z, bmax x|y|z, one padded row each:
+        # a node's children are consecutive ids, so a run of siblings is
+        # one vector load
         stride = n_nodes + _MAX_LANES - 1
-        node_soa = np.zeros((4, stride))
-        node_soa[:3, :n_nodes] = np.asarray(tree.node_com, dtype=np.float64).T
+        node_soa = np.zeros((10, stride))
+        node_soa[:3, :n_nodes] = tree.node_com.T
         node_soa[3, :n_nodes] = tree.node_half
+        node_soa[4:7, :n_nodes] = tree.node_bmin.T
+        node_soa[7:, :n_nodes] = tree.node_bmax.T
         node_center = np.ascontiguousarray(tree.node_center, dtype=np.float64)
         node_lo = np.ascontiguousarray(tree.node_lo, dtype=np.int64)
         node_hi = np.ascontiguousarray(tree.node_hi, dtype=np.int64)
@@ -167,7 +170,9 @@ def traverse_all(tree, groups, rcut, theta, periodic, box, stats) -> Optional[Tu
 def _self_test(lib) -> bool:
     """Bitwise plan comparison vs the numpy traversal on eight configs,
     with the image shifts (the float32 executor's arrays) and without
-    them (where the walk skips the image round of near batches)."""
+    them (where the walk skips the image round of near batches), over
+    all groups and over the groups of a ghosted plan (targets on one
+    side of the box only)."""
     from repro.tree.octree import Octree
     from repro.tree.traversal import TraversalStats, traverse_all_numpy
 
@@ -182,20 +187,21 @@ def _self_test(lib) -> bool:
     tree = Octree(pos, mass, leaf_size=4)
     groups = np.array(tree.group_nodes(24), dtype=np.int64)
     groups = groups[np.argsort(tree.node_lo[groups], kind="stable")]
+    ghosted = groups[tree.node_com[groups, 0] < 0.5]
 
     # one walker throughout: the plans differ in size, so both the
     # remembered-capacity walk and the count-then-retry walk are checked
     walker = PlanWalker()
     for periodic in (True, False):
         for rcut in (None, 3.0 / 16):
-            for theta in (0.4, 0.8):
+            for theta, gs in ((0.4, groups), (0.8, ghosted)):
                 ref_stats = TraversalStats()
                 ref = traverse_all_numpy(
-                    tree, groups, rcut, theta, periodic, 1.0, ref_stats
+                    tree, gs, rcut, theta, periodic, 1.0, ref_stats
                 )
                 for shifts in (True, False):
                     got = walker._walk(
-                        lib, tree, groups, rcut, theta, periodic, 1.0, shifts
+                        lib, tree, gs, rcut, theta, periodic, 1.0, shifts
                     )
                     if got is None or got[6] != ref_stats.nodes_visited:
                         return False

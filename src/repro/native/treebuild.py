@@ -1,8 +1,9 @@
 """Bindings for the native octree-construction kernel.
 
-Three entry points mirror the phases of :class:`repro.tree.octree.Octree`
+Four entry points mirror the phases of :class:`repro.tree.octree.Octree`
 construction — :func:`morton_build` (keys + stable argsort),
-:func:`build_nodes` (the level-synchronous node build) and
+:func:`build_nodes` (the level-synchronous node build),
+:func:`node_bounds` (each node's particle bounding box) and
 :func:`group_nodes` (Barnes' group selection).  Each returns ``None``
 when the kernel is unavailable, the stage is disabled, or the inputs are
 out of contract, and the caller falls back to the numpy reference.
@@ -123,6 +124,41 @@ def build_nodes(
     return _build_nodes_with(lib, keys_sorted, leaf_size, max_depth, root_center, root_half)
 
 
+def _node_bounds_with(
+    lib, pos_sorted, node_lo, node_hi, node_is_leaf, node_children
+) -> Tuple[np.ndarray, np.ndarray]:
+    n_nodes = len(node_lo)
+    bmin = np.empty((n_nodes, 3))
+    bmax = np.empty((n_nodes, 3))
+    lib.node_bounds(
+        np.ascontiguousarray(pos_sorted, dtype=np.float64),
+        n_nodes,
+        np.ascontiguousarray(node_lo, dtype=np.int64),
+        np.ascontiguousarray(node_hi, dtype=np.int64),
+        np.ascontiguousarray(node_is_leaf.view(np.uint8)),
+        np.ascontiguousarray(node_children, dtype=np.int64),
+        bmin,
+        bmax,
+    )
+    return bmin, bmax
+
+
+def node_bounds(
+    pos_sorted: np.ndarray,
+    node_lo: np.ndarray,
+    node_hi: np.ndarray,
+    node_is_leaf: np.ndarray,
+    node_children: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Per-node particle bounding boxes ``(bmin, bmax)``, or ``None``."""
+    lib = get_lib()
+    if lib is None or len(node_lo) == 0:
+        return None
+    return _node_bounds_with(
+        lib, pos_sorted, node_lo, node_hi, node_is_leaf, node_children
+    )
+
+
 def _group_nodes_with(
     lib,
     node_lo: np.ndarray,
@@ -166,7 +202,7 @@ def group_nodes(
 def _self_test(lib) -> bool:
     """Bitwise comparison against the numpy builder on a synthetic set."""
     from repro.tree.morton import morton_keys
-    from repro.tree.octree import build_nodes_numpy
+    from repro.tree.octree import build_nodes_numpy, node_bounds_numpy
 
     rng = np.random.default_rng(0xC0FFEE)
     clustered = 0.5 + 0.07 * rng.standard_normal((96, 3))
@@ -212,6 +248,14 @@ def _self_test(lib) -> bool:
                 return False
         lo, hi = ref_nodes[2], ref_nodes[3]
         is_leaf, children = ref_nodes[5], ref_nodes[6]
+        pos_sorted = pos[ref_perm]
+        ref_box = node_bounds_numpy(
+            pos_sorted, lo, ref_nodes[4], is_leaf, children
+        )
+        got_box = _node_bounds_with(lib, pos_sorted, lo, hi, is_leaf, children)
+        for a, b in zip(got_box, ref_box):
+            if a.tobytes() != b.tobytes():
+                return False
         for gs in (1, 16, 64):
             ref_groups = _group_nodes_python(lo, hi, children, is_leaf, gs)
             got_groups = _group_nodes_with(lib, lo, hi, children, is_leaf, gs)
@@ -232,4 +276,7 @@ def _group_nodes_python(lo, hi, children, is_leaf, group_size) -> List[int]:
     return out
 
 
-__all__ = ["available", "build_nodes", "get_lib", "group_nodes", "morton_build"]
+__all__ = [
+    "available", "build_nodes", "get_lib", "group_nodes", "morton_build",
+    "node_bounds",
+]

@@ -44,9 +44,6 @@ __all__ = ["InteractionPlan", "PlanExecutor", "multi_arange", "slice_plan"]
 #: Default cap on target-rows x padded-list-columns per numpy batch.
 DEFAULT_PAIR_BUDGET = 1 << 17
 
-#: Target rows per chunk of the cutoff-culling refinement.
-_REFINE_ROWS = 64
-
 
 def multi_arange(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(lo[i], hi[i])`` without a Python loop."""
@@ -271,11 +268,6 @@ class PlanExecutor:
                 )
                 return out
 
-        if getattr(kernel.split, "exact_cutoff", False) and plan.n_pairs:
-            plan = self._refine(plan, kernel, pos_sorted, node_com)
-            T = plan.target_counts
-            S = plan.list_lengths
-
         # gather the concatenated source streams once
         spos = pos_sorted[plan.part_idx]
         smass = mass_sorted[plan.part_idx]
@@ -401,100 +393,6 @@ class PlanExecutor:
             out,
             nthreads=nthreads,
             scratch_stride=stride,
-        )
-
-    def _refine(
-        self,
-        plan: InteractionPlan,
-        kernel,
-        pos_sorted: np.ndarray,
-        node_com: np.ndarray,
-    ) -> InteractionPlan:
-        """Split groups into row chunks and cull provably-out-of-range
-        sources per chunk.
-
-        The split's ``exact_cutoff`` contract makes the force factor
-        exactly ``0.0`` past ``cutoff_radius``, so any source whose
-        distance to a chunk's target bounding box provably exceeds the
-        cutoff contributes only exact ``+/-0.0`` terms to the
-        sequential einsum reduction — dropping it (and never computing
-        its displacement at all) cannot change a bit of the result.
-        The distance lower bound is the componentwise gap between the
-        source and the bbox, taken the short way around the circle for
-        periodic boxes, so it is sound regardless of which image the
-        per-pair wrap would pick.  The bounding box is taken over every
-        row of a chunk, target or not, which only makes it larger.
-        Stats are recorded from the original plan before refinement, so
-        ``<Ni>``/``<Nj>`` describe the traversal's lists.
-        """
-        chunk = _REFINE_ROWS
-        rcut = kernel.split.cutoff_radius * (1.0 + 1e-9)
-        rc2 = rcut * rcut
-        box = kernel.box
-        Gn = plan.n_groups
-        tcnt = plan.group_hi - plan.group_lo
-        reps = (tcnt + chunk - 1) // chunk
-        C = int(reps.sum())
-        parent = np.repeat(np.arange(Gn, dtype=np.int64), reps)
-        rep_starts = np.concatenate([[0], np.cumsum(reps)[:-1]])
-        rank = np.arange(C, dtype=np.int64) - np.repeat(rep_starts, reps)
-        clo = plan.group_lo[parent] + rank * chunk
-        chi = np.minimum(clo + chunk, plan.group_hi[parent])
-
-        # exact per-chunk target bounding boxes
-        tpos = pos_sorted[multi_arange(clo, chi)]
-        cptr = np.concatenate([[0], np.cumsum(chi - clo)[:-1]])
-        tmin = np.minimum.reduceat(tpos, cptr, axis=0)
-        tmax = np.maximum.reduceat(tpos, cptr, axis=0)
-        width = tmax - tmin
-
-        unsplit = C == Gn
-
-        def cull(ptr, idx, shift, svals_all):
-            ccnt = np.diff(ptr)[parent]
-            crow = np.repeat(np.arange(C, dtype=np.int64), ccnt)
-            s = svals_all[idx]
-            if unsplit:
-                big = None  # entries map 1:1, skip the second gather
-            else:
-                big = multi_arange(ptr[:-1][parent], ptr[1:][parent])
-                s = s[big]
-            lo = tmin[crow]
-            d = np.minimum(np.maximum(s, lo, out=lo), tmax[crow])
-            np.subtract(s, d, out=d)
-            np.abs(d, out=d)
-            if box is not None:
-                # the short way around: either the direct gap or past
-                # the bbox's far edge through the periodic boundary
-                alt = box - width[crow]
-                alt -= d
-                np.minimum(d, alt, out=d)
-                np.maximum(d, 0.0, out=d)
-            keep = np.einsum("ij,ij->i", d, d) <= rc2
-            kept = np.flatnonzero(keep) if big is None else big[keep]
-            new_cnt = np.bincount(crow[keep], minlength=C)
-            new_ptr = np.concatenate([[0], np.cumsum(new_cnt)]).astype(np.int64)
-            new_shift = shift[kept] if shift is not None else None
-            return new_ptr, idx[kept], new_shift
-
-        pptr, pidx, pshift = cull(
-            plan.part_ptr, plan.part_idx, plan.part_shift, pos_sorted
-        )
-        nptr, nidx, nshift = cull(
-            plan.node_ptr, plan.node_idx, plan.node_shift, node_com
-        )
-        return InteractionPlan(
-            group_nodes=plan.group_nodes[parent],
-            group_lo=clo,
-            group_hi=chi,
-            part_ptr=pptr,
-            part_idx=pidx,
-            node_ptr=nptr,
-            node_idx=nidx,
-            part_shift=pshift,
-            node_shift=nshift,
-            no_wrap=None if plan.no_wrap is None else plan.no_wrap[parent],
-            target_mask=plan.target_mask,
         )
 
     def _fill_padded(

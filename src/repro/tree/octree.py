@@ -18,7 +18,7 @@ import numpy as np
 from repro.native import treebuild as _native_tree
 from repro.tree.morton import MORTON_BITS, morton_keys
 
-__all__ = ["Octree", "build_nodes_numpy"]
+__all__ = ["Octree", "build_nodes_numpy", "node_bounds_numpy"]
 
 _OCTANT_OFFSETS = np.array(
     [
@@ -111,6 +111,41 @@ def build_nodes_numpy(
     )
 
 
+def node_bounds_numpy(
+    pos_sorted: np.ndarray,
+    node_lo: np.ndarray,
+    node_depth: np.ndarray,
+    node_is_leaf: np.ndarray,
+    node_children: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference per-node particle bounding boxes ``(bmin, bmax)``.
+
+    Leaves tile the sorted particles, so one ``reduceat`` over their
+    starts gives every leaf box; internal nodes then take the extremes
+    of their children, one level at a time from the deepest.  Minima
+    and maxima are exact and leaf boxes are stored as ``x + 0.0`` (no
+    ``-0.0``, whichever zero a reduction picks), so the native kernel's
+    boxes equal these bit for bit.
+    """
+    n_nodes = len(node_lo)
+    bmin = np.empty((n_nodes, 3))
+    bmax = np.empty((n_nodes, 3))
+    leaves = np.flatnonzero(node_is_leaf)
+    leaves = leaves[np.argsort(node_lo[leaves], kind="stable")]
+    bmin[leaves] = np.minimum.reduceat(pos_sorted, node_lo[leaves], axis=0)
+    bmax[leaves] = np.maximum.reduceat(pos_sorted, node_lo[leaves], axis=0)
+    bmin[leaves] += 0.0
+    bmax[leaves] += 0.0
+    internal = np.flatnonzero(~node_is_leaf)
+    for d in range(int(node_depth.max(initial=0)), -1, -1):
+        nd = internal[node_depth[internal] == d]
+        kids = node_children[nd]
+        has = (kids >= 0)[:, :, None]
+        bmin[nd] = np.where(has, bmin[kids], np.inf).min(axis=1)
+        bmax[nd] = np.where(has, bmax[kids], -np.inf).max(axis=1)
+    return bmin, bmax
+
+
 class Octree:
     """A static Barnes-Hut octree over ``[origin, origin+size)^3``.
 
@@ -132,9 +167,11 @@ class Octree:
         per-particle arrays inside the tree (``pos_sorted`` etc.) use
         this order.
     node_center, node_half, node_lo, node_hi, node_depth, node_is_leaf,
-    node_children, node_mass, node_com, node_quad:
+    node_children, node_mass, node_com, node_quad, node_bmin, node_bmax:
         Per-node arrays; node 0 is the root.  ``node_children`` is
-        ``(n_nodes, 8)`` with -1 for absent children.
+        ``(n_nodes, 8)`` with -1 for absent children; ``node_bmin`` and
+        ``node_bmax`` are the corners of the bounding box of the node's
+        particles (what the traversal culls by).
     """
 
     MAX_DEPTH = MORTON_BITS
@@ -177,6 +214,22 @@ class Octree:
 
         self._build()
         self._compute_moments()
+        bounds = _native_tree.node_bounds(
+            self.pos_sorted,
+            self.node_lo,
+            self.node_hi,
+            self.node_is_leaf,
+            self.node_children,
+        )
+        if bounds is None:
+            bounds = node_bounds_numpy(
+                self.pos_sorted,
+                self.node_lo,
+                self.node_depth,
+                self.node_is_leaf,
+                self.node_children,
+            )
+        self.node_bmin, self.node_bmax = bounds
 
     # -- construction ---------------------------------------------------------
     #

@@ -19,7 +19,7 @@ from repro.mesh.assignment import assign_mass, interpolate_mesh
 from repro.native import build, certify, frame, meshops, traverse, treebuild, update
 from repro.pp import native as pp_native
 from repro.tree.morton import MORTON_BITS, morton_keys
-from repro.tree.octree import Octree, build_nodes_numpy
+from repro.tree.octree import Octree, build_nodes_numpy, node_bounds_numpy
 from repro.tree.traversal import TraversalStats, TreeSolver, traverse_all_numpy
 from repro.utils.periodic import wrap_positions
 
@@ -77,7 +77,35 @@ def test_octree_identical_under_opt_out(particles, monkeypatch):
     for attr in ("node_center", "node_half", "node_lo", "node_hi",
                  "node_is_leaf", "node_children", "node_com", "node_mass"):
         assert np.array_equal(getattr(t_native, attr), getattr(t_numpy, attr))
+    for attr in ("node_bmin", "node_bmax"):
+        assert getattr(t_native, attr).tobytes() == getattr(t_numpy, attr).tobytes()
     assert t_native.group_nodes(32) == t_numpy.group_nodes(32)
+
+
+@pytest.mark.parametrize("leaf_size", [1, 8])
+def test_node_boxes_match_numpy_bitwise(particles, leaf_size):
+    """The native box build against the numpy reference, byte for byte,
+    on a set with duplicates and zeros of both signs on the box edge."""
+    if not treebuild.available():
+        pytest.skip("native tree kernel unavailable")
+    pos, mass = particles
+    pos = pos.copy()
+    pos[:6] = pos[6:12]
+    pos[12] = 0.0
+    pos[13] = [-0.0, 0.0, -0.0]
+    tree = Octree(pos, mass, leaf_size=leaf_size)
+    got = treebuild.node_bounds(
+        tree.pos_sorted, tree.node_lo, tree.node_hi, tree.node_is_leaf,
+        tree.node_children,
+    )
+    ref = node_bounds_numpy(
+        tree.pos_sorted, tree.node_lo, tree.node_depth, tree.node_is_leaf,
+        tree.node_children,
+    )
+    assert got is not None
+    for a, b in zip(got, ref):
+        assert a.tobytes() == b.tobytes()
+    assert not np.signbit(got[0][got[0] == 0.0]).any()
 
 
 # -- traversal ----------------------------------------------------------------
@@ -128,10 +156,12 @@ def test_walker_remembers_plan_sizes(particles):
             assert np.array_equal(g, r)
         return got
 
+    # rcut 0.2: the cutoff plan's particle list is just over half the
+    # pure tree's, its node list under a third
     walker = traverse.PlanWalker()
-    check(walker, 0.1)  # no memory yet: sized from the particle count
+    check(walker, 0.2)  # no memory yet: sized from the particle count
     del walks[:]
-    small = check(walker, 0.1)
+    small = check(walker, 0.2)
     assert walks == [0]  # one walk, no count-only pass
     assert all(small[k].base is not None for k in (1, 3, 4, 5))  # views
     del walks[:]
@@ -141,7 +171,7 @@ def test_walker_remembers_plan_sizes(particles):
     check(walker, None)
     assert walks == [0]
     del walks[:]
-    shrunk = check(walker, 0.1)
+    shrunk = check(walker, 0.2)
     assert walks == [0]
     # the node list is now under half its buffer and is copied down to
     # size; the particle list still fills most of its own

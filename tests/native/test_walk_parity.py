@@ -17,6 +17,7 @@ import types
 import numpy as np
 import pytest
 
+from repro.forces.cutoff import S2ForceSplit
 from repro.native import traverse
 from repro.tree.octree import Octree
 from repro.tree.traversal import TraversalStats, TreeSolver, traverse_all_numpy
@@ -182,7 +183,8 @@ def test_children_not_one_run_fall_back_to_numpy(lib, tree):
         **{
             name: getattr(tree, name)
             for name in ("n_nodes", "n_particles", "node_com", "node_center",
-                         "node_half", "node_lo", "node_hi", "node_is_leaf")
+                         "node_half", "node_lo", "node_hi", "node_is_leaf",
+                         "node_bmin", "node_bmax")
         },
         node_children=children,
     )
@@ -222,3 +224,27 @@ def test_solver_plan_matches_reference(tree, periodic, plan_float32):
         got + (stats.nodes_visited,), ref, ref_stats.nodes_visited,
         plan_float32 and periodic,
     )
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_ghosted_plan_walks_the_reference_plan(tree, periodic):
+    """A distributed rank's plan: targets only on one side of x = 0.45,
+    so some groups are dropped and some keep ghost rows.  The box cull
+    reads the whole group's box (ghosts included) in both walks."""
+    mask = tree.pos_sorted[:, 0] < 0.45
+    solver = TreeSolver(
+        theta=0.5, group_size=16, periodic=periodic, box=BOX,
+        split=S2ForceSplit(0.11),
+    )
+    stats, ref_stats = TraversalStats(), TraversalStats()
+    plan = solver.build_plan(tree, mask_sorted=mask, stats=stats)
+    counts = plan.target_counts
+    assert 0 < counts.min() and (counts < plan.group_hi - plan.group_lo).any()
+    assert plan.n_groups < len(_groups(tree))
+    ref = traverse_all_numpy(
+        tree, plan.group_nodes, 0.11, 0.5, periodic, BOX, ref_stats
+    )
+    got = (plan.part_ptr, plan.part_idx, plan.node_ptr, plan.node_idx)
+    for g, r in zip(got, ref[:4]):
+        assert np.array_equal(g, r)
+    assert stats.nodes_visited == ref_stats.nodes_visited

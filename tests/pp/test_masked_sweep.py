@@ -252,10 +252,9 @@ def test_counters_count_swept_targets(ghosted):
 
 
 @pytest.mark.parametrize("exact_cutoff", [True, False])
-def test_slice_and_refine_carry_the_mask(ghosted, exact_cutoff):
-    """The numpy executor refines (chunks and culls) an exact-cutoff plan;
-    a sliced, refined, masked plan must still give the full sweep's own
-    rows and leave the ghosts alone."""
+def test_slice_carries_the_mask(ghosted, exact_cutoff):
+    """A sliced, masked plan must still give the full sweep's own rows
+    and leave the ghosts alone, with the cutoff split and without."""
     pos, mass, mask = ghosted
     split = S2ForceSplit(0.15) if exact_cutoff else None
     solver = TreeSolver(periodic=True, split=split, eps=1e-3, group_size=128)

@@ -173,3 +173,30 @@ class TestGroups:
         groups = tree.group_nodes(gsz)
         total = sum(int(tree.node_hi[g] - tree.node_lo[g]) for g in groups)
         assert total == 64
+
+
+class TestBounds:
+    """``node_bmin``/``node_bmax``: the exact extremes of every node's
+    particles, which is what the traversal culls by."""
+
+    @given(
+        st.integers(1, 200),
+        st.integers(1, 9),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_boxes_are_the_particle_extremes(self, n, leaf_size, periodic, seed):
+        rng = np.random.default_rng(seed)
+        pos = np.mod(0.5 + 0.1 * rng.standard_normal((n, 3)), 1.0)
+        if periodic:
+            tree = Octree(pos, np.ones(n), leaf_size=leaf_size)
+        else:
+            lo = pos.min(axis=0)
+            size = float(np.ptp(pos, axis=0).max()) * (1 + 1e-12) + 1e-300
+            tree = Octree(pos, np.ones(n), size=size, origin=lo, leaf_size=leaf_size)
+        x = tree.pos_sorted
+        for i in range(tree.n_nodes):
+            part = x[tree.node_lo[i]:tree.node_hi[i]]
+            assert np.array_equal(tree.node_bmin[i], part.min(axis=0))
+            assert np.array_equal(tree.node_bmax[i], part.max(axis=0))

@@ -141,6 +141,41 @@ class TestOctreeCheck:
         v = check_octree(tree)
         assert v is not None and v.check == "octree_moments"
 
+    @pytest.mark.parametrize("corner", ["node_bmin", "node_bmax"])
+    @pytest.mark.parametrize("where", ["leaf", "internal"])
+    def test_detects_shrunken_box(self, corner, where):
+        """A box corrupted smaller would let the walk cull in-range
+        pairs: a leaf's no longer holds a particle, an internal node's
+        no longer holds a child's box."""
+        rng = np.random.default_rng(4)
+        tree = Octree(rng.random((64, 3)), np.ones(64), leaf_size=4)
+        nodes = np.flatnonzero(tree.node_is_leaf == (where == "leaf"))
+        idx = int(nodes[-1])
+        width = tree.node_bmax[idx] - tree.node_bmin[idx]
+        box = getattr(tree, corner)
+        box[idx, 1] += (0.25 if corner == "node_bmin" else -0.25) * max(width[1], 1e-3)
+        v = check_octree(tree, step=2)
+        assert v is not None and v.check == "octree_moments" and v.step == 2
+        assert v.stats["first_node"] in (idx, *tree.node_children[idx])
+
+    def test_detects_nan_box(self):
+        rng = np.random.default_rng(5)
+        tree = Octree(rng.random((64, 3)), np.ones(64))
+        tree.node_bmax[0, 2] = np.nan
+        v = check_octree(tree)
+        assert v is not None and v.check == "octree_moments"
+
+    def test_detects_com_outside_its_box(self):
+        """Inside the node's cube but outside its particles' box."""
+        pos = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2], [0.8, 0.8, 0.8]])
+        tree = Octree(pos, np.ones(3), leaf_size=1)
+        idx = int(np.flatnonzero(tree.node_is_leaf)[0])
+        tree.node_com[idx] = tree.node_bmax[idx] + 1e-3
+        assert (np.abs(tree.node_com[idx] - tree.node_center[idx])
+                < tree.node_half[idx]).all()
+        v = check_octree(tree)
+        assert v is not None and v.check == "octree_com_bounds"
+
 
 class TestDomainChecks:
     def test_uniform_partition_clean(self):
