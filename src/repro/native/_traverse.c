@@ -37,7 +37,6 @@
  *   d     = min(d, box - (max(hi, ghi) - min(lo, glo)))   (periodic only)
  *   d     = max(d, 0)
  *   keep  = (d0*d0 + d1*d1) + d2*d2 <= rc*rc,   rc = rcut * (1 + 1e-9)
- *           && gap - half*sqrt3 <= rcut           (the older sphere cull)
  *   near  = the same test with lo = hi = com
  *
  * An accepted node is listed only when it is near, a kept leaf is
@@ -90,8 +89,7 @@ V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
     const double sqrt3 = sqrt(3.0);
     const double rc = rcut * (1.0 + 1e-9);
     const vd vbox = V_SET1(box), hb = V_SET1(0.5 * box), nhb = V_SET1(-0.5 * box);
-    const vd vsqrt3 = V_SET1(sqrt3), vrcut = V_SET1(rcut), zero = V_SET1(0.0);
-    const vd vrc2 = V_SET1(rc * rc);
+    const vd vrc2 = V_SET1(rc * rc), zero = V_SET1(0.0);
     const vd two = V_SET1(2.0), vtheta = V_SET1(theta);
     const int want_shift = periodic && part_shift != 0;
     int64_t np_count = 0, nn_count = 0, visited = 0;
@@ -143,15 +141,16 @@ V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
                                            gl1, gu1, periodic, vbox);
                     vd d2 = FN(axis_gap_w)(V_LOAD(lz + k), V_LOAD(uz + k),
                                            gl2, gu2, periodic, vbox);
-                    keep = V_BITS(V_LE(gap - half * vsqrt3, vrcut)) &
-                           V_BITS(V_LE((d0 * d0 + d1 * d1) + d2 * d2, vrc2));
-                    d0 = FN(axis_gap_w)(px, px, gl0, gu0, periodic, vbox);
-                    d1 = FN(axis_gap_w)(py, py, gl1, gu1, periodic, vbox);
-                    d2 = FN(axis_gap_w)(pz, pz, gl2, gu2, periodic, vbox);
-                    near = V_BITS(V_LE((d0 * d0 + d1 * d1) + d2 * d2, vrc2));
+                    keep = V_BITS(V_LE((d0 * d0 + d1 * d1) + d2 * d2, vrc2));
                 }
                 int accept = keep & V_BITS(V_GT(gap, zero)) &
                              V_BITS(V_LT(two * half, vtheta * gap));
+                if (use_rcut && accept) {
+                    vd d0 = FN(axis_gap_w)(px, px, gl0, gu0, periodic, vbox);
+                    vd d1 = FN(axis_gap_w)(py, py, gl1, gu1, periodic, vbox);
+                    vd d2 = FN(axis_gap_w)(pz, pz, gl2, gu2, periodic, vbox);
+                    near = V_BITS(V_LE((d0 * d0 + d1 * d1) + d2 * d2, vrc2));
+                }
                 int64_t n = first + cnt - k < LANES ? first + cnt - k : LANES;
                 for (int l = 0; l < n; ++l) {
                     int64_t nd = k + l;

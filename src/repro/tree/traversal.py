@@ -460,10 +460,9 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
         keep = np.ones(nodes.size, dtype=bool)
         if rcut is not None:
             glo, ghi = gmin[gidx], gmax[gidx]
-            keep = (dist - gr - half * sqrt3 <= rcut) & (
-                box_gap2(tree.node_bmin[nodes], tree.node_bmax[nodes],
-                         glo, ghi, wrap_box) <= rc2
-            )
+            keep = box_gap2(
+                tree.node_bmin[nodes], tree.node_bmax[nodes], glo, ghi, wrap_box
+            ) <= rc2
         gap = dist - gr
         accept = keep & (gap > 0) & (2.0 * half < theta * gap)
         rest = keep & ~accept

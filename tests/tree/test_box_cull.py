@@ -85,3 +85,84 @@ def test_no_entry_lies_past_the_cutoff(walk, seed, rcut, periodic):
     g = np.repeat(np.arange(plan.n_groups), np.diff(plan.part_ptr))
     gap = _gap(tree.node_bmin[leaf], tree.node_bmax[leaf], gmin[g], gmax[g], periodic)
     assert (gap <= limit).all()
+
+
+def _lopsided(seed):
+    """A seeded halo over a background, plus a tight clump of targets
+    next to the cell [0.375, 0.5)^3, whose mass sits in its far corner
+    and one particle in the corner nearest the clump.  That cell must be
+    opened (it is too large for its distance), and a cull by spheres
+    around its com drops it with the near particle, 0.05 from the
+    clump."""
+    rng = np.random.default_rng(seed)
+    halo = np.array([0.7, 0.6, 0.4]) + 0.05 * rng.standard_normal((1200, 3))
+    background = rng.random((400, 3))
+    clump = 0.35 + 0.002 * rng.standard_normal((80, 3))
+    far = 0.499 - 0.002 * rng.random((60, 3))
+    near = np.array([[0.376, 0.376, 0.376]])
+    return np.mod(np.vstack([halo, background, clump, far, near]), 1.0)
+
+
+def _min_image(d, periodic):
+    if periodic:
+        d -= np.round(d)
+    return d
+
+
+def _uncovered(tree, plan, rcut, theta, periodic):
+    """``(group, source)`` pairs closer than ``rcut`` to some target of
+    the group that the plan does not cover.
+
+    Covered means: walking from the root towards the source, the first
+    node that passes the acceptance test is listed (or its com lies at
+    least ``rcut`` from every target, so its monopole is exactly zero),
+    or, when no node on the way is accepted, the source is one of the
+    group's particle entries.  No cull is assumed, so a pair a cull
+    dropped wrongly shows up here.
+    """
+    x = tree.pos_sorted
+    gi, src = [], []
+    for g in range(plan.n_groups):
+        lo, hi = plan.group_lo[g], plan.group_hi[g]
+        d = _min_image(x[None, :, :] - x[lo:hi, None, :], periodic)
+        near = np.flatnonzero((np.einsum("ijk,ijk->ij", d, d) < rcut**2).any(axis=0))
+        gi.append(np.full(len(near), g))
+        src.append(near)
+    gi, src = np.concatenate(gi), np.concatenate(src)
+    G, n, nn = plan.n_groups, len(x), tree.n_nodes
+    part_keys = np.repeat(np.arange(G), np.diff(plan.part_ptr)) * n + plan.part_idx
+    node_keys = np.repeat(np.arange(G), np.diff(plan.node_ptr)) * nn + plan.node_idx
+    gc = tree.node_center[plan.group_nodes]
+    gr = tree.node_half[plan.group_nodes] * np.sqrt(3.0)
+    cur = np.zeros(len(gi), dtype=np.int64)
+    bad = []
+    while len(cur):
+        dx = _min_image(tree.node_com[cur] - gc[gi], periodic)
+        gap = np.sqrt(np.einsum("ij,ij->i", dx, dx)) - gr[gi]
+        accept = (gap > 0) & (2.0 * tree.node_half[cur] < theta * gap)
+        a = np.flatnonzero(accept)
+        for k in a[~np.isin(gi[a] * nn + cur[a], node_keys)]:
+            lo, hi = plan.group_lo[gi[k]], plan.group_hi[gi[k]]
+            d = _min_image(tree.node_com[cur[k]] - x[lo:hi], periodic)
+            if (np.einsum("ij,ij->i", d, d) < rcut**2).any():
+                bad.append((gi[k], src[k]))
+        leaf = np.flatnonzero(~accept & tree.node_is_leaf[cur])
+        listed = np.isin(gi[leaf] * n + src[leaf], part_keys)
+        bad += list(zip(gi[leaf][~listed], src[leaf][~listed]))
+        down = np.flatnonzero(~accept & ~tree.node_is_leaf[cur])
+        kids = tree.node_children[cur[down]]
+        s = src[down][:, None]
+        holds = (kids >= 0) & (tree.node_lo[kids] <= s) & (s < tree.node_hi[kids])
+        cur = kids[np.arange(len(down)), np.argmax(holds, axis=1)]
+        gi, src = gi[down], src[down]
+    return bad
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("periodic", [True, False])
+def test_every_pair_inside_the_cutoff_is_covered(walk, periodic):
+    """No cull may drop a pair closer than ``rcut``: a cull by spheres
+    around a node's com does (its particles sit up to ``2*sqrt(3)*half``
+    from the com), the box cull does not."""
+    tree, plan = _plan(walk, _lopsided(0), 0.12, periodic, group_size=64)
+    assert _uncovered(tree, plan, 0.12, 0.5, periodic) == []
