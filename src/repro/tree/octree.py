@@ -214,22 +214,7 @@ class Octree:
 
         self._build()
         self._compute_moments()
-        bounds = _native_tree.node_bounds(
-            self.pos_sorted,
-            self.node_lo,
-            self.node_hi,
-            self.node_is_leaf,
-            self.node_children,
-        )
-        if bounds is None:
-            bounds = node_bounds_numpy(
-                self.pos_sorted,
-                self.node_lo,
-                self.node_depth,
-                self.node_is_leaf,
-                self.node_children,
-            )
-        self.node_bmin, self.node_bmax = bounds
+        self.node_bmin, self.node_bmax = self.particle_bounds()
 
     # -- construction ---------------------------------------------------------
     #
@@ -314,6 +299,22 @@ class Octree:
             self.node_quad = 3.0 * quad - tr[:, None, None] * np.eye(3)
         else:
             self.node_quad = None
+
+    def particle_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each node's particle bounding box ``(bmin, bmax)``, computed
+        from the particles: in the native kernel when available
+        (bitwise self-tested against :func:`node_bounds_numpy`), else
+        in numpy."""
+        got = _native_tree.node_bounds(
+            self.pos_sorted, self.node_lo, self.node_hi, self.node_is_leaf,
+            self.node_children,
+        )
+        if got is not None:
+            return got
+        return node_bounds_numpy(
+            self.pos_sorted, self.node_lo, self.node_depth, self.node_is_leaf,
+            self.node_children,
+        )
 
     # -- queries --------------------------------------------------------------
 

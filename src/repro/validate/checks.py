@@ -235,12 +235,12 @@ def check_octree(
       slice (guards in-memory corruption of the moment arrays);
     * every positive-mass node's center of mass lies inside the node
       cube (to a relative slack of ``rel_tol`` times the node size);
-    * the particle bounding boxes the traversal culls by hold what they
-      bound: every particle lies inside its leaf's box, every child's
-      box inside its parent's, and every positive-mass center of mass
-      inside its node's box (to ``rel_tol`` times the root size).  A
-      box corrupted smaller would silently drop in-range pairs, and
-      re-sweeping the same plan (the SDC spot check) cannot see that.
+    * every node's particle bounding box holds all its particles (so a
+      parent's holds its children's) and, for a positive-mass node, its
+      center of mass (to ``rel_tol`` times the root size).  The
+      traversal culls by these boxes: one corrupted smaller would
+      silently drop in-range pairs, which re-sweeping the same plan
+      (the SDC spot check) cannot see.
     """
     total = float(tree.mass_sorted.sum())
     root_mass = float(tree.node_mass[0])
@@ -291,51 +291,27 @@ def check_octree(
             rank=rank,
             stats={"n_bad": int(bad.sum()), "first_node": idx},
         )
-    return _check_node_boxes(tree, positive, stage, rel_tol, step, rank)
-
-
-def _check_node_boxes(tree, positive, stage, rel_tol, step, rank):
-    """The box half of :func:`check_octree` (written so that a NaN
-    corner counts as outside)."""
+    # the boxes the traversal culls by: a box corrupted smaller would
+    # silently drop in-range pairs (written so a NaN corner fails)
     bmin, bmax = tree.node_bmin, tree.node_bmax
-
-    def outside(x, lo, hi):
-        return ~((lo <= x) & (x <= hi)).all(axis=1)
-
-    leaves = np.flatnonzero(tree.node_is_leaf)
-    leaves = leaves[np.argsort(tree.node_lo[leaves], kind="stable")]
-    owner = np.repeat(leaves, tree.node_hi[leaves] - tree.node_lo[leaves])
-    bad = outside(tree.pos_sorted, bmin[owner], bmax[owner])
+    lo, hi = tree.particle_bounds()
+    bad = ~((bmin <= lo) & (hi <= bmax)).all(axis=1)
     if bad.any():
-        first = int(owner[np.flatnonzero(bad)[0]])
+        idx = int(np.flatnonzero(bad)[0])
         return InvariantViolation(
-            f"{int(bad.sum())} particle(s) outside their leaf's bounding "
-            f"box (first leaf: node {first}, box {bmin[first].tolist()} - "
-            f"{bmax[first].tolist()})",
+            f"{int(bad.sum())} node bounding box(es) do not hold their "
+            f"particles (first: node {idx}, box {bmin[idx].tolist()} - "
+            f"{bmax[idx].tolist()}, particles {lo[idx].tolist()} - "
+            f"{hi[idx].tolist()})",
             check="octree_moments",
             stage=stage,
             step=step,
             rank=rank,
-            stats={"n_bad": int(bad.sum()), "first_node": first},
-        )
-    parent, slot = np.nonzero(tree.node_children >= 0)
-    child = tree.node_children[parent, slot]
-    bad = outside(bmin[child], bmin[parent], bmax[parent]) | outside(
-        bmax[child], bmin[parent], bmax[parent]
-    )
-    if bad.any():
-        first = int(child[np.flatnonzero(bad)[0]])
-        return InvariantViolation(
-            f"{int(bad.sum())} node bounding box(es) stick out of their "
-            f"parent's (first: node {first})",
-            check="octree_moments",
-            stage=stage,
-            step=step,
-            rank=rank,
-            stats={"n_bad": int(bad.sum()), "first_node": first},
+            stats={"n_bad": int(bad.sum()), "first_node": idx},
         )
     slack = rel_tol * tree.size
-    bad = positive & outside(tree.node_com, bmin - slack, bmax + slack)
+    bad = positive & ~((bmin - slack <= tree.node_com)
+                       & (tree.node_com <= bmax + slack)).all(axis=1)
     if bad.any():
         idx = int(np.flatnonzero(bad)[0])
         return InvariantViolation(
