@@ -35,20 +35,19 @@ class TreeConfig:
     leaf_size:
         Maximum number of particles in a leaf cell.
     group_size:
-        Target number of particles per traversal group ``<Ni>`` for
-        Barnes' modified algorithm (the paper finds ~100 optimal on K).
+        Most particles a traversal group of Barnes' modified algorithm
+        may hold: a group is the largest tree node with at most this
+        many particles, so the mean group size ``<Ni>`` comes out well
+        below it (17.8 at 64 on the clustered benchmark input; the
+        paper finds ``<Ni>`` ~ 100 optimal on K).
     use_quadrupole:
         Whether node moments include the quadrupole term.
-    plan_float32:
-        Run the plan executor's pair arithmetic in single precision
-        (the paper's float32 Phantom-GRAPE kernel).
     """
 
     opening_angle: float = 0.5
     leaf_size: int = 8
     group_size: int = 64
     use_quadrupole: bool = False
-    plan_float32: bool = False
 
     def __post_init__(self) -> None:
         _check_positive("opening_angle", self.opening_angle)

@@ -48,9 +48,7 @@
  * |dx| <= box/2 in all components: the correctly rounded dx / box is
  * then at most 0.5 in magnitude (rounding is monotone, 0.5 is
  * representable), rint of it is +/-0 (ties to even), s is +/-0 and
- * dx - s is dx.  When the caller wants the shifts (`part_shift`
- * non-null: the float32 executor, their one reader) the round always
- * runs, so the stored s keeps numpy's sign of zero.
+ * dx - s is dx.
  *
  * Capacity protocol: when part_cap / node_cap is too small the walk
  * keeps counting without writing and returns -1 with the exact needed
@@ -91,7 +89,6 @@ V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
     const vd vbox = V_SET1(box), hb = V_SET1(0.5 * box), nhb = V_SET1(-0.5 * box);
     const vd vrc2 = V_SET1(rc * rc), zero = V_SET1(0.0);
     const vd two = V_SET1(2.0), vtheta = V_SET1(theta);
-    const int want_shift = periodic && part_shift != 0;
     int64_t np_count = 0, nn_count = 0, visited = 0;
     part_ptr[0] = 0;
     node_ptr[0] = 0;
@@ -112,22 +109,13 @@ V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
                 vd dx0 = px - gc0;
                 vd dx1 = py - gc1;
                 vd dx2 = pz - gc2;
-                double sh[3][LANES];
                 if (periodic) {
                     vm far = V_GT(dx0, hb) | V_LT(dx0, nhb) | V_GT(dx1, hb) |
                              V_LT(dx1, nhb) | V_GT(dx2, hb) | V_LT(dx2, nhb);
-                    if (want_shift || V_BITS(far)) {
-                        vd s0 = V_RINT(dx0 / vbox) * vbox;
-                        vd s1 = V_RINT(dx1 / vbox) * vbox;
-                        vd s2 = V_RINT(dx2 / vbox) * vbox;
-                        dx0 -= s0;
-                        dx1 -= s1;
-                        dx2 -= s2;
-                        if (want_shift) {
-                            V_STORE(sh[0], s0);
-                            V_STORE(sh[1], s1);
-                            V_STORE(sh[2], s2);
-                        }
+                    if (V_BITS(far)) {
+                        dx0 -= V_RINT(dx0 / vbox) * vbox;
+                        dx1 -= V_RINT(dx1 / vbox) * vbox;
+                        dx2 -= V_RINT(dx2 / vbox) * vbox;
                     }
                 }
                 vd dist = V_SQRT((dx0 * dx0 + dx2 * dx2) + dx1 * dx1);
@@ -157,24 +145,16 @@ V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
                     if ((accept >> l) & 1) {
                         if (!((near >> l) & 1))
                             continue; /* its com is out of range */
-                        if (nn_count < node_cap) {
+                        if (nn_count < node_cap)
                             node_idx[nn_count] = nd;
-                            if (want_shift)
-                                for (int c = 0; c < 3; ++c)
-                                    node_shift[3 * nn_count + c] = sh[c][l];
-                        }
                         nn_count++;
                     } else if (!((keep >> l) & 1)) {
                         continue;
                     } else if (node_is_leaf[nd]) {
                         int64_t lo = node_lo[nd], m = node_hi[nd] - lo;
                         if (np_count + m <= part_cap)
-                            for (int64_t p = 0; p < m; ++p) {
+                            for (int64_t p = 0; p < m; ++p)
                                 part_idx[np_count + p] = lo + p;
-                                if (want_shift)
-                                    for (int c = 0; c < 3; ++c)
-                                        part_shift[3 * (np_count + p) + c] = sh[c][l];
-                            }
                         np_count += m;
                     } else {
                         queue[tail++] = (int32_t)nd;
@@ -231,17 +211,15 @@ V_ATTR int64_t FN(plan_traverse_w)(TRAVERSE_PARAMS)
     int64_t node_cap,                                                        \
     int64_t *part_ptr,            /* (n_groups + 1,) */                      \
     int64_t *part_idx,            /* (part_cap,) */                          \
-    double *part_shift,           /* (part_cap, 3), or null: no shifts */    \
     int64_t *node_ptr,            /* (n_groups + 1,) */                      \
     int64_t *node_idx,            /* (node_cap,) */                          \
-    double *node_shift,           /* (node_cap, 3), or null with part_shift */ \
     int32_t *queue,               /* scratch, length >= n_nodes */           \
     int64_t *counts_out           /* [visited, part_needed, node_needed] */
 #define TRAVERSE_ARGS                                                        \
     groups, n_groups, node_soa, soa_stride, node_center, node_lo, node_hi,   \
     node_is_leaf, node_children, theta, periodic, box, use_rcut, rcut,       \
-    part_cap, node_cap, part_ptr, part_idx, part_shift, node_ptr, node_idx,  \
-    node_shift, queue, counts_out
+    part_cap, node_cap, part_ptr, part_idx, node_ptr, node_idx, queue,       \
+    counts_out
 
 /* plan_traverse_w1 (exported, so the two widths can be compared on
  * any host) and _w4, `dispatched` (the one plan_traverse runs) and

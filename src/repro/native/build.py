@@ -281,14 +281,20 @@ class _Array:
     def from_param(self, arr):
         if arr is None:
             return None
-        if not c_arrays(self.dtype, arr):
+        # c_arrays for one array, inlined: this runs for every array
+        # argument of every kernel call
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == self.dtype
+            and arr.flags.c_contiguous
+        ):
             raise TypeError(f"expected a C-contiguous {self.dtype} array")
         return ctypes.c_void_p(arr.ctypes.data)
 
 
 _I64, _F64, _INT = ctypes.c_int64, ctypes.c_double, ctypes.c_int
-_I64A, _U64A, _F64A, _I32A, _U8A = map(
-    _Array, (np.int64, np.uint64, np.float64, np.int32, np.uint8)
+_I64A, _U64A, _F64A, _F32A, _I32A, _U8A = map(
+    _Array, (np.int64, np.uint64, np.float64, np.float32, np.int32, np.uint8)
 )
 
 
@@ -323,7 +329,7 @@ _SWEEP_ARGS = [
     _F64A, _F64A, _F64A, _F64A,  # pos, mass, node_com, node_mass
     _U8A, _U8A,  # per-group wrap, per-row target mask (None: every row)
     _F64, _F64, _INT, _F64, _F64, _F64,  # box, eps2, use_split, rcut, rc2, G
-    _F64A, _F64A,  # scratch, out
+    _F32A, _F64A,  # scratch, out
 ]
 #: TRAVERSE_PARAMS of _traverse.c
 _WALK_ARGS = [
@@ -331,8 +337,7 @@ _WALK_ARGS = [
     _F64A, _I64A, _I64A, _U8A, _I64A,  # node center, lo, hi, is_leaf, children
     _F64, _INT, _F64, _INT, _F64,  # theta, periodic, box, use_rcut, rcut
     _I64, _I64,  # part_cap, node_cap
-    _I64A, _I64A, _F64A,  # part_ptr, part_idx, part_shift (None: no shifts)
-    _I64A, _I64A, _F64A,  # node_ptr, node_idx, node_shift
+    _I64A, _I64A, _I64A, _I64A,  # part_ptr, part_idx, node_ptr, node_idx
     _I32A, _I64A,  # queue, counts
 ]
 #: nx, ny, nz, x0, y_idx, z_idx, slab ny, slab nz, slab, block

@@ -87,8 +87,7 @@ def _self_test(lib) -> bool:
     for rcut in (None, 3.0 / 16):
         for theta in (0.4, 0.8):
             stats = TraversalStats()
-            (part_ptr, part_idx, node_ptr, node_idx,
-             part_shift, node_shift) = traverse_all_numpy(
+            part_ptr, part_idx, node_ptr, node_idx = traverse_all_numpy(
                 tree, groups, rcut, theta, True, 1.0, stats
             )
             plan = InteractionPlan(
@@ -99,8 +98,6 @@ def _self_test(lib) -> bool:
                 part_idx=part_idx,
                 node_ptr=node_ptr,
                 node_idx=node_idx,
-                part_shift=part_shift,
-                node_shift=node_shift,
             )
             ref = certify_no_wrap_numpy(tree, plan, 1.0)
             got = _certify_with(lib, tree, plan, 1.0)

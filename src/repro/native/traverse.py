@@ -1,12 +1,10 @@
 """Bindings for the native plan-construction traversal kernel.
 
 :func:`traverse_all` mirrors :func:`repro.tree.traversal.traverse_all_numpy`
-— same inputs, same six-tuple CSR plan, bit for bit — and returns
+— same inputs, same four CSR arrays, bit for bit — and returns
 ``None`` when the kernel is unavailable, the stage is disabled or the
 tree is not one the kernel walks (children of a node not one contiguous
-id run).  With ``shifts=False`` the two image-shift arrays, which only
-the float32 executor reads, are neither allocated nor written and come
-back as ``None``.  ``plan_traverse`` runs the lane width picked for this
+id run).  ``plan_traverse`` runs the lane width picked for this
 CPU (``plan_traverse_lanes()``), ``plan_traverse_w1`` always one lane.
 The first successful load self-tests the kernel against the numpy
 reference on periodic/open × cutoff/pure-tree configurations.
@@ -72,13 +70,12 @@ class PlanWalker:
 
     def _walk(
         self, lib, tree, groups: np.ndarray, rcut, theta: float,
-        periodic: bool, box: float, shifts: bool = True,
+        periodic: bool, box: float,
     ) -> Optional[Tuple]:
         Gn = len(groups)
         n_nodes = tree.n_nodes
         if n_nodes >= 2**31:
             return None  # the FIFO holds int32 node ids
-        shifts = shifts and periodic
         groups = np.ascontiguousarray(groups, dtype=np.int64)
         # com x|y|z, half, bmin x|y|z, bmax x|y|z, one padded row each:
         # a node's children are consecutive ids, so a run of siblings is
@@ -105,17 +102,13 @@ class PlanWalker:
             node_ptr = np.empty(Gn + 1, dtype=np.int64)
             part_idx = np.empty(part_cap, dtype=np.int64)
             node_idx = np.empty(node_cap, dtype=np.int64)
-            part_shift = np.empty((part_cap, 3)) if shifts else None
-            node_shift = np.empty((node_cap, 3)) if shifts else None
             rc = lib.plan_traverse(
                 groups, Gn, node_soa, stride,
                 node_center, node_lo, node_hi, is_leaf, children,
                 theta, int(periodic), box,
                 int(rcut is not None), 0.0 if rcut is None else float(rcut),
                 part_cap, node_cap,
-                part_ptr, part_idx, part_shift,
-                node_ptr, node_idx, node_shift,
-                queue, counts,
+                part_ptr, part_idx, node_ptr, node_idx, queue, counts,
             )
             np_count = int(counts[1])
             nn_count = int(counts[2])
@@ -127,8 +120,6 @@ class PlanWalker:
                     _fit(part_idx, np_count),
                     node_ptr,
                     _fit(node_idx, nn_count),
-                    _fit(part_shift, np_count) if shifts else None,
-                    _fit(node_shift, nn_count) if shifts else None,
                     int(counts[0]),
                 )
             if rc != -1:
@@ -138,24 +129,20 @@ class PlanWalker:
         return None
 
     def traverse_all(
-        self, tree, groups, rcut, theta, periodic, box, stats, shifts=True
+        self, tree, groups, rcut, theta, periodic, box, stats
     ) -> Optional[Tuple]:
-        """Native drop-in for ``traverse_all_numpy``; ``None`` = fall back.
-        ``shifts=False`` leaves the two shift arrays out (``None``)."""
+        """Native drop-in for ``traverse_all_numpy``; ``None`` = fall back."""
         Gn = len(groups)
         if Gn == 0:
             return None  # the numpy path handles the empty plan shape
         lib = get_lib()
         if lib is None:
             return None
-        got = self._walk(
-            lib, tree, np.asarray(groups), rcut, theta, periodic, box, shifts
-        )
+        got = self._walk(lib, tree, np.asarray(groups), rcut, theta, periodic, box)
         if got is None:
             return None
-        part_ptr, part_idx, node_ptr, node_idx, part_shift, node_shift, visited = got
-        stats.nodes_visited += visited
-        return part_ptr, part_idx, node_ptr, node_idx, part_shift, node_shift
+        stats.nodes_visited += got[4]
+        return got[:4]
 
 
 def traverse_all(tree, groups, rcut, theta, periodic, box, stats) -> Optional[Tuple]:
@@ -168,11 +155,10 @@ def traverse_all(tree, groups, rcut, theta, periodic, box, stats) -> Optional[Tu
 
 
 def _self_test(lib) -> bool:
-    """Bitwise plan comparison vs the numpy traversal on eight configs,
-    with the image shifts (the float32 executor's arrays) and without
-    them (where the walk skips the image round of near batches), over
-    all groups and over the groups of a ghosted plan (targets on one
-    side of the box only)."""
+    """Bitwise plan comparison vs the numpy traversal on eight configs
+    (the walk skips the image round of near batches, numpy never does),
+    over all groups and over the groups of a ghosted plan (targets on
+    one side of the box only)."""
     from repro.tree.octree import Octree
     from repro.tree.traversal import TraversalStats, traverse_all_numpy
 
@@ -199,18 +185,11 @@ def _self_test(lib) -> bool:
                 ref = traverse_all_numpy(
                     tree, gs, rcut, theta, periodic, 1.0, ref_stats
                 )
-                for shifts in (True, False):
-                    got = walker._walk(
-                        lib, tree, gs, rcut, theta, periodic, 1.0, shifts
-                    )
-                    if got is None or got[6] != ref_stats.nodes_visited:
-                        return False
-                    for k in range(6):
-                        if got[k] is None:
-                            if k < 4 or (shifts and periodic):
-                                return False
-                        elif not np.array_equal(got[k], ref[k]):
-                            return False
+                got = walker._walk(lib, tree, gs, rcut, theta, periodic, 1.0)
+                if got is None or got[4] != ref_stats.nodes_visited:
+                    return False
+                if not all(np.array_equal(got[k], ref[k]) for k in range(4)):
+                    return False
     return True
 
 

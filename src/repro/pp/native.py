@@ -6,22 +6,24 @@ compile-on-demand loader like every other stage: compiled once per
 source/toolchain/flag combination into a hash-keyed on-disk cache,
 bound through :mod:`ctypes`, gated by :func:`repro.native.build.library`.
 
-The kernel is laid out like the paper's Phantom-GRAPE: a group's
-interaction list is gathered once into structure-of-arrays scratch and
-the group's targets are swept one per SIMD lane over that shared list.
-One kernel body is instantiated at four lanes (256-bit vectors, picked
-when the library is loaded on an x86-64 CPU with AVX2) and at one lane
-(plain C, every other host) by the lane header shared with the walk
+The kernel is the paper's single-precision Phantom-GRAPE: a group's
+interaction list is gathered once, relative to the group's own origin,
+into float structure-of-arrays scratch, and the group's targets are
+swept one per SIMD lane over that shared list.  One kernel body is
+instantiated at eight float lanes (256-bit vectors, picked when the
+library is loaded on an x86-64 CPU with AVX2) and at one lane (plain
+C, every other host) by the lane header shared with the walk
 (:file:`repro/native/_lanes.h`); ``plan_sweep`` runs the dispatched
 width, ``plan_sweep_w1`` always the one-lane instantiation, and
 ``plan_sweep_lanes()`` reports which width was dispatched.  Lanes are
 targets, so each lane performs exactly the individually rounded IEEE
-double operations of the numpy executor pipeline for its own target, in
-the same order: the translation unit is built for the baseline
-architecture with ``-ffp-contract=off`` — only the four-lane functions
-carry an AVX2 target attribute, and nothing enables FMA contraction or
-reassociation — so the forces are bitwise identical to the pure-numpy
-path at either width.
+operations of the numpy single-precision executor for its own target,
+in the same order: the translation unit is built for the baseline
+architecture with ``-ffp-contract=off`` — only the eight-lane functions
+carry an AVX2 target attribute, nothing enables FMA contraction or
+reassociation, and square root and divide are the IEEE instructions,
+never a reciprocal estimate — so the forces are bitwise identical to
+the numpy pipeline at either width.
 
 When the toolchain supports OpenMP the library is built with
 ``-fopenmp`` and exposes ``plan_sweep_threads``, a parallel-over-groups
@@ -91,7 +93,7 @@ def sweep(
     ``target_mask`` is one byte per sorted particle or ``None``).
 
     With ``nthreads > 1`` the OpenMP entry point is used; ``scratch``
-    must then hold ``nthreads * scratch_stride`` doubles (one board per
+    must then hold ``nthreads * scratch_stride`` floats (one board per
     thread).  Results are bitwise identical either way.
     """
     args = (
@@ -111,13 +113,12 @@ def sweep(
 def _self_test(lib) -> bool:
     """Bitwise comparison of the compiled sweep vs the numpy executor.
 
-    The native sweep replays numpy's float64 arithmetic operation by
-    operation, including numpy's SIMD reduction order for the component
-    sum — an order that is an implementation detail of the running
-    numpy build.  Rather than trust it across platforms, the sweep is
-    checked on a small synthetic plan exercising wrap and no-wrap
-    groups, whole and partial lane blocks, self pairs, softened and
-    unsoftened kernels, both split modes, and a target mask.
+    The native sweep replays the numpy single-precision arithmetic
+    operation by operation.  Rather than trust the compiler and numpy
+    build to keep every rounding, the sweep is checked on a small
+    synthetic plan exercising wrap and no-wrap groups, whole and
+    partial lane blocks, self pairs and a duplicate position, softened
+    and unsoftened kernels, both split modes, and a target mask.
     """
     from dataclasses import replace
 
@@ -128,6 +129,7 @@ def _self_test(lib) -> bool:
     rng = np.random.default_rng(20120416)
     N, M = 54, 6
     pos = rng.random((N, 3))
+    pos[7] = pos[3]  # a duplicate position: r2 == 0 between two rows
     mass = rng.random(N) + 0.5
     ncom = rng.random((M, 3))
     nmass = rng.random(M) + 1.0

@@ -8,19 +8,16 @@ kernel consumes the lists in bulk.
    runs the traversal for *all* groups and emits one flat CSR-style
    :class:`InteractionPlan`: per-group target slices (and the mask of
    the rows in them that are targets at all), the concatenated
-   source-particle indices, accepted-node indices, a per-group
+   source-particle indices, accepted-node indices and a per-group
    ``no_wrap`` certificate (every pair displacement provably within
-   ``box/2``, so the per-pair ``np.round`` is exactly a no-op) and, for
-   the float32 executor, precomputed periodic image shifts per list
-   entry.
-2. **Plan execution** (:class:`PlanExecutor`) sweeps the plan — in the
-   compiled kernel when it is available and covers the configuration,
-   else in large numpy batches of groups bucketed by list length, with
-   reused scratch buffers and zero-mass column padding.  In float64
-   mode the arithmetic is elementwise identical to feeding each group's
-   list to :meth:`repro.pp.kernel.PPKernel.accumulate`, so forces match
-   it bitwise; an optional float32 mode mirrors the paper's
-   single-precision Phantom-GRAPE kernel.
+   ``box/2``, so the minimum-image round is exactly a no-op).
+2. **Plan execution** (:class:`PlanExecutor`) sweeps the plan in the
+   paper's single-precision Phantom-GRAPE tier — in the compiled kernel
+   when it is available, else in large numpy batches of groups bucketed
+   by list length, with reused scratch buffers and zero-mass column
+   padding, which is the compiled kernel's bitwise reference.  A
+   float64 executor is the precision oracle: elementwise identical to
+   feeding each group's list to :meth:`repro.pp.kernel.PPKernel.accumulate`.
 
 The executor deliberately knows nothing about trees: it consumes the
 plan plus the Morton-sorted particle arrays and node moments.
@@ -29,6 +26,7 @@ plan plus the Morton-sorted particle arrays and node moments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -83,7 +81,7 @@ def slice_plan(plan: "InteractionPlan", groups: np.ndarray) -> "InteractionPlan"
     psel = multi_arange(plo, phi)
     nsel = multi_arange(nlo, nhi)
     zero = np.zeros(1, dtype=np.int64)
-    return InteractionPlan(
+    sub = InteractionPlan(
         group_nodes=plan.group_nodes[groups],
         group_lo=plan.group_lo[groups],
         group_hi=plan.group_hi[groups],
@@ -91,11 +89,11 @@ def slice_plan(plan: "InteractionPlan", groups: np.ndarray) -> "InteractionPlan"
         part_idx=plan.part_idx[psel],
         node_ptr=np.concatenate([zero, np.cumsum(nhi - nlo)]).astype(np.int64),
         node_idx=plan.node_idx[nsel],
-        part_shift=None if plan.part_shift is None else plan.part_shift[psel],
-        node_shift=None if plan.node_shift is None else plan.node_shift[nsel],
         no_wrap=None if plan.no_wrap is None else plan.no_wrap[groups],
         target_mask=plan.target_mask,
     )
+    sub.target_counts = plan.target_counts[groups]
+    return sub
 
 
 @dataclass
@@ -114,14 +112,9 @@ class InteractionPlan:
     distributed driver's ghosts are sources, never targets), and
     ``target_counts``/``n_pairs`` count them alone.
 
-    ``part_shift``/``node_shift`` hold the periodic image shift of each
-    list entry relative to the group center (``box`` times an integer
-    vector; subtracting it moves the source next to the group).  Only
-    the float32 executor reads them, so only a ``plan_float32`` solver's
-    periodic plans carry them; everywhere else they are ``None``.
     ``no_wrap[i]`` certifies that every pair displacement of group ``i``
-    lies within ``box/2`` in all coordinates, so the per-pair
-    minimum-image round is exactly zero.
+    lies within ``box/2`` in all coordinates, so the minimum-image round
+    is exactly zero.
     """
 
     group_nodes: np.ndarray
@@ -131,8 +124,6 @@ class InteractionPlan:
     part_idx: np.ndarray
     node_ptr: np.ndarray
     node_idx: np.ndarray
-    part_shift: Optional[np.ndarray] = None
-    node_shift: Optional[np.ndarray] = None
     no_wrap: Optional[np.ndarray] = None
     target_mask: Optional[np.ndarray] = None
 
@@ -140,9 +131,10 @@ class InteractionPlan:
     def n_groups(self) -> int:
         return len(self.group_nodes)
 
-    @property
+    @cached_property
     def target_counts(self) -> np.ndarray:
-        """Swept targets per group (the per-call ``Ni``)."""
+        """Swept targets per group (the per-call ``Ni``), counted once
+        per plan; whoever already counted them may assign the counts."""
         if self.target_mask is None:
             return self.group_hi - self.group_lo
         below = np.concatenate([[0], np.cumsum(self.target_mask)])
@@ -161,19 +153,98 @@ class InteractionPlan:
         return int(np.dot(self.target_counts, self.list_lengths))
 
 
+def _covered_by_single_tier(kernel) -> bool:
+    """Whether the single-precision tier computes this kernel: softened
+    Newtonian gravity, bare or times the S2 cutoff.  Ewald tables, the
+    emulated fast rsqrt and other split shapes run in float64."""
+    return (
+        kernel.ewald_table is None
+        and not kernel.use_fast_rsqrt
+        and (kernel.split is None or type(kernel.split) is S2ForceSplit)
+    )
+
+
+def _wrap_groups(plan: InteractionPlan, box) -> np.ndarray:
+    """Per group: whether its pairs take the minimum image (a new array)."""
+    if box is None:
+        return np.zeros(plan.n_groups, dtype=bool)
+    if plan.no_wrap is not None:
+        return ~plan.no_wrap
+    return np.ones(plan.n_groups, dtype=bool)
+
+
+def _skip_radius2(split) -> float:
+    """Squared separation past which a pair is skipped: a hair above
+    ``rcut**2``, where the S2 factor is already exactly zero."""
+    return (split.cutoff_radius * (1.0 + 1e-9)) ** 2
+
+
+def _group_origins(plan: InteractionPlan, pos_sorted: np.ndarray) -> np.ndarray:
+    """Per-group origin of the single-precision tier: the midpoint of the
+    bounding box of the group's rows (ghost rows included), so it
+    depends on the group's own particles only.  ``(G, 3)`` float64;
+    zero for a group without rows."""
+    lo, hi = plan.group_lo, plan.group_hi
+    origin = np.zeros((plan.n_groups, 3))
+    nz = np.flatnonzero(hi > lo)
+    if nz.size:
+        n = hi[nz] - lo[nz]
+        rows = pos_sorted[multi_arange(lo[nz], hi[nz])]
+        starts = np.concatenate([[0], np.cumsum(n)[:-1]])
+        mn = np.minimum.reduceat(rows, starts, axis=0)
+        mx = np.maximum.reduceat(rows, starts, axis=0)
+        origin[nz] = (mn + mx) * 0.5
+    return origin
+
+
+def _gp3m_single(xi: np.ndarray) -> np.ndarray:
+    """The S2 cutoff factor in float32, in the compiled kernel's exact
+    operation order (``_plansweep.c::gp3m_w``)."""
+    f4 = np.float32
+    g = xi * f4(3.0 / 20.0)
+    g += f4(-12.0 / 35.0)
+    g *= xi
+    g += f4(-0.5)
+    g *= xi
+    g += f4(8.0 / 5.0)
+    xi2 = xi * xi
+    g *= xi2
+    g += f4(-8.0 / 5.0)
+    g *= xi2 * xi
+    g += f4(1.0)
+    q = xi * f4(1.0 / 5.0)
+    q += f4(18.0 / 35.0)
+    q *= xi
+    q += f4(3.0 / 35.0)
+    zeta = xi - f4(1.0)
+    zeta[zeta < 0] = 0.0
+    z2 = zeta * zeta
+    z6 = z2 * z2
+    z6 *= z2
+    q *= z6
+    g -= q
+    g[xi >= 2] = 0.0
+    return g
+
+
 class PlanExecutor:
     """Batched sweep over an :class:`InteractionPlan`.
 
     Parameters
     ----------
     dtype:
-        ``np.float64`` (default) computes bitwise-identically to
-        :meth:`PPKernel.accumulate` applied group by group to the
-        plan's lists.  ``np.float32`` mirrors the
-        paper's single-precision kernel: sources are re-centered on the
-        group via the plan's baked image shifts (keeping float32
-        coordinates well-conditioned), the wrap is dropped entirely, and
-        all pair arithmetic runs in single precision.
+        ``np.float32`` (default) is the paper's single-precision
+        Phantom-GRAPE tier.  Each group's coordinates are taken relative
+        to its own origin (the midpoint of its rows' bounding box) and
+        moved to their nearest image there in float64, then all pair
+        arithmetic runs in float32 with IEEE square root and divide and
+        each target sums its list sequentially in float32; the sum is
+        widened to float64 and scaled by ``G``.  The compiled kernel and the numpy pipeline
+        give the same bits.  ``np.float64`` is the precision oracle,
+        numpy only: bitwise identical to :meth:`PPKernel.accumulate`
+        applied group by group to the plan's lists.  Kernels the single
+        tier does not cover (Ewald tables, the emulated fast rsqrt,
+        split shapes other than S2) run the float64 pipeline either way.
     pair_budget:
         Approximate cap on target-rows x padded-list-columns per batch;
         bounds scratch memory at roughly ``40 * pair_budget`` bytes in
@@ -181,11 +252,9 @@ class PlanExecutor:
         cache, which matters far more than batching overhead on the
         memory-bound sweep.
     use_native:
-        Sweep through the compiled plan-sweep kernel when one can be
-        built (see :mod:`repro.pp.native`); float64 only, bitwise
-        identical to the numpy pipeline.  Falls back silently to the
-        numpy pipeline when unavailable or unsupported for the kernel
-        configuration.
+        Sweep the single tier through the compiled plan-sweep kernel
+        when one can be built (see :mod:`repro.pp.native`).  Falls back
+        silently to the numpy pipeline when unavailable.
 
     Scratch buffers are owned by the executor and grown on demand, so a
     long-lived executor (one per :class:`TreeSolver`) allocates nothing
@@ -194,7 +263,7 @@ class PlanExecutor:
 
     def __init__(
         self,
-        dtype=np.float64,
+        dtype=np.float32,
         pair_budget: int = DEFAULT_PAIR_BUDGET,
         use_native: bool = True,
     ) -> None:
@@ -218,7 +287,7 @@ class PlanExecutor:
         n = 1
         for s in shape:
             n *= int(s)
-        key = (name, dtype)
+        key = (name, np.dtype(dtype))
         buf = self._scratch.get(key)
         if buf is None or buf.size < n:
             buf = np.empty(n, dtype=dtype)
@@ -253,10 +322,11 @@ class PlanExecutor:
         T = plan.target_counts
         S = plan.list_lengths
         kernel.counter.record_many(T, S)
+        single = self.dtype == np.float32 and _covered_by_single_tier(kernel)
 
         if (
-            self.use_native
-            and self._native_ok(kernel)
+            single
+            and self.use_native
             and out.flags.c_contiguous
             and out.dtype == np.dtype(np.float64)
         ):
@@ -268,29 +338,31 @@ class PlanExecutor:
                 )
                 return out
 
+        box = kernel.box
+        G = plan.n_groups
+        wrap = _wrap_groups(plan, box)
+
         # gather the concatenated source streams once
         spos = pos_sorted[plan.part_idx]
         smass = mass_sorted[plan.part_idx]
         npos = node_com[plan.node_idx]
         nmass = node_mass[plan.node_idx]
-
-        f32 = self.dtype == np.dtype(np.float32)
-        box = kernel.box
-        if f32 and box is not None and plan.part_shift is not None:
-            # bake the image shifts: every source lands next to its
-            # group, the per-pair wrap is dropped below
-            spos = spos - plan.part_shift
-            npos = npos - plan.node_shift
-
-        G = plan.n_groups
-        if box is None:
-            wrap = np.zeros(G, dtype=bool)
-        elif f32 and plan.part_shift is not None:
-            wrap = np.zeros(G, dtype=bool)
-        elif plan.no_wrap is not None:
-            wrap = ~plan.no_wrap
-        else:
-            wrap = np.ones(G, dtype=bool)
+        origin = None
+        if single:
+            # every coordinate relative to its group's origin, sources at
+            # their image nearest it, then rounded to float32 once
+            origin = _group_origins(plan, pos_sorted)
+            streams = []
+            for pts, ptr in ((spos, plan.part_ptr), (npos, plan.node_ptr)):
+                gid = np.repeat(np.arange(G), np.diff(ptr))
+                d = pts - origin[gid]
+                w = wrap[gid]
+                if w.any():
+                    d[w] = minimum_image(d[w], box)
+                streams.append(d.astype(np.float32))
+            spos, npos = streams
+            smass = smass.astype(np.float32)
+            nmass = nmass.astype(np.float32)
 
         pcnt = np.diff(plan.part_ptr)
         order = np.argsort(S, kind="stable")[::-1]
@@ -311,25 +383,10 @@ class PlanExecutor:
                     j += 1
                 self._run_batch(
                     plan, sel[i:j], T[sel[i:j]], smax, ttot, need_wrap, kernel,
-                    pos_sorted, spos, smass, npos, nmass, pcnt, out,
+                    pos_sorted, origin, spos, smass, npos, nmass, pcnt, out,
                 )
                 i = j
         return out
-
-    def _native_ok(self, kernel) -> bool:
-        """Whether the compiled kernel covers this configuration.
-
-        The native sweep implements the exact-arithmetic float64
-        pipeline for plain softened Newtonian gravity and the S2 split;
-        everything else (float32 mode, fast rsqrt, Ewald tables, other
-        split shapes) stays on the numpy path.
-        """
-        return (
-            self.dtype == np.dtype(np.float64)
-            and kernel.ewald_table is None
-            and not kernel.use_fast_rsqrt
-            and (kernel.split is None or type(kernel.split) is S2ForceSplit)
-        )
 
     def _execute_native(
         self,
@@ -347,25 +404,17 @@ class PlanExecutor:
         f64 = lambda a: np.ascontiguousarray(a, dtype=np.float64)
         G = plan.n_groups
         box = kernel.box
-        if box is None:
-            wrap = np.zeros(G, dtype=np.uint8)
-        elif plan.no_wrap is not None:
-            wrap = (~plan.no_wrap).astype(np.uint8)
-        else:
-            wrap = np.ones(G, dtype=np.uint8)
+        wrap = _wrap_groups(plan, box).view(np.uint8)
         split = kernel.split
+        rcut = rc2 = 0.0
         if split is not None:
-            rcut = split.cutoff_radius
-            rc2 = (rcut * (1.0 + 1e-9)) ** 2
-        else:
-            rcut = rc2 = 0.0
+            rcut, rc2 = split.cutoff_radius, _skip_radius2(split)
         smax = int(plan.list_lengths.max()) if G else 0
         stride = 4 * max(smax, 1)
-        # one scratch board per OpenMP thread; groups own disjoint output
-        # rows so any thread count gives bitwise-identical forces
+        # one float scratch board per OpenMP thread; groups own disjoint
+        # output rows so any thread count gives bitwise-identical forces
         nthreads = max(1, min(_native_threads(), G)) if G else 1
-        scratch = self._buf("native_scratch", (nthreads * stride,), np.float64)
-        eps2 = float(np.float64(kernel.eps) * np.float64(kernel.eps))
+        scratch = self._buf("native_scratch", (nthreads * stride,), np.float32)
         tmask = plan.target_mask
         if tmask is not None:
             tmask = np.ascontiguousarray(tmask, dtype=bool).view(np.uint8)
@@ -384,7 +433,7 @@ class PlanExecutor:
             wrap,
             tmask,
             0.0 if box is None else float(box),
-            eps2,
+            kernel.eps * kernel.eps,
             0 if split is None else 1,
             float(rcut),
             float(rc2),
@@ -424,6 +473,7 @@ class PlanExecutor:
         need_wrap,
         kernel,
         pos_sorted,
+        origin,
         spos,
         smass,
         npos,
@@ -431,15 +481,18 @@ class PlanExecutor:
         pcnt,
         out,
     ) -> None:
+        """One batch of groups; ``origin`` is ``None`` in float64, the
+        per-group origins of the single tier otherwise."""
         self.batches_run += 1
-        dt = self.dtype
+        dt = spos.dtype
         B = len(groups)
 
         # padded per-group source boards; zero masses neutralize padding
-        # (their products append exact +0.0 terms to the sequential
-        # einsum reduction, preserving bitwise results).  Only the
-        # padding tail of each row is zeroed — every other column is
-        # overwritten by the scatter fills below.
+        # in float64 (their products append exact +0.0 terms to the
+        # sequential einsum reduction, preserving bitwise results), the
+        # single tier zeroes the padding columns of its force factor.
+        # Only the padding tail of each row is zeroed — every other
+        # column is overwritten by the scatter fills below.
         sb = self._buf("src_pos", (B, smax, 3), dt)
         mb = self._buf("src_mass", (B, smax), dt)
         bp = pcnt[groups]
@@ -461,8 +514,8 @@ class PlanExecutor:
         if plan.target_mask is not None:
             trows = trows[plan.target_mask[trows]]
         tgt = pos_sorted[trows]
-        if dt != tgt.dtype:
-            tgt = tgt.astype(dt)
+        if origin is not None:
+            tgt = (tgt - np.repeat(origin[groups], tcnt, axis=0)).astype(dt)
         rend = np.cumsum(tcnt)
 
         # dx = source - target, PPKernel.accumulate's orientation;
@@ -473,12 +526,77 @@ class PlanExecutor:
             r1 = rend[i]
             r0 = r1 - tcnt[i]
             np.subtract(sb[i][None, :, :], tgt[r0:r1, None, :], out=dx[r0:r1])
+        if origin is not None:
+            acc = self._pairs_single(
+                dx, mb, tcnt, rend, bp + bn, need_wrap, kernel
+            )
+        else:
+            acc = self._pairs_double(dx, mb, tcnt, rend, need_wrap, kernel)
+        # += onto the zeroed rows normalizes any -0.0 component, exactly
+        # like adding a PPKernel.accumulate result to a zeroed array
+        out[trows] += acc
+
+    def _pairs_single(self, dx, mb, tcnt, rend, lens, need_wrap, kernel):
+        """The single tier's pair arithmetic over one batch, in the
+        compiled kernel's operation order (``_plansweep.c``)."""
+        f4 = np.float32
+        ttot, smax, _ = dx.shape
+        if need_wrap:
+            minimum_image(dx, f4(kernel.box), out=dx)
+        x, y, z = dx[..., 0], dx[..., 1], dx[..., 2]
+        r2 = self._buf("r2", (ttot, smax), f4)
+        tmp = self._buf("tmp", (ttot, smax), f4)
+        np.multiply(x, x, out=r2)
+        r2 += np.multiply(y, y, out=tmp)
+        r2 += np.multiply(z, z, out=tmp)
+        # inactive: r2 == 0 (self pair or duplicate position), or past
+        # the cutoff; their factor is set to 0 below, whatever it was
+        active = self._buf("active", (ttot, smax), bool)
+        np.not_equal(r2, 0.0, out=active)
+        split = kernel.split
+        if split is not None:
+            active &= r2 <= f4(_skip_radius2(split))
+        inactive = ~active
+        yv = self._buf("y", (ttot, smax), f4)
+        np.add(r2, f4(kernel.eps * kernel.eps), out=yv)
+        np.copyto(yv, 1.0, where=inactive)  # keep discarded lanes finite
+        np.sqrt(yv, out=yv)
+        np.divide(f4(1.0), yv, out=yv)
+        f = self._buf("f", (ttot, smax), f4)
+        np.multiply(yv, yv, out=f)
+        f *= yv
+        if split is not None:
+            np.sqrt(r2, out=tmp)
+            tmp *= f4(2.0 / split.cutoff_radius)
+            f *= _gp3m_single(tmp)
+        for i in range(len(tcnt)):
+            r1 = rend[i]
+            r0 = r1 - tcnt[i]
+            f[r0:r1] *= mb[i][None, :]
+            f[r0:r1, lens[i]:] = 0.0  # padding
+        np.copyto(f, 0.0, where=inactive)
+        # each target sums its list sequentially, as one kernel lane does
+        acc = self._buf("acc", (ttot, 3), f4)
+        for k, comp in enumerate((x, y, z)):
+            np.multiply(f, comp, out=tmp)
+            np.cumsum(tmp, axis=1, out=tmp)
+            acc[:, k] = tmp[:, -1]
+        # a lane's sum starts from +0.0, so a sum of zeros is never -0.0
+        acc += f4(0.0)
+        return acc.astype(np.float64) * kernel.G
+
+    def _pairs_double(self, dx, mb, tcnt, rend, need_wrap, kernel):
+        """The float64 oracle's pair arithmetic over one batch: bitwise
+        :meth:`PPKernel.accumulate`."""
+        dt = np.dtype(np.float64)
+        ttot, smax, _ = dx.shape
+        B = len(tcnt)
         if need_wrap:
             minimum_image(dx, kernel.box, out=dx)
 
         r2 = self._buf("r2", (ttot, smax), dt)
         np.einsum("tsk,tsk->ts", dx, dx, out=r2)
-        eps2 = dt.type(kernel.eps) * dt.type(kernel.eps)
+        eps2 = kernel.eps * kernel.eps
 
         split = kernel.split
         f = self._buf("f", (ttot, smax), dt)
@@ -488,38 +606,20 @@ class PlanExecutor:
         np.add(r2, eps2, out=r2s)
         if kernel.eps == 0.0:
             # guard exact zeros so the rsqrt path stays finite
-            np.copyto(r2s, dt.type(1.0), where=zero)
+            np.copyto(r2s, 1.0, where=zero)
         if kernel.use_fast_rsqrt:
             y = fast_rsqrt(r2s)
-            np.multiply(y, y, out=f)
-            f *= y
-            if split is not None:
-                r = self._buf("r", (ttot, smax), dt)
-                np.sqrt(r2, out=r)
-                f *= split.short_range_factor(r)
-        elif split is not None and kernel.eps == 0.0:
-            # sqrt(r2s) is bitwise sqrt(r2) away from the guarded
-            # zeros (x + 0.0 == x), so one sqrt serves both the
-            # inverse cube and the cutoff argument; the guarded
-            # entries are overwritten by the zero mask below
-            y = self._buf("y", (ttot, smax), dt)
-            np.sqrt(r2s, out=y)
-            inv = self._buf("r", (ttot, smax), dt)
-            np.divide(dt.type(1.0), y, out=inv)
-            np.multiply(inv, inv, out=f)
-            f *= inv
-            f *= split.short_range_factor(y)
         else:
             y = self._buf("y", (ttot, smax), dt)
             np.sqrt(r2s, out=y)
-            np.divide(dt.type(1.0), y, out=y)
-            np.multiply(y, y, out=f)
-            f *= y
-            if split is not None:
-                r = self._buf("r", (ttot, smax), dt)
-                np.sqrt(r2, out=r)
-                f *= split.short_range_factor(r)
-        np.copyto(f, dt.type(0.0), where=zero)
+            np.divide(1.0, y, out=y)
+        np.multiply(y, y, out=f)
+        f *= y
+        if split is not None:
+            r = self._buf("r", (ttot, smax), dt)
+            np.sqrt(r2, out=r)
+            f *= split.short_range_factor(r)
+        np.copyto(f, 0.0, where=zero)
 
         # fold the source masses into f one group row-block at a time
         # ((m*f)*dx is einsum's own product order, so this is bitwise
@@ -530,13 +630,11 @@ class PlanExecutor:
             np.multiply(f[r0:r1], mb[i][None, :], out=f[r0:r1])
         acc = self._buf("acc", (ttot, 3), dt)
         np.einsum("ts,tsk->tk", f, dx, out=acc)
-        acc *= dt.type(kernel.G)
+        acc *= kernel.G
         if kernel.ewald_table is not None:
             m2 = self._buf("m2", (ttot, smax), dt)
             gid = np.repeat(np.arange(B), tcnt)
             np.take(mb, gid, axis=0, out=m2)
             corr = -kernel.ewald_table.correction(dx)
-            acc += dt.type(kernel.G) * np.einsum("ts,tsk->tk", m2, corr)
-        # += onto the zeroed rows normalizes any -0.0 component, exactly
-        # like adding a PPKernel.accumulate result to a zeroed array
-        out[trows] += acc
+            acc += kernel.G * np.einsum("ts,tsk->tk", m2, corr)
+        return acc

@@ -114,7 +114,6 @@ class ParallelSimulation:
             G=1.0,
             periodic=True,
             use_quadrupole=tp.tree.use_quadrupole,
-            plan_float32=tp.tree.plan_float32,
         )
         if tp.pm.fft_backend == "pencil":
             from repro.meshcomm.parallel_pencil_pm import ParallelPencilPM

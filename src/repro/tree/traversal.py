@@ -93,15 +93,12 @@ class TreeSolver:
         Add the tabulated Ewald image-lattice correction to every pair
         interaction — the exact-periodic pure-tree configuration
         (GADGET-style).  Requires ``periodic=True`` and no force split.
-    plan_float32:
-        Run the plan executor's pair arithmetic in single precision,
-        mirroring the paper's float32 Phantom-GRAPE kernel (forces are
-        then approximate at the 1e-7 level).
 
     Every evaluation is two phases: :meth:`build_plan` traverses all
     groups once into a flat :class:`~repro.pp.plan.InteractionPlan`,
-    then a :class:`~repro.pp.plan.PlanExecutor` sweeps it — through the
-    compiled kernel when available (``REPRO_NO_NATIVE_PP=1`` pins the
+    then a :class:`~repro.pp.plan.PlanExecutor` sweeps it in the
+    paper's single-precision Phantom-GRAPE tier — through the compiled
+    kernel when available (``REPRO_NO_NATIVE_PP=1`` pins the
     bitwise-identical numpy executor).
     """
 
@@ -118,7 +115,6 @@ class TreeSolver:
         use_quadrupole: bool = False,
         use_fast_rsqrt: bool = False,
         ewald_correction: bool = False,
-        plan_float32: bool = False,
     ) -> None:
         if theta <= 0:
             raise ValueError("theta must be positive")
@@ -132,10 +128,7 @@ class TreeSolver:
         self.periodic = bool(periodic)
         self.use_quadrupole = bool(use_quadrupole)
         self.use_fast_rsqrt = bool(use_fast_rsqrt)
-        self.plan_float32 = bool(plan_float32)
-        self._executor = PlanExecutor(
-            dtype=np.float32 if plan_float32 else np.float64
-        )
+        self._executor = PlanExecutor()
         # sizes each plan's arrays from the plans before it
         self._walker = _native_traverse.PlanWalker()
         #: when True, every ``forces`` call keeps the inputs
@@ -277,24 +270,24 @@ class TreeSolver:
         mask rides along as ``plan.target_mask``, so the executors sweep
         masked targets only.  For periodic solvers the plan carries the
         per-group ``no_wrap`` certificate the executor uses to drop the
-        per-pair minimum-image round where it is provably a no-op, and
-        — for a ``plan_float32`` solver, whose executor is their one
-        reader — per-entry image shifts.
+        minimum-image round where it is provably a no-op.
         """
         if stats is None:
             stats = TraversalStats()
         rcut = self.split.cutoff_radius if self.split is not None else None
         groups = np.array(tree.group_nodes(self.group_size), dtype=np.int64)
         groups = groups[np.argsort(tree.node_lo[groups], kind="stable")]
+        tcnt = None
         if mask_sorted is not None:
             mask_sorted = np.asarray(mask_sorted, dtype=bool)
             cs = np.concatenate([[0], np.cumsum(mask_sorted)])
-            has = cs[tree.node_hi[groups]] - cs[tree.node_lo[groups]] > 0
-            groups = groups[has]
+            tcnt = cs[tree.node_hi[groups]] - cs[tree.node_lo[groups]]
+            groups = groups[tcnt > 0]
+            tcnt = tcnt[tcnt > 0]
 
-        (part_ptr, part_idx, node_ptr, node_idx,
-         part_shift, node_shift) = self._traverse_all(tree, groups, rcut, stats)
-
+        part_ptr, part_idx, node_ptr, node_idx = self._traverse_all(
+            tree, groups, rcut, stats
+        )
         plan = InteractionPlan(
             group_nodes=groups,
             group_lo=tree.node_lo[groups],
@@ -303,10 +296,10 @@ class TreeSolver:
             part_idx=part_idx,
             node_ptr=node_ptr,
             node_idx=node_idx,
-            part_shift=part_shift,
-            node_shift=node_shift,
             target_mask=mask_sorted,
         )
+        if tcnt is not None:
+            plan.target_counts = tcnt  # the mask scan above counted them
         tcnt = plan.target_counts
         stats.n_groups += len(groups)
         stats.pp_from_particles += int(np.dot(np.diff(part_ptr), tcnt))
@@ -320,19 +313,16 @@ class TreeSolver:
 
         Runs in the native kernel when available (bitwise self-tested
         against :func:`traverse_all_numpy`), else in the vectorized
-        numpy sweep.  Both return identical plans bit for bit; the image
-        shifts are kept for the float32 executor only.
+        numpy sweep.  Both return identical plans bit for bit.
         """
         native = self._walker.traverse_all(
-            tree, groups, rcut, self.theta, self.periodic, self.box, stats,
-            shifts=self.plan_float32,
+            tree, groups, rcut, self.theta, self.periodic, self.box, stats
         )
         if native is not None:
             return native
-        plan = traverse_all_numpy(
+        return traverse_all_numpy(
             tree, groups, rcut, self.theta, self.periodic, self.box, stats
         )
-        return plan if self.plan_float32 else plan[:4] + (None, None)
 
     def _certify_no_wrap(self, tree: Octree, plan: InteractionPlan) -> np.ndarray:
         """Per-group proof that every pair displacement fits in box/2.
@@ -427,10 +417,9 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
     """
     Gn = len(groups)
     empty_idx = np.empty(0, dtype=np.int64)
-    empty_shift = np.empty((0, 3)) if periodic else None
     if Gn == 0:
         zp = np.zeros(1, dtype=np.int64)
-        return zp, empty_idx, zp.copy(), empty_idx.copy(), empty_shift, empty_shift
+        return zp, empty_idx, zp.copy(), empty_idx.copy()
 
     sqrt3 = np.sqrt(3.0)
     gcenters = tree.node_center[groups]
@@ -444,13 +433,13 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
     gidx = np.arange(Gn, dtype=np.int64)
     nodes = np.zeros(Gn, dtype=np.int64)  # every group starts at the root
 
-    acc_g, acc_n, acc_s = [], [], []
-    leaf_g, leaf_lo, leaf_hi, leaf_s = [], [], [], []
+    acc_g, acc_n = [], []
+    leaf_g, leaf_lo, leaf_hi = [], [], []
     while nodes.size:
         stats.nodes_visited += nodes.size
         dx = tree.node_com[nodes] - gcenters[gidx]
         if periodic:
-            # image shift relative to the group center, kept per entry
+            # the image nearest the group center
             shift = np.round(dx / box)
             shift *= box
             dx -= shift
@@ -477,15 +466,11 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
         if accept.any():
             acc_g.append(gidx[accept])
             acc_n.append(nodes[accept])
-            if periodic:
-                acc_s.append(shift[accept])
         if is_leaf.any():
             nl = nodes[is_leaf]
             leaf_g.append(gidx[is_leaf])
             leaf_lo.append(tree.node_lo[nl])
             leaf_hi.append(tree.node_hi[nl])
-            if periodic:
-                leaf_s.append(shift[is_leaf])
         if to_open.any():
             kids = tree.node_children[nodes[to_open]]
             gk = np.repeat(gidx[to_open], kids.shape[1])
@@ -503,11 +488,9 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
         ncounts = np.bincount(ag, minlength=Gn)
         order = np.argsort(ag, kind="stable")
         node_idx = an[order]
-        node_shift = np.concatenate(acc_s)[order] if periodic else None
     else:
         node_idx = empty_idx
         ncounts = np.zeros(Gn, dtype=np.int64)
-        node_shift = empty_shift
     if leaf_lo:
         lg = np.concatenate(leaf_g)
         llo = np.concatenate(leaf_lo)
@@ -519,20 +502,13 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
         llo = llo[order]
         lhi = lhi[order]
         part_idx = multi_arange(llo, lhi)
-        if periodic:
-            # a dumped leaf's particles all use the leaf's image
-            ls = np.concatenate(leaf_s)[order]
-            part_shift = np.repeat(ls, lhi - llo, axis=0)
-        else:
-            part_shift = None
     else:
         part_idx = empty_idx
         pcounts = np.zeros(Gn, dtype=np.int64)
-        part_shift = empty_shift
 
     part_ptr = np.concatenate([[0], np.cumsum(pcounts)]).astype(np.int64)
     node_ptr = np.concatenate([[0], np.cumsum(ncounts)]).astype(np.int64)
-    return part_ptr, part_idx, node_ptr, node_idx, part_shift, node_shift
+    return part_ptr, part_idx, node_ptr, node_idx
 
 
 def certify_no_wrap_numpy(tree, plan, box: float) -> np.ndarray:
@@ -586,7 +562,6 @@ def tree_forces(
     leaf_size: int = 8,
     use_quadrupole: bool = False,
     ewald_correction: bool = False,
-    plan_float32: bool = False,
 ) -> Tuple[np.ndarray, TraversalStats]:
     """One-shot convenience wrapper around :class:`TreeSolver`."""
     solver = TreeSolver(
@@ -600,6 +575,5 @@ def tree_forces(
         periodic=periodic,
         use_quadrupole=use_quadrupole,
         ewald_correction=ewald_correction,
-        plan_float32=plan_float32,
     )
     return solver.forces(pos, mass)

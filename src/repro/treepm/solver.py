@@ -111,7 +111,6 @@ class TreePMSolver:
             periodic=True,
             use_quadrupole=cfg.tree.use_quadrupole,
             use_fast_rsqrt=use_fast_rsqrt,
-            plan_float32=cfg.tree.plan_float32,
         )
         if self.sdc is not None and validator.config.spot_check_groups > 0:
             self.tree.retain_last_sweep = True

@@ -16,6 +16,7 @@ import subprocess
 from fnmatch import fnmatch
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.native import build as nb
@@ -240,3 +241,42 @@ class TestOpenMPVerdictCache:
         assert nb.openmp_available() is first
         assert len(calls) == 2
         assert path.read_text().strip() == ("yes" if first else "no")
+
+
+class TestArrayArguments:
+    """A kernel's array argument takes a C-contiguous numpy array of its
+    one dtype, or ``None`` (NULL); anything else is refused at the call,
+    never passed on as a pointer to memory of another layout."""
+
+    arg = nb._Array(np.float64)
+
+    def test_accepts_contiguous_arrays_and_none(self):
+        a = np.arange(6.0)
+        assert self.arg.from_param(a).value == a.ctypes.data
+        assert self.arg.from_param(a.reshape(2, 3)).value == a.ctypes.data
+        assert self.arg.from_param(None) is None
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(np.arange(6, dtype=np.float32), id="dtype"),
+            pytest.param(np.arange(12.0)[::2], id="strided"),
+            pytest.param(np.arange(6.0).reshape(2, 3).T, id="fortran"),
+            pytest.param([0.0, 1.0], id="list"),
+            pytest.param(3.0, id="scalar"),
+        ],
+    )
+    def test_refuses_everything_else(self, bad):
+        with pytest.raises(TypeError):
+            self.arg.from_param(bad)
+
+    def test_refusal_reaches_the_caller(self):
+        """Through a declared symbol the refusal is ctypes' ArgumentError."""
+        lib = nb.library("update")
+        if lib is None:
+            pytest.skip("native update stage unavailable")
+        mom = np.zeros((4, 3))
+        with pytest.raises(ctypes.ArgumentError):
+            lib.kick(4, mom, np.zeros((4, 3), dtype=np.float32), 0.1)
+        with pytest.raises(ctypes.ArgumentError):
+            lib.kick(4, mom, np.zeros((3, 4)).T, 0.1)

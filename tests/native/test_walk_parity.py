@@ -3,11 +3,11 @@
 ``_traverse.c`` tests a node's children when the node is opened, four
 siblings per vector or one at a time, and must emit
 ``traverse_all_numpy``'s plan entry for entry with the same
-``nodes_visited`` — with the image shifts when they are asked for and
-without them (where the image round of a near batch is skipped).  The
-solver-level tests at the bottom also run with
-``REPRO_NO_NATIVE_TRAVERSE=1``, where they hold the numpy fallback to
-the same plan shape.
+``nodes_visited`` — skipping the image round of a near batch, which
+numpy never skips — whether its arrays are sized from an earlier plan
+or from the particle count.  The solver-level tests at the bottom also
+run with ``REPRO_NO_NATIVE_TRAVERSE=1``, where they hold the numpy
+fallback to the same plan shape.
 """
 
 from __future__ import annotations
@@ -64,31 +64,28 @@ def _groups(tree, size=16):
     return groups[np.argsort(tree.node_lo[groups], kind="stable")]
 
 
-def _assert_plan(got, ref, visited, shifts):
-    assert got is not None
-    assert got[6] == visited
+def _assert_plan(got, ref, visited):
+    assert got is not None and len(got) == len(ref) + 1 == 5
+    assert got[4] == visited
     for k in range(4):
         assert got[k].dtype == ref[k].dtype and np.array_equal(got[k], ref[k])
-    for k in (4, 5):
-        if shifts and ref[k] is not None:
-            # bytes, not values: the sign of a zero shift included
-            assert got[k].tobytes() == ref[k].tobytes()
-        else:
-            assert got[k] is None
 
 
 @pytest.mark.parametrize("theta", [0.4, 0.8])
 @pytest.mark.parametrize("rcut", [None, 0.11])
 @pytest.mark.parametrize("periodic", [True, False])
-@pytest.mark.parametrize("shifts", [True, False])
-def test_plan_is_the_reference_plan(entry, tree, shifts, periodic, rcut, theta):
+@pytest.mark.parametrize("remembered", [True, False])
+def test_plan_is_the_reference_plan(entry, tree, remembered, periodic, rcut, theta):
+    """``remembered``: the walker sizes its arrays from an earlier walk
+    of the same plan (one tight walk), else from the particle count."""
     groups = _groups(tree)
     stats = TraversalStats()
     ref = traverse_all_numpy(tree, groups, rcut, theta, periodic, BOX, stats)
-    got = traverse.PlanWalker()._walk(
-        entry, tree, groups, rcut, theta, periodic, BOX, shifts
-    )
-    _assert_plan(got, ref, stats.nodes_visited, shifts and periodic)
+    walker = traverse.PlanWalker()
+    if remembered:
+        walker.high_water = (len(ref[1]), len(ref[3]))
+    got = walker._walk(entry, tree, groups, rcut, theta, periodic, BOX)
+    _assert_plan(got, ref, stats.nodes_visited)
 
 
 def _mixed_batches(tree, g, theta, lanes=4):
@@ -121,20 +118,17 @@ def test_batch_straddling_half_the_box(entry, tree):
     corner = groups[np.argmin(np.abs(tree.node_center[groups] - 0.02).sum(axis=1))]
     assert _mixed_batches(tree, corner, 0.4) > 0
     one = np.array([corner])
-    for shifts in (True, False):
-        stats = TraversalStats()
-        ref = traverse_all_numpy(tree, one, None, 0.4, True, BOX, stats)
-        got = traverse.PlanWalker()._walk(
-            entry, tree, one, None, 0.4, True, BOX, shifts
-        )
-        _assert_plan(got, ref, stats.nodes_visited, shifts)
+    stats = TraversalStats()
+    ref = traverse_all_numpy(tree, one, None, 0.4, True, BOX, stats)
+    got = traverse.PlanWalker()._walk(entry, tree, one, None, 0.4, True, BOX)
+    _assert_plan(got, ref, stats.nodes_visited)
 
 
-@pytest.mark.parametrize("shifts", [True, False])
-def test_capacity_retry_counts_then_walks_again(entry, tree, shifts):
+@pytest.mark.parametrize("periodic", [True, False])
+def test_capacity_retry_counts_then_walks_again(entry, tree, periodic):
     groups = _groups(tree)
     stats = TraversalStats()
-    ref = traverse_all_numpy(tree, groups, 0.11, 0.5, True, BOX, stats)
+    ref = traverse_all_numpy(tree, groups, 0.11, 0.5, periodic, BOX, stats)
     calls = []
 
     def counted(*args):
@@ -145,17 +139,18 @@ def test_capacity_retry_counts_then_walks_again(entry, tree, shifts):
     walker.high_water = (1, 1)  # every buffer far too small
     got = walker._walk(
         types.SimpleNamespace(plan_traverse=counted),
-        tree, groups, 0.11, 0.5, True, BOX, shifts,
+        tree, groups, 0.11, 0.5, periodic, BOX,
     )
     assert calls == [-1, 0]
-    _assert_plan(got, ref, stats.nodes_visited, shifts)
+    _assert_plan(got, ref, stats.nodes_visited)
     assert walker.high_water == (len(ref[1]), len(ref[3]))
     # the retry allocated exactly what the count asked for
     assert got[1].base is None or len(got[1].base) == len(ref[1])
 
 
 def test_first_walk_allocates_no_shift_arrays(lib, tree, monkeypatch):
-    """Without shifts the walk never asks numpy for an ``(n, 3)`` array."""
+    """The walk emits indices only: it never asks numpy for an
+    ``(n, 3)`` array of per-entry image shifts."""
     shapes = []
     real_empty = np.empty
 
@@ -164,10 +159,8 @@ def test_first_walk_allocates_no_shift_arrays(lib, tree, monkeypatch):
         return real_empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(traverse.np, "empty", recording)
-    got = traverse.PlanWalker()._walk(
-        lib, tree, _groups(tree), 0.11, 0.5, True, BOX, False
-    )
-    assert got is not None and got[4] is None and got[5] is None
+    got = traverse.PlanWalker()._walk(lib, tree, _groups(tree), 0.11, 0.5, True, BOX)
+    assert got is not None and len(got) == 5
     assert not [s for s in shapes if isinstance(s, tuple) and len(s) == 2]
 
 
@@ -197,7 +190,7 @@ def test_children_not_one_run_fall_back_to_numpy(lib, tree):
     solver = TreeSolver(theta=0.5, periodic=True, box=BOX)
     got = solver._traverse_all(broken, groups, None, TraversalStats())
     ref = traverse_all_numpy(broken, groups, None, 0.5, True, BOX, TraversalStats())
-    for g, r in zip(got[:4], ref[:4]):
+    for g, r in zip(got, ref):
         assert np.array_equal(g, r)
 
 
@@ -208,22 +201,18 @@ def test_dispatched_width_is_one_of_the_instantiations(lib):
 # -- solver level: native walk or numpy fallback, the same plan ----------------
 
 
-@pytest.mark.parametrize("plan_float32", [False, True])
+@pytest.mark.parametrize("numpy_walk", [False, True])
 @pytest.mark.parametrize("periodic", [True, False])
-def test_solver_plan_matches_reference(tree, periodic, plan_float32):
-    solver = TreeSolver(
-        theta=0.5, group_size=16, periodic=periodic, box=BOX,
-        plan_float32=plan_float32,
-    )
+def test_solver_plan_matches_reference(tree, periodic, numpy_walk, monkeypatch):
+    if numpy_walk:
+        monkeypatch.setenv("REPRO_NO_NATIVE_TRAVERSE", "1")
+    solver = TreeSolver(theta=0.5, group_size=16, periodic=periodic, box=BOX)
     groups = _groups(tree)
     stats, ref_stats = TraversalStats(), TraversalStats()
     got = solver._traverse_all(tree, groups, None, stats)
     ref = traverse_all_numpy(tree, groups, None, 0.5, periodic, BOX, ref_stats)
     assert stats.nodes_visited == ref_stats.nodes_visited
-    _assert_plan(
-        got + (stats.nodes_visited,), ref, ref_stats.nodes_visited,
-        plan_float32 and periodic,
-    )
+    _assert_plan(tuple(got) + (stats.nodes_visited,), ref, ref_stats.nodes_visited)
 
 
 @pytest.mark.parametrize("periodic", [True, False])
@@ -245,6 +234,6 @@ def test_ghosted_plan_walks_the_reference_plan(tree, periodic):
         tree, plan.group_nodes, 0.11, 0.5, periodic, BOX, ref_stats
     )
     got = (plan.part_ptr, plan.part_idx, plan.node_ptr, plan.node_idx)
-    for g, r in zip(got, ref[:4]):
+    for g, r in zip(got, ref):
         assert np.array_equal(g, r)
     assert stats.nodes_visited == ref_stats.nodes_visited

@@ -95,15 +95,17 @@ class TestP3MShortRange:
         np.testing.assert_allclose(acc, ref, atol=1e-10)
 
     def test_matches_tree_short_range(self, clustered_particles):
-        """P3M and the (exactly opened) tree compute the same physics."""
-        from repro.tree.traversal import tree_forces
+        """P3M and the (exactly opened) tree compute the same physics, to
+        float64 roundoff when the tree is swept by the float64 oracle."""
+        from repro.pp.plan import PlanExecutor
+        from repro.tree.traversal import TreeSolver
 
         pos, mass = clustered_particles
         split = S2ForceSplit(rcut=0.12)
         acc_p3m = p3m_short_range_forces(pos, mass, split, eps=1e-4)
-        acc_tree, _ = tree_forces(
-            pos, mass, theta=1e-6, split=split, eps=1e-4, periodic=True
-        )
+        tree = TreeSolver(theta=1e-6, split=split, eps=1e-4, periodic=True)
+        tree._executor = PlanExecutor(dtype=np.float64)
+        acc_tree, _ = tree.forces(pos, mass)
         np.testing.assert_allclose(acc_p3m, acc_tree, rtol=1e-9, atol=1e-11)
 
     def test_interaction_count_matches_cost_estimate(self, rng):

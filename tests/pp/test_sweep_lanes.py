@@ -1,12 +1,15 @@
-"""The plan sweep's SIMD lanes: same bits at every lane width.
+"""The single-precision plan sweep's SIMD lanes: same bits at every
+lane width.
 
-``_plansweep.c`` instantiates one kernel body at four targets per
-vector and at one; the loader dispatches on the CPU.  The dispatched
-entry (``plan_sweep``), the always-one-lane entry (``plan_sweep_w1``)
-and the numpy executor must agree bitwise on plans that exercise what
-lanes add: tail blocks of every remainder, lanes masked off for self
-pairs (whose unsoftened factor is ``inf * 0``) and for pairs past the
-cutoff, and sources no lane wants.
+``_plansweep.c`` instantiates one kernel body at eight float targets
+per vector and at one; the loader dispatches on the CPU.  The
+dispatched entry (``plan_sweep``), the always-one-lane entry
+(``plan_sweep_w1``) and the numpy single-precision executor must agree
+bitwise on plans that exercise what lanes add: tail blocks of every
+remainder, lanes masked off for self pairs and duplicate positions
+(whose unsoftened factor is ``inf * 0``) and for pairs past the
+cutoff, sources no lane wants, and groups so wide that a pair still
+needs its own minimum image.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ pytestmark = pytest.mark.skipif(
 )
 
 RCUT = 0.2
-#: targets per group: every remainder of a four-lane block, and the
+#: targets per group: every remainder of an eight-lane block, and the
 #: sizes around a full 64-target group
 GROUP_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65)
+#: this group holds a duplicate position: two targets at one point
+DUP_GROUP = 9
 #: this group's list holds only the sources parked at FAR_SOURCES, all
 #: of them beyond the cutoff of its targets parked at FAR_TARGETS
 FAR_GROUP = 6
@@ -72,6 +77,7 @@ def system():
     pos[far] = FAR_TARGETS + 0.01 * rng.standard_normal((len(far), 3))
     pos[parked] = FAR_SOURCES + 0.01 * rng.standard_normal((len(parked), 3))
     pos = np.mod(pos, 1.0)
+    pos[lo[DUP_GROUP] + 1] = pos[lo[DUP_GROUP]]
     mass = rng.random(N) + 0.5
     ncom = np.mod(0.5 + 0.12 * rng.standard_normal((M, 3)), 1.0)
     ncom[0] = FAR_SOURCES
@@ -117,7 +123,7 @@ def _native(entry, system, kernel):
 
 
 def test_dispatched_width_is_one_of_the_instantiations(lib):
-    assert lib.plan_sweep_lanes() in (1, 4)
+    assert lib.plan_sweep_lanes() in (1, 8)
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -171,3 +177,33 @@ def test_threaded_sweep_is_bitwise_identical(lib, system, monkeypatch, name, thr
     kernel = PPKernel(**KERNELS[name])
     monkeypatch.setenv("REPRO_NATIVE_THREADS", str(threads))
     assert np.array_equal(_native(lib, system, kernel), _numpy(system, kernel))
+
+
+def test_group_wider_than_half_the_box(lib, one_lane):
+    """One group spanning the whole periodic box (a root group): from its
+    origin near the box centre a pair across the boundary is still a
+    box away after the sources' image shift, so the lanes must wrap it
+    once more.  Both widths give the numpy bits, and the forces are the
+    float64 oracle's to single precision — the pairs across the
+    boundary are found, not dropped past the cutoff."""
+    rng = np.random.default_rng(11)
+    n = 40
+    pos = rng.random((n, 3))
+    pos[:10, 0] = 0.99 - 0.02 * rng.random(10)  # by the x = 1 face ...
+    pos[10:20, 0] = 0.01 * rng.random(10)  # ... and across it
+    mass = rng.random(n) + 0.5
+    plan = InteractionPlan(
+        group_nodes=np.zeros(1, dtype=np.int64),
+        group_lo=np.array([0]), group_hi=np.array([n]),
+        part_ptr=np.array([0, n]), part_idx=np.arange(n),
+        node_ptr=np.array([0, 0]), node_idx=np.empty(0, dtype=np.int64),
+        no_wrap=np.array([False]),
+    )
+    system = (plan, pos, mass, np.empty((0, 3)), np.empty(0))
+    kernel = PPKernel(split=S2ForceSplit(RCUT), eps=1e-3, box=1.0)
+    want = _numpy(system, kernel)
+    assert np.array_equal(_native(lib, system, kernel), want)
+    assert np.array_equal(_native(one_lane, system, kernel), want)
+    oracle = PlanExecutor(dtype=np.float64).execute(plan, kernel, *system[1:])
+    assert np.abs(oracle[:20]).min() > 0
+    np.testing.assert_allclose(want, oracle, rtol=1e-4, atol=1e-4 * np.abs(oracle).max())

@@ -205,9 +205,12 @@ class TestSdcConfig:
 
     def test_config_hash_pinned(self):
         # folding the guard configs must not move the physics
-        # fingerprint: existing checkpoints keep loading
+        # fingerprint: existing checkpoints keep loading (re-pinned when
+        # TreeConfig.plan_float32 went: the single-precision sweep is
+        # the only one, and a checkpoint written with the float64 sweep
+        # is refused as another physics configuration)
         assert SimulationConfig().config_hash() == (
-            "8eecefecc4a1c7fbea79c99f32c5a10e04a44a96347190fa4dc7e45a464ae4bc"
+            "19ccedbfcf6dffdd579b10c3f94bcb902305bf332ec6a603316d39d238e7e414"
         )
 
     def test_ten_guard_fields(self):

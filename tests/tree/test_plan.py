@@ -1,13 +1,14 @@
 """Tests of the interaction-plan engine and its satellites.
 
-The plan executor (compiled sweep or batched numpy pipeline) must be
-bitwise-identical in float64 mode — not merely close — to the plainest
-possible evaluation of the same plan: walk its CSR lists group by group
-and feed each list (particles first, then nodes) to
-``PPKernel.accumulate``.  These tests pin that contract across every
-kernel configuration, plus the masked-target semantics the distributed
-driver relies on, the no-wrap certificate, and the single-precision
-mode.
+The float64 plan executor, the precision oracle, must be
+bitwise-identical — not merely close — to the plainest possible
+evaluation of the same plan: walk its CSR lists group by group and feed
+each list (particles first, then nodes) to ``PPKernel.accumulate``.
+These tests pin that contract across every kernel configuration, plus
+the masked-target semantics the distributed driver relies on, the
+no-wrap certificate, and the production single-precision tier: its
+compiled and numpy sweeps give the same bits, and stay within single
+precision of the oracle.
 """
 
 from __future__ import annotations
@@ -67,8 +68,15 @@ def _reference_sorted(solver, tree, plan, kernel):
     return acc
 
 
+def _oracle(**kw):
+    """A ``TreeSolver`` whose sweep is the float64 precision oracle."""
+    solver = TreeSolver(**kw)
+    solver._executor = PlanExecutor(dtype=np.float64)
+    return solver
+
+
 def _reference(pos, mass, targets_mask=None, **kw):
-    """``TreeSolver(**kw).forces`` recomputed by the group-by-group
+    """``_oracle(**kw).forces`` recomputed by the group-by-group
     reference; returns ``(acc, n_groups, counter)``."""
     solver = TreeSolver(**kw)
     tree = solver.build(pos, mass)
@@ -108,7 +116,7 @@ class TestBitwiseEquivalence:
     @pytest.mark.parametrize("kw", CONFIGS)
     def test_forces_match_reference_bitwise(self, medium_particles, kw):
         pos, mass = medium_particles
-        acc, stats = TreeSolver(**kw).forces(pos, mass)
+        acc, stats = _oracle(**kw).forces(pos, mass)
         ref, n_groups, counter = _reference(pos, mass, **kw)
         assert np.array_equal(acc, ref)
         # statistics describe the traversal's lists, one call per group
@@ -124,22 +132,26 @@ class TestBitwiseEquivalence:
         assert np.array_equal(acc, _reference(pos, mass, **kw)[0])
 
     def test_tiny_pair_budget_still_bitwise(self, medium_particles):
-        """Many small batches must give the same bits as few large ones."""
+        """Many small batches must give the same bits as few large ones,
+        in the oracle (the reference's bits) and in the single tier (the
+        compiled sweep's bits)."""
         pos, mass = medium_particles
         solver = TreeSolver(periodic=True, split=SPLIT, eps=1e-3)
         tree = solver.build(pos, mass)
         plan = solver.build_plan(tree)
-        ref = _reference_sorted(solver, tree, plan, _kernel(solver))
-        batches = []
-        for budget in (4096, 1 << 22):
-            executor = PlanExecutor(pair_budget=budget, use_native=False)
-            got = executor.execute(
-                plan, _kernel(solver), tree.pos_sorted, tree.mass_sorted,
-                tree.node_com, tree.node_mass,
-            )
-            assert np.array_equal(got, ref)
-            batches.append(executor.batches_run)
-        assert batches[0] > batches[1]
+        arrays = (tree.pos_sorted, tree.mass_sorted, tree.node_com, tree.node_mass)
+        refs = {
+            np.float64: _reference_sorted(solver, tree, plan, _kernel(solver)),
+            np.float32: PlanExecutor().execute(plan, _kernel(solver), *arrays),
+        }
+        for dtype, ref in refs.items():
+            batches = []
+            for budget in (4096, 1 << 22):
+                executor = PlanExecutor(dtype, pair_budget=budget, use_native=False)
+                got = executor.execute(plan, _kernel(solver), *arrays)
+                assert np.array_equal(got, ref)
+                batches.append(executor.batches_run)
+            assert batches[0] > batches[1]
 
     def test_accuracy_against_direct_cutoff(self, medium_particles):
         """The plan path stays an accurate short-range solver."""
@@ -161,7 +173,7 @@ class TestTargetsMask:
         rng = np.random.default_rng(7)
         mask = rng.random(len(pos)) < 0.35
         kw = dict(periodic=True, split=SPLIT, eps=1e-3)
-        acc, _ = TreeSolver(**kw).forces(pos, mass, targets_mask=mask)
+        acc, _ = _oracle(**kw).forces(pos, mass, targets_mask=mask)
         ref, _, _ = _reference(pos, mass, targets_mask=mask, **kw)
         assert np.array_equal(acc, ref)
 
@@ -232,18 +244,8 @@ class TestPlanStructure:
         assert plan.n_pairs == int(
             np.dot(plan.target_counts, plan.list_lengths)
         )
-        # only the float32 executor reads the image shifts, so only its
-        # solver's plans carry them (native walk and numpy fallback alike)
-        assert plan.part_shift is None and plan.node_shift is None
-        f32 = TreeSolver(
-            periodic=True, split=SPLIT, eps=1e-3, plan_float32=True
-        ).build_plan(tree)
-        assert np.array_equal(f32.part_idx, plan.part_idx)
-        assert np.array_equal(f32.node_idx, plan.node_idx)
-        assert f32.part_shift.shape == (len(plan.part_idx), 3)
-        assert f32.node_shift.shape == (len(plan.node_idx), 3)
-        # shifts are integer multiples of the box
-        assert np.array_equal(f32.part_shift, np.round(f32.part_shift))
+        # counted once per plan
+        assert plan.target_counts is plan.target_counts
 
     def test_no_wrap_certificate_is_sound(self, medium_particles):
         """Where the certificate holds, the wrap must truly be a no-op."""
@@ -281,11 +283,14 @@ class TestPlanStructure:
 
 
 class TestFloat32Mode:
+    """The production single-precision tier against the float64 oracle
+    (tests/pp/test_single_tier.py bounds it on the benchmark inputs)."""
+
     def test_close_to_double(self, medium_particles):
         pos, mass = medium_particles
         kw = dict(periodic=True, split=SPLIT, eps=1e-3)
-        a32, _ = TreeSolver(plan_float32=True, **kw).forces(pos, mass)
-        a64, _ = TreeSolver(**kw).forces(pos, mass)
+        a32, _ = TreeSolver(**kw).forces(pos, mass)
+        a64, _ = _oracle(**kw).forces(pos, mass)
         err = np.linalg.norm(a32 - a64, axis=1)
         scale = np.linalg.norm(a64, axis=1)
         med = np.median(err / np.maximum(scale, 1e-30))
@@ -293,10 +298,8 @@ class TestFloat32Mode:
 
     def test_open_boundary_float32(self, medium_particles):
         pos, mass = medium_particles
-        a32, _ = TreeSolver(
-            plan_float32=True, periodic=False, eps=1e-3
-        ).forces(pos, mass)
-        a64, _ = TreeSolver(periodic=False, eps=1e-3).forces(pos, mass)
+        a32, _ = TreeSolver(periodic=False, eps=1e-3).forces(pos, mass)
+        a64, _ = _oracle(periodic=False, eps=1e-3).forces(pos, mass)
         # rtol covers the large components, atol the strongly cancelled
         # near-zero ones (accelerations here are O(10)-O(100))
         np.testing.assert_allclose(a32, a64, rtol=1e-3, atol=1e-3)
@@ -413,7 +416,7 @@ class TestQuadrupoleRegression:
         pos = rng.random((800, 3))
         mass = np.full(800, 1.0 / 800)
         kw = dict(periodic=True, split=SPLIT, eps=1e-3, use_quadrupole=True)
-        acc, _ = TreeSolver(**kw).forces(pos, mass)
+        acc, _ = _oracle(**kw).forces(pos, mass)
         assert np.array_equal(acc, _reference(pos, mass, **kw)[0])
 
 
@@ -480,35 +483,34 @@ class TestNativeKernel:
         s.forces(pos, mass)
         assert s._executor.native_runs == 0
         assert s._executor.batches_run > 0
-        # float32 mode is a numpy-only path
-        s32 = TreeSolver(
-            periodic=True, split=SPLIT, eps=1e-3, plan_float32=True
-        )
-        s32.forces(pos, mass)
-        assert s32._executor.native_runs == 0
+        # the float64 oracle is a numpy-only path
+        s64 = _oracle(periodic=True, split=SPLIT, eps=1e-3)
+        s64.forces(pos, mass)
+        assert s64._executor.native_runs == 0
 
     def test_failed_verification_disables_native(
         self, medium_particles, monkeypatch
     ):
         """If the sweep's self-test ever fails, the executor must
-        silently use the numpy pipeline (and still produce
-        reference-identical bits)."""
+        silently use the numpy pipeline (and still produce the compiled
+        sweep's bits)."""
         from dataclasses import replace
 
         from repro.native import build
         from repro.pp import native
 
+        pos, mass = medium_particles
+        kw = dict(periodic=True, split=SPLIT, eps=1e-3)
+        want, _ = TreeSolver(**kw).forces(pos, mass)
         if native.available():
             failed = replace(build._gates["pp"], ok=False)
             monkeypatch.setitem(build._gates, "pp", failed)
         assert not native.available()
-        pos, mass = medium_particles
-        kw = dict(periodic=True, split=SPLIT, eps=1e-3)
         s = TreeSolver(**kw)
         a, _ = s.forces(pos, mass)
         assert s._executor.native_runs == 0
         assert s._executor.batches_run > 0
-        assert np.array_equal(a, _reference(pos, mass, **kw)[0])
+        assert np.array_equal(a, want)
 
 
 class TestSlicePlan:

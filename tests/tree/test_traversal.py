@@ -7,7 +7,17 @@ import pytest
 
 from repro.forces.cutoff import S2ForceSplit
 from repro.forces.direct import direct_forces_cutoff, direct_forces_open
+from repro.pp.plan import PlanExecutor
 from repro.tree.traversal import TreeSolver, tree_forces
+
+
+def _oracle_tree_forces(pos, mass, periodic=False, **kw):
+    """``tree_forces`` swept by the float64 precision oracle: the tests
+    of the theta -> 0 limit hold the tree to direct summation at float64
+    roundoff, which the production single-precision sweep is not."""
+    solver = TreeSolver(periodic=periodic, **kw)
+    solver._executor = PlanExecutor(dtype=np.float64)
+    return solver.forces(pos, mass)
 
 
 def _rel_err(acc, ref):
@@ -27,7 +37,7 @@ class TestPureTree:
     def test_theta_zero_limit_is_exact(self, uniform_particles):
         """With a tiny theta every node is opened: exact direct sum."""
         pos, mass = uniform_particles
-        acc, stats = tree_forces(pos, mass, theta=1e-6, eps=1e-3)
+        acc, stats = _oracle_tree_forces(pos, mass, theta=1e-6, eps=1e-3)
         ref = direct_forces_open(pos, mass, eps=1e-3)
         np.testing.assert_allclose(acc, ref, rtol=1e-10, atol=1e-12)
 
@@ -111,10 +121,10 @@ class TestTreeWithCutoff:
         """The result must not depend on group size (same physics)."""
         pos, mass = clustered_particles
         split = S2ForceSplit(rcut=0.12)
-        acc1, _ = tree_forces(
+        acc1, _ = _oracle_tree_forces(
             pos, mass, theta=1e-6, split=split, periodic=True, group_size=8
         )
-        acc2, _ = tree_forces(
+        acc2, _ = _oracle_tree_forces(
             pos, mass, theta=1e-6, split=split, periodic=True, group_size=64
         )
         np.testing.assert_allclose(acc1, acc2, rtol=1e-9, atol=1e-12)
