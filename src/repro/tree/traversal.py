@@ -439,10 +439,7 @@ def traverse_all_numpy(tree, groups, rcut, theta, periodic, box, stats):
         stats.nodes_visited += nodes.size
         dx = tree.node_com[nodes] - gcenters[gidx]
         if periodic:
-            # the image nearest the group center
-            shift = np.round(dx / box)
-            shift *= box
-            dx -= shift
+            minimum_image(dx, box, out=dx)  # the image nearest the group center
         dist = np.sqrt(np.einsum("ij,ij->i", dx, dx))
         half = tree.node_half[nodes]
         gr = gradii[gidx]
