@@ -66,8 +66,8 @@ def slice_plan(plan: "InteractionPlan", groups: np.ndarray) -> "InteractionPlan"
     the target mask are untouched — so executing the sub-plan against
     the same sorted inputs reproduces, bitwise, exactly the rows the
     full sweep produced for those groups (groups own disjoint target
-    rows and each group's arithmetic depends only on its own
-    interaction list).  This is what the ABFT force spot-check leans
+    rows and each group's arithmetic depends only on its own rows,
+    which set its origin, and interaction list).  This is what the ABFT force spot-check leans
     on: re-sweep a sampled subset of groups through the reference
     pipeline and compare rows.
     """
