@@ -47,20 +47,23 @@ _QB_COEF = np.array([3.0 / 35.0, 18.0 / 35.0, 1.0 / 5.0])
 _CORR_COEF = npoly.polymul(_ZETA6, _QB_COEF)
 
 
-def gp3m_cutoff(xi: np.ndarray) -> np.ndarray:
+def gp3m_cutoff(xi: np.ndarray, dtype=np.float64) -> np.ndarray:
     """The short-range force cutoff function ``g_P3M`` of eq. (3).
 
     Parameters
     ----------
     xi:
         Scaled separation ``2 r / rcut`` (array or scalar).
+    dtype:
+        Precision of the evaluation: every operation rounds to it.
+        ``np.float32`` is the single-precision sweep's cutoff.
 
     Returns
     -------
     ``g_P3M(xi)``: 1 at xi=0, monotonically decreasing to 0 at xi=2,
     and exactly 0 for xi > 2.
     """
-    xi = np.asarray(xi, dtype=np.float64)
+    xi = np.asarray(xi, dtype=dtype)
     scalar = xi.ndim == 0
     if scalar:
         xi = xi.reshape(1)
@@ -69,8 +72,9 @@ def gp3m_cutoff(xi: np.ndarray) -> np.ndarray:
     # kernel's hot path and is otherwise allocation-bound.  The powers
     # are expanded into explicit multiply chains (xi2 = xi*xi,
     # xi3 = xi*xi2, zeta6 = (z2*z2)*z2) so the whole function is a
-    # fixed sequence of individually rounded IEEE operations that the
-    # native plan-sweep kernel reproduces bitwise.
+    # fixed sequence of individually rounded IEEE operations; in float32
+    # it is the sequence the native plan-sweep kernel
+    # (``_plansweep.c::gp3m_w``) replays bitwise.
     g = xi * (3.0 / 20.0)
     g += -12.0 / 35.0
     g *= xi

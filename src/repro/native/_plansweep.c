@@ -27,9 +27,9 @@
  *   - f = (y*y)*y with y = 1.0f / sqrtf(r2 + eps2): IEEE square root and
  *     divide, never an approximate reciprocal estimate (its bits differ
  *     between CPU vendors);
- *   - the S2 cutoff polynomial of repro.forces.cutoff.gp3m_cutoff at
- *     xi = sqrtf(r2) * (2/rcut), its two branches (zeta = max(0, xi-1),
- *     g = 0 for xi >= 2) as lane masks;
+ *   - the S2 cutoff polynomial of repro.forces.cutoff.gp3m_cutoff, in
+ *     float, at xi = sqrtf(r2) * (2/rcut), its two branches
+ *     (zeta = max(0, xi-1), g = 0 for xi >= 2) as lane masks;
  *   - per-target accumulation in float, strictly sequential over the
  *     source list, widened to double and scaled by G at the end.
  *
@@ -70,7 +70,8 @@
 
 #include "_lanes.h"
 
-/* the numpy executor's float S2 cutoff polynomial, operation by operation */
+/* repro.forces.cutoff.gp3m_cutoff(xi, dtype=np.float32), operation by
+ * operation */
 V_ATTR static inline vf FN(gp3m_w)(vf xi)
 {
     vf g = xi * V_SET1(3.0 / 20.0);

@@ -262,10 +262,14 @@ def c_arrays(dtype, *arrays) -> bool:
     """Whether every one of ``arrays`` is a C-contiguous numpy array of
     ``dtype``: what an array argument in :data:`STAGES` accepts, and so
     the contract check a wrapper makes before it calls its kernel."""
-    return all(
-        isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous
-        for a in arrays
-    )
+    for a in arrays:
+        if not (
+            isinstance(a, np.ndarray)
+            and a.dtype == dtype
+            and a.flags.c_contiguous
+        ):
+            return False
+    return True
 
 
 class _Array:
@@ -281,13 +285,7 @@ class _Array:
     def from_param(self, arr):
         if arr is None:
             return None
-        # c_arrays for one array, inlined: this runs for every array
-        # argument of every kernel call
-        if not (
-            isinstance(arr, np.ndarray)
-            and arr.dtype == self.dtype
-            and arr.flags.c_contiguous
-        ):
+        if not c_arrays(self.dtype, arr):
             raise TypeError(f"expected a C-contiguous {self.dtype} array")
         return ctypes.c_void_p(arr.ctypes.data)
 

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.forces.cutoff import S2ForceSplit
+from repro.forces.cutoff import S2ForceSplit, gp3m_cutoff
 from repro.native.build import native_threads as _native_threads
 from repro.pp import native as _native
 from repro.pp.rsqrt import fast_rsqrt
@@ -195,36 +195,6 @@ def _group_origins(plan: InteractionPlan, pos_sorted: np.ndarray) -> np.ndarray:
         mx = np.maximum.reduceat(rows, starts, axis=0)
         origin[nz] = (mn + mx) * 0.5
     return origin
-
-
-def _gp3m_single(xi: np.ndarray) -> np.ndarray:
-    """The S2 cutoff factor in float32, in the compiled kernel's exact
-    operation order (``_plansweep.c::gp3m_w``)."""
-    f4 = np.float32
-    g = xi * f4(3.0 / 20.0)
-    g += f4(-12.0 / 35.0)
-    g *= xi
-    g += f4(-0.5)
-    g *= xi
-    g += f4(8.0 / 5.0)
-    xi2 = xi * xi
-    g *= xi2
-    g += f4(-8.0 / 5.0)
-    g *= xi2 * xi
-    g += f4(1.0)
-    q = xi * f4(1.0 / 5.0)
-    q += f4(18.0 / 35.0)
-    q *= xi
-    q += f4(3.0 / 35.0)
-    zeta = xi - f4(1.0)
-    zeta[zeta < 0] = 0.0
-    z2 = zeta * zeta
-    z6 = z2 * z2
-    z6 *= z2
-    q *= z6
-    g -= q
-    g[xi >= 2] = 0.0
-    return g
 
 
 class PlanExecutor:
@@ -568,7 +538,7 @@ class PlanExecutor:
         if split is not None:
             np.sqrt(r2, out=tmp)
             tmp *= f4(2.0 / split.cutoff_radius)
-            f *= _gp3m_single(tmp)
+            f *= gp3m_cutoff(tmp, dtype=f4)
         for i in range(len(tcnt)):
             r1 = rend[i]
             r0 = r1 - tcnt[i]

@@ -7,6 +7,8 @@ mesh are all physics-neutral.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from repro.config import (
     TreeConfig,
     TreePMConfig,
 )
+from repro.pp.plan import PlanExecutor
 from repro.sim.parallel import run_parallel_simulation
 from repro.sim.serial import SerialSimulation
+from repro.tree import traversal
 
 
 def _config(divisions=(2, 1, 1), n_groups=1, mesh=16):
@@ -45,12 +49,33 @@ def particles():
     return pos, mom, mass
 
 
-@pytest.fixture(scope="module")
-def serial_result(particles):
+def float64_sweep(mp: pytest.MonkeyPatch) -> None:
+    """Sweep every solver built from here on (every rank's, since ranks
+    are threads of this process) with the float64 precision oracle."""
+    mp.setattr(
+        traversal,
+        "PlanExecutor",
+        functools.partial(PlanExecutor, dtype=np.float64),
+    )
+
+
+def _serial(particles):
     pos, mom, mass = particles
     sim = SerialSimulation(_config((1, 1, 1)), pos, mom, mass)
     sim.run(0.0, 0.08, n_steps=2)
     return sim.pos, sim.mom
+
+
+@pytest.fixture(scope="module")
+def serial_result(particles):
+    with pytest.MonkeyPatch.context() as mp:
+        float64_sweep(mp)
+        return _serial(particles)
+
+
+@pytest.fixture(scope="module")
+def serial_result_single(particles):
+    return _serial(particles)
 
 
 class TestParallelMatchesSerial:
@@ -58,22 +83,41 @@ class TestParallelMatchesSerial:
         "divisions,n_groups",
         [((1, 1, 1), 1), ((2, 1, 1), 1), ((2, 2, 1), 1), ((4, 1, 1), 2)],
     )
-    def test_final_state_agrees(self, particles, serial_result, divisions, n_groups):
+    def test_final_state_agrees(
+        self, particles, serial_result, divisions, n_groups, monkeypatch
+    ):
+        # both sides sweep with the float64 oracle, so what differs is
+        # float64 roundoff, and a dropped or doubled pair shows
+        float64_sweep(monkeypatch)
         pos, mom, mass = particles
         cfg = _config(divisions, n_groups)
         p_pos, p_mom, p_mass, sims, _ = run_parallel_simulation(
             cfg, pos, mom, mass, 0.0, 0.08, n_steps=2
         )
         s_pos, s_mom = serial_result
-        # identical physics; differences are single-precision roundoff
-        # (a rank's groups, and so their origins, differ from the serial
-        # tree's) amplified by two steps of nonlinear dynamics: momenta
-        # differ by up to 2.5e-5 at (4, 1, 1)
+        # identical physics; differences are roundoff amplified by two
+        # steps of nonlinear dynamics
         d = np.abs(p_pos - s_pos)
         d = np.minimum(d, 1.0 - d)  # periodic metric
         assert d.max() < 1e-6
-        np.testing.assert_allclose(p_mom, s_mom, atol=1e-4)
+        np.testing.assert_allclose(p_mom, s_mom, atol=1e-5)
         np.testing.assert_allclose(np.sort(p_mass), np.sort(mass), atol=0)
+
+    def test_final_state_agrees_single_precision(
+        self, particles, serial_result_single
+    ):
+        """The production sweep: a rank's groups, and so their origins,
+        differ from the serial tree's, so the two agree to
+        single-precision roundoff amplified by two steps."""
+        pos, mom, mass = particles
+        p_pos, p_mom, _, _, _ = run_parallel_simulation(
+            _config((4, 1, 1), 2), pos, mom, mass, 0.0, 0.08, n_steps=2
+        )
+        s_pos, s_mom = serial_result_single
+        d = np.abs(p_pos - s_pos)
+        d = np.minimum(d, 1.0 - d)
+        assert d.max() < 1e-6  # measured 6.8e-7
+        np.testing.assert_allclose(p_mom, s_mom, atol=1e-4)  # measured 2.5e-5
 
     def test_mass_and_count_conserved(self, particles):
         pos, mom, mass = particles
