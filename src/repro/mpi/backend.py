@@ -6,13 +6,17 @@ interface (chainermn's ``CommunicatorBase``-over-``mpi4py`` shape):
 
 * ``"thread"`` — the original in-process runtime
   (:class:`repro.mpi.runtime.MPIRuntime`): deterministic scheduling,
-  full fault injection, traffic logging and the torus network model.
-  GIL-bound, so it cannot speed up numpy-heavy rank code.
+  traffic logging and the torus network model.  GIL-bound, so it cannot
+  speed up numpy-heavy rank code.
 * ``"multiprocess"`` — one OS process per rank with a supervising
   parent (:class:`repro.mpi.mp_backend.MultiprocessBackend`): true
   parallelism, ``SharedMemory`` transport for large arrays, heartbeat
   liveness monitoring, and fault tolerance against *real* process
   deaths (SIGKILL included).
+
+A :class:`repro.mpi.faults.FaultPlan` runs on every backend the same
+way: the launcher wraps the world communicator in a
+:class:`repro.mpi.faults.FaultComm`, and no transport consults the plan.
 
 An adapter over a real MPI comes back through :func:`register_backend`,
 together with a CI job that executes it.
@@ -28,9 +32,10 @@ Two layers live here:
 
 :class:`CollectiveComm`
     The communicator contract, as a mixin: every backend provides the
-    point-to-point primitives (``send``/``recv``/``barrier``/
-    ``_collective``/``_try_recv``), the liveness hooks (``fault_point``,
-    ``abort``) and identity properties; the mixin derives the entire
+    point-to-point primitives (``_send``/``recv``/``barrier``/
+    ``_try_recv``), the abort check and identity properties; the mixin
+    keeps the step record, the wait accounting and the reliable receive,
+    and derives the entire
     collective surface (bcast/reduce/allreduce/gather/allgather/
     scatter/alltoall(v)/split/sendrecv/isend/irecv) from them with the
     *same* message patterns on every backend — binomial trees and
@@ -41,6 +46,7 @@ Two layers live here:
 from __future__ import annotations
 
 import pickle
+import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -54,6 +60,7 @@ __all__ = [
     "CollectiveComm",
     "Request",
     "SelfComm",
+    "StepRecord",
     "available_backends",
     "backend_capabilities",
     "create_backend",
@@ -78,20 +85,12 @@ class BackendCapabilities:
     simulated_kill: bool = False
     #: ``FaultPlan.kill_rank(real=True)`` SIGKILLs a live OS process
     real_process_kill: bool = False
-    #: drop/delay/corrupt message faults at the transport layer
-    message_faults: bool = False
-    #: ``FaultPlan.stall_collective`` hangs a rank inside a collective
-    stall_faults: bool = False
     #: per-message traffic log + torus network model
     network_model: bool = False
     #: supervisor-side heartbeat liveness detection of dead/stuck ranks
     heartbeat_liveness: bool = False
     #: elastic shrink-and-continue recovery (survivor consensus)
     elastic: bool = False
-    #: gray-failure tolerance: per-rank work/wait attribution
-    #: (``Comm.wait_seconds``) plus slow-rank / collective-delay /
-    #: disk-full fault injection for the health layer
-    gray_failure: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +132,63 @@ class CommBackend(ABC):
         attributes; an elastic job survives :class:`RankDeath` failures
         and returns ``None`` for dead ranks instead.
         """
+
+
+def job_results(
+    results: List[Any],
+    elastic: bool,
+    failures: List[Tuple[int, BaseException]],
+    aborted: List[Tuple[int, Optional[BaseException]]],
+    deaths: Dict[int, BaseException],
+    abort_reason: Optional[str],
+    abort_origin: Optional[int],
+    where: str,
+) -> List[Any]:
+    """The failure contract of :meth:`CommBackend.run`, shared by the
+    in-tree backends: ``results`` when the job succeeded (an elastic
+    job's dead ranks contribute ``None``), else one ``RuntimeError``
+    naming every failing rank (``where`` formats a rank's thread or
+    process name) with the ``rank_errors`` / ``aborted_ranks`` /
+    ``abort_origin`` attributes.  ``aborted`` lists the secondary
+    casualties (rank, :class:`~repro.mpi.comm.CommAborted` or None)."""
+    failures = sorted(failures, key=lambda e: e[0])
+    aborted_ranks = sorted(r for r, _ in aborted)
+    if elastic and not failures and not aborted:
+        if deaths and len(deaths) == len(results):
+            raise _job_error(
+                f"elastic job lost all {len(results)} rank(s): no survivor "
+                f"left to continue", dict(deaths), [], None,
+            )
+        return results
+    if failures:
+        rank, exc = failures[0]
+        msg = f"rank {rank} ({where.format(rank=rank)}) failed: {exc!r}"
+        if len(failures) > 1:
+            others = "; ".join(f"rank {r}: {e!r}" for r, e in failures[1:])
+            msg += f"; {len(failures) - 1} more rank(s) failed: {others}"
+        if aborted_ranks:
+            msg += (
+                f"; rank(s) {aborted_ranks} aborted (CommAborted) after "
+                f"the first failure"
+            )
+        raise _job_error(msg, dict(failures), aborted_ranks, abort_origin) from exc
+    if aborted or deaths:
+        # no rank raised a primary error, yet the job aborted: the
+        # watchdog, an injected stall or (not elastic) a death
+        reason = abort_reason or "communication aborted"
+        raise _job_error(
+            f"job aborted: {reason} (CommAborted on rank(s) {aborted_ranks})",
+            {}, aborted_ranks, abort_origin,
+        ) from (aborted[0][1] if aborted else None)
+    return results
+
+
+def _job_error(msg, rank_errors, aborted_ranks, abort_origin) -> RuntimeError:
+    err = RuntimeError(msg)
+    err.rank_errors = rank_errors
+    err.aborted_ranks = aborted_ranks
+    err.abort_origin = abort_origin
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +328,34 @@ REDUCE_OPS: Dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
+#: retries of one reliable receive; the per-rank, per-step total is
+#: bounded by the job's retry budget (:class:`StepRecord`)
+_RELIABLE_RECV_RETRIES = 2
+
+
+class StepRecord:
+    """One rank's step (the last ``comm.fault_point`` value, carried by
+    :class:`repro.mpi.faults.CommTimeout`) and its reliable-path retry
+    budget, which refills when the step advances; shared by every
+    communicator of the rank (world, split, shrunk)."""
+
+    def __init__(self, budget: int) -> None:
+        self.step: Optional[int] = None
+        self.budget = int(budget)
+        #: (step, retries left in it)
+        self._left: Optional[Tuple[Optional[int], int]] = None
+
+    def try_consume_retry(self) -> bool:
+        """Take one retry from this step's budget; ``False`` when it is
+        exhausted."""
+        entry = self._left
+        left = self.budget if entry is None or entry[0] != self.step else entry[1]
+        if left <= 0:
+            return False
+        self._left = (self.step, left - 1)
+        return True
+
+
 class Request:
     """Handle on a non-blocking operation (mpi4py-style)."""
 
@@ -320,11 +404,13 @@ class CollectiveComm:
     primitives.
 
     Subclasses provide: ``rank``/``size``/``world_rank``/``epoch``
-    properties, ``send(obj, dest, tag, reliable=False)``,
-    ``recv(source, tag, timeout=None)``, ``_recv_reliable(source,
-    tag)``, ``_try_recv(source, tag) -> (bool, payload)``,
-    ``barrier()``, the ``_collective(name)`` context manager (watchdog
-    labeling + stall injection) and ``_make_split_comm(...)``.
+    properties, ``_world_ranks`` (world rank of each rank of this
+    communicator), ``_record`` (the rank's :class:`StepRecord`),
+    ``_ctl`` (a control block holding ``recv_timeout``),
+    ``_send(obj, dest, tag, sabotage=False)``, ``recv(source, tag,
+    timeout=None)``, ``_try_recv(source, tag) -> (bool, payload)``,
+    ``barrier()``, ``_check_abort(fallback)`` and
+    ``_make_split_comm(...)``.
 
     The message patterns — binomial trees for bcast/reduce, a pairwise
     ring exchange for alltoall — are identical on every backend, in the
@@ -336,6 +422,14 @@ class CollectiveComm:
 
     rank: int
     size: int
+    _world_ranks: Sequence[int]
+    _record: StepRecord
+
+    #: label of the collective in progress (watchdog reports, timeouts)
+    _current_op: Optional[str] = None
+    _wait_seconds = 0.0
+    _wait_depth = 0
+    _wait_t0 = 0.0
 
     def Get_rank(self) -> int:
         return self.rank
@@ -343,7 +437,90 @@ class CollectiveComm:
     def Get_size(self) -> int:
         return self.size
 
+    # -- steps and waits -----------------------------------------------------------
+
+    def fault_point(self, step: int) -> None:
+        """Application hook at the top of each step: records ``step``
+        as this rank's current step, the value structured
+        :class:`repro.mpi.faults.CommTimeout` errors carry and the
+        boundary at which the reliable-path retry budget refills.  A
+        :class:`repro.mpi.faults.FaultComm` also fires its plan's kill
+        and slow rules here."""
+        self._record.step = int(step)
+
+    @property
+    def recv_timeout(self) -> Optional[float]:
+        """The default receive deadline (seconds, or None)."""
+        return self._ctl.recv_timeout
+
+    def set_recv_timeout(self, seconds) -> None:
+        """Retune the default receive deadline (the health layer's hook
+        for deadlines from observed step times); callers set it
+        collectively, with one value on every rank."""
+        self._ctl.recv_timeout = None if seconds is None else float(seconds)
+
+    @property
+    def wait_seconds(self) -> float:
+        """Seconds this rank spent blocked in communication on this
+        communicator; straggler detection subtracts them from wall time
+        to get *work* time (in lock-step collectives every rank's wall
+        time equals the straggler's)."""
+        return self._wait_seconds
+
+    def _wait_enter(self) -> None:
+        self._wait_depth += 1
+        if self._wait_depth == 1:
+            self._wait_t0 = time.perf_counter()
+
+    def _wait_exit(self) -> None:
+        self._wait_depth -= 1
+        if self._wait_depth == 0:
+            self._wait_seconds += time.perf_counter() - self._wait_t0
+
+    @contextmanager
+    def _collective(self, name: str):
+        """Label the current collective (for watchdog reports and
+        timeouts) and count its time as waiting."""
+        prev = self._current_op
+        self._current_op = name
+        self._wait_enter()
+        try:
+            yield
+        finally:
+            self._wait_exit()
+            self._current_op = prev
+
     # -- derived point-to-point ----------------------------------------------------
+
+    def send(self, obj: Any, dest: int, tag: int = 0, reliable: bool = False) -> None:
+        """Send ``obj`` to ``dest``.  ``reliable=True`` asks for the
+        retransmission of a lost message; the transports lose none, so
+        only :class:`repro.mpi.faults.FaultComm`, whose drop rules do,
+        acts on it."""
+        if not 0 <= dest < self.size:
+            raise ValueError(f"invalid destination rank {dest}")
+        self._send(obj, dest, tag)
+
+    def _recv_reliable(self, source: int, tag: int = 0) -> Any:
+        """Receive whose expired waits are retried, each costing one
+        unit of the per-step retry budget: a late message is delivered
+        instead of failing the step."""
+        # imported here: repro.mpi.faults builds FaultComm on this module
+        from repro.mpi.faults import CommTimeout, retry_with_backoff
+
+        record = self._record
+
+        def on_retry(attempt_idx: int, exc: BaseException) -> None:
+            if not record.try_consume_retry():
+                raise exc
+
+        return retry_with_backoff(
+            lambda: self.recv(source, tag=tag),
+            retries=_RELIABLE_RECV_RETRIES,
+            base_delay=0.0,
+            exceptions=(CommTimeout,),
+            on_retry=on_retry,
+        )
 
     def sendrecv(
         self, sendobj: Any, dest: int, source: int, sendtag: int = 0, recvtag: int = 0
@@ -500,31 +677,29 @@ class CollectiveComm:
         self._split_seq = seq + 1
         return seq
 
-    # -- hooks subclasses must provide -------------------------------------------
+    # -- hooks with a default ------------------------------------------------------
 
-    def send(self, obj: Any, dest: int, tag: int = 0, reliable: bool = False) -> None:
-        raise NotImplementedError
-
-    def recv(self, source: int, tag: int = 0, timeout: Optional[float] = None) -> Any:
-        raise NotImplementedError
-
-    def _recv_reliable(self, source: int, tag: int = 0) -> Any:
-        raise NotImplementedError
-
-    def _try_recv(self, source: int, tag: int) -> Tuple[bool, Any]:
-        raise NotImplementedError
-
-    def barrier(self) -> None:
-        raise NotImplementedError
+    def _check_abort(self, fallback: str = "peer rank failed") -> None:
+        """Raise :class:`repro.mpi.comm.CommAborted` if the job aborted
+        (its reason, else ``fallback``)."""
 
     @contextmanager
-    def _collective(self, name: str):
+    def _watched(self, op: str, detail: str):
+        """Show this rank as blocked in ``op`` to the job's watchdog
+        while the block runs (inert on backends without one)."""
         yield
 
-    def _make_split_comm(
-        self, seq: int, color: int, member_ranks: Sequence[int], new_rank: int
-    ):
-        raise NotImplementedError
+    # -- fault hooks: what FaultComm cannot do from outside the transport ------
+
+    def _die(self, real: Optional[bool]) -> None:
+        """Kill hook: a backend with real processes dies here unless
+        ``real`` is False; else the FaultComm raises InjectedFault."""
+
+    def _shm_frames(self, obj: Any) -> bool:
+        """Sabotage hook: whether ``obj`` rides shared-memory frames,
+        which ``corrupt_shm`` rules count and ``_send(..., sabotage=True)``
+        damages; False on transports without shared memory."""
+        return False
 
 
 class SelfComm(CollectiveComm):

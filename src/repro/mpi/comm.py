@@ -13,10 +13,11 @@ receive polls the shared abort flag, optionally enforces a timeout
 (raising :class:`repro.mpi.faults.CommTimeout`), and registers itself
 on a shared *watch board* so the runtime's watchdog can convert a hung
 collective into a clean :class:`CommAborted` naming the originating
-rank and operation.  A :class:`repro.mpi.faults.FaultPlan` attached to
-the job is consulted on every send (drop/delay/corrupt), at every
-collective entry (stalls) and at application ``fault_point`` calls
-(rank kills).
+rank and operation.  The transport never consults a
+:class:`repro.mpi.faults.FaultPlan`: the runtime wraps the world
+communicator of a job with a plan in a
+:class:`repro.mpi.faults.FaultComm`, which applies the rules before
+calling in here.
 """
 
 from __future__ import annotations
@@ -30,17 +31,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.mpi.backend import (
     CollectiveComm,
     Request,
+    StepRecord,
     _copy,
     payload_bytes as _payload_bytes,
 )
-from repro.mpi.faults import (
-    CommTimeout,
-    InjectedFault,
-    MessageDropped,
-    PeerFailure,
-    corrupt_payload,
-    retry_with_backoff,
-)
+from repro.mpi.faults import CommTimeout, PeerFailure
 from repro.mpi.network import TrafficLog
 
 __all__ = ["Comm", "Request", "CommAborted", "CommTimeout", "PeerFailure"]
@@ -51,12 +46,6 @@ _POLL_SECONDS = 0.05
 #: communicator (voted in a consensus round), so the receive sees the
 #: failure now, not at its next poll
 _WAKE = object()
-
-#: retry caps of the "reliable" transport path (per individual call);
-#: the per-rank, per-step total is bounded by ``_JobControl.retry_budget``.
-_RELIABLE_SEND_RETRIES = 3
-_RELIABLE_RECV_RETRIES = 2
-_RETRY_BASE_DELAY = 0.002
 
 
 class CommAborted(RuntimeError):
@@ -75,15 +64,16 @@ class _JobControl:
 
     def __init__(
         self,
-        fault_plan=None,
         recv_timeout: Optional[float] = None,
         elastic: bool = False,
         world_size: Optional[int] = None,
         retry_budget: int = 16,
     ) -> None:
         self.abort_event = threading.Event()
-        self.fault_plan = fault_plan
         self.recv_timeout = recv_timeout
+        self.retry_budget = int(retry_budget)
+        #: world rank -> its StepRecord, shared by all its communicators
+        self._records: Dict[int, StepRecord] = {}
         #: watch-board registration is enabled only when a watchdog runs,
         #: keeping the per-receive overhead at a single attribute check.
         self.watching = False
@@ -97,25 +87,18 @@ class _JobControl:
         #: world rank -> (queue, source world rank) of a blocked receive
         self._wake: Dict[int, Tuple[Any, int]] = {}
         self._barriers: List[threading.Barrier] = []
-        self._event_seq: Dict[Any, int] = {}
         # -- elastic recovery state (see repro.mpi.recovery) ------------------
         #: survivable death is opt-in; without it a RankDeath aborts the job
         self.elastic = bool(elastic)
         self.world_size = world_size
         #: world ranks that died (monotonically growing; never resurrected)
         self.dead_ranks: set = set()
-        self.dead_errors: Dict[int, BaseException] = {}
         #: current epoch: bumped by each sealed consensus round
         self.epoch = 0
         self._consensus_votes: Dict[int, set] = {}
         self._consensus_result: Dict[int, Tuple[frozenset, Tuple[int, ...]]] = {}
         #: one shared _CommState per post-recovery epoch
         self.epoch_states: Dict[int, "_CommState"] = {}
-        #: last step each world rank passed to ``comm.fault_point``
-        self.rank_step: Dict[int, int] = {}
-        #: per-rank, per-step cap on reliable-path retransmissions
-        self.retry_budget = int(retry_budget)
-        self._retry_left: Dict[int, Tuple[int, int]] = {}
 
     def register_barrier(self, barrier: threading.Barrier) -> None:
         with self._lock:
@@ -135,7 +118,7 @@ class _JobControl:
 
     # -- elastic death tracking ------------------------------------------------
 
-    def mark_dead(self, world_rank: int, exc: BaseException) -> None:
+    def mark_dead(self, world_rank: int) -> None:
         """Record a rank death (elastic mode) and wake every blocked rank.
 
         Unlike :meth:`abort` the job keeps running: barriers are broken
@@ -145,7 +128,6 @@ class _JobControl:
         """
         with self._lock:
             self.dead_ranks.add(int(world_rank))
-            self.dead_errors[int(world_rank)] = exc
             barriers = list(self._barriers)
             self._wake_receivers_from(int(world_rank))
             self._cond.notify_all()
@@ -159,37 +141,22 @@ class _JobControl:
             if source == world_rank:
                 q.put(_WAKE)
 
+    def record_of(self, world_rank: int) -> StepRecord:
+        with self._lock:
+            return self._records.setdefault(world_rank, StepRecord(self.retry_budget))
+
     def new_dead(self, known: frozenset) -> frozenset:
         """Dead world ranks not in ``known`` (snapshot under the lock)."""
         with self._lock:
             return frozenset(self.dead_ranks - known)
 
-    def record_step(self, world_rank: int, step: int) -> None:
+    def gave_up(self, world_rank: int, epoch: int) -> bool:
+        """Whether ``world_rank`` died or voted in the recovery round
+        that ends ``epoch``: either way it sends nothing more in it."""
         with self._lock:
-            self.rank_step[world_rank] = int(step)
-
-    def step_of(self, world_rank: int) -> Optional[int]:
-        with self._lock:
-            return self.rank_step.get(world_rank)
-
-    # -- reliable-path retry budget --------------------------------------------
-
-    def try_consume_retry(self, world_rank: int) -> bool:
-        """Take one retransmission from this rank's per-step budget.
-
-        The budget resets whenever the rank's recorded step advances, so
-        a long run cannot starve later steps, while a pathological storm
-        of injected faults within one step is bounded instead of retried
-        forever.  Returns ``False`` when the budget is exhausted.
-        """
-        with self._lock:
-            step = self.rank_step.get(world_rank, -1)
-            entry = self._retry_left.get(world_rank)
-            left = self.retry_budget if entry is None or entry[0] != step else entry[1]
-            if left <= 0:
-                return False
-            self._retry_left[world_rank] = (step, left - 1)
-            return True
+            return world_rank in self.dead_ranks or world_rank in (
+                self._consensus_votes.get(epoch + 1, ())
+            )
 
     # -- survivor consensus ------------------------------------------------------
 
@@ -307,13 +274,6 @@ class _JobControl:
             op, detail, since = self._blocked[rank]
         return rank, op, detail, since
 
-    def next_event_seq(self, key: Any) -> int:
-        """Monotonic per-key sequence counter (fault-event matching)."""
-        with self._lock:
-            seq = self._event_seq.get(key, 0)
-            self._event_seq[key] = seq + 1
-        return seq
-
 
 class _CommState:
     """State shared by all ranks of one communicator."""
@@ -351,13 +311,6 @@ class _CommState:
     def _barrier_passed(self) -> None:
         self.barrier_passes += 1
 
-    @property
-    def abort_event(self) -> threading.Event:
-        return self.control.abort_event
-
-    def abort(self, reason: Optional[str] = None, origin: Optional[int] = None) -> None:
-        self.control.abort(reason, origin)
-
 
 class Comm(CollectiveComm):
     """One rank's handle on a communicator (thread backend).
@@ -365,38 +318,19 @@ class Comm(CollectiveComm):
     The collective surface (bcast/reduce/gather/scatter/alltoall/...)
     comes from :class:`repro.mpi.backend.CollectiveComm`; this class
     provides the in-process transport — per-pair queues, the shared
-    barrier, fault injection and the failure-detection machinery.
+    barrier and the failure-detection machinery.
     """
 
     def __init__(self, state: _CommState, rank: int) -> None:
         self._state = state
+        #: the job-wide control block (one receive deadline for all ranks)
+        self._ctl = state.control
         self._rank = rank
+        self._world_ranks = state.world_ranks
+        self._record = state.control.record_of(self.world_rank)
         self._split_seq = 0
-        self._current_op: Optional[str] = None
         #: stragglers from another epoch this rank discarded on receive
         self.stale_rejected = 0
-        #: cumulative seconds this rank spent blocked in communication
-        #: (collectives, barriers, receive waits); straggler detection
-        #: subtracts it from wall time to get *work* time — in
-        #: lock-step collectives every rank's wall time equals the
-        #: straggler's, and only the work/wait split tells them apart
-        self._wait_seconds = 0.0
-        self._wait_depth = 0
-        self._wait_t0 = 0.0
-
-    @property
-    def wait_seconds(self) -> float:
-        return self._wait_seconds
-
-    def _wait_enter(self) -> None:
-        self._wait_depth += 1
-        if self._wait_depth == 1:
-            self._wait_t0 = time.perf_counter()
-
-    def _wait_exit(self) -> None:
-        self._wait_depth -= 1
-        if self._wait_depth == 0:
-            self._wait_seconds += time.perf_counter() - self._wait_t0
 
     # -- identity -------------------------------------------------------------
 
@@ -408,221 +342,73 @@ class Comm(CollectiveComm):
     def size(self) -> int:
         return self._state.size
 
-    def Get_rank(self) -> int:
-        return self._rank
-
-    def Get_size(self) -> int:
-        return self._state.size
-
     @property
     def world_rank(self) -> int:
         """This rank's id in the world communicator (the node id used
         by the network model)."""
-        return self._state.world_ranks[self._rank]
+        return self._world_ranks[self._rank]
 
     @property
     def epoch(self) -> int:
         """Recovery epoch of this communicator (0 before any failure)."""
         return self._state.epoch
 
-    @property
-    def fault_plan(self):
-        """The job's :class:`~repro.mpi.faults.FaultPlan` (None when no
-        faults are scheduled).  Application layers consult it for the
-        state-corruption rules (``flip_bits`` / ``rot_checkpoint``) that
-        fire outside the transport."""
-        return self._state.control.fault_plan
+    # -- failure detection --------------------------------------------------------
 
-    @property
-    def recv_timeout(self):
-        """The job-wide default receive deadline (seconds, or None)."""
-        return self._state.control.recv_timeout
+    def _check_abort(self, fallback: str = "peer rank failed") -> None:
+        ctl = self._ctl
+        if ctl.abort_event.is_set():
+            raise CommAborted(ctl.abort_reason or fallback)
 
-    def set_recv_timeout(self, seconds) -> None:
-        """Retune the job-wide default receive deadline at runtime —
-        the hook the health layer uses to derive collective deadlines
-        from *observed* step times instead of a fixed constant.  The
-        control block is shared, so every rank of the job sees the new
-        deadline (callers set it collectively with an identical value)."""
-        self._state.control.recv_timeout = (
-            None if seconds is None else float(seconds)
-        )
-
-    # -- fault injection --------------------------------------------------------
-
-    def fault_point(self, step: int) -> None:
-        """Application hook: raise :class:`InjectedFault` if the job's
-        fault plan kills this rank at ``step``.  A no-op (one attribute
-        check) when no plan is attached.
-
-        Also records ``step`` as this rank's current application step —
-        the value structured :class:`CommTimeout` errors carry and the
-        boundary at which the reliable-path retry budget refills.
-        """
-        ctl = self._state.control
-        ctl.record_step(self.world_rank, step)
-        plan = ctl.fault_plan
-        if plan is None:
-            return
-        if plan.should_kill(self.world_rank, step):
-            raise InjectedFault(
-                f"rank {self.world_rank} killed by fault plan at step {step}"
-            )
-        self._injected_sleep(plan.slow_delay(self.world_rank, step))
-
-    def _injected_sleep(self, delay: float) -> None:
-        """Pay an injected gray-failure delay, staying abortable: the
-        rank is *slow*, not wedged — a job abort still frees it."""
-        if delay <= 0.0:
-            return
-        ctl = self._state.control
-        deadline = time.monotonic() + delay
-        while time.monotonic() < deadline:
-            if ctl.abort_event.is_set():
-                raise CommAborted(self._abort_reason("peer rank failed"))
-            time.sleep(min(_POLL_SECONDS, delay))
-
-    def _check_peer_failure(self) -> None:
+    def _check_peer_failure(self, source: Optional[int] = None) -> None:
         """Elastic mode: surface deaths this communicator does not
         already exclude as :class:`PeerFailure` (cheap: one attribute
-        test on the common path)."""
+        test on the common path).  A receive passes its ``source``
+        (world rank) and fails only once that source died or entered a
+        recovery round, so what a late but live source still sends is
+        not lost to a death elsewhere."""
         st = self._state
-        ctl = st.control
+        ctl = self._ctl
         if not ctl.elastic:
             return
+        if source is not None and not ctl.gave_up(source, st.epoch):
+            return
         delta = ctl.new_dead(st.known_dead)
-        if delta:
-            raise PeerFailure(
-                f"rank {self.world_rank}: peer rank(s) {sorted(delta)} died "
-                f"(epoch {st.epoch})",
-                dead_ranks=ctl.new_dead(frozenset()),
-                epoch=st.epoch,
-            )
-
-    def _abort_reason(self, fallback: str) -> str:
-        return self._state.control.abort_reason or fallback
+        if not delta and source is None:
+            return
+        what = (
+            f"peer rank(s) {sorted(delta)} died" if delta
+            else f"peer rank {source} entered recovery"
+        )
+        raise PeerFailure(
+            f"rank {self.world_rank}: {what} (epoch {st.epoch})",
+            dead_ranks=ctl.new_dead(frozenset()),
+            epoch=st.epoch,
+        )
 
     @contextmanager
-    def _collective(self, name: str):
-        """Label the current collective (for watchdog reports) and apply
-        any scheduled stall for this rank at this call."""
-        ctl = self._state.control
-        prev = self._current_op
-        self._current_op = name
-        self._wait_enter()
+    def _watched(self, op: str, detail: str, wake=None):
+        """Register on the watch board for the watchdog, with a receive's
+        ``(queue, source)`` wake entry in an elastic job."""
+        ctl = self._ctl
+        me_w = self.world_rank
+        registered = ctl.block(me_w, op, detail, wake=wake)
         try:
-            plan = ctl.fault_plan
-            if plan is not None:
-                seq = ctl.next_event_seq(("collective", self.world_rank, name))
-                if plan.should_stall(self.world_rank, name, seq):
-                    registered = ctl.block(
-                        self.world_rank, name, "stalled by fault plan"
-                    )
-                    try:
-                        while not ctl.abort_event.is_set():
-                            time.sleep(_POLL_SECONDS)
-                    finally:
-                        if registered:
-                            ctl.unblock(self.world_rank)
-                    raise CommAborted(
-                        self._abort_reason(f"{name} stalled by fault plan")
-                    )
-                self._injected_sleep(
-                    plan.collective_delay(
-                        self.world_rank, name,
-                        ctl.step_of(self.world_rank) or 0,
-                    )
-                )
             yield
         finally:
-            self._wait_exit()
-            self._current_op = prev
+            if registered:
+                ctl.unblock(me_w)
 
     # -- point to point ---------------------------------------------------------
 
-    def _send_attempt(self, obj: Any, dest: int, tag: int) -> bool:
-        """One transmission attempt; returns ``False`` when the fault
-        plan dropped the message (the bytes left this rank but never
-        arrive)."""
+    def _send(self, obj: Any, dest: int, tag: int, sabotage: bool = False) -> None:
+        """Copy ``obj`` into ``dest``'s queue (no frames to sabotage)."""
         st = self._state
-        ctl = st.control
-        src_w = st.world_ranks[self._rank]
-        dst_w = st.world_ranks[dest]
-        st.traffic.record(src_w, dst_w, _payload_bytes(obj))
-        payload = _copy(obj)
-        plan = ctl.fault_plan
-        if plan is not None:
-            drop = False
-            delay = 0.0
-            for ev in plan.message_events(src_w, dst_w):
-                seq = ctl.next_event_seq(("message", id(ev)))
-                if not ev.hits(seq, plan.seed, src_w, dst_w):
-                    continue
-                if ev.kind == "drop":
-                    drop = True
-                elif ev.kind == "delay":
-                    delay += ev.seconds
-                elif ev.kind == "corrupt":
-                    payload = corrupt_payload(payload, key=ev.key)
-            if delay > 0.0:
-                deadline = time.monotonic() + delay
-                while time.monotonic() < deadline:
-                    if ctl.abort_event.is_set():
-                        raise CommAborted(self._abort_reason("peer rank failed"))
-                    time.sleep(min(_POLL_SECONDS, delay))
-            if drop:
-                return False
-        st.queues[dest][self._rank].put((st.epoch, tag, payload))
-        return True
-
-    def send(self, obj: Any, dest: int, tag: int = 0, reliable: bool = False) -> None:
-        """Send ``obj`` to ``dest``.
-
-        With ``reliable=True`` the send models transport-level
-        retransmission: an injected drop is *observed at the sender*
-        (this runtime's stand-in for a missing ack) and the transfer is
-        retried with exponential backoff, consuming one unit of the
-        job's per-rank, per-step retry budget per retransmission.  Each
-        retry consults the fault plan afresh, so a finite drop rule is
-        absorbed; a persistent one (or an exhausted budget) raises
-        :class:`repro.mpi.faults.MessageDropped`.
-        """
-        if not 0 <= dest < self.size:
-            raise ValueError(f"invalid destination rank {dest}")
-        if not reliable:
-            self._send_attempt(obj, dest, tag)
-            return
-        st = self._state
-        ctl = st.control
-        me_w = st.world_ranks[self._rank]
-        dst_w = st.world_ranks[dest]
-
-        def attempt() -> None:
-            if not self._send_attempt(obj, dest, tag):
-                raise MessageDropped(
-                    f"rank {me_w}: send to rank {dst_w} (tag {tag}) dropped "
-                    f"by fault plan",
-                    rank=me_w,
-                    source=dst_w,
-                    tag=tag,
-                    step=ctl.step_of(me_w),
-                    op="send",
-                )
-
-        def on_retry(attempt_idx: int, exc: BaseException) -> None:
-            if not ctl.try_consume_retry(me_w):
-                raise exc  # budget exhausted: surface the drop now
-
-        retry_with_backoff(
-            attempt,
-            retries=_RELIABLE_SEND_RETRIES,
-            base_delay=_RETRY_BASE_DELAY,
-            # per-rank, per-step seed: simultaneous drops on N ranks
-            # back off on diverging (but reproducible) schedules
-            seed=(me_w, max(0, ctl.step_of(me_w) or 0)),
-            exceptions=(MessageDropped,),
-            on_retry=on_retry,
+        st.traffic.record(
+            self._world_ranks[self._rank], self._world_ranks[dest],
+            _payload_bytes(obj),
         )
+        st.queues[dest][self._rank].put((st.epoch, tag, _copy(obj)))
 
     def recv(self, source: int, tag: int = 0, timeout: Optional[float] = None) -> Any:
         """Blocking receive.
@@ -632,94 +418,60 @@ class Comm(CollectiveComm):
         job with neither waits until the message arrives or the job
         aborts.  Expiry raises :class:`CommTimeout` naming this rank,
         the awaited source and the enclosing operation — a hung peer
-        can therefore never deadlock the caller.  In an elastic job a
-        peer death raises :class:`PeerFailure` instead of letting the
-        wait run out.  Messages stamped with another epoch (stragglers
-        of a pre-recovery send) are discarded, counted in
+        can therefore never deadlock the caller.  In an elastic job the
+        source's death, or its entry into a recovery round, raises
+        :class:`PeerFailure` instead of letting the wait run out.
+        Messages stamped with another epoch (stragglers of a
+        pre-recovery send) are discarded, counted in
         ``self.stale_rejected``.
         """
         if not 0 <= source < self.size:
             raise ValueError(f"invalid source rank {source}")
         st = self._state
-        ctl = st.control
         if timeout is None:
-            timeout = ctl.recv_timeout
+            timeout = self._ctl.recv_timeout
         t0 = time.monotonic()
         deadline = t0 + timeout if timeout is not None else None
         q = st.queues[self._rank][source]
-        me_w = st.world_ranks[self._rank]
-        src_w = st.world_ranks[source]
-        op = self._current_op or "recv"
-        registered = ctl.block(
-            me_w, op, f"from rank {src_w}, tag {tag}", wake=(q, src_w)
-        )
-        self._wait_enter()
-        try:
-            while True:
-                # drain the queue before looking at failure signals: a
-                # message that was already delivered must win over a
-                # concurrent peer-death mark (otherwise a survivor could
-                # spuriously lose e.g. its buddy copy to a PeerFailure
-                # raised while the data sat in its queue)
-                try:
-                    item = q.get_nowait()
-                except _queue.Empty:
-                    if ctl.abort_event.is_set():
-                        raise CommAborted(self._abort_reason("peer rank failed"))
-                    self._check_peer_failure()
-                    if deadline is not None and time.monotonic() > deadline:
-                        elapsed = time.monotonic() - t0
-                        raise CommTimeout(
-                            f"rank {me_w}: {op} from rank {src_w} (tag {tag}) "
-                            f"timed out after {timeout:.3g}s",
-                            rank=me_w,
-                            source=src_w,
-                            tag=tag,
-                            step=ctl.step_of(me_w),
-                            elapsed=elapsed,
-                            op=op,
-                        )
-                    try:
-                        item = q.get(timeout=_POLL_SECONDS)
-                    except _queue.Empty:
-                        continue
-                if item is _WAKE:
-                    continue
-                got_epoch, got_tag, payload = item
-                if got_epoch != st.epoch:
-                    self.stale_rejected += 1
-                    continue
-                if got_tag != tag:
-                    raise RuntimeError(
-                        f"tag mismatch: expected {tag}, got {got_tag} "
-                        f"(rank {self._rank} <- {source})"
-                    )
-                return payload
-        finally:
-            self._wait_exit()
-            if registered:
-                ctl.unblock(me_w)
-
-    def _recv_reliable(self, source: int, tag: int = 0) -> Any:
-        """Receive with timeout-absorbing retries (the delay-fault
-        counterpart of ``send(reliable=True)``): each expired wait costs
-        one unit of the per-step retry budget and re-enters the wait, so
-        a transiently delayed message is delivered instead of failing
-        the step."""
-        ctl = self._state.control
         me_w = self.world_rank
-
-        def on_retry(attempt_idx: int, exc: BaseException) -> None:
-            if not ctl.try_consume_retry(me_w):
-                raise exc
-
-        return retry_with_backoff(
-            lambda: self.recv(source, tag=tag),
-            retries=_RELIABLE_RECV_RETRIES,
-            base_delay=0.0,
-            exceptions=(CommTimeout,),
-            on_retry=on_retry,
-        )
+        src_w = self._world_ranks[source]
+        op = self._current_op or "recv"
+        with self._watched(op, f"from rank {src_w}, tag {tag}", wake=(q, src_w)):
+            self._wait_enter()
+            try:
+                while True:
+                    # drain the queue before looking at failure signals:
+                    # a message that was already delivered must win over
+                    # a concurrent peer-death mark (otherwise a survivor
+                    # could spuriously lose e.g. its buddy copy to a
+                    # PeerFailure raised while the data sat in its queue)
+                    try:
+                        item = q.get_nowait()
+                    except _queue.Empty:
+                        self._check_abort()
+                        self._check_peer_failure(src_w)
+                        if deadline is not None and time.monotonic() > deadline:
+                            raise CommTimeout.of_recv(
+                                me_w, op, src_w, tag, timeout, t0, self._record.step
+                            )
+                        try:
+                            item = q.get(timeout=_POLL_SECONDS)
+                        except _queue.Empty:
+                            continue
+                    if item is _WAKE:
+                        continue
+                    got_epoch, got_tag, payload = item
+                    if got_epoch != st.epoch:
+                        self.stale_rejected += 1
+                        continue
+                    if got_tag != tag:
+                        raise RuntimeError(
+                            f"tag mismatch: expected {tag}, got {got_tag} "
+                            f"(rank {self._rank} <- {source})"
+                        )
+                    return payload
+            finally:
+                self._wait_exit()
 
     def _try_recv(self, source: int, tag: int) -> Tuple[bool, Any]:
         """Non-blocking receive probe (backs ``Request.test``)."""
@@ -746,29 +498,25 @@ class Comm(CollectiveComm):
     # -- barriers ----------------------------------------------------------------
 
     def barrier(self) -> None:
-        ctl = self._state.control
-        me_w = self.world_rank
-        registered = ctl.block(me_w, self._current_op or "barrier", "")
-        self._wait_enter()
         st = self._state
         passes = st.barrier_passes
-        try:
-            st.barrier.wait()
-        except threading.BrokenBarrierError:
-            if st.barrier_passes > passes:
-                # every rank arrived before the break (a rank that left
-                # first died before this one woke): the barrier held
-                return
-            # elastic death breaks barriers without aborting the job:
-            # classify before reporting a (fatal) CommAborted
-            self._check_peer_failure()
-            raise CommAborted(
-                self._abort_reason("barrier broken by failing rank")
-            ) from None
-        finally:
-            self._wait_exit()
-            if registered:
-                ctl.unblock(me_w)
+        with self._watched(self._current_op or "barrier", ""):
+            self._wait_enter()
+            try:
+                st.barrier.wait()
+            except threading.BrokenBarrierError:
+                if st.barrier_passes > passes:
+                    # every rank arrived before the break (a rank that
+                    # left first died before this one woke): it held
+                    return
+                # elastic death breaks barriers without aborting the
+                # job: classify before reporting a (fatal) CommAborted
+                self._check_peer_failure()
+                raise CommAborted(
+                    self._ctl.abort_reason or "barrier broken by failing rank"
+                ) from None
+            finally:
+                self._wait_exit()
 
     def traffic_phase(self, name: str) -> None:
         """Start a new named traffic phase (collective: all ranks call).
@@ -810,7 +558,7 @@ class Comm(CollectiveComm):
         :func:`repro.mpi.recovery.shrink_after_failure` (the public
         entry point) for the contract."""
         st = self._state
-        ctl = st.control
+        ctl = self._ctl
         if not ctl.elastic:
             raise RuntimeError(
                 "shrink_after_failure requires an elastic job "

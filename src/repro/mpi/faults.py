@@ -4,9 +4,11 @@ Production campaigns like the paper's month-long 24576-node run survive
 because the code's failure paths work: a killed process must not corrupt
 the checkpoint set, and a hung collective must surface as an error
 instead of wedging the job.  This module provides a :class:`FaultPlan`
-— a declarative, seedable schedule of failures — that
-:class:`repro.mpi.runtime.MPIRuntime` and :class:`repro.mpi.comm.Comm`
-consult at well-defined points:
+— a declarative, seedable schedule of failures — and the
+:class:`FaultComm` that applies it.  A launcher given a plan wraps each
+rank's world communicator in a :class:`FaultComm`, on every backend;
+the transports never consult the plan.  The rules fire at well-defined
+points:
 
 * **rank kills** — ``kill_rank(rank, step)`` makes that rank raise
   :class:`InjectedFault` at its next ``comm.fault_point(step)``;
@@ -21,21 +23,29 @@ consult at well-defined points:
 Every decision is a pure function of the plan and a per-event sequence
 number, so a plan with pinned ``src``/``dst`` filters reproduces the
 same failures run after run (wildcard filters match in cross-thread
-arrival order, which is scheduler-dependent).
+arrival order, which is scheduler-dependent).  The sequence counters
+live on the plan instance: the thread backend's ranks share one, so
+counts are job-wide there; each multiprocess worker holds its own copy,
+so counts are per process.
 """
 
 from __future__ import annotations
 
 import errno
+import threading
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
+from repro.mpi.backend import CollectiveComm
+
 __all__ = [
     "FaultPlan",
+    "FaultComm",
     "RankDeath",
     "InjectedFault",
     "CommTimeout",
@@ -108,6 +118,21 @@ class CommTimeout(RuntimeError):
         self.step = step
         self.elapsed = elapsed
         self.op = op
+
+    @classmethod
+    def of_recv(cls, rank, op, source, tag, timeout, t0, step) -> "CommTimeout":
+        """The timeout of a receive (``op``) from ``source`` that began
+        at ``t0`` (``time.monotonic()``) and outlived ``timeout``."""
+        return cls(
+            f"rank {rank}: {op} from rank {source} (tag {tag}) "
+            f"timed out after {timeout:.3g}s",
+            rank=rank,
+            source=source,
+            tag=tag if isinstance(tag, int) else None,
+            step=step,
+            elapsed=time.monotonic() - t0,
+            op=op,
+        )
 
 
 class MessageDropped(CommTimeout):
@@ -287,6 +312,16 @@ class FaultPlan:
         # step indices the faults are keyed on, and a cosmic ray does
         # not strike twice just because the application re-executed
         self._fired: set = set()
+        #: per-key event counters of the message and stall rules
+        self._seq: Dict[Any, int] = {}
+        self._seq_lock = threading.Lock()
+
+    def __getstate__(self):
+        # a spawned worker gets the plan pickled; the lock is recreated
+        return {k: v for k, v in self.__dict__.items() if k != "_seq_lock"}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state, _seq_lock=threading.Lock())
 
     # -- builders ---------------------------------------------------------------
 
@@ -316,6 +351,7 @@ class FaultPlan:
         count: int,
         seconds: float,
         probability: float,
+        key: Optional[str] = None,
     ) -> "FaultPlan":
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -324,7 +360,10 @@ class FaultPlan:
         if not 0.0 < probability <= 1.0:
             raise ValueError("probability must be in (0, 1]")
         self._messages.append(
-            _MessageFault(kind, src, dst, int(nth), int(count), seconds, probability)
+            _MessageFault(
+                kind, src, dst, int(nth), int(count), seconds, probability,
+                None if key is None else str(key),
+            )
         )
         return self
 
@@ -369,17 +408,9 @@ class FaultPlan:
         entry damaged — the shape of realistic silent data corruption,
         where a flipped bit garbles one field of a structured message
         without making the message undeliverable."""
-        plan = self._add_message("corrupt", src, dst, nth, count, 0.0, probability)
-        if key is not None:
-            # dataclass is frozen; rebuild the just-appended rule with the key
-            ev = self._messages.pop()
-            self._messages.append(
-                _MessageFault(
-                    ev.kind, ev.src, ev.dst, ev.nth, ev.count,
-                    ev.seconds, ev.probability, str(key),
-                )
-            )
-        return plan
+        return self._add_message(
+            "corrupt", src, dst, nth, count, 0.0, probability, key
+        )
 
     def flip_bits(
         self,
@@ -521,14 +552,20 @@ class FaultPlan:
         self._stalls.append(_StallFault(str(op), int(rank), int(nth)))
         return self
 
-    # -- queries (used by Comm / MPIRuntime) -------------------------------------
+    # -- queries (used by FaultComm and the application layers) ------------------
 
-    def should_kill(self, rank: int, step: int) -> bool:
-        return any(k.rank == rank and k.step == step for k in self._kills)
+    def next_seq(self, key: Any) -> int:
+        """The next value of the event counter ``key`` (0, 1, 2, ...):
+        the sequence number a message or stall rule is matched on."""
+        with self._seq_lock:
+            seq = self._seq.get(key, 0)
+            self._seq[key] = seq + 1
+        return seq
 
     def kill_action(self, rank: int, step: int) -> Optional[_KillFault]:
         """The kill rule hitting ``rank`` at ``step`` (None if none);
-        backends use ``.real`` to pick raise-vs-SIGKILL semantics."""
+        its ``.real`` picks raise-vs-SIGKILL on backends with real
+        processes."""
         for k in self._kills:
             if k.rank == rank and k.step == step:
                 return k
@@ -699,6 +736,153 @@ def corrupt_payload(obj: Any, key: Optional[str] = None) -> Any:
     return "<corrupted payload>"
 
 
+#: seconds between abort checks of an injected delay or stall
+_POLL_SECONDS = 0.02
+
+#: retransmissions of one reliable send; the per-rank, per-step total
+#: is bounded by the job's retry budget
+_RELIABLE_SEND_RETRIES = 3
+_RETRY_BASE_DELAY = 0.002
+
+
+class FaultComm(CollectiveComm):
+    """Wraps any backend's communicator and applies a :class:`FaultPlan`.
+
+    Message rules act on each send before it reaches the wrapped
+    transport, stall and degrade rules at collective entry, kill and
+    slow rules at ``fault_point``; the collectives run here, so their
+    messages meet the rules too.  What cannot be done from outside the
+    transport goes through the wrapped comm's two fault hooks, ``_die``
+    and ``_shm_frames`` with ``_send(..., sabotage=True)``.  ``split``
+    and ``shrink`` return wrapped comms; everything else is the wrapped
+    comm's.
+    """
+
+    def __init__(self, inner: CollectiveComm, plan: FaultPlan) -> None:
+        self._inner = inner
+        #: also read by the application layers' state rules
+        self.fault_plan = plan
+
+    def __getattr__(self, name: str):
+        # recv, barrier, identity and backend extras (shm_created,
+        # traffic, stale_rejected, ...) are the wrapped comm's
+        if name == "_inner":  # not set yet: no recursion
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+    @property
+    def wait_seconds(self) -> float:
+        return self._inner.wait_seconds
+
+    def _sleep(self, seconds: Optional[float], fallback: str = "peer rank failed") -> None:
+        """Pay an injected delay (``None``: until the job aborts),
+        staying abortable — the rank is slow, not wedged."""
+        if seconds is not None and seconds <= 0.0:
+            return
+        deadline = None if seconds is None else time.monotonic() + seconds
+        poll = _POLL_SECONDS if seconds is None else min(_POLL_SECONDS, seconds)
+        while deadline is None or time.monotonic() < deadline:
+            self._inner._check_abort(fallback)
+            time.sleep(poll)
+
+    def fault_point(self, step: int) -> None:
+        inner, plan = self._inner, self.fault_plan
+        inner.fault_point(step)
+        me = inner.world_rank
+        kill = plan.kill_action(me, step)
+        if kill is not None:
+            inner._die(kill.real)
+            raise InjectedFault(f"rank {me} killed by fault plan at step {step}")
+        self._sleep(plan.slow_delay(me, step))
+
+    @contextmanager
+    def _collective(self, name: str):
+        inner, plan = self._inner, self.fault_plan
+        me = inner.world_rank
+        with inner._collective(name):
+            if plan.should_stall(me, name, plan.next_seq(("collective", me, name))):
+                with inner._watched(name, "stalled by fault plan"):
+                    self._sleep(None, f"{name} stalled by fault plan")
+            self._sleep(plan.collective_delay(me, name, inner._record.step or 0))
+            yield
+
+    def _send(self, obj: Any, dest: int, tag: Any) -> bool:
+        """One transmission through the message rules; ``False`` when a
+        drop rule lost it before the transport (and its traffic log)."""
+        inner, plan = self._inner, self.fault_plan
+        src_w, dst_w = inner.world_rank, inner._world_ranks[dest]
+        drop, delay, sabotage = False, 0.0, False
+        for ev in plan.message_events(src_w, dst_w):
+            if ev.kind == "corrupt_shm" and not inner._shm_frames(obj):
+                # the rule counts shared-memory frames: a message that
+                # carries none must not take a slot of its window
+                continue
+            if not ev.hits(plan.next_seq(("message", id(ev))), plan.seed, src_w, dst_w):
+                continue
+            if ev.kind == "drop":
+                drop = True
+            elif ev.kind == "delay":
+                delay += ev.seconds
+            elif ev.kind == "corrupt":
+                obj = corrupt_payload(obj, key=ev.key)
+            else:  # corrupt_shm
+                sabotage = True
+        self._sleep(delay)
+        if drop:
+            return False
+        inner._send(obj, dest, tag, sabotage=sabotage)
+        return True
+
+    def send(self, obj: Any, dest: int, tag: Any = 0, reliable: bool = False) -> None:
+        """With ``reliable=True`` a drop is *observed at the sender* (a
+        missing ack) and retried with backoff, each retry meeting the
+        rules afresh and costing one unit of the per-step retry budget;
+        a persistent drop rule or an exhausted budget raises
+        :class:`MessageDropped`."""
+        if not 0 <= dest < self.size:
+            raise ValueError(f"invalid destination rank {dest}")
+        if not reliable:
+            self._send(obj, dest, tag)
+            return
+        record = self._inner._record
+        me_w, dst_w = self.world_rank, self._inner._world_ranks[dest]
+
+        def attempt() -> None:
+            if not self._send(obj, dest, tag):
+                raise MessageDropped(
+                    f"rank {me_w}: send to rank {dst_w} (tag {tag}) dropped "
+                    f"by fault plan",
+                    rank=me_w,
+                    source=dst_w,
+                    tag=tag if isinstance(tag, int) else None,
+                    step=record.step,
+                    op="send",
+                )
+
+        def on_retry(attempt_idx: int, exc: BaseException) -> None:
+            if not record.try_consume_retry():
+                raise exc  # budget exhausted: surface the drop now
+
+        retry_with_backoff(
+            attempt,
+            retries=_RELIABLE_SEND_RETRIES,
+            base_delay=_RETRY_BASE_DELAY,
+            # per-rank, per-step seed: simultaneous drops on N ranks
+            # back off on diverging (but reproducible) schedules
+            seed=(me_w, max(0, record.step or 0)),
+            exceptions=(MessageDropped,),
+            on_retry=on_retry,
+        )
+
+    def _make_split_comm(self, seq: int, color: int, member_ranks, new_rank: int):
+        sub = self._inner._make_split_comm(seq, color, member_ranks, new_rank)
+        return FaultComm(sub, self.fault_plan)
+
+    def shrink(self, timeout: float = 30.0):
+        new_comm, newly_dead, epoch = self._inner.shrink(timeout=timeout)
+        return FaultComm(new_comm, self.fault_plan), newly_dead, epoch
+
+
 def flip_array_bits(arr: np.ndarray, nbits: int = 1, seed: int = 0) -> List[int]:
     """Flip ``nbits`` deterministically-chosen bits of ``arr`` in place.
 
@@ -725,22 +909,15 @@ def flip_array_bits(arr: np.ndarray, nbits: int = 1, seed: int = 0) -> List[int]
 
 def flip_file_bits(path, nbits: int = 1, seed: int = 0) -> List[int]:
     """Flip ``nbits`` deterministically-chosen bits of the file at
-    ``path`` in place (on-disk bit-rot).  Returns the flipped global
-    bit indices (empty for an empty file)."""
-    if nbits < 1:
-        raise ValueError("nbits must be >= 1")
+    ``path`` in place (on-disk bit-rot; the bits
+    :func:`flip_array_bits` picks for the file's bytes).  Returns the
+    flipped global bit indices (empty for an empty file)."""
     with open(path, "r+b") as fh:
-        data = bytearray(fh.read())
-        if not data:
-            return []
-        total_bits = len(data) * 8
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(total_bits, size=min(nbits, total_bits), replace=False)
-        for bit in chosen:
-            data[int(bit) // 8] ^= 1 << (int(bit) % 8)
+        data = np.frombuffer(fh.read(), dtype=np.uint8).copy()
+        flipped = flip_array_bits(data, nbits, seed=seed)
         fh.seek(0)
-        fh.write(bytes(data))
-    return sorted(int(b) for b in chosen)
+        fh.write(data.tobytes())
+    return flipped
 
 
 def apply_scheduled_flips(

@@ -43,12 +43,15 @@ function to be picklable):
   heartbeats and announced deaths into the shared ``dead_flags`` array
   that peers poll from every blocking receive, and frees the queue
   write locks a killed worker died holding (:class:`_OwnedLock`).
-* **Fault injection** — the same :class:`repro.mpi.faults.FaultPlan`
-  drives message drop/delay/corrupt and collective stalls (per-process
-  event counters), and ``kill_rank`` kills *for real*: the victim
-  SIGKILLs itself at the scheduled ``fault_point`` — no cleanup, no
-  goodbye message — so what the survivors and the supervisor observe is
-  a genuine process death, not a simulation of one.
+* **Fault injection** — a worker given a
+  :class:`repro.mpi.faults.FaultPlan` wraps its world communicator in a
+  :class:`repro.mpi.faults.FaultComm` (its own copy of the plan, so
+  per-process event counters); the transport only offers the two fault
+  hooks.  ``kill_rank`` kills *for real*: the victim SIGKILLs itself at
+  the scheduled ``fault_point`` — no cleanup, no goodbye message — so
+  what the survivors and the supervisor observe is a genuine process
+  death, not a simulation of one; ``corrupt_shm`` damages a
+  shared-memory frame after its checksum.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ import threading
 import time
 import uuid
 from collections import OrderedDict, deque
-from contextlib import contextmanager
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -73,18 +75,12 @@ from repro.mpi.backend import (
     BackendCapabilities,
     CollectiveComm,
     CommBackend,
+    StepRecord,
+    job_results,
     payload_bytes as _payload_bytes,
 )
 from repro.mpi.comm import CommAborted
-from repro.mpi.faults import (
-    CommTimeout,
-    InjectedFault,
-    MessageDropped,
-    PeerFailure,
-    RankDeath,
-    corrupt_payload,
-    retry_with_backoff,
-)
+from repro.mpi.faults import CommTimeout, FaultComm, PeerFailure, RankDeath
 from repro.mpi.network import TrafficLog
 from repro.mpi.supervisor import DEATH_EXIT_CODE, Supervisor
 from repro.native import frame
@@ -101,11 +97,6 @@ _POLL_SECONDS = 0.02
 
 #: payload size (bytes) above which arrays ride shared memory
 DEFAULT_SHM_THRESHOLD = 1 << 16
-
-# mirror the thread backend's reliable-path caps (repro.mpi.comm)
-_RELIABLE_SEND_RETRIES = 3
-_RELIABLE_RECV_RETRIES = 2
-_RETRY_BASE_DELAY = 0.002
 
 #: comm_key of the world communicator
 _WORLD_KEY: Tuple[Any, ...] = ("w",)
@@ -260,13 +251,7 @@ class _ShmPickler(pickle.Pickler):
         self._sabotage = sabotage
 
     def persistent_id(self, obj: Any):
-        if (
-            isinstance(obj, np.ndarray)
-            and obj.size
-            and obj.nbytes >= self._threshold
-            and not obj.dtype.hasobject
-            and obj.dtype.names is None
-        ):
+        if _rides_shm(obj, self._threshold):
             shm = self._pool.acquire(obj.nbytes)
             view = np.ndarray(obj.shape, dtype=obj.dtype, buffer=shm.buf)
             if obj.flags.c_contiguous:  # copied and checksummed in one pass
@@ -341,19 +326,25 @@ def shm_dumps(
     return buf.getvalue()
 
 
+def _rides_shm(obj: Any, threshold: int) -> bool:
+    """Whether ``obj`` itself is an array :class:`_ShmPickler` puts in a
+    SharedMemory frame."""
+    return bool(
+        isinstance(obj, np.ndarray)
+        and obj.size
+        and obj.nbytes >= threshold
+        and not obj.dtype.hasobject
+        and obj.dtype.names is None
+    )
+
+
 def has_shm_frames(obj: Any, threshold: int) -> bool:
     """True when serializing ``obj`` would externalize at least one
-    array into a SharedMemory frame (same eligibility rules as
-    :meth:`_ShmPickler.persistent_id`).  ``corrupt_shm`` fault rules
-    count *frames*, not messages, so array-free control traffic must
-    not advance their sequence window."""
+    array into a SharedMemory frame.  ``corrupt_shm`` fault rules count
+    *frames*, not messages, so array-free control traffic must not
+    advance their sequence window."""
     if isinstance(obj, np.ndarray):
-        return bool(
-            obj.size
-            and obj.nbytes >= threshold
-            and not obj.dtype.hasobject
-            and obj.dtype.names is None
-        )
+        return _rides_shm(obj, threshold)
     if isinstance(obj, dict):
         return any(has_shm_frames(v, threshold) for v in obj.values())
     if isinstance(obj, (tuple, list, set, frozenset)):
@@ -489,37 +480,15 @@ class _MPJob:
 
 
 class _LocalControl:
-    """Per-process fault/config state (worker-side analog of
+    """Per-process state of a worker (analog of
     ``repro.mpi.comm._JobControl``; no locking — one process, and the
     communicator is only ever driven from the rank's main thread)."""
 
     def __init__(self, job: _MPJob) -> None:
-        self.job = job
-        self.fault_plan = job.fault_plan
         self.recv_timeout = job.recv_timeout
-        self.retry_budget = job.retry_budget
+        self.record = StepRecord(job.retry_budget)
         self.shm_pool = _ShmPool(job.shm_prefix)
         self.epoch = 0
-        self.step = -1
-        self._event_seq: Dict[Any, int] = {}
-        self._retry_left: Optional[Tuple[int, int]] = None
-
-    def record_step(self, step: int) -> None:
-        self.step = int(step)
-
-    def next_event_seq(self, key: Any) -> int:
-        seq = self._event_seq.get(key, 0)
-        self._event_seq[key] = seq + 1
-        return seq
-
-    def try_consume_retry(self) -> bool:
-        step = self.step
-        entry = self._retry_left
-        left = self.retry_budget if entry is None or entry[0] != step else entry[1]
-        if left <= 0:
-            return False
-        self._retry_left = (step, left - 1)
-        return True
 
 
 class _Mailbox:
@@ -583,12 +552,13 @@ class _Mailbox:
             if matched:
                 return True, blob
 
-    def wait_next(self, timeout: float):
-        """Block up to ``timeout`` for one raw message (None on expiry)."""
+    def wait(self, timeout: float) -> None:
+        """Block up to ``timeout`` for one raw message and stash (or
+        drop) it for the next :meth:`try_take`."""
         try:
-            return self.q.get(timeout=timeout)
+            self._classify(self.q.get(timeout=timeout), None)
         except _queue.Empty:
-            return None
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +572,8 @@ class MPComm(CollectiveComm):
     The collective surface comes from
     :class:`repro.mpi.backend.CollectiveComm`; this class provides the
     cross-process transport: queue + shared-memory sends, mailbox
-    receives with epoch quarantine, dissemination barriers, fault
-    injection, and failure detection against the shared death flags.
+    receives with epoch quarantine, dissemination barriers, and failure
+    detection against the shared death flags.
     """
 
     def __init__(
@@ -625,17 +595,11 @@ class MPComm(CollectiveComm):
         self._epoch = int(epoch)
         self._world_ranks = list(world_ranks)
         self._rank = int(rank)
+        self._record = ctl.record
         self._known_dead = frozenset(known_dead)
         self.traffic = traffic
         self._split_seq = 0
         self._barrier_seq = 0
-        self._current_op: Optional[str] = None
-        #: cumulative seconds blocked in communication (collectives and
-        #: receive waits; the barrier rides on ``recv``) — straggler
-        #: detection subtracts it from wall time to get work time
-        self._wait_seconds = 0.0
-        self._wait_depth = 0
-        self._wait_t0 = 0.0
         mailbox.register_epoch(comm_key, epoch)
         #: stragglers discarded since this communicator was created
         self._stale_offset = mailbox.stale_drops
@@ -667,18 +631,6 @@ class MPComm(CollectiveComm):
         return self._mailbox.stale_drops - self._stale_offset
 
     @property
-    def fault_plan(self):
-        """The job's :class:`~repro.mpi.faults.FaultPlan` (None when no
-        faults are scheduled); application layers consult it for the
-        state-corruption rules that fire outside the transport."""
-        return self._ctl.fault_plan
-
-    @property
-    def recv_timeout(self):
-        """This rank's default receive deadline (seconds, or None)."""
-        return self._ctl.recv_timeout
-
-    @property
     def shm_created(self) -> int:
         """SharedMemory segments this rank's process has created."""
         return self._ctl.shm_pool.created
@@ -688,12 +640,6 @@ class MPComm(CollectiveComm):
         """Frames this rank's process sent in a segment it had received
         earlier; next to :attr:`shm_created` it shows a cold pool."""
         return self._ctl.shm_pool.reused
-
-    def set_recv_timeout(self, seconds) -> None:
-        """Retune the default receive deadline at runtime (health-layer
-        hook; per-process control, so callers set it collectively with
-        an identical value on every rank)."""
-        self._ctl.recv_timeout = None if seconds is None else float(seconds)
 
     def _loads_checked(self, blob: bytes) -> Tuple[bool, Any]:
         """Rehydrate a matched message; a CRC32 failure discards it as
@@ -707,43 +653,11 @@ class MPComm(CollectiveComm):
             self.shm_crc_failures += 1
             return False, None
 
-    # -- fault injection & failure detection -------------------------------------
+    # -- failure detection -------------------------------------------------------
 
-    def fault_point(self, step: int) -> None:
-        """Application hook: die here if the fault plan says so.
-
-        On this backend the default death is *real*: the worker SIGKILLs
-        itself — no cleanup, no goodbye message — so the supervisor must
-        discover the loss through liveness monitoring, exactly like a
-        crashed node.  ``kill_rank(..., real=False)`` forces the thread
-        backend's in-rank :class:`InjectedFault` raise instead (an
-        *announced* death).
-        """
-        self._ctl.record_step(step)
-        plan = self._ctl.fault_plan
-        if plan is None:
-            return
-        k = plan.kill_action(self.world_rank, step)
-        if k is not None:
-            if k.real is not False:
-                os.kill(os.getpid(), signal.SIGKILL)
-                time.sleep(60)  # pragma: no cover - SIGKILL is immediate
-            raise InjectedFault(
-                f"rank {self.world_rank} killed by fault plan at step {step}"
-            )
-        self._injected_sleep(plan.slow_delay(self.world_rank, step))
-
-    def _injected_sleep(self, delay: float) -> None:
-        """Pay an injected gray-failure delay, staying abortable.  The
-        heartbeat thread keeps beating throughout — a slow rank is
-        *alive*, which is exactly what distinguishes it from a wedge."""
-        if delay <= 0.0:
-            return
-        deadline = time.monotonic() + delay
-        while time.monotonic() < deadline:
-            if self._job.abort_event.is_set():
-                raise CommAborted(self._job.abort_reason("peer rank failed"))
-            time.sleep(min(_POLL_SECONDS, delay))
+    def _check_abort(self, fallback: str = "peer rank failed") -> None:
+        if self._job.abort_event.is_set():
+            raise CommAborted(self._job.abort_reason(fallback))
 
     def _check_peer_failure(self) -> None:
         if not self._job.elastic:
@@ -760,148 +674,41 @@ class MPComm(CollectiveComm):
             )
 
     def _poll_failure_signals(self) -> None:
-        if self._job.abort_event.is_set():
-            raise CommAborted(self._job.abort_reason("peer rank failed"))
+        self._check_abort()
         self._check_peer_failure()
 
-    @property
-    def wait_seconds(self) -> float:
-        return self._wait_seconds
+    # -- fault hooks ---------------------------------------------------------------
 
-    def _wait_enter(self) -> None:
-        self._wait_depth += 1
-        if self._wait_depth == 1:
-            self._wait_t0 = time.perf_counter()
+    def _die(self, real: Optional[bool]) -> None:
+        """Unless ``real=False`` the worker SIGKILLs itself — no cleanup,
+        no goodbye — and the supervisor must discover the loss through
+        liveness monitoring, exactly like a crashed node."""
+        if real is not False:
+            os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)  # pragma: no cover - SIGKILL is immediate
 
-    def _wait_exit(self) -> None:
-        self._wait_depth -= 1
-        if self._wait_depth == 0:
-            self._wait_seconds += time.perf_counter() - self._wait_t0
-
-    @contextmanager
-    def _collective(self, name: str):
-        ctl = self._ctl
-        prev = self._current_op
-        self._current_op = name
-        self._wait_enter()
-        try:
-            plan = ctl.fault_plan
-            if plan is not None:
-                seq = ctl.next_event_seq(("collective", self.world_rank, name))
-                if plan.should_stall(self.world_rank, name, seq):
-                    while not self._job.abort_event.is_set():
-                        time.sleep(_POLL_SECONDS)
-                    raise CommAborted(
-                        self._job.abort_reason(f"{name} stalled by fault plan")
-                    )
-                self._injected_sleep(
-                    plan.collective_delay(self.world_rank, name, ctl.step or 0)
-                )
-            yield
-        finally:
-            self._wait_exit()
-            self._current_op = prev
+    def _shm_frames(self, obj: Any) -> bool:
+        return has_shm_frames(obj, self._job.shm_threshold)
 
     # -- point to point -----------------------------------------------------------
 
-    def _put_raw(self, obj: Any, dest: int, tag: Any) -> None:
-        """Transport put without fault injection or traffic accounting
-        (barrier tokens; the thread backend's ``threading.Barrier`` is
-        equally exempt from both)."""
-        dst_w = self._world_ranks[dest]
-        blob = shm_dumps(obj, self._ctl.shm_pool, self._job.shm_threshold)
-        self._job.data_queues[dst_w].put(
+    def _put_raw(self, obj: Any, dest: int, tag: Any, sabotage: bool = False) -> None:
+        """Transport put without traffic accounting (barrier tokens; the
+        thread backend's ``threading.Barrier`` is equally exempt)."""
+        blob = shm_dumps(
+            obj, self._ctl.shm_pool, self._job.shm_threshold, sabotage=sabotage
+        )
+        self._job.data_queues[self._world_ranks[dest]].put(
             (self._comm_key, self._epoch, self.world_rank, tag, blob)
         )
 
-    def _send_attempt(self, obj: Any, dest: int, tag: Any) -> bool:
-        """One transmission attempt; ``False`` when the fault plan
-        dropped it (same per-event sequence logic as the thread
-        backend, with per-process counters)."""
-        ctl = self._ctl
-        src_w = self.world_rank
-        dst_w = self._world_ranks[dest]
-        self.traffic.record(src_w, dst_w, _payload_bytes(obj))
-        payload = obj
-        plan = ctl.fault_plan
-        sabotage_shm = False
-        if plan is not None:
-            drop = False
-            delay = 0.0
-            for ev in plan.message_events(src_w, dst_w):
-                if ev.kind == "corrupt_shm" and not has_shm_frames(
-                    payload, self._job.shm_threshold
-                ):
-                    # the rule targets SHM *frames*: a message carrying
-                    # none (small control traffic) is outside its
-                    # sequence window and must not consume a slot
-                    continue
-                seq = ctl.next_event_seq(("message", id(ev)))
-                if not ev.hits(seq, plan.seed, src_w, dst_w):
-                    continue
-                if ev.kind == "drop":
-                    drop = True
-                elif ev.kind == "delay":
-                    delay += ev.seconds
-                elif ev.kind == "corrupt":
-                    payload = corrupt_payload(payload, key=ev.key)
-                elif ev.kind == "corrupt_shm":
-                    sabotage_shm = True
-            if delay > 0.0:
-                deadline = time.monotonic() + delay
-                while time.monotonic() < deadline:
-                    if self._job.abort_event.is_set():
-                        raise CommAborted(self._job.abort_reason("peer rank failed"))
-                    time.sleep(min(_POLL_SECONDS, delay))
-            if drop:
-                return False
-        blob = shm_dumps(
-            payload,
-            self._ctl.shm_pool,
-            self._job.shm_threshold,
-            sabotage=sabotage_shm,
+    def _send(self, obj: Any, dest: int, tag: Any, sabotage: bool = False) -> None:
+        """Log and put one message; ``sabotage`` flips a byte of its
+        first shared-memory frame after the checksum was taken."""
+        self.traffic.record(
+            self.world_rank, self._world_ranks[dest], _payload_bytes(obj)
         )
-        self._job.data_queues[dst_w].put(
-            (self._comm_key, self._epoch, src_w, tag, blob)
-        )
-        return True
-
-    def send(self, obj: Any, dest: int, tag: Any = 0, reliable: bool = False) -> None:
-        if not 0 <= dest < self.size:
-            raise ValueError(f"invalid destination rank {dest}")
-        if not reliable:
-            self._send_attempt(obj, dest, tag)
-            return
-        ctl = self._ctl
-        me_w = self.world_rank
-        dst_w = self._world_ranks[dest]
-
-        def attempt() -> None:
-            if not self._send_attempt(obj, dest, tag):
-                raise MessageDropped(
-                    f"rank {me_w}: send to rank {dst_w} (tag {tag}) dropped "
-                    f"by fault plan",
-                    rank=me_w,
-                    source=dst_w,
-                    tag=tag if isinstance(tag, int) else None,
-                    step=ctl.step,
-                    op="send",
-                )
-
-        def on_retry(attempt_idx: int, exc: BaseException) -> None:
-            if not ctl.try_consume_retry():
-                raise exc
-
-        retry_with_backoff(
-            attempt,
-            retries=_RELIABLE_SEND_RETRIES,
-            base_delay=_RETRY_BASE_DELAY,
-            # per-rank, per-step seed: simultaneous drops on N ranks
-            # back off on diverging (but reproducible) schedules
-            seed=(me_w, max(0, ctl.step or 0)),
-            exceptions=(MessageDropped,),
-            on_retry=on_retry,
-        )
+        self._put_raw(obj, dest, tag, sabotage=sabotage)
 
     def recv(self, source: int, tag: Any = 0, timeout: Optional[float] = None) -> Any:
         if not 0 <= source < self.size:
@@ -929,41 +736,12 @@ class MPComm(CollectiveComm):
                         return obj
                 self._poll_failure_signals()
                 if deadline is not None and time.monotonic() > deadline:
-                    elapsed = time.monotonic() - t0
-                    raise CommTimeout(
-                        f"rank {me_w}: {op} from rank {src_w} (tag {tag}) "
-                        f"timed out after {timeout:.3g}s",
-                        rank=me_w,
-                        source=src_w,
-                        tag=tag if isinstance(tag, int) else None,
-                        step=ctl.step,
-                        elapsed=elapsed,
-                        op=op,
+                    raise CommTimeout.of_recv(
+                        me_w, op, src_w, tag, timeout, t0, self._record.step
                     )
-                msg = mb.wait_next(_POLL_SECONDS)
-                if msg is not None:
-                    matched, blob = mb._classify(msg, want)
-                    if matched:
-                        ok, obj = self._loads_checked(blob)
-                        if ok:
-                            return obj
+                mb.wait(_POLL_SECONDS)
         finally:
             self._wait_exit()
-
-    def _recv_reliable(self, source: int, tag: Any = 0) -> Any:
-        ctl = self._ctl
-
-        def on_retry(attempt_idx: int, exc: BaseException) -> None:
-            if not ctl.try_consume_retry():
-                raise exc
-
-        return retry_with_backoff(
-            lambda: self.recv(source, tag=tag),
-            retries=_RELIABLE_RECV_RETRIES,
-            base_delay=0.0,
-            exceptions=(CommTimeout,),
-            on_retry=on_retry,
-        )
 
     def _try_recv(self, source: int, tag: Any) -> Tuple[bool, Any]:
         src_w = self._world_ranks[source]
@@ -1157,6 +935,8 @@ def _worker_main(job: _MPJob, world_rank: int, fn, args, kwargs) -> None:
         frozenset(),
         TrafficLog(),
     )
+    if job.fault_plan is not None:
+        comm = FaultComm(comm, job.fault_plan)
     exit_code = 0
     control = report = None  # for the supervisor / for the launcher
     try:
@@ -1238,12 +1018,9 @@ class MultiprocessBackend(CommBackend):
             true_parallelism=True,
             simulated_kill=True,
             real_process_kill=True,
-            message_faults=True,
-            stall_faults=True,
             network_model=False,
             heartbeat_liveness=True,
             elastic=True,
-            gray_failure=True,
         )
 
     def __init__(
@@ -1376,14 +1153,12 @@ class MultiprocessBackend(CommBackend):
                 if isinstance(msg, tuple) and len(msg) == 5:
                     free_blob(msg[4])
 
-    # -- result assembly (mirrors MPIRuntime.run's failure contract) -------------
+    # -- result assembly ---------------------------------------------------------
 
     def _assemble(self, sup: Supervisor) -> List[Any]:
-        n = self.n_ranks
-        results: List[Any] = [None] * n
+        results: List[Any] = [None] * self.n_ranks
         failures: List[Tuple[int, BaseException]] = []
-        aborted_ranks: List[int] = []
-        abort_texts: List[str] = []
+        aborted: List[Tuple[int, None]] = []
         for rank in sorted(sup.results):
             kind, payload = sup.results[rank]
             if kind == "ok":
@@ -1393,48 +1168,10 @@ class MultiprocessBackend(CommBackend):
             elif kind == "error":
                 failures.append((rank, payload))
             elif kind == "aborted":
-                aborted_ranks.append(rank)
-                abort_texts.append(payload)
-        deaths = dict(sup.dead)
-        self.dead_ranks = sorted(deaths)
-        failures.sort(key=lambda e: e[0])
-
-        if self.elastic and not failures and not aborted_ranks:
-            if deaths and len(deaths) == n:
-                err = RuntimeError(
-                    f"elastic job lost all {n} rank(s): no survivor left "
-                    f"to continue"
-                )
-                err.rank_errors = {
-                    r: RuntimeError(reason) for r, reason in deaths.items()
-                }
-                err.aborted_ranks = []
-                err.abort_origin = None
-                raise err
-            return results
-        if failures:
-            rank, exc = failures[0]
-            msg = f"rank {rank} (process mp-rank-{rank}) failed: {exc!r}"
-            if len(failures) > 1:
-                others = "; ".join(f"rank {r}: {e!r}" for r, e in failures[1:])
-                msg += f"; {len(failures) - 1} more rank(s) failed: {others}"
-            if aborted_ranks:
-                msg += (
-                    f"; rank(s) {aborted_ranks} aborted (CommAborted) after "
-                    f"the first failure"
-                )
-            err = RuntimeError(msg)
-            err.rank_errors = dict(failures)
-            err.aborted_ranks = aborted_ranks
-            err.abort_origin = sup.abort_origin
-            raise err from exc
-        if aborted_ranks or (deaths and not self.elastic):
-            reason = sup.abort_reason or "communication aborted"
-            err = RuntimeError(
-                f"job aborted: {reason} (CommAborted on rank(s) {aborted_ranks})"
-            )
-            err.rank_errors = {}
-            err.aborted_ranks = aborted_ranks
-            err.abort_origin = sup.abort_origin
-            raise err
-        return results
+                aborted.append((rank, None))
+        self.dead_ranks = sorted(sup.dead)
+        deaths = {r: RuntimeError(reason) for r, reason in sup.dead.items()}
+        return job_results(
+            results, self.elastic, failures, aborted, deaths,
+            sup.abort_reason, sup.abort_origin, "process mp-rank-{rank}",
+        )

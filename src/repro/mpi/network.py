@@ -22,8 +22,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 __all__ = ["Message", "PhaseTraffic", "TrafficLog", "TorusNetwork"]
 
 

@@ -10,8 +10,10 @@ raised :class:`RuntimeError` carries *every* rank's failure (plus which
 ranks were aborted as secondary casualties) instead of silently keeping
 only one.
 
-Fault injection for tests comes from an attached
-:class:`repro.mpi.faults.FaultPlan`; see ``docs/fault_tolerance.md``.
+Fault injection for tests comes from a
+:class:`repro.mpi.faults.FaultPlan`: each rank's world communicator is
+wrapped in a :class:`repro.mpi.faults.FaultComm`; see
+``docs/fault_tolerance.md``.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import threading
 import time
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.mpi.backend import BackendCapabilities, CommBackend
+from repro.mpi.backend import BackendCapabilities, CommBackend, job_results
 from repro.mpi.comm import Comm, CommAborted, _CommState, _JobControl
-from repro.mpi.faults import FaultPlan, RankDeath
+from repro.mpi.faults import FaultComm, FaultPlan, RankDeath
 from repro.mpi.network import TorusNetwork, TrafficLog
 
 __all__ = ["MPIRuntime", "run_spmd"]
@@ -44,7 +46,8 @@ class MPIRuntime(CommBackend):
     fault_plan:
         Optional :class:`repro.mpi.faults.FaultPlan` of injected
         failures (rank kills, message drop/delay/corrupt, stalled
-        collectives), consulted by every communicator of the job.
+        collectives); every rank gets its world communicator wrapped
+        in a :class:`repro.mpi.faults.FaultComm` applying it.
     recv_timeout:
         Job-wide default timeout (seconds) for blocking receives; a
         receive that exceeds it raises
@@ -79,12 +82,9 @@ class MPIRuntime(CommBackend):
             true_parallelism=False,
             simulated_kill=True,
             real_process_kill=False,
-            message_faults=True,
-            stall_faults=True,
             network_model=True,
             heartbeat_liveness=False,
             elastic=True,
-            gray_failure=True,
         )
 
     def __init__(
@@ -134,7 +134,6 @@ class MPIRuntime(CommBackend):
         whose failure aborted the job first).
         """
         control = _JobControl(
-            fault_plan=self.fault_plan,
             recv_timeout=self.recv_timeout,
             elastic=self.elastic,
             world_size=self.n_ranks,
@@ -151,6 +150,8 @@ class MPIRuntime(CommBackend):
 
         def worker(rank: int) -> None:
             comm = Comm(state, rank)
+            if self.fault_plan is not None:
+                comm = FaultComm(comm, self.fault_plan)
             try:
                 results[rank] = fn(comm, *args, **kwargs)
             except CommAborted as exc:
@@ -164,7 +165,7 @@ class MPIRuntime(CommBackend):
                     # and let the rest of the job shrink and continue
                     with err_lock:
                         deaths.append((rank, exc))
-                    control.mark_dead(rank, exc)
+                    control.mark_dead(rank)
                 else:
                     with err_lock:
                         failures.append((rank, exc))
@@ -232,51 +233,11 @@ class MPIRuntime(CommBackend):
             if watchdog_thread is not None:
                 watchdog_thread.join(timeout=1.0)
 
-        failures.sort(key=lambda e: e[0])
-        aborted_ranks = sorted(r for r, _ in aborted)
         self.dead_ranks = sorted(r for r, _ in deaths)
-        if self.elastic and not failures and not aborted:
-            if deaths and len(deaths) == self.n_ranks:
-                err = RuntimeError(
-                    f"elastic job lost all {self.n_ranks} rank(s): no "
-                    f"survivor left to continue"
-                )
-                err.rank_errors = dict(deaths)
-                err.aborted_ranks = []
-                err.abort_origin = None
-                raise err
-            # dead ranks simply contribute None results
-            return results
-        if failures:
-            rank, exc = failures[0]
-            msg = f"rank {rank} (thread rank-{rank}) failed: {exc!r}"
-            if len(failures) > 1:
-                others = "; ".join(
-                    f"rank {r}: {e!r}" for r, e in failures[1:]
-                )
-                msg += f"; {len(failures) - 1} more rank(s) failed: {others}"
-            if aborted_ranks:
-                msg += (
-                    f"; rank(s) {aborted_ranks} aborted (CommAborted) after "
-                    f"the first failure"
-                )
-            err = RuntimeError(msg)
-            err.rank_errors = dict(failures)
-            err.aborted_ranks = aborted_ranks
-            err.abort_origin = control.abort_origin
-            raise err from exc
-        if aborted:
-            # no rank raised a primary error, yet the job aborted: the
-            # watchdog (or an injected stall) fired
-            reason = control.abort_reason or "communication aborted"
-            err = RuntimeError(
-                f"job aborted: {reason} (CommAborted on rank(s) {aborted_ranks})"
-            )
-            err.rank_errors = {}
-            err.aborted_ranks = aborted_ranks
-            err.abort_origin = control.abort_origin
-            raise err from aborted[0][1]
-        return results
+        return job_results(
+            results, self.elastic, failures, aborted, dict(deaths),
+            control.abort_reason, control.abort_origin, "thread rank-{rank}",
+        )
 
 
 def run_spmd(

@@ -50,11 +50,11 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan().delay_messages(-1.0)
 
-    def test_should_kill(self):
+    def test_kill_action(self):
         plan = FaultPlan().kill_rank(2, step=5)
-        assert plan.should_kill(2, 5)
-        assert not plan.should_kill(2, 4)
-        assert not plan.should_kill(1, 5)
+        assert plan.kill_action(2, 5).real is None
+        assert plan.kill_action(2, 4) is None
+        assert plan.kill_action(1, 5) is None
 
     def test_probability_is_deterministic(self):
         plan = FaultPlan(seed=42).drop_messages(

@@ -158,6 +158,27 @@ class TestPeerFailureSurfacing:
         results, _ = elastic_run(3, fn, recv_timeout=30.0)
         assert max(results[:2]) - died[0] < 2.0
 
+    def test_late_live_source_is_not_blamed_for_another_death(self):
+        # rank 0 receives from rank 2, which is late but alive, while
+        # rank 1 dies: rank 0 must get rank 2's message, then join the
+        # recovery
+        def fn(comm):
+            got = None
+            if comm.rank == 1:
+                raise InjectedFault("down")
+            if comm.rank == 2:
+                time.sleep(0.3)  # rank 0 polls its receive meanwhile
+                comm.send("late", 0, tag=7)
+            else:
+                got = comm.recv(2, tag=7, timeout=10.0)
+            _, dead, _ = shrink_after_failure(comm, timeout=10.0)
+            return got, dead
+
+        results, rt = elastic_run(3, fn)
+        assert rt.dead_ranks == [1]
+        assert results[0] == ("late", [1])
+        assert results[2] == (None, [1])
+
     def test_stale_wake_token_is_dropped(self):
         # a token left behind by a wake the receive did not need is
         # neither delivered nor a tag mismatch
